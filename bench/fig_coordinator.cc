@@ -8,11 +8,12 @@
 // PIR and plaintext top-k paths — the coordinator is allowed to change
 // only the clock. Emits BENCH_coordinator.json.
 //
-// The coordinator runs with a shared executor and unbounded fanout
-// (ShardCoordinatorOptions::fanout_threads = 0): its per-request shard
-// round trips overlap as executor tasks instead of walking the shards
-// sequentially — the overlap that closes the coordinator-vs-in-process
-// gap on machines with real cores.
+// The in-process coordinator submits each request's shard round trips
+// through InProcessTransport, which completes them inline: the shards of
+// one request run one after another on the calling thread. The final
+// section repeats the stream at 8 shards over loopback TCP through
+// MultiplexedTransports, where all of a request's round trips are in
+// flight at once and no thread parks on a socket.
 //
 // Environment variables (all optional):
 //   EMBELLISH_BENCH_TERMS    lexicon size                  (default 2000)
@@ -49,8 +50,7 @@ struct ConfigResult {
   double qps = 0;
 };
 
-// One TCP transport mode (blocking TcpTransport vs MultiplexedTransport)
-// over the same loopback slice servers.
+// The coordinator over MultiplexedTransports to loopback slice servers.
 struct ModeResult {
   std::string mode;
   double ms = 0;
@@ -193,10 +193,7 @@ int main() {
             endpoints.back().get()));
         raw.push_back(transports.back().get());
       }
-      // Shared executor: each request's PR/top-k fan-out overlaps its
-      // shard round trips as executor tasks (fanout_threads 0 = all
-      // shards in flight); caches stay off so the answer path is what is
-      // measured.
+      // Caches stay off so the answer path is what is measured.
       ThreadPool pool(threads);
       server::ShardCoordinator coordinator(raw, {}, &pool);
       if (!coordinator.Handshake().ok()) {
@@ -218,14 +215,13 @@ int main() {
     }
   }
 
-  // --- Transport mode sweep: blocking sockets vs one multiplexed
-  // connection per shard, at 8 shards over real loopback TCP. The blocking
-  // mode parks one executor worker per in-flight round trip; the
-  // multiplexed mode submits all eight and awaits — blocking_io_trips must
-  // read 0 there, and the overlap column shows how many round trips were
-  // genuinely in flight at once.
+  // --- One multiplexed connection per shard, at 8 shards over real
+  // loopback TCP: each request submits all eight round trips and awaits —
+  // blocking_io_trips must read 0, and the overlap column shows how many
+  // round trips were genuinely in flight at once.
   const size_t mode_shards = 8;
-  std::vector<ModeResult> mode_results;
+  ModeResult mux;
+  mux.mode = "tcp-multiplexed";
   {
     // Per-configuration reference at 8 shards (the hello-ok and the PIR
     // frame legitimately differ from the monolithic bytes).
@@ -272,36 +268,23 @@ int main() {
       return 1;
     }
 
-    for (const std::string& mode : {std::string("tcp-blocking"),
-                                    std::string("tcp-multiplexed")}) {
-      std::vector<std::unique_ptr<server::ShardTransport>> transports;
+    {
+      std::vector<std::unique_ptr<server::MultiplexedTransport>> transports;
       std::vector<server::ShardTransport*> raw;
       for (size_t s = 0; s < mode_shards; ++s) {
-        if (mode == "tcp-blocking") {
-          auto t = server::TcpTransport::Connect("127.0.0.1", ports[s]);
-          if (!t.ok()) {
-            std::fprintf(stderr, "connect: %s\n",
-                         t.status().ToString().c_str());
-            return 1;
-          }
-          transports.push_back(std::move(*t));
-        } else {
-          auto t = server::MultiplexedTransport::Connect("127.0.0.1",
-                                                         ports[s],
-                                                         loop->get());
-          if (!t.ok()) {
-            std::fprintf(stderr, "connect: %s\n",
-                         t.status().ToString().c_str());
-            return 1;
-          }
-          transports.push_back(std::move(*t));
+        auto t = server::MultiplexedTransport::Connect("127.0.0.1", ports[s],
+                                                       loop->get());
+        if (!t.ok()) {
+          std::fprintf(stderr, "connect: %s\n", t.status().ToString().c_str());
+          return 1;
         }
+        transports.push_back(std::move(*t));
         raw.push_back(transports.back().get());
       }
       ThreadPool pool(threads);
       server::ShardCoordinator coordinator(raw, {}, &pool);
       if (!coordinator.Handshake().ok()) {
-        std::fprintf(stderr, "handshake failed (%s)\n", mode.c_str());
+        std::fprintf(stderr, "handshake failed (tcp-multiplexed)\n");
         return 1;
       }
       const server::CoordinatorStats before = coordinator.stats();
@@ -313,22 +296,20 @@ int main() {
         latencies.push_back(one.ElapsedMillis());
         if (response != shard_reference[i]) identical = false;
       }
-      ModeResult r;
-      r.mode = mode;
-      r.ms = total.ElapsedMillis();
-      r.p50_ms = Percentile(latencies, 0.50);
-      r.p95_ms = Percentile(latencies, 0.95);
+      mux.ms = total.ElapsedMillis();
+      mux.p50_ms = Percentile(latencies, 0.50);
+      mux.p95_ms = Percentile(latencies, 0.95);
       const server::CoordinatorStats after = coordinator.stats();
-      r.blocking_io_trips = after.blocking_io_trips - before.blocking_io_trips;
-      r.async_io_trips = after.async_io_trips - before.async_io_trips;
-      r.overlap = r.ms > 0
-                      ? static_cast<double>(after.trip_micros -
-                                            before.trip_micros) /
-                            (1000.0 * r.ms)
-                      : 0;
-      mode_results.push_back(std::move(r));
-      // Transports drop here; the serve loops return to accept() for the
-      // next mode's connections.
+      mux.blocking_io_trips =
+          after.blocking_io_trips - before.blocking_io_trips;
+      mux.async_io_trips = after.async_io_trips - before.async_io_trips;
+      mux.overlap = mux.ms > 0
+                        ? static_cast<double>(after.trip_micros -
+                                              before.trip_micros) /
+                              (1000.0 * mux.ms)
+                        : 0;
+      // The transports drop here: the serve loops return to accept(), and
+      // the event loop outlives them.
     }
 
     for (int fd : listen_fds) {
@@ -351,29 +332,22 @@ int main() {
   std::printf("\nmonolithic server: %.1f ms (%zu frames)\n", mono_ms,
               requests.size());
 
-  std::vector<std::vector<std::string>> mode_table;
-  bool mux_unblocked = true;
-  for (const ModeResult& r : mode_results) {
-    mode_table.push_back({r.mode, StringPrintf("%.1f", r.ms),
-                          StringPrintf("%.2f", r.p50_ms),
-                          StringPrintf("%.2f", r.p95_ms),
-                          StringPrintf("%.2fx", r.overlap),
-                          std::to_string(r.blocking_io_trips),
-                          std::to_string(r.async_io_trips)});
-    if (r.mode == "tcp-multiplexed" && r.blocking_io_trips != 0) {
-      mux_unblocked = false;
-    }
-  }
-  std::printf("\n-- transport modes at %zu shards over loopback TCP --\n",
+  const bool mux_unblocked = mux.blocking_io_trips == 0;
+  std::printf("\n-- coordinator at %zu shards over loopback TCP --\n",
               mode_shards);
   bench::PrintTable({"mode", "total ms", "p50 ms", "p95 ms", "overlap",
                      "blocking trips", "async trips"},
-                    mode_table);
+                    {{mux.mode, StringPrintf("%.1f", mux.ms),
+                      StringPrintf("%.2f", mux.p50_ms),
+                      StringPrintf("%.2f", mux.p95_ms),
+                      StringPrintf("%.2fx", mux.overlap),
+                      std::to_string(mux.blocking_io_trips),
+                      std::to_string(mux.async_io_trips)}});
 
   bench::ShapeCheck(identical,
                     "every sharded and coordinator response frame is "
                     "bit-identical to the monolithic server's (PR, PIR and "
-                    "top-k paths) — including both TCP transport modes");
+                    "top-k paths) — including over multiplexed TCP");
   bench::ShapeCheck(mux_unblocked,
                     "the multiplexed mode parked zero executor workers on "
                     "transport I/O (blocking_io_trips == 0)");
@@ -388,10 +362,12 @@ int main() {
                "  \"bench\": \"fig_coordinator\",\n"
                "  \"queries\": %zu,\n"
                "  \"key_bits\": %zu,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"monolithic_ms\": %.2f,\n"
                "  \"bit_identical\": %s,\n"
                "  \"configs\": [\n",
-               num_queries, key_bits, mono_ms, identical ? "true" : "false");
+               num_queries, key_bits, std::thread::hardware_concurrency(),
+               mono_ms, identical ? "true" : "false");
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     std::fprintf(f,
@@ -400,20 +376,16 @@ int main() {
                  r.shards, r.mode.c_str(), r.ms, r.qps,
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"fanout_modes\": [\n");
-  for (size_t i = 0; i < mode_results.size(); ++i) {
-    const ModeResult& r = mode_results[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"shards\": %zu, \"ms\": %.2f, "
-                 "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"overlap\": %.2f, "
-                 "\"blocking_io_trips\": %llu, \"async_io_trips\": %llu}%s\n",
-                 r.mode.c_str(), mode_shards, r.ms, r.p50_ms, r.p95_ms,
-                 r.overlap,
-                 static_cast<unsigned long long>(r.blocking_io_trips),
-                 static_cast<unsigned long long>(r.async_io_trips),
-                 i + 1 < mode_results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f,
+               "  ],\n  \"fanout_modes\": [\n"
+               "    {\"mode\": \"%s\", \"shards\": %zu, \"ms\": %.2f, "
+               "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"overlap\": %.2f, "
+               "\"blocking_io_trips\": %llu, \"async_io_trips\": %llu}\n"
+               "  ]\n}\n",
+               mux.mode.c_str(), mode_shards, mux.ms, mux.p50_ms, mux.p95_ms,
+               mux.overlap,
+               static_cast<unsigned long long>(mux.blocking_io_trips),
+               static_cast<unsigned long long>(mux.async_io_trips));
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 

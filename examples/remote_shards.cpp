@@ -7,10 +7,10 @@
 //      children; each child stands up an EmbellishServer in slice mode
 //      (shard_slice = s) and serves frames on its inherited listener —
 //      replicas of a slice are byte-identical by construction;
-//   3. the parent connects a TcpTransport per replica, groups them per
-//      slice, and handshakes a ShardCoordinator (liveness + topology
-//      discovery + epoch fencing) with bounded retry and partial-result
-//      mode enabled;
+//   3. the parent starts one EventLoop, connects a MultiplexedTransport per
+//      replica on it, groups them per slice, and handshakes a
+//      ShardCoordinator (liveness + topology discovery + epoch fencing)
+//      with bounded retry and partial-result mode enabled;
 //   4. a session registers and runs PR, plaintext top-k and PIR queries
 //      through the coordinator — and the response bytes are compared
 //      against a local monolithic server (they must be identical);
@@ -109,13 +109,19 @@ int main() {
     children[s * kReplicas + r] = -1;
   };
 
-  // ---- 3. Coordinator over replica groups of TCP transports ----
-  std::vector<std::unique_ptr<server::TcpTransport>> transports;
+  // ---- 3. Coordinator over replica groups of multiplexed TCP transports,
+  //         all on one event loop ----
+  auto loop = server::EventLoop::Create();
+  if (!loop.ok() || !(*loop)->Start().ok()) {
+    std::fprintf(stderr, "event loop failed\n");
+    return 1;
+  }
+  std::vector<std::unique_ptr<server::MultiplexedTransport>> transports;
   std::vector<std::vector<server::ShardTransport*>> groups(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t r = 0; r < kReplicas; ++r) {
-      auto transport =
-          server::TcpTransport::Connect("127.0.0.1", ports[s * kReplicas + r]);
+      auto transport = server::MultiplexedTransport::Connect(
+          "127.0.0.1", ports[s * kReplicas + r], loop->get());
       if (!transport.ok()) {
         std::fprintf(stderr, "connect slice %zu replica %zu: %s\n", s, r,
                      transport.status().ToString().c_str());
@@ -232,7 +238,9 @@ int main() {
                   ? "still answered" : "failed");
 
   // ---- 7. Teardown + accounting ----
-  transports.clear();  // closes connections so children's serve loops idle
+  // Transports go before the loop stops; closing their connections also
+  // lets the children's serve loops idle.
+  transports.clear();
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t r = 0; r < kReplicas; ++r) {
       if (children[s * kReplicas + r] >= 0) reap(s, r);
@@ -249,5 +257,6 @@ int main() {
               static_cast<unsigned long long>(stats.failovers),
               static_cast<unsigned long long>(stats.degraded_answers),
               static_cast<unsigned long long>(stats.errors));
+  (*loop)->Stop();
   return identical ? 0 : 1;
 }

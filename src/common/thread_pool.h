@@ -5,8 +5,8 @@
 // sharded retrieval (PR 3) composed — N batch workers each fanning their
 // query out over M shards — the one-job limit meant every concurrent caller
 // but one degraded to inline execution, and the server needed dedicated
-// sub-pools (`shard_threads`, `fanout_threads`) just to keep regions from
-// colliding. This executor removes the limit:
+// sub-pools (`shard_threads`) just to keep regions from colliding. This
+// executor removes the limit:
 //
 //   - Each ParallelFor caller enqueues a *region* (an atomic chunk cursor
 //     over [begin, end) plus a grain) onto the executor's active-region

@@ -1,5 +1,7 @@
 #include "server/async_frontend.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -98,6 +100,11 @@ void AsyncFrontEnd::OnAcceptable() {
       connections_refused_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
+    // Responses are small frames written as they complete: with Nagle on,
+    // one queued behind an unacknowledged predecessor waits out the
+    // client's delayed ACK.
+    int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint64_t conn_id = next_conn_id_++;
     auto [it, inserted] =
         conns_.emplace(conn_id, Conn(options_.max_frame_bytes));
@@ -160,7 +167,9 @@ void AsyncFrontEnd::DispatchFrame(uint64_t conn_id,
   const uint64_t ticket = conn.next_ticket++;
   if (options_.dispatch_threads == 0) {
     // Zero-worker synchronous fallback: handle on the loop thread. Correct
-    // everywhere, and on a 1-core box there is no one else to hand it to.
+    // only for a handler that never waits on this loop — a ShardCoordinator
+    // awaiting multiplexed completions would wedge it, so its ServeAsync
+    // refuses this mode.
     std::vector<std::vector<uint8_t>> responses =
         handler_(std::vector<std::vector<uint8_t>>{std::move(frame)});
     Deliver(conn_id, ticket,

@@ -22,7 +22,8 @@
 //             bounded: overflow is shed immediately with a typed kBusy
 //             error frame, not queued without bound. dispatch_threads = 0
 //             is the zero-worker fallback for 1-core boxes: the handler
-//             runs synchronously on the loop thread, one frame at a time.
+//             runs synchronously on the loop thread, one frame at a time —
+//             only for handlers that never wait on that loop;
 //   write     responses post back to the loop, are re-sequenced per
 //             connection by ticket (concurrent batches must not reorder one
 //             connection's responses), and drain through the FrameWriter as
@@ -58,7 +59,10 @@ namespace embellish::server {
 struct AsyncFrontEndOptions {
   /// Dispatcher threads running the batch handler. 0 runs the handler
   /// synchronously on the loop thread — the zero-worker fallback for
-  /// single-core deployments (correct, no overlap with socket work).
+  /// single-core deployments, with no overlap with socket work. It is
+  /// correct only for a handler that never waits on this loop (an
+  /// EmbellishServer): a ShardCoordinator awaits shard completions the loop
+  /// delivers, so ShardCoordinator::ServeAsync refuses 0.
   size_t dispatch_threads = 1;
 
   /// Most frames one handler call receives (across connections).

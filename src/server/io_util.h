@@ -4,8 +4,8 @@
 //
 //   Blocking-with-deadline helpers — ReadExactly / WriteAll / ReadFrameFd —
 //   the one copy of the bounded read-exactly / write-all loops that
-//   TcpTransport, ServeShardConnections and the test harnesses previously
-//   each carried. All waits are poll()-based against an absolute
+//   ServeShardConnections, blocking client tools and the test harnesses
+//   share. All waits are poll()-based against an absolute
 //   CLOCK_MONOTONIC deadline, so (a) a trickling peer cannot extend a round
 //   trip indefinitely the way per-syscall SO_RCVTIMEO timeouts allowed (each
 //   progressing byte reset the timer), and (b) a wall-clock step can never

@@ -1,15 +1,16 @@
 // One non-blocking connection per replica, N round trips in flight on it.
 //
-// The blocking TcpTransport pins one executor worker per in-flight round
-// trip: the worker writes the request and then parks in recv until the
-// response arrives. MultiplexedTransport removes that coupling. It owns a
-// single non-blocking socket registered on an EventLoop; SubmitRoundTrip
-// enqueues the request frame from any thread and returns immediately, and
-// the loop thread correlates response frames back to their submitters by
-// the (epoch, seq) pair every kShardRequest envelope already carries — the
-// same echo the coordinator validates end-to-end. Overlapped coordinator
-// fan-out therefore pins zero workers on transport I/O; they submit, then
-// one of them awaits all completions.
+// The coordinator's TCP transport. A blocking socket transport would pin
+// one thread per in-flight round trip: the thread writes the request and
+// then parks in recv until the response arrives. MultiplexedTransport
+// removes that coupling. It owns a single non-blocking socket registered
+// on an EventLoop; SubmitRoundTrip enqueues the request frame from any
+// thread and returns immediately, and the loop thread correlates response
+// frames back to their submitters by the (epoch, seq) pair every
+// kShardRequest envelope already carries — the same echo the coordinator
+// validates end-to-end. Overlapped coordinator fan-out therefore pins zero
+// workers on transport I/O; they submit, then one of them awaits all
+// completions.
 //
 // Correlation is strict: a response whose (epoch, seq) matches no in-flight
 // request — a duplicate, a stale replay from before a reconnect, or a
@@ -18,8 +19,7 @@
 // (corrupt header, outer kError that cannot name a request) poisons the
 // connection: every in-flight trip fails with a typed status and the next
 // submit reconnects. The coordinator's hedging, failover, breakers and
-// kBusy shedding sit unchanged on top — they only ever see per-trip typed
-// outcomes, exactly as with the blocking transport.
+// kBusy shedding sit on top — they only ever see per-trip typed outcomes.
 //
 // Threading: SubmitRoundTrip and RoundTrip are thread-safe. All connection
 // and correlation state is confined to the loop thread (submissions hop

@@ -1,5 +1,7 @@
 #include "server/shard_coordinator.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -41,24 +43,15 @@ ShardCoordinator::ShardCoordinator(
     const ShardCoordinatorOptions& options, ThreadPool* pool)
     : replicas_(std::move(replica_groups)),
       options_(options),
-      // No caller pool, but overlapped fan-out requested: spawn an owned
-      // executor of the requested width (see fanout_threads).
-      owned_pool_(pool == nullptr && options.fanout_threads > 1 &&
-                          replicas_.size() > 1
-                      ? std::make_unique<ThreadPool>(options.fanout_threads)
-                      : nullptr),
-      pool_(pool != nullptr ? pool : owned_pool_.get()),
+      pool_(pool),
       probe_rng_(options.probe_seed),
       epoch_(options.epoch),
       sessions_(options.max_sessions, options.session_idle_frames),
       cache_(options.cache_capacity, options.cache_max_bytes) {
-  transport_mu_.reserve(replicas_.size());
   replica_failures_.reserve(replicas_.size());
   for (const auto& group : replicas_) {
-    transport_mu_.emplace_back();
     replica_failures_.emplace_back();
     for (size_t r = 0; r < group.size(); ++r) {
-      transport_mu_.back().push_back(std::make_unique<std::mutex>());
       replica_failures_.back().push_back(
           std::make_unique<std::atomic<uint32_t>>(0));
     }
@@ -66,11 +59,11 @@ ShardCoordinator::ShardCoordinator(
 }
 
 ShardCoordinator::~ShardCoordinator() {
-  // Async attempts orphaned by an answered trip (late hedge losers,
-  // abandoned failovers) complete later on the transports' loop threads and
-  // touch breakers/counters; they must all land before members die.
-  std::unique_lock<std::mutex> lock(async_drain_mu_);
-  async_drain_cv_.wait(lock, [this] { return async_outstanding_ == 0; });
+  // Attempts orphaned by an answered trip (late hedge losers, abandoned
+  // failovers) complete later on the transports' loop threads and touch
+  // breakers/counters; they must all land before members die.
+  std::unique_lock<std::mutex> lock(drain_mu_);
+  drain_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
 size_t ShardCoordinator::session_count() const { return sessions_.size(); }
@@ -128,37 +121,6 @@ std::vector<uint8_t> ShardCoordinator::BuildShardRequest(
       FrameKind::kShardRequest, 0,
       EncodeShardEnvelope(shard, epoch_.load(std::memory_order_acquire), seq,
                           inner));
-}
-
-Result<Frame> ShardCoordinator::ReplicaTrip(
-    size_t shard, size_t replica, const std::vector<uint8_t>& inner) {
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<uint8_t> request = BuildShardRequest(shard, seq, inner);
-  Count(&AtomicStats::shard_trips);
-  ShardTransport* transport = replicas_[shard][replica];
-  // A multiplexed transport does its socket I/O on the loop thread even for
-  // this blocking-convenience call (the caller merely awaits a latch), so
-  // only a genuinely blocking channel counts a worker parked on I/O.
-  Count(transport->SupportsAsyncSubmit() ? &AtomicStats::async_io_trips
-                                         : &AtomicStats::blocking_io_trips);
-
-  const auto start = std::chrono::steady_clock::now();
-  Result<std::vector<uint8_t>> response = [&] {
-    if (transport->SupportsAsyncSubmit()) {
-      // A multiplexed transport is thread-safe and interleaves in-flight
-      // round trips itself; serializing it here would flatten them.
-      return transport->RoundTrip(request);
-    }
-    // Plain blocking channels: one round trip at a time.
-    std::lock_guard<std::mutex> lock(*transport_mu_[shard][replica]);
-    return transport->RoundTrip(request);
-  }();
-  counters_.trip_micros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count(),
-      std::memory_order_relaxed);
-  return SettleReplicaTrip(shard, replica, seq, std::move(response));
 }
 
 Result<Frame> ShardCoordinator::SettleReplicaTrip(
@@ -262,19 +224,23 @@ std::vector<size_t> ShardCoordinator::ReplicaOrder(size_t shard) {
   return closed;
 }
 
-void ShardCoordinator::AsyncReplicaTrip(
-    size_t shard, size_t replica, const std::vector<uint8_t>& inner,
-    std::function<void(Result<Frame>)> done) {
+void ShardCoordinator::ReplicaTrip(size_t shard, size_t replica,
+                                   const std::vector<uint8_t>& inner,
+                                   std::function<void(Result<Frame>)> done) {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   std::vector<uint8_t> request = BuildShardRequest(shard, seq, inner);
+  ShardTransport* transport = replicas_[shard][replica];
   Count(&AtomicStats::shard_trips);
-  Count(&AtomicStats::async_io_trips);
+  // A transport without a native submit completes the attempt inline, on
+  // this thread, through its blocking RoundTrip.
+  Count(transport->SupportsAsyncSubmit() ? &AtomicStats::async_io_trips
+                                         : &AtomicStats::blocking_io_trips);
   {
-    std::lock_guard<std::mutex> lock(async_drain_mu_);
-    ++async_outstanding_;
+    std::lock_guard<std::mutex> lock(drain_mu_);
+    ++outstanding_;
   }
   const auto start = std::chrono::steady_clock::now();
-  replicas_[shard][replica]->SubmitRoundTrip(
+  transport->SubmitRoundTrip(
       request, [this, shard, replica, seq, start, done = std::move(done)](
                    Result<std::vector<uint8_t>> response) {
         counters_.trip_micros.fetch_add(
@@ -283,29 +249,13 @@ void ShardCoordinator::AsyncReplicaTrip(
                 .count(),
             std::memory_order_relaxed);
         done(SettleReplicaTrip(shard, replica, seq, std::move(response)));
-        std::lock_guard<std::mutex> lock(async_drain_mu_);
-        if (--async_outstanding_ == 0) async_drain_cv_.notify_all();
+        std::lock_guard<std::mutex> lock(drain_mu_);
+        if (--outstanding_ == 0) drain_cv_.notify_all();
       });
 }
 
-bool ShardCoordinator::AsyncCapable(size_t shard) const {
-  if (replicas_[shard].empty()) return false;
-  for (ShardTransport* t : replicas_[shard]) {
-    if (!t->SupportsAsyncSubmit()) return false;
-  }
-  return true;
-}
-
-bool ShardCoordinator::AllAsyncCapable() const {
-  if (replicas_.empty()) return false;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    if (!AsyncCapable(s)) return false;
-  }
-  return true;
-}
-
 namespace {
-// Attempt provenance for the async fan-out's stats accounting.
+// Attempt provenance for the fan-out's stats accounting.
 enum AttemptKind : int {
   kPrimaryAttempt = 0,
   kHedgeAttempt = 1,
@@ -313,15 +263,14 @@ enum AttemptKind : int {
 };
 }  // namespace
 
-std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
+std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
     const std::vector<size_t>& shards, const std::vector<uint8_t>& inner) {
   // One logical trip per slice, all primaries submitted before anything is
-  // awaited: N round trips in flight, zero threads parked on sockets. The
-  // per-trip failover walk and the hedged duplicate reproduce the blocking
-  // path's semantics — same ReplicaOrder, same attempt budget, same "every
-  // attempt has its own seq" isolation — but failovers resubmit from the
-  // completion callback and hedges fire from this awaiting thread at their
-  // monotonic deadlines (async hedging needs no executor to race on).
+  // awaited: over multiplexed transports N round trips are in flight and
+  // zero threads are parked on sockets. Every attempt has its own seq, so
+  // failovers (resubmitted from the completion callback) and hedges (fired
+  // from this awaiting thread at their monotonic deadlines) can never have
+  // a response merged into the wrong trip.
   struct Trip {
     size_t shard = 0;
     std::vector<size_t> order;
@@ -383,10 +332,10 @@ std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
 
   *submit = [this, fan, on_result, &inner](size_t t, int kind,
                                            size_t replica) {
-    AsyncReplicaTrip(fan->trips[t].shard, replica, inner,
-                     [on_result, t, kind](Result<Frame> r) {
-                       (*on_result)(t, kind, std::move(r));
-                     });
+    ReplicaTrip(fan->trips[t].shard, replica, inner,
+                [on_result, t, kind](Result<Frame> r) {
+                  (*on_result)(t, kind, std::move(r));
+                });
   };
 
   *on_result = [this, fan, weak_submit](size_t t, int kind,
@@ -490,11 +439,18 @@ std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
   return out;
 }
 
-std::vector<std::vector<Result<Frame>>>
-ShardCoordinator::AsyncFanOutAllReplicas(const std::vector<uint8_t>& inner) {
-  // Registration traffic wants an answer from EVERY replica, so there is no
-  // failover or hedging — just every (slice, replica) attempt in flight at
-  // once and one awaiting thread.
+std::vector<Result<Frame>> ShardCoordinator::FanOut(
+    const std::vector<uint8_t>& inner) {
+  std::vector<size_t> all(replicas_.size());
+  for (size_t s = 0; s < all.size(); ++s) all[s] = s;
+  return FanOutShards(all, inner);
+}
+
+std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
+    const std::vector<uint8_t>& inner) {
+  // Registration and pings want an answer from EVERY replica, so there is
+  // no failover or hedging — just every (slice, replica) attempt in flight
+  // at once and one awaiting thread.
   struct Fan {
     std::mutex mu;
     std::condition_variable cv;
@@ -512,7 +468,7 @@ ShardCoordinator::AsyncFanOutAllReplicas(const std::vector<uint8_t>& inner) {
   fan->open = total;
   for (size_t s = 0; s < replicas_.size(); ++s) {
     for (size_t r = 0; r < replicas_[s].size(); ++r) {
-      AsyncReplicaTrip(s, r, inner, [fan, s, r](Result<Frame> result) {
+      ReplicaTrip(s, r, inner, [fan, s, r](Result<Frame> result) {
         std::lock_guard<std::mutex> lock(fan->mu);
         fan->out[s][r] = std::move(result);
         if (--fan->open == 0) fan->cv.notify_all();
@@ -524,174 +480,6 @@ ShardCoordinator::AsyncFanOutAllReplicas(const std::vector<uint8_t>& inner) {
   return std::move(fan->out);
 }
 
-ShardCoordinator::HedgeOutcome ShardCoordinator::HedgedTrip(
-    size_t shard, size_t primary, size_t hedge,
-    const std::vector<uint8_t>& inner) {
-  struct Race {
-    std::mutex m;
-    std::condition_variable cv;
-    bool primary_done = false;
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    int finishes = 0;
-    int primary_rank = 0;
-    int hedge_rank = 0;
-    Result<Frame> primary_result{Status::Internal("primary not run")};
-    Result<Frame> hedge_result{Status::Internal("hedge not run")};
-  } race;
-
-  // Two 1-wide chunks: the primary trip and the hedge watcher. On a pool
-  // with free workers they run concurrently; with none, the caller runs
-  // them back to back and the watcher degrades into an immediate
-  // retry-on-failure (the primary is already done when it checks). Each
-  // trip draws its own envelope seq, so the loser's response cannot be
-  // mistaken for the winner's. Caveat: ParallelFor joins both chunks, so a
-  // hedge that is still in flight when the primary lands extends the trip
-  // by its transport timeout at worst — the price of hedging over blocking
-  // transports (the async submit path doesn't pay it: both trips ride the
-  // event loop and the loser is abandoned to the orphan counter).
-  pool_->ParallelFor(0, 2, /*min_grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t task = begin; task < end; ++task) {
-      if (task == 0) {
-        Result<Frame> r = ReplicaTrip(shard, primary, inner);
-        std::lock_guard<std::mutex> lock(race.m);
-        race.primary_result = std::move(r);
-        race.primary_done = true;
-        race.primary_rank = ++race.finishes;
-        race.cv.notify_all();
-      } else {
-        bool fire;
-        {
-          std::unique_lock<std::mutex> lock(race.m);
-          race.cv.wait_for(lock,
-                           std::chrono::milliseconds(options_.hedge_delay_ms),
-                           [&] { return race.primary_done; });
-          // Fire on a slow primary (still out past the delay) or a failed
-          // one (immediate failover); stand down on a landed success.
-          fire = !(race.primary_done && race.primary_result.ok());
-          race.hedge_fired = fire;
-        }
-        if (!fire) continue;
-        Result<Frame> r = ReplicaTrip(shard, hedge, inner);
-        std::lock_guard<std::mutex> lock(race.m);
-        race.hedge_result = std::move(r);
-        race.hedge_done = true;
-        race.hedge_rank = ++race.finishes;
-      }
-    }
-  });
-
-  HedgeOutcome out;
-  out.hedge_fired = race.hedge_fired;
-  const bool primary_ok = race.primary_result.ok();
-  const bool hedge_ok = race.hedge_done && race.hedge_result.ok();
-  if (primary_ok && (!hedge_ok || race.primary_rank < race.hedge_rank)) {
-    out.result = std::move(race.primary_result);
-  } else if (hedge_ok) {
-    out.result = std::move(race.hedge_result);
-    out.hedge_won = true;
-    out.primary_failed = !primary_ok;
-  } else {
-    // Both attempts failed; surface the primary's status deterministically.
-    out.result = std::move(race.primary_result);
-    out.primary_failed = true;
-  }
-  return out;
-}
-
-Result<Frame> ShardCoordinator::ShardRoundTrip(
-    size_t shard, const std::vector<uint8_t>& inner) {
-  if (AsyncCapable(shard)) {
-    // Submit-and-await even for a single slice: the PIR path then pins no
-    // worker on the socket either, and failover/hedging run identically.
-    std::vector<Result<Frame>> out =
-        AsyncFanOutShards(std::vector<size_t>{shard}, inner);
-    return std::move(out[0]);
-  }
-  const std::vector<size_t> order = ReplicaOrder(shard);
-  if (order.empty()) {
-    Count(&AtomicStats::shard_failures);
-    return Status::Unavailable(
-        StringPrintf("slice %zu has no replica transports", shard));
-  }
-  const size_t budget = options_.max_attempts == 0
-                            ? order.size()
-                            : std::min(options_.max_attempts, order.size());
-
-  size_t idx = 0;  // next candidate in `order`
-  Result<Frame> last(Status::Internal("no replica attempted"));
-
-  // First attempt — hedged when enabled and a second candidate and the
-  // budget allow it (hedging needs a pool to race on).
-  if (options_.hedge_delay_ms >= 0 && pool_ != nullptr && budget >= 2) {
-    HedgeOutcome h = HedgedTrip(shard, order[0], order[1], inner);
-    idx = h.hedge_fired ? 2 : 1;
-    if (h.hedge_fired) Count(&AtomicStats::hedges_fired);
-    if (h.result.ok()) {
-      if (h.hedge_won) {
-        Count(&AtomicStats::hedge_wins);
-        if (h.primary_failed) Count(&AtomicStats::failovers);
-      }
-      return h.result;
-    }
-    last = std::move(h.result);
-  } else {
-    last = ReplicaTrip(shard, order[0], inner);
-    idx = 1;
-    if (last.ok()) return last;
-  }
-
-  // Sequential failover over the remaining candidates.
-  while (idx < budget) {
-    Count(&AtomicStats::retries);
-    last = ReplicaTrip(shard, order[idx], inner);
-    ++idx;
-    if (last.ok()) {
-      Count(&AtomicStats::failovers);
-      return last;
-    }
-  }
-  return last;
-}
-
-std::vector<Result<Frame>> ShardCoordinator::FanOut(
-    const std::vector<uint8_t>& inner) {
-  const size_t shards = replicas_.size();
-  if (AllAsyncCapable()) {
-    std::vector<size_t> all(shards);
-    for (size_t s = 0; s < shards; ++s) all[s] = s;
-    return AsyncFanOutShards(all, inner);
-  }
-  std::vector<Result<Frame>> out(
-      shards, Result<Frame>(Status::Internal("shard not contacted")));
-  // The round trips overlap as executor tasks (each one blocks on its
-  // transport, so the fanout_threads cap is what bounds how many workers
-  // one request can pin on I/O waits). The caller participates too, so a
-  // fully-busy pool degrades to the sequential loop, never a stall.
-  index::ForEachShard(pool_, shards, [&](size_t s) {
-    out[s] = ShardRoundTrip(s, inner);
-  }, options_.fanout_threads);
-  return out;
-}
-
-std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
-    const std::vector<uint8_t>& inner) {
-  if (AllAsyncCapable()) return AsyncFanOutAllReplicas(inner);
-  const size_t shards = replicas_.size();
-  std::vector<std::vector<Result<Frame>>> out(shards);
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (size_t s = 0; s < shards; ++s) {
-    out[s].assign(replicas_[s].size(),
-                  Result<Frame>(Status::Internal("replica not contacted")));
-    for (size_t r = 0; r < replicas_[s].size(); ++r) pairs.emplace_back(s, r);
-  }
-  index::ForEachShard(pool_, pairs.size(), [&](size_t i) {
-    out[pairs[i].first][pairs[i].second] =
-        ReplicaTrip(pairs[i].first, pairs[i].second, inner);
-  }, options_.fanout_threads);
-  return out;
-}
-
 Status ShardCoordinator::Handshake() {
   // Lock-free fast path: once handshaken, per-request checks cost one
   // acquire load instead of contending a mutex across batch workers.
@@ -701,32 +489,33 @@ Status ShardCoordinator::Handshake() {
   if (replicas_.empty()) {
     return Status::InvalidArgument("coordinator has no shard transports");
   }
+  // Ping every replica (an empty inner frame): a slice is usable if at
+  // least one answers, and every replica that does answer must advertise
+  // the same topology. A misconfigured replica (wrong shard count,
+  // divergent buckets) is a deployment error worth failing loudly on, not
+  // failing over past.
+  std::vector<std::vector<Result<Frame>>> pongs = FanOutAllReplicas({});
   size_t bucket_count = 0;
   bool bucket_known = false;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    if (replicas_[s].empty()) {
+  for (size_t s = 0; s < pongs.size(); ++s) {
+    if (pongs[s].empty()) {
       return Status::InvalidArgument(
           StringPrintf("slice %zu has no replica transports", s));
     }
-    // Ping every replica: a slice is usable if at least one answers, and
-    // every replica that does answer must advertise the same topology. A
-    // misconfigured replica (wrong shard count, divergent buckets) is a
-    // deployment error worth failing loudly on, not failing over past.
     bool slice_ok = false;
     Status first_failure;
-    for (size_t r = 0; r < replicas_[s].size(); ++r) {
-      auto inner = ReplicaTrip(s, r, {});
-      if (!inner.ok()) {
-        if (first_failure.ok()) first_failure = inner.status();
+    for (const Result<Frame>& pong : pongs[s]) {
+      if (!pong.ok()) {
+        if (first_failure.ok()) first_failure = pong.status();
         continue;
       }
-      if (inner->kind != FrameKind::kHelloOk) {
+      if (pong->kind != FrameKind::kHelloOk) {
         return Status::Unavailable(StringPrintf(
             "shard %zu answered the ping with frame kind %u", s,
-            static_cast<unsigned>(inner->kind)));
+            static_cast<unsigned>(pong->kind)));
       }
       EMB_ASSIGN_OR_RETURN(HelloOkPayload topology,
-                           DecodeHelloOk(inner->payload));
+                           DecodeHelloOk(pong->payload));
       // A coordinator shard must serve exactly one slice: PIR bucket fields
       // are rewritten to shard-local addresses, which an internally-sharded
       // server would misinterpret as shard-qualified.
@@ -824,6 +613,14 @@ Result<std::unique_ptr<AsyncFrontEnd>> ShardCoordinator::ServeAsync(
 
 Result<std::unique_ptr<AsyncFrontEnd>> ShardCoordinator::ServeAsync(
     int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options) {
+  if (options.dispatch_threads == 0) {
+    // HandleBatch on the loop thread would wait for shard completions that
+    // only the loop thread can deliver: refuse instead of wedging the loop.
+    close(listen_fd);
+    return Status::InvalidArgument(
+        "a coordinator front end needs dispatch_threads >= 1: its fan-out "
+        "awaits completions delivered by the event loop");
+  }
   return AsyncFrontEnd::Create(
       listen_fd, loop,
       [this](const std::vector<std::vector<uint8_t>>& requests) {
@@ -1168,7 +965,8 @@ std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
   std::vector<uint8_t> inner = EncodeFrame(
       FrameKind::kPirQuery, frame.session_id,
       EncodePirQuery(bucket, payload->query));
-  auto response = ShardRoundTrip(shard, inner);
+  Result<Frame> response =
+      std::move(FanOutShards(std::vector<size_t>{shard}, inner).front());
   if (!response.ok()) {
     return ErrorFrame(frame.session_id, response.status());
   }

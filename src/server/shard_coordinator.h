@@ -24,12 +24,15 @@
 //               addresses (shard * bucket_count + bucket), rewriting the
 //               field to the shard-local bucket.
 //
-// Fan-outs overlap: the per-shard round trips of one request run as tasks
-// on the shared executor (bounded by options.fanout_threads), nested
-// inside the batch region when the request arrived through HandleBatch —
-// the coordinator no longer walks shards sequentially per request. An
-// optional upstream response cache (options.cache_capacity) answers a
-// session's recurring PR decoy sets before any shard round trip.
+// Fan-outs overlap: a fan-out submits every one of its attempts through
+// ShardTransport::SubmitRoundTrip before awaiting any, so over multiplexed
+// transports N round trips are in flight while only the calling thread
+// waits. A transport without a native submit (InProcessTransport) completes
+// each attempt inline, so the shards of one request then run one after
+// another on the calling thread; batches still spread their requests over
+// the constructor's pool. An optional upstream response cache
+// (options.cache_capacity) answers a session's recurring PR decoy sets
+// before any shard round trip.
 //
 // Replication (construct with replica groups): each slice may be served by
 // R transports, every one answering with bytes identical to the monolithic
@@ -102,25 +105,6 @@ struct ShardCoordinatorOptions {
   /// forever at the coordinator either. 0 disables expiry.
   uint64_t session_idle_frames = 1u << 20;
 
-  /// Per-request cap on how many of a fan-out's shard round trips are in
-  /// flight concurrently. Round trips run as tasks on the constructor's
-  /// executor (there is no dedicated fan-out pool any more: fan-out
-  /// regions nest inside batch regions on the one shared pool), so a
-  /// coordinator overlaps its transport sends instead of walking shards
-  /// sequentially. 0 — the default — overlaps all shards; 1 restores the
-  /// sequential per-shard loop; N bounds one request's draw on the pool
-  /// (fan-out tasks BLOCK on transport I/O, so the cap is what keeps a
-  /// wide fan-out from pinning every worker). A coordinator constructed
-  /// WITHOUT a pool but with fanout_threads > 1 spawns an owned executor
-  /// of that width (the pre-executor dedicated fan-out pool, minus the
-  /// old region collision); with a null pool and fanout_threads <= 1 the
-  /// fan-out is sequential. All of the above applies to BLOCKING
-  /// transports only: when every replica of a shard supports async
-  /// submit (MultiplexedTransport), the fan-out submits all shards to
-  /// the event loop and waits on completions — no pool tasks, no workers
-  /// parked on sockets, and this cap is irrelevant.
-  size_t fanout_threads = 0;
-
   /// Upstream response-cache capacity in entries; 0 (default) disables it.
   /// The cache reuses the server's bucket-set keying (kind, session,
   /// registration epoch, payload bytes) for PR query frames, so a
@@ -144,16 +128,17 @@ struct ShardCoordinatorOptions {
   /// behavior); N caps the walk at N replicas.
   size_t max_attempts = 0;
 
-  /// Hedged sends: when >= 0 and the coordinator has a pool and the slice
-  /// has a second usable replica, a logical round trip arms a duplicate of
-  /// the request for a *different* replica and fires it if the primary has
-  /// not answered within this many milliseconds; first valid response wins.
-  /// The hedge watcher runs as an executor task and is woken the moment the
-  /// primary lands (it never sleeps past the primary), and every attempt
-  /// has its own envelope seq, so the losing duplicate's response can never
-  /// be merged — it fails its trip's seq echo by construction. 0 hedges
-  /// immediately (a two-replica race). Negative — the default — disables
-  /// hedging.
+  /// Hedged sends: when >= 0 and the slice has a second usable replica, a
+  /// logical round trip whose primary is still outstanding this many
+  /// milliseconds after the fan-out began fires a duplicate of the request
+  /// to a *different* replica; first valid response wins. The awaiting
+  /// thread fires hedges at their deadlines (no pool needed), and every
+  /// attempt has its own envelope seq, so the losing duplicate's response
+  /// can never be merged — it fails its trip's seq echo by construction. A
+  /// primary that fails outright fails over at once instead (a retry, not a
+  /// hedge), and a primary on a transport that completes inline has always
+  /// landed by the deadline. 0 hedges as soon as the awaiting thread looks
+  /// (a two-replica race). Negative — the default — disables hedging.
   int hedge_delay_ms = -1;
 
   /// Consecutive transport-level failures on one replica that open its
@@ -204,13 +189,14 @@ struct CoordinatorStats {
   uint64_t shed = 0;          ///< requests refused with kBusy (admission)
   uint64_t degraded_answers = 0;  ///< partial-merge responses produced
   uint64_t epoch_swaps = 0;   ///< AdvanceEpoch cutovers driven
-  /// Physical replica attempts that parked the calling worker on blocking
-  /// transport I/O. Zero in a fully multiplexed deployment — the acceptance
-  /// invariant for the async fan-out: N overlapped round trips pin zero
-  /// executor workers.
+  /// Physical replica attempts on a transport without a native async
+  /// submit, each completed inline on the submitting thread. Zero in a
+  /// fully multiplexed deployment: N overlapped round trips then pin zero
+  /// executor workers on transport I/O.
   uint64_t blocking_io_trips = 0;
-  /// Physical replica attempts submitted through SubmitRoundTrip (the
-  /// submitter returned immediately; the event loop completed the trip).
+  /// Physical replica attempts on a transport with a native async submit
+  /// (the submitter returned immediately; the event loop completed the
+  /// trip).
   uint64_t async_io_trips = 0;
   /// Summed wall-clock microseconds spent inside physical replica attempts
   /// (submit to completion). trip_micros / wall-clock elapsed is the
@@ -237,15 +223,17 @@ class ShardCoordinator {
                    const ShardCoordinatorOptions& options = {},
                    ThreadPool* pool = nullptr);
 
-  /// \brief Blocks until every in-flight async replica attempt has
-  ///        completed (late hedge losers and orphaned failover attempts
-  ///        reference coordinator state from their completions).
+  /// \brief Blocks until every in-flight replica attempt has completed
+  ///        (late hedge losers and orphaned failover attempts reference
+  ///        coordinator state from their completions).
   ~ShardCoordinator();
 
-  /// \brief Pings every shard: verifies liveness, fences the epoch, checks
-  ///        each shard serves exactly one slice, and learns the shared
-  ///        bucket_count (all shards must agree). Runs lazily on the first
-  ///        request if not called; idempotent once it has succeeded.
+  /// \brief Pings every replica of every slice at once: verifies at least
+  ///        one replica per slice answers, fences the epoch, checks each
+  ///        slice serves exactly one shard, and learns the shared
+  ///        bucket_count (every answering replica must agree). Runs lazily on
+  ///        the first request if not called; idempotent once it has
+  ///        succeeded.
   Status Handshake();
 
   /// \brief Drives an index cutover from the coordinator's side: bumps the
@@ -275,7 +263,10 @@ class ShardCoordinator {
   /// \brief Serves this coordinator's HandleBatch behind an AsyncFrontEnd
   ///        on `loop` — with multiplexed shard transports on the same loop,
   ///        the full client-to-shard path runs without any thread blocked
-  ///        on a socket. Takes ownership of `listen_fd`.
+  ///        on a socket. Takes ownership of `listen_fd`. InvalidArgument
+  ///        (and `listen_fd` closed) when options.dispatch_threads is 0: a
+  ///        handler on the loop thread would await shard completions that
+  ///        only that thread can deliver.
   Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(int listen_fd,
                                                     EventLoop* loop);
   Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(
@@ -301,92 +292,53 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // One physical round trip to one replica: wrap `inner` for `shard`, send
-  // on replica `replica`'s transport, validate the response envelope
-  // (shard id / epoch / seq echo), and return the decoded inner frame.
-  // Inner kError frames are returned as frames — the caller decides
-  // whether to pass them through. Every other failure is a typed non-OK
-  // status (Unavailable for transport/corruption faults). Updates the
-  // replica's circuit breaker: success closes it, failure counts toward
-  // breaker_threshold.
-  Result<Frame> ReplicaTrip(size_t shard, size_t replica,
-                            const std::vector<uint8_t>& inner);
-
   // The envelope for one physical attempt: seq is the per-attempt fencing
   // token SettleReplicaTrip validates against the response echo.
   std::vector<uint8_t> BuildShardRequest(size_t shard, uint64_t seq,
                                          const std::vector<uint8_t>& inner);
 
-  // The response half of ReplicaTrip, shared verbatim by the blocking and
-  // submit-and-await paths: decode, validate the (shard, epoch, seq) echo,
-  // decode the inner frame, settle the replica's circuit breaker.
+  // The response half of one physical attempt: decode, validate the
+  // (shard, epoch, seq) echo, decode the inner frame, and settle the
+  // replica's circuit breaker (success closes it, failure counts toward
+  // breaker_threshold).
   Result<Frame> SettleReplicaTrip(size_t shard, size_t replica, uint64_t seq,
                                   Result<std::vector<uint8_t>> response);
 
-  // One physical attempt through SubmitRoundTrip: the caller's thread
-  // returns immediately; `done` runs with the settled outcome on whatever
-  // thread completes the trip (the multiplexer's loop thread) and must not
-  // block. Tracked in async_outstanding_ so the destructor can drain.
-  void AsyncReplicaTrip(size_t shard, size_t replica,
-                        const std::vector<uint8_t>& inner,
-                        std::function<void(Result<Frame>)> done);
+  // One physical round trip to one replica: wrap `inner` for `shard`,
+  // submit it on replica `replica`'s transport, and hand `done` the settled
+  // outcome — the decoded inner frame (inner kError frames included; the
+  // caller decides whether to pass them through) or a typed non-OK status
+  // (Unavailable for transport/corruption faults). `done` runs on whatever
+  // thread completes the trip (the multiplexer's loop thread, or this one
+  // for a transport that completes inline) and must not block. Tracked in
+  // outstanding_ so the destructor can drain.
+  void ReplicaTrip(size_t shard, size_t replica,
+                   const std::vector<uint8_t>& inner,
+                   std::function<void(Result<Frame>)> done);
 
-  // True when every replica of `shard` (resp. of every slice) supports
-  // thread-safe non-blocking submission — the gate for the async fan-out
-  // (mixed deployments keep the blocking path for correctness).
-  bool AsyncCapable(size_t shard) const;
-  bool AllAsyncCapable() const;
+  // One *logical* trip per listed slice, every primary submitted before
+  // anything is awaited. Each trip walks ReplicaOrder(shard) — a failed
+  // attempt resubmits the next replica from its completion callback, until
+  // a replica answers or the attempt budget is spent — and may hedge onto
+  // a second replica, fired from the awaiting caller at its deadline. The
+  // caller is the only thread the fan-out blocks. out[i] answers shards[i].
+  std::vector<Result<Frame>> FanOutShards(const std::vector<size_t>& shards,
+                                          const std::vector<uint8_t>& inner);
 
-  // Submit-and-await fan-out: one logical trip per listed slice, all
-  // submitted up front through the multiplexed transports, so N round
-  // trips are in flight with ZERO workers parked on sockets — the awaiting
-  // caller is the only blocked thread. Failover resubmits the next replica
-  // from the completion callback; hedges fire from the awaiting caller at
-  // their monotonic deadlines (no pool needed, unlike the blocking path).
-  // out[i] answers shards[i].
-  std::vector<Result<Frame>> AsyncFanOutShards(
-      const std::vector<size_t>& shards, const std::vector<uint8_t>& inner);
+  // FanOutShards over every slice, in shard order.
+  std::vector<Result<Frame>> FanOut(const std::vector<uint8_t>& inner);
 
-  // Registration traffic, async flavor: one attempt per replica of every
-  // slice, all in flight at once.
-  std::vector<std::vector<Result<Frame>>> AsyncFanOutAllReplicas(
+  // Registration and ping traffic: one attempt per replica of every slice
+  // (every replica needs the session key), all in flight at once, no
+  // failover or hedging. out[s][r] is replica r's result.
+  std::vector<std::vector<Result<Frame>>> FanOutAllReplicas(
       const std::vector<uint8_t>& inner);
-
-  // One *logical* round trip for the slice: walks ReplicaOrder(shard) —
-  // failing over, optionally hedging the first attempt onto a second
-  // replica — until a replica answers or the attempt budget is spent.
-  Result<Frame> ShardRoundTrip(size_t shard,
-                               const std::vector<uint8_t>& inner);
-
-  // A primary/hedge pair raced on the executor: the primary sends
-  // immediately; the watcher task fires the duplicate to `hedge` if the
-  // primary has not landed within hedge_delay_ms (woken early the moment
-  // it does). Returns the winning result and whether the hedge fired/won.
-  struct HedgeOutcome {
-    Result<Frame> result{Status::Internal("hedged trip not run")};
-    bool hedge_fired = false;
-    bool hedge_won = false;
-    bool primary_failed = false;
-  };
-  HedgeOutcome HedgedTrip(size_t shard, size_t primary, size_t hedge,
-                          const std::vector<uint8_t>& inner);
 
   // Replica indices of `shard` in send order: circuit-closed replicas
   // first (ascending, for determinism), circuit-open ones after; with
   // probe_probability, one open replica may be promoted to the front as a
   // re-admission probe.
   std::vector<size_t> ReplicaOrder(size_t shard);
-
-  // Fans `inner` out to every slice (one *logical* trip per slice — each
-  // with its own failover/hedging) — the trips overlap as executor tasks
-  // on pool_, capped per request by options_.fanout_threads — and collects
-  // the inner response frames in shard order.
-  std::vector<Result<Frame>> FanOut(const std::vector<uint8_t>& inner);
-
-  // Fans `inner` to every replica of every slice (registration traffic:
-  // every replica needs the session key). out[s][r] is replica r's result.
-  std::vector<std::vector<Result<Frame>>> FanOutAllReplicas(
-      const std::vector<uint8_t>& inner);
 
   // Admission control: grants up to `want` in-flight slots (all of them
   // when max_inflight is 0). ReleaseInflight returns what was granted.
@@ -450,38 +402,27 @@ class ShardCoordinator {
   // replicas_[s][r]: replica r of slice s. Elements not owned.
   const std::vector<std::vector<ShardTransport*>> replicas_;
   const ShardCoordinatorOptions options_;
-  // Spawned only when the caller passed no pool but asked for overlapped
-  // fan-out (fanout_threads > 1); pool_ then points at it.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  // One executor for batches AND per-request fan-outs: fan-out regions
-  // nest inside batch regions and idle workers steal across them.
-  ThreadPool* pool_;  // caller's pool or owned_pool_; null => all serial
-
-  // Transports are plain blocking request/response channels with no
-  // multiplexing, so round trips on one transport must not interleave.
-  // transport_mu_[s][r] guards replicas_[s][r]; hedged duplicates go to a
-  // different replica precisely so they never queue behind the slow
-  // primary on its transport lock.
-  std::vector<std::vector<std::unique_ptr<std::mutex>>> transport_mu_;
+  // Spreads HandleBatch's requests; null => serial batches.
+  ThreadPool* pool_;
 
   // Circuit breakers: consecutive transport-level failures per replica.
   std::vector<std::vector<std::unique_ptr<std::atomic<uint32_t>>>>
       replica_failures_;
 
   // Probe draws for breaker re-admission (seeded; serialized — the draw is
-  // a few ns against a blocking round trip).
+  // a few ns against a round trip).
   std::mutex probe_mu_;
   Rng probe_rng_;
 
   // In-flight request count against options_.max_inflight.
   std::atomic<size_t> inflight_{0};
 
-  // In-flight async replica attempts (submitted, completion not yet
-  // returned). The destructor waits for zero: a late hedge loser's
-  // completion still runs SettleReplicaTrip against this coordinator.
-  mutable std::mutex async_drain_mu_;
-  std::condition_variable async_drain_cv_;
-  size_t async_outstanding_ = 0;
+  // In-flight replica attempts (submitted, completion not yet returned).
+  // The destructor waits for zero: a late hedge loser's completion still
+  // runs SettleReplicaTrip against this coordinator.
+  std::mutex drain_mu_;
+  std::condition_variable drain_cv_;
+  size_t outstanding_ = 0;
 
   std::atomic<uint64_t> seq_{0};
 

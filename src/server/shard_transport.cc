@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,7 +13,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/endian.h"
 #include "common/strings.h"
 #include "server/io_util.h"
 
@@ -82,88 +80,7 @@ std::vector<uint8_t> ShardEndpoint::HandleFrame(
                                          envelope->seq, inner_response));
 }
 
-// --- TCP --------------------------------------------------------------------
-
-namespace {
-
-// Deadline-bounded connect (io_util): non-blocking connect + monotonic
-// poll, then back to blocking mode for this blocking transport.
-Result<int> ConnectLoopbackFd(const std::string& host, uint16_t port,
-                              const TcpTransportOptions& options) {
-  EMB_ASSIGN_OR_RETURN(
-      int fd, ConnectWithDeadline(host, port, options.connect_timeout_ms));
-  Status blocking = SetBlocking(fd);
-  if (!blocking.ok()) {
-    close(fd);
-    return blocking;
-  }
-  return fd;
-}
-
-}  // namespace
-
-TcpTransport::TcpTransport(std::string host, uint16_t port,
-                           TcpTransportOptions options, int fd)
-    : host_(std::move(host)), port_(port), options_(options), fd_(fd) {}
-
-TcpTransport::~TcpTransport() { Disconnect(); }
-
-Result<std::unique_ptr<TcpTransport>> TcpTransport::Connect(
-    const std::string& host, uint16_t port,
-    const TcpTransportOptions& options) {
-  EMB_ASSIGN_OR_RETURN(int fd, ConnectLoopbackFd(host, port, options));
-  return std::unique_ptr<TcpTransport>(
-      new TcpTransport(host, port, options, fd));
-}
-
-void TcpTransport::Disconnect() {
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status TcpTransport::EnsureConnected() {
-  if (fd_ >= 0) return Status::OK();
-  EMB_ASSIGN_OR_RETURN(fd_, ConnectLoopbackFd(host_, port_, options_));
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> TcpTransport::TrySend(
-    const std::vector<uint8_t>& request) {
-  // Each phase gets one whole-operation monotonic deadline: the write must
-  // land within io_timeout_ms, and the response — however the peer paces
-  // its bytes — within io_timeout_ms of the write completing.
-  Status write_status = WriteAll(fd_, request.data(), request.size(),
-                                 DeadlineFromNow(options_.io_timeout_ms));
-  if (!write_status.ok()) {
-    // Tear the connection down so the next call reconnects cleanly — a
-    // half-written frame would desynchronize the stream.
-    Disconnect();
-    return write_status;
-  }
-  auto response = ReadFrameFd(fd_, kMaxTransportFrameBytes,
-                              DeadlineFromNow(options_.io_timeout_ms));
-  if (!response.ok()) Disconnect();
-  return response;
-}
-
-Result<std::vector<uint8_t>> TcpTransport::RoundTrip(
-    const std::vector<uint8_t>& request) {
-  // A connection that was already pooled may be stale: the peer restarted
-  // (or its kernel dropped the idle socket) between requests, and the
-  // first syscall against it fails even though the shard is healthy again.
-  // One transparent reconnect-and-resend absorbs that — shard requests are
-  // idempotent and seq/epoch-fenced, so the duplicate send cannot
-  // mis-merge. A connection established by this very call gets no retry:
-  // the peer is down, not stale.
-  const bool pooled = fd_ >= 0;
-  EMB_RETURN_NOT_OK(EnsureConnected());
-  auto response = TrySend(request);
-  if (response.ok() || !pooled) return response;
-  EMB_RETURN_NOT_OK(EnsureConnected());
-  return TrySend(request);
-}
+// --- Loopback serving -------------------------------------------------------
 
 Result<int> ListenOnLoopback(uint16_t* port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -331,8 +248,8 @@ Result<std::vector<uint8_t>> FaultyTransport::MutateResponseLocked(
 
 Result<std::vector<uint8_t>> FaultyTransport::RoundTrip(
     const std::vector<uint8_t>& request) {
-  // The blocking path keeps the pre-async contract: one mutex across the
-  // whole inner round trip, so the decorator also serializes.
+  // One mutex across the whole inner round trip: direct blocking callers
+  // serialize through the decorator.
   std::lock_guard<std::mutex> lock(mu_);
   const TransportFault fault = NextFaultLocked();
   if (fault == TransportFault::kDelay) {

@@ -1,18 +1,18 @@
 // Transports carrying framed requests between a ShardCoordinator and its
 // shard servers, plus the shard-side endpoint that unwraps them.
 //
-// A ShardTransport is a blocking request/response channel for
-// server/framing.h frames: the coordinator writes one kShardRequest frame
-// and reads exactly one response frame. Three implementations:
+// A ShardTransport is a request/response channel for server/framing.h
+// frames: the coordinator writes one kShardRequest frame and reads exactly
+// one response frame. Two implementations live here; the TCP transport is
+// MultiplexedTransport (server/multiplexed_transport.h):
 //
 //   InProcessTransport  wraps a ShardEndpoint directly — zero copies beyond
 //                       the frames themselves; used by tests, benches and
 //                       single-box deployments, and the configuration whose
 //                       responses the bit-identity suite pins against the
-//                       in-process sharded server.
-//   TcpTransport        a loopback/LAN socket with send/recv timeouts, so a
-//                       dead shard surfaces as a typed Unavailable status
-//                       instead of a hang. Reconnects lazily after failures.
+//                       in-process sharded server. It has no native async
+//                       submit: each round trip completes inline on the
+//                       submitting thread.
 //   FaultyTransport     a decorator injecting deterministic transport
 //                       faults (drop / truncate / bit-flip / reorder /
 //                       delay) for the coordinator fault-injection suite.
@@ -28,7 +28,6 @@
 #ifndef EMBELLISH_SERVER_SHARD_TRANSPORT_H_
 #define EMBELLISH_SERVER_SHARD_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,7 +45,10 @@ namespace embellish::server {
 ///        corrupt length field must bound the allocation it can force.
 inline constexpr size_t kMaxTransportFrameBytes = (64u << 20) + kFrameHeaderBytes;
 
-/// \brief A request/response channel for framed bytes.
+/// \brief A request/response channel for framed bytes. Every
+///        implementation must be thread-safe: the coordinator issues
+///        concurrent RoundTrip/SubmitRoundTrip calls on one transport
+///        without serializing them.
 class ShardTransport {
  public:
   /// \brief Delivers one round trip's outcome. May run on any thread (for a
@@ -59,23 +61,23 @@ class ShardTransport {
   /// \brief Sends one frame and blocks for the response frame. Any
   ///        transport-level failure (peer dead, timeout, short read) is a
   ///        non-OK status — implementations must not hang forever and must
-  ///        not crash, whatever the peer does. Implementations need not be
-  ///        thread-safe unless SupportsAsyncSubmit() is true; the
-  ///        coordinator serializes calls per non-multiplexed transport.
+  ///        not crash, whatever the peer does.
   virtual Result<std::vector<uint8_t>> RoundTrip(
       const std::vector<uint8_t>& request) = 0;
 
-  /// \brief True when SubmitRoundTrip is genuinely non-blocking AND
-  ///        concurrent RoundTrip/SubmitRoundTrip calls are thread-safe
-  ///        (in-flight requests interleave on the channel instead of
-  ///        queueing). The coordinator then switches that slice's fan-out
-  ///        to submit-and-await: no executor worker parks on transport I/O.
+  /// \brief True when SubmitRoundTrip is genuinely non-blocking: in-flight
+  ///        requests interleave on the channel and complete on another
+  ///        thread, so no submitting thread parks on transport I/O. The
+  ///        coordinator submits either way; this only selects which of
+  ///        CoordinatorStats' async_io_trips / blocking_io_trips counts the
+  ///        attempt.
   virtual bool SupportsAsyncSubmit() const { return false; }
 
   /// \brief Starts one round trip and delivers the outcome to `done`
-  ///        exactly once. The base implementation degrades to the blocking
-  ///        RoundTrip inline — callers must already hold whatever
-  ///        serialization the transport needs in that case.
+  ///        exactly once. May be called from another transport's
+  ///        completion (the coordinator resubmits failovers there). The
+  ///        base implementation completes inline through the blocking
+  ///        RoundTrip on the calling thread.
   virtual void SubmitRoundTrip(const std::vector<uint8_t>& request,
                                RoundTripCompletion done) {
     done(RoundTrip(request));
@@ -121,62 +123,7 @@ class InProcessTransport : public ShardTransport {
   ShardEndpoint* endpoint_;  // not owned
 };
 
-// --- TCP --------------------------------------------------------------------
-
-/// \brief Socket knobs. Timeouts are what turn a dead shard into a typed
-///        Unavailable instead of a wedged coordinator. All deadlines are
-///        absolute CLOCK_MONOTONIC deadlines (see server/io_util.h): a
-///        wall-clock step cannot spuriously expire an in-flight round trip,
-///        and a peer trickling one byte per timeout window cannot extend a
-///        round trip unboundedly the way the old per-syscall SO_RCVTIMEO
-///        timeouts allowed.
-struct TcpTransportOptions {
-  int connect_timeout_ms = 5000;
-  /// Bounds the WHOLE request write, and separately the WHOLE response
-  /// read (the read deadline starts once the request is fully written, so
-  /// legitimate shard compute time is not charged against the send).
-  int io_timeout_ms = 5000;
-};
-
-/// \brief Blocking TCP client for one shard. After any failure the
-///        connection is torn down and the next RoundTrip reconnects, so a
-///        restarted shard process heals without coordinator restarts.
-///        A round trip that fails on an already-pooled connection (the peer
-///        restarted between requests, leaving a dead socket in the pool)
-///        transparently reconnects and resends once before surfacing
-///        Unavailable — shard requests are idempotent and seq-fenced, so a
-///        duplicate send is harmless. A failure on a connection established
-///        by this very call is surfaced immediately (the peer is down, not
-///        stale).
-class TcpTransport : public ShardTransport {
- public:
-  /// \brief Connects to `host:port` (numeric IPv4, e.g. "127.0.0.1").
-  static Result<std::unique_ptr<TcpTransport>> Connect(
-      const std::string& host, uint16_t port,
-      const TcpTransportOptions& options = {});
-
-  ~TcpTransport() override;
-  TcpTransport(const TcpTransport&) = delete;
-  TcpTransport& operator=(const TcpTransport&) = delete;
-
-  Result<std::vector<uint8_t>> RoundTrip(
-      const std::vector<uint8_t>& request) override;
-
- private:
-  TcpTransport(std::string host, uint16_t port, TcpTransportOptions options,
-               int fd);
-
-  Status EnsureConnected();
-  void Disconnect();
-
-  // One send + one response read on the current connection.
-  Result<std::vector<uint8_t>> TrySend(const std::vector<uint8_t>& request);
-
-  const std::string host_;
-  const uint16_t port_;
-  const TcpTransportOptions options_;
-  int fd_ = -1;
-};
+// --- Loopback serving -------------------------------------------------------
 
 /// \brief Binds a listening socket on 127.0.0.1 (port 0 = kernel-assigned;
 ///        `*port` returns the bound port). Returns the listen fd.
@@ -232,13 +179,12 @@ struct FaultyTransportOptions {
 };
 
 /// \brief Decorator wrapping any transport with seeded, reproducible
-///        transport faults. Thread-safe. The blocking path holds a single
-///        mutex across the inner round trip (serializing, which matches the
-///        coordinator's per-transport locking for non-multiplexed inners);
-///        the async path holds it only around the fault draw and the
-///        response mutation, so concurrent in-flight submits through a
-///        MultiplexedTransport stay concurrent — the decorator composes
-///        with the multiplexer instead of flattening it.
+///        transport faults. Thread-safe. RoundTrip holds a single mutex
+///        across the inner round trip (direct blocking callers serialize);
+///        SubmitRoundTrip — the coordinator's path — holds it only around
+///        the fault draw and the response mutation, so concurrent in-flight
+///        submits stay concurrent — the decorator composes with the
+///        multiplexer instead of flattening it.
 class FaultyTransport : public ShardTransport {
  public:
   /// \brief `inner` must outlive the decorator.
@@ -248,9 +194,11 @@ class FaultyTransport : public ShardTransport {
       const std::vector<uint8_t>& request) override;
 
   /// \brief Async submission is exposed iff the inner transport exposes it;
-  ///        the same fault schedule applies to submitted trips (a kDelay
-  ///        completion is deferred off-thread so it never stalls the inner
-  ///        transport's event loop).
+  ///        the same fault schedule applies to submitted trips. A kDelay
+  ///        completion is deferred off-thread, so it stalls neither the
+  ///        inner transport's event loop nor, over an inline inner
+  ///        transport, the submitting thread: the replica is slow, and the
+  ///        coordinator can hedge past it.
   bool SupportsAsyncSubmit() const override {
     return inner_->SupportsAsyncSubmit();
   }

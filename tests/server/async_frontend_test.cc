@@ -2,12 +2,15 @@
 // HandleFrame surface, per-connection response ordering under concurrent
 // dispatch, slow-client isolation (a trickler parked mid-frame must not
 // delay anyone else), mid-frame disconnect accounting, shedding with typed
-// kBusy, and the zero-dispatcher synchronous fallback.
+// kBusy, the zero-dispatcher synchronous fallback, and Nagle's algorithm
+// off on accepted sockets.
 
 #include "server/async_frontend.h"
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -292,6 +295,53 @@ TEST_F(AsyncFrontEndTest, ZeroDispatcherFallbackServesOnTheLoopThread) {
     EXPECT_EQ(frame->session_id, tag);
   }
   EXPECT_EQ(front_end_->stats().shed, 0u);
+}
+
+TEST_F(AsyncFrontEndTest, AcceptedSocketsDisableNagle) {
+  // Responses are small frames: with Nagle on, one queued behind an
+  // unacknowledged predecessor waits out the client's delayed ACK.
+  uint16_t port = Serve(EchoHandler);
+  BlockingClient client(port);
+  ASSERT_FALSE(client.RoundTrip(TaggedRequest(1)).empty());  // accepted
+
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  socklen_t len = sizeof(client_local);
+  ASSERT_EQ(getsockname(client.fd(),
+                        reinterpret_cast<sockaddr*>(&client_local), &len),
+            0);
+  len = sizeof(client_peer);
+  ASSERT_EQ(getpeername(client.fd(),
+                        reinterpret_cast<sockaddr*>(&client_peer), &len),
+            0);
+  auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
+  };
+
+  // The front end shares this process: its end of the connection is the
+  // socket whose local address is the client's peer and vice versa.
+  int accepted = -1;
+  for (int fd = 0; fd < 1024 && accepted < 0; ++fd) {
+    if (fd == client.fd()) continue;
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) !=
+            0 ||
+        getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0 ||
+        local.sin_family != AF_INET) {
+      continue;
+    }
+    if (same(local, client_peer) && same(peer, client_local)) accepted = fd;
+  }
+  ASSERT_GE(accepted, 0) << "the front end's accepted socket was not found";
+  int nodelay = 0;
+  socklen_t nodelay_len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                       &nodelay_len),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 TEST_F(AsyncFrontEndTest, ConnectionCapRefusesTheExcess) {

@@ -91,8 +91,8 @@ class WireClient {
   int fd_ = -1;
 };
 
-// KillableTransport that keeps the inner transport's async capability, so
-// the PR 6 kill storm runs on the submit-and-await fan-out path.
+// KillableTransport that keeps the inner transport's async submit, so the
+// replicated kill storm's trips stay on the event loop.
 class AsyncKillableTransport : public ShardTransport {
  public:
   explicit AsyncKillableTransport(ShardTransport* inner) : inner_(inner) {}
@@ -188,6 +188,37 @@ class AsyncStackTest : public ::testing::Test {
   core::BucketOrganization org_;
   std::unique_ptr<EventLoop> loop_;
 };
+
+TEST_F(AsyncStackTest, CoordinatorFrontEndRefusesZeroDispatchers) {
+  // dispatch_threads = 0 would run HandleBatch on the loop thread, where the
+  // fan-out waits for completions only that thread can deliver. ServeAsync
+  // refuses the configuration (typed) instead of wedging the loop.
+  std::vector<std::unique_ptr<EmbellishServer>> slices;
+  std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
+  MakeSlices(1, &slices, &endpoints);
+  ShardFleet fleet;
+  const uint16_t shard_port = fleet.Add(endpoints[0].get());
+  {
+    auto mux = MultiplexedTransport::Connect("127.0.0.1", shard_port,
+                                             loop_.get());
+    ASSERT_TRUE(mux.ok()) << mux.status().ToString();
+    ShardCoordinator coordinator(std::vector<ShardTransport*>{mux->get()});
+    ASSERT_TRUE(coordinator.Handshake().ok());
+
+    uint16_t port = 0;
+    auto listen_fd = ListenOnLoopback(&port);
+    ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
+    AsyncFrontEndOptions options;
+    options.dispatch_threads = 0;
+    auto front_end = coordinator.ServeAsync(*listen_fd, loop_.get(), options);
+    ASSERT_FALSE(front_end.ok());
+    EXPECT_TRUE(front_end.status().IsInvalidArgument())
+        << front_end.status().ToString();
+    // The listener it took over is closed: nothing accepts on the port.
+    EXPECT_FALSE(ConnectWithDeadline("127.0.0.1", port, 1000).ok());
+  }
+  fleet.Stop();
+}
 
 TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
   EmbellishServer mono(&built_.index, &org_, nullptr);

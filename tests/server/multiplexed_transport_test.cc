@@ -338,9 +338,8 @@ TEST_F(MultiplexedTransportTest, BlockingRoundTripRefusedOnLoopThread) {
 
 TEST_F(MultiplexedTransportTest, ConnectVariantReconnectsAfterPeerRestart) {
   // A real listener whose first connection dies after one frame — the
-  // restarted-shard scenario. Unlike TcpTransport, the mux does not resend
-  // (in-flight trips fail typed on the reset); but the NEXT submit must
-  // transparently reconnect.
+  // restarted-shard scenario. The mux does not resend (in-flight trips fail
+  // typed on the reset); but the NEXT submit must transparently reconnect.
   uint16_t port = 0;
   auto listen_fd = ListenOnLoopback(&port);
   ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
@@ -388,6 +387,19 @@ TEST_F(MultiplexedTransportTest, ConnectVariantReconnectsAfterPeerRestart) {
   shutdown(*listen_fd, SHUT_RDWR);
   close(*listen_fd);
   serve.join();
+}
+
+TEST_F(MultiplexedTransportTest, ConnectToDeadPortFailsTyped) {
+  // Grab a port, then close it so nothing listens there.
+  uint16_t port = 0;
+  auto fd = ListenOnLoopback(&port);
+  ASSERT_TRUE(fd.ok());
+  close(*fd);
+  auto transport = MultiplexedTransport::Connect("127.0.0.1", port,
+                                                 loop_.get());
+  ASSERT_FALSE(transport.ok());
+  EXPECT_TRUE(transport.status().IsUnavailable())
+      << transport.status().ToString();
 }
 
 TEST_F(MultiplexedTransportTest, DestructorFailsInFlightTripsCleanly) {

@@ -2,20 +2,14 @@
 // slice servers must produce response frames byte-identical to both the
 // PR 3 in-process sharded EmbellishServer and the monolithic server, for
 // the PR, PIR and plaintext top-k paths, at 1/2/4/8 shards — plus endpoint
-// protocol checks (ping, misrouting, epoch fencing) and the TCP transport
-// over loopback.
+// protocol checks (ping, misrouting, epoch fencing). Byte-identity across a
+// real socket is async_stack_test's.
 
 #include "server/shard_coordinator.h"
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <thread>
-
 #include "index/builder.h"
-#include "server/io_util.h"
 #include "server/session_client.h"
 #include "testutil.h"
 
@@ -197,14 +191,12 @@ TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   shard_options.shard_count = 3;
   EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
-  ShardCoordinatorOptions copts;
-  copts.fanout_threads = 2;
-  Rig rig = MakeRig(3, copts);
-  // Batched coordinator dispatch and each query's capped fan-out now share
-  // the caller's pool: fan-out regions nest inside the batch region.
+  Rig rig = MakeRig(3);
+  // Batched coordinator dispatch spreads the requests over the caller's
+  // pool; each request's fan-out runs on the worker that took it.
   std::vector<ShardTransport*> shared;
   for (auto& t : rig.transports) shared.push_back(t.get());
-  ShardCoordinator batched(shared, copts, &pool);
+  ShardCoordinator batched(shared, {}, &pool);
 
   std::vector<SessionClient> clients;
   std::vector<std::vector<uint8_t>> requests;
@@ -238,12 +230,10 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
   shard_options.shard_count = kShards;
   EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
-  ShardCoordinatorOptions copts;
-  copts.fanout_threads = 2;
-  Rig rig = MakeRig(kShards, copts);
+  Rig rig = MakeRig(kShards);
   std::vector<ShardTransport*> shared;
   for (auto& t : rig.transports) shared.push_back(t.get());
-  ShardCoordinator batched(shared, copts, &pool);
+  ShardCoordinator batched(shared, {}, &pool);
 
   auto terms = built_.index.IndexedTerms();
   Rng rng(933);
@@ -498,156 +488,6 @@ TEST_F(ShardCoordinatorTest, SelfHealsAShardThatLostTheSession) {
   EXPECT_EQ(rig.coordinator->HandleFrame(*request),
             mono.HandleFrame(*request));
   EXPECT_EQ(rig.coordinator->stats().queries, 1u);
-}
-
-TEST_F(ShardCoordinatorTest, TcpTransportOverLoopback) {
-  constexpr size_t kShards = 2;
-  std::vector<std::unique_ptr<EmbellishServer>> slices;
-  std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
-  std::vector<int> listen_fds;
-  std::vector<uint16_t> ports;
-  std::vector<std::thread> serve_threads;
-  for (size_t s = 0; s < kShards; ++s) {
-    EmbellishServerOptions options;
-    options.shard_slice = s;
-    options.shard_slice_count = kShards;
-    slices.push_back(std::make_unique<EmbellishServer>(&built_.index, &org_,
-                                                       nullptr, options));
-    endpoints.push_back(
-        std::make_unique<ShardEndpoint>(slices.back().get(), s));
-    uint16_t port = 0;
-    auto fd = ListenOnLoopback(&port);
-    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-    listen_fds.push_back(*fd);
-    ports.push_back(port);
-    serve_threads.emplace_back(
-        [fd = *fd, endpoint = endpoints.back().get()] {
-          (void)ServeShardConnections(fd, endpoint);
-        });
-  }
-
-  {
-    std::vector<std::unique_ptr<TcpTransport>> transports;
-    std::vector<ShardTransport*> raw;
-    for (size_t s = 0; s < kShards; ++s) {
-      auto transport = TcpTransport::Connect("127.0.0.1", ports[s]);
-      ASSERT_TRUE(transport.ok()) << transport.status().ToString();
-      transports.push_back(std::move(*transport));
-      raw.push_back(transports.back().get());
-    }
-    ShardCoordinator coordinator(raw);
-    ASSERT_TRUE(coordinator.Handshake().ok());
-
-    EmbellishServer mono(&built_.index, &org_, nullptr);
-    SessionClient client = MakeClient(9, 509);
-    mono.HandleFrame(client.HelloFrame());
-    EXPECT_EQ(KindOf(coordinator.HandleFrame(client.HelloFrame())),
-              FrameKind::kHelloOk);
-    auto request = client.QueryFrame(SomeTerms(6, 13));
-    ASSERT_TRUE(request.ok());
-    // The same bytes as the monolithic server — across a real socket.
-    EXPECT_EQ(coordinator.HandleFrame(*request), mono.HandleFrame(*request));
-
-    auto topk = EncodeFrame(FrameKind::kTopKQuery, 9,
-                            EncodeTopKQuery(8, SomeTerms(6, 13)));
-    EXPECT_EQ(coordinator.HandleFrame(topk), mono.HandleFrame(topk));
-  }
-
-  for (int fd : listen_fds) {
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
-  }
-  for (auto& t : serve_threads) t.join();
-}
-
-// Thin adapters over the shared io_util helpers (the bounded socket loops
-// used to live here as a third hand-rolled copy).
-namespace tcp_testutil {
-
-// Reads one full frame (header + payload) off `fd`; empty on disconnect.
-std::vector<uint8_t> ReadOneFrame(int fd) {
-  auto frame = ReadFrameFd(fd, kMaxTransportFrameBytes);
-  return frame.ok() ? *std::move(frame) : std::vector<uint8_t>{};
-}
-
-bool WriteAllFd(int fd, const std::vector<uint8_t>& bytes) {
-  return WriteAll(fd, bytes.data(), bytes.size()).ok();
-}
-
-}  // namespace tcp_testutil
-
-TEST_F(ShardCoordinatorTest, StalePooledConnectionReconnectsAndResends) {
-  // The peer-restarted-between-requests scenario: the first server
-  // connection serves exactly one frame and then closes, leaving a dead
-  // socket pooled in the TcpTransport. The next round trip must absorb
-  // that with one transparent reconnect-and-resend — no error surfaces,
-  // and the response still echoes the request's own seq.
-  EmbellishServerOptions options;
-  options.shard_slice = 0;
-  options.shard_slice_count = 1;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
-  ShardEndpoint endpoint(&server, 0);
-
-  uint16_t port = 0;
-  auto listen_fd = ListenOnLoopback(&port);
-  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
-  std::thread serve([fd = *listen_fd, &endpoint] {
-    for (int conn_index = 0;; ++conn_index) {
-      int conn = accept(fd, nullptr, nullptr);
-      if (conn < 0) return;
-      for (;;) {
-        std::vector<uint8_t> request = tcp_testutil::ReadOneFrame(conn);
-        if (request.empty()) break;
-        if (!tcp_testutil::WriteAllFd(conn, endpoint.HandleFrame(request))) {
-          break;
-        }
-        if (conn_index == 0) break;  // first connection dies after one frame
-      }
-      close(conn);
-    }
-  });
-
-  {
-    auto transport = TcpTransport::Connect("127.0.0.1", port);
-    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
-
-    auto ping = [&](uint64_t seq) {
-      return EncodeFrame(FrameKind::kShardRequest, 0,
-                         EncodeShardEnvelope(0, /*epoch=*/1, seq, {}));
-    };
-    auto require_pong = [&](Result<std::vector<uint8_t>> response,
-                            uint64_t seq) {
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      auto outer = DecodeFrame(*response);
-      ASSERT_TRUE(outer.ok());
-      ASSERT_EQ(outer->kind, FrameKind::kShardResponse);
-      auto envelope = DecodeShardEnvelope(outer->payload);
-      ASSERT_TRUE(envelope.ok());
-      EXPECT_EQ(envelope->seq, seq);
-    };
-
-    require_pong((*transport)->RoundTrip(ping(1)), 1);
-    // The server closed the connection after that response; this round trip
-    // finds the stale pooled socket, reconnects, resends, and succeeds.
-    require_pong((*transport)->RoundTrip(ping(2)), 2);
-    // The fresh connection keeps serving normally.
-    require_pong((*transport)->RoundTrip(ping(3)), 3);
-  }
-
-  shutdown(*listen_fd, SHUT_RDWR);
-  close(*listen_fd);
-  serve.join();
-}
-
-TEST_F(ShardCoordinatorTest, ConnectToDeadPortFailsTyped) {
-  // Grab a port, then close it so nothing listens there.
-  uint16_t port = 0;
-  auto fd = ListenOnLoopback(&port);
-  ASSERT_TRUE(fd.ok());
-  close(*fd);
-  auto transport = TcpTransport::Connect("127.0.0.1", port);
-  ASSERT_FALSE(transport.ok());
-  EXPECT_TRUE(transport.status().IsUnavailable());
 }
 
 }  // namespace

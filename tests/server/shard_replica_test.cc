@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 
 #include "core/sharded_retrieval.h"
 #include "core/wire_format.h"
@@ -49,6 +50,9 @@ class ReplicaTest : public ::testing::Test {
  protected:
   static constexpr size_t kShards = 3;
   static constexpr size_t kReplicas = 2;
+  // A slow primary's delay: far past hedge_delay_ms = 0, so a hedge always
+  // fires and wins first, however loaded the test machine.
+  static constexpr uint32_t kSlowMs = 200;
 
   ReplicaTest()
       : lex_(testutil::SmallSyntheticLexicon(1500, 221)),
@@ -213,15 +217,24 @@ TEST_F(ReplicaTest, BreakerProbeReAdmitsHealedReplica) {
   EXPECT_GT(kill(1, 0)->calls(), calls_before);
 }
 
-TEST_F(ReplicaTest, HedgeWinsWhenPrimaryDies) {
-  // Every slice's primary is dead: with hedging armed, the duplicate to the
-  // second replica answers every logical trip — bytes identical, and the
-  // hedge/failover counters prove the path was exercised.
-  for (size_t s = 0; s < kShards; ++s) kill(s, 0)->Kill();
+TEST_F(ReplicaTest, HedgeWinsWhenPrimaryIsSlow) {
+  // Every slice's primary is slow: with hedging armed, the duplicate to the
+  // second replica answers every logical trip long before the primary does
+  // — bytes identical, and the hedge counters prove the path was exercised.
+  FaultyTransportOptions slow_options;
+  slow_options.schedule = {TransportFault::kDelay};
+  slow_options.cycle = true;
+  slow_options.delay_ms = kSlowMs;
+  std::vector<std::unique_ptr<FaultyTransport>> slow;
+  std::vector<std::vector<ShardTransport*>> groups = MakeGroups();
+  for (size_t s = 0; s < kShards; ++s) {
+    slow.push_back(std::make_unique<FaultyTransport>(kill(s, 0), slow_options));
+    groups[s][0] = slow.back().get();
+  }
+
   ShardCoordinatorOptions options;
   options.hedge_delay_ms = 0;
-  ThreadPool pool(2);
-  ShardCoordinator coordinator(MakeGroups(), options, &pool);
+  ShardCoordinator coordinator(groups, options);
   SessionClient client = MakeClient(4, 704);
   mono_.HandleFrame(client.HelloFrame());
   EXPECT_EQ(DecodeFrame(coordinator.HandleFrame(client.HelloFrame()))->kind,
@@ -236,50 +249,59 @@ TEST_F(ReplicaTest, HedgeWinsWhenPrimaryDies) {
   CoordinatorStats stats = coordinator.stats();
   EXPECT_GT(stats.hedges_fired, 0u);
   EXPECT_GT(stats.hedge_wins, 0u);
-  EXPECT_GT(stats.failovers, 0u);
   EXPECT_EQ(stats.degraded_answers, 0u);
 }
 
 TEST_F(ReplicaTest, StaleHedgeResponseIsNeverMerged) {
-  // Primary dead, hedge replica reorders: every hedge delivers the
+  // Slow primary, reordering hedge replica: every hedge delivers the
   // *previous* round trip's response, whose envelope seq belongs to an
-  // older request. The seq fence must reject it every time — the client
-  // sees typed errors, never a merge over stale bytes — and a healed
-  // primary immediately restores bit-identical answers.
-  FaultyTransportOptions faulty_options;
-  faulty_options.schedule = {TransportFault::kReorder};
-  faulty_options.cycle = true;
-  FaultyTransport reordering(kill(1, 1), faulty_options);
+  // older request. The seq fence must reject it every time — the slow
+  // primary's own answer is what gets merged, never the stale bytes. With
+  // the primary dead the client sees typed errors, and a healed primary
+  // immediately restores bit-identical answers.
+  FaultyTransportOptions slow_options;
+  slow_options.schedule = {TransportFault::kDelay};
+  slow_options.cycle = true;
+  slow_options.delay_ms = kSlowMs;
+  FaultyTransport slow(kill(1, 0), slow_options);
+  FaultyTransportOptions reorder_options;
+  reorder_options.schedule = {TransportFault::kReorder};
+  reorder_options.cycle = true;
+  FaultyTransport reordering(kill(1, 1), reorder_options);
 
   std::vector<std::vector<ShardTransport*>> groups = MakeGroups();
+  groups[1][0] = &slow;
   groups[1][1] = &reordering;
 
   ShardCoordinatorOptions options;
   options.hedge_delay_ms = 0;
   options.breaker_threshold = 0;  // keep the replica order fixed
   options.probe_probability = 0;
-  ThreadPool pool(2);
-  ShardCoordinator storm(groups, options, &pool);
+  ShardCoordinator storm(groups, options);
   SessionClient client = MakeClient(5, 705);
   mono_.HandleFrame(client.HelloFrame());
-  // Register while the primary lives (the reordering replica never acks,
-  // but one ack per slice registers the session).
+  // Register (the reordering replica never acks, but one ack per slice
+  // registers the session).
   EXPECT_EQ(DecodeFrame(storm.HandleFrame(client.HelloFrame()))->kind,
             FrameKind::kHelloOk);
   auto request = client.QueryFrame(SomeTerms(7, 23));
   ASSERT_TRUE(request.ok());
   const std::vector<uint8_t> reference = mono_.HandleFrame(*request);
-  EXPECT_EQ(storm.HandleFrame(*request), reference);
 
-  // Now the primary dies: every slice-1 trip hedges onto the reordering
-  // replica, which always answers with the previous request's response.
+  // Every slice-1 trip hedges onto the reordering replica while the primary
+  // is still out; the stale response is refused and the primary answers.
+  for (size_t round = 0; round < 4; ++round) {
+    EXPECT_EQ(storm.HandleFrame(*request), reference);
+  }
+  EXPECT_GT(storm.stats().hedges_fired, 0u);
+  EXPECT_GE(reordering.stats().reorders, 1u);
+
+  // Now the primary dies: only the stale hedge replica is left.
   kill(1, 0)->Kill();
   for (size_t round = 0; round < 4; ++round) {
     Status error = RequireTypedError(storm.HandleFrame(*request));
     EXPECT_TRUE(error.IsUnavailable()) << error.ToString();
   }
-  EXPECT_GT(storm.stats().hedges_fired, 0u);
-  EXPECT_GE(reordering.stats().reorders, 1u);
 
   // Primary healed: the next query must merge bit-identically again (the
   // held stale response on the hedge replica can never leak into it).
