@@ -84,9 +84,11 @@ BuildDeltaLists(const std::vector<corpus::Document>& docs,
                 const IndexBuildOptions& options);
 
 /// \brief Merges delta lists into `base`, producing a successor index with
-///        `new_num_docs` documents. Per-term sorted merge preserving the
-///        canonical impact order; `base` is untouched (it is someone's
-///        pinned epoch).
+///        `new_num_docs` documents. Copy-on-write: the successor shares the
+///        list of every term the delta does not touch (for an empty delta,
+///        `base`'s whole term map), and each touched term gets a fresh
+///        per-term sorted merge in the canonical impact order. `base` is
+///        untouched (it is someone's pinned epoch).
 InvertedIndex MergeDeltaLists(
     const InvertedIndex& base,
     const std::unordered_map<wordnet::TermId, std::vector<Posting>>& delta,

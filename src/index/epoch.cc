@@ -38,22 +38,6 @@ IndexEpoch::IndexEpoch(Init init)
       layout_(std::move(init.layout)),
       shard_layouts_(std::move(init.shard_layouts)),
       pinned_gauge_(std::move(init.pinned_gauge)) {
-  if (sharded_) {
-    // The stored per-shard impact upper bounds: lists are impact-ordered,
-    // so a list's head is its maximum and the per-term bound is O(1) to
-    // collect. Built once here, off the answer path with the rest of the
-    // snapshot.
-    shard_head_impact_.resize(sharded_->shard_count());
-    for (size_t s = 0; s < sharded_->shard_count(); ++s) {
-      const InvertedIndex& shard = sharded_->shard(s);
-      for (wordnet::TermId term : shard.IndexedTerms()) {
-        const std::vector<Posting>* list = shard.postings(term);
-        if (list != nullptr && !list->empty()) {
-          shard_head_impact_[s][term] = list->front().impact;
-        }
-      }
-    }
-  }
   if (pinned_gauge_) pinned_gauge_->fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -63,14 +47,14 @@ IndexEpoch::~IndexEpoch() {
 
 uint64_t IndexEpoch::ShardImpactBound(
     size_t shard, const std::vector<wordnet::TermId>& query) const {
-  if (shard >= shard_head_impact_.size()) return 0;
-  const auto& heads = shard_head_impact_[shard];
+  if (sharded_ == nullptr || shard >= sharded_->shard_count()) return 0;
+  const InvertedIndex& index = sharded_->shard(shard);
   uint64_t bound = 0;
   // Summed per query entry (not per distinct term): an over-count when the
   // query repeats a term, which only weakens the bound — never unsound.
   for (wordnet::TermId term : query) {
-    auto it = heads.find(term);
-    if (it != heads.end()) bound += it->second;
+    const std::vector<Posting>* list = index.postings(term);
+    if (list != nullptr && !list->empty()) bound += list->front().impact;
   }
   return bound;
 }
@@ -106,8 +90,7 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Create(
   auto index = std::make_shared<const InvertedIndex>(std::move(out.index));
   EMB_ASSIGN_OR_RETURN(
       std::shared_ptr<const IndexEpoch> first,
-      catalog->AssembleEpoch(1, std::move(index), options.sharding, {},
-                             /*have_prebuilt=*/false));
+      catalog->AssembleEpoch(1, std::move(index), options.sharding, {}));
   {
     std::lock_guard<std::mutex> lock(catalog->state_mu_);
     catalog->current_ = std::move(first);  // initial epoch, not a swap
@@ -190,8 +173,8 @@ void IndexCatalog::Install(std::shared_ptr<const IndexEpoch> next) {
 
 Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::AssembleEpoch(
     uint64_t epoch, std::shared_ptr<const InvertedIndex> index,
-    const ShardingOptions& sharding, std::vector<InvertedIndex> prebuilt_shards,
-    bool have_prebuilt) {
+    const ShardingOptions& sharding,
+    std::vector<InvertedIndex> prebuilt_shards) {
   IndexEpoch::Init init;
   init.epoch = epoch;
   init.sharding = sharding;
@@ -199,7 +182,7 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::AssembleEpoch(
   init.buckets = buckets_;
   init.pinned_gauge = pinned_gauge_;
   if (sharding.shard_count > 1) {
-    if (have_prebuilt) {
+    if (!prebuilt_shards.empty()) {
       EMB_ASSIGN_OR_RETURN(
           ShardedIndex sharded,
           ShardedIndex::FromShards(sharding, init.index->document_count(),
@@ -253,7 +236,6 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
 
   const ShardingOptions sharding = base->sharding();
   std::vector<InvertedIndex> shards;
-  bool have_prebuilt = false;
   if (sharding.shard_count > 1 && base->sharded() != nullptr) {
     // Split the delta lists with the *frozen* partition boundary
     // (partition_doc_base_): kDocRange placement depends on the document
@@ -271,6 +253,8 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
             .push_back(p);
       }
     }
+    // A shard with no delta postings shares its base's whole term map;
+    // the others copy list pointers and merge only the touched terms.
     std::vector<std::optional<InvertedIndex>> built(shard_count);
     ForEachShard(pool_, shard_count, [&](size_t s) {
       built[s].emplace(MergeDeltaLists(base->sharded()->shard(s),
@@ -278,13 +262,12 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
     });
     shards.reserve(shard_count);
     for (auto& b : built) shards.push_back(std::move(*b));
-    have_prebuilt = true;
   }
 
   EMB_ASSIGN_OR_RETURN(
       std::shared_ptr<const IndexEpoch> next,
       AssembleEpoch(base->epoch() + 1, std::move(merged), sharding,
-                    std::move(shards), have_prebuilt));
+                    std::move(shards)));
   Install(next);
   delta_docs_ingested_.fetch_add(docs.size(), std::memory_order_relaxed);
   delta_micros_.fetch_add(MicrosSince(t0), std::memory_order_relaxed);
@@ -308,8 +291,7 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::Reshard(
   // it under the new options; the boundary re-freezes at today's count.
   EMB_ASSIGN_OR_RETURN(
       std::shared_ptr<const IndexEpoch> next,
-      AssembleEpoch(base->epoch() + 1, base->index_ptr(), sharding, {},
-                    /*have_prebuilt=*/false));
+      AssembleEpoch(base->epoch() + 1, base->index_ptr(), sharding, {}));
   partition_doc_base_ = base->index().document_count();
   Install(next);
   reshards_.fetch_add(1, std::memory_order_relaxed);
@@ -376,6 +358,7 @@ IndexCatalogStats IndexCatalog::stats() const {
 std::vector<ScoredDoc> EvaluateTopKEpoch(
     const IndexEpoch& epoch, const std::vector<wordnet::TermId>& query,
     size_t k, ThreadPool* pool, EvalStats* stats, size_t max_parallel) {
+  if (k == 0) return {};
   const ShardedIndex* sharded = epoch.sharded();
   if (sharded == nullptr) {
     // Monolithic epoch: the canonical configuration-independent evaluation

@@ -9,16 +9,19 @@
 // non-blocking reads during compaction:
 //
 //   IndexEpoch   — an immutable bundle of (epoch number, InvertedIndex,
-//                  ShardedIndex, per-shard StorageLayouts, bucket
-//                  organization, per-shard impact upper bounds). Never
-//                  mutated after construction; shared_ptr-held, so a batch
-//                  that pinned it can finish on it long after a successor
-//                  installs.
+//                  ShardedIndex, StorageLayouts, bucket organization).
+//                  Never mutated after construction; shared_ptr-held, so a
+//                  batch that pinned it can finish on it long after a
+//                  successor installs. Posting lists are shared between
+//                  epochs: successive epochs hold the same list objects
+//                  for every term a delta did not touch.
 //
 //   IndexCatalog — owns the current epoch. ApplyDelta(docs) scores new
 //                  documents against the *frozen* collection statistics
 //                  (see FrozenCorpusStats in index/builder.h) and merges
-//                  per-shard posting deltas into a successor snapshot;
+//                  per-shard posting deltas copy-on-write into a successor
+//                  snapshot: only the touched terms' lists are rebuilt, and
+//                  a shard the delta misses shares its whole term map.
 //                  Reshard(options) re-partitions the corpus. Both build
 //                  off the answer path (background threads, inner
 //                  parallelism on the shared executor) against the pinned
@@ -33,10 +36,10 @@
 // Reshard rebalances. kDocHash placement is count-independent and needs no
 // such pinning, but uses the same code path for uniformity.
 //
-// The per-shard impact bounds stored in each snapshot let the plaintext
-// top-k fan-out (EvaluateTopKEpoch) skip shards provably outside the top k.
-// The private paths never skip — touching every shard is part of the
-// scheme's access-pattern hiding.
+// Per-shard impact bounds, read from the heads of each shard's
+// impact-ordered lists, let the plaintext top-k fan-out (EvaluateTopKEpoch)
+// skip shards provably outside the top k. The private paths never skip —
+// touching every shard is part of the scheme's access-pattern hiding.
 
 #ifndef EMBELLISH_INDEX_EPOCH_H_
 #define EMBELLISH_INDEX_EPOCH_H_
@@ -47,7 +50,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -124,9 +126,9 @@ class IndexEpoch {
   /// \brief Upper bound on any single document's accumulated score within
   ///        `shard` for `query`: the sum, over the query's term entries, of
   ///        the shard's head (maximum) impact for that term. Lists are
-  ///        impact-descending, so the head impact is the precomputed
-  ///        per-shard bound the tentpole stores. Zero means the shard holds
-  ///        no posting for any query term.
+  ///        impact-descending, so each term costs one lookup of the shard's
+  ///        list and a read of its first posting. Zero means the shard
+  ///        holds no posting for any query term.
   uint64_t ShardImpactBound(size_t shard,
                             const std::vector<wordnet::TermId>& query) const;
 
@@ -138,9 +140,6 @@ class IndexEpoch {
   std::shared_ptr<const core::BucketOrganization> buckets_;
   std::shared_ptr<const storage::StorageLayout> layout_;
   std::shared_ptr<const std::vector<storage::StorageLayout>> shard_layouts_;
-  // Per shard: term -> head impact (the list's maximum). Built once at
-  // snapshot construction (off the answer path with everything else).
-  std::vector<std::unordered_map<wordnet::TermId, uint32_t>> shard_head_impact_;
   std::shared_ptr<std::atomic<int64_t>> pinned_gauge_;  // may be null
 };
 
@@ -254,12 +253,13 @@ class IndexCatalog {
   IndexCatalog(IndexCatalogOptions options, ThreadPool* pool, bool frozen);
 
   // Builds the sharded view + layouts for `index` and assembles a snapshot.
-  // `shard_fn(s)` supplies shard s's sub-index when the caller already has
-  // per-shard indexes (delta merge); null means split `index` from scratch.
+  // When `sharding` asks for more than one shard, `prebuilt_shards` holds
+  // the per-shard indexes the caller already has (delta merge); empty means
+  // split `index` from scratch.
   Result<std::shared_ptr<const IndexEpoch>> AssembleEpoch(
       uint64_t epoch, std::shared_ptr<const InvertedIndex> index,
       const ShardingOptions& sharding,
-      std::vector<InvertedIndex> prebuilt_shards, bool have_prebuilt);
+      std::vector<InvertedIndex> prebuilt_shards);
 
   void Install(std::shared_ptr<const IndexEpoch> next);
 

@@ -9,6 +9,7 @@
 #define EMBELLISH_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -38,19 +39,32 @@ inline bool PostingOrder(const Posting& a, const Posting& b) {
   return a.doc < b.doc;
 }
 
-/// \brief Immutable impact-ordered inverted index. Build via IndexBuilder.
+/// \brief Term -> inverted list. Lists are immutable once published and
+///        shared by every index that holds them unchanged: a delta epoch
+///        copies the pointers of the terms it does not touch, and a shard
+///        the delta misses shares its predecessor's whole map.
+using ListMap =
+    std::unordered_map<wordnet::TermId,
+                       std::shared_ptr<const std::vector<Posting>>>;
+
+/// \brief Immutable impact-ordered inverted index. Built by BuildIndex,
+///        MergeDeltaLists and ShardedIndex::Build.
 class InvertedIndex {
  public:
-  InvertedIndex(size_t num_docs,
-                std::unordered_map<wordnet::TermId, std::vector<Posting>> lists,
+  /// \brief `lists` is non-null and every list in it is in PostingOrder.
+  InvertedIndex(size_t num_docs, std::shared_ptr<const ListMap> lists,
                 int impact_bits);
 
   size_t document_count() const { return num_docs_; }
-  size_t term_count() const { return lists_.size(); }
+  size_t term_count() const { return lists_->size(); }
   int impact_bits() const { return impact_bits_; }
 
   /// \brief The postings of `term`, or nullptr if the term is unindexed.
+  ///        Valid while this index (for a served index: its epoch) is alive.
   const std::vector<Posting>* postings(wordnet::TermId term) const;
+
+  /// \brief The shared term map, for building successors that reuse it.
+  const std::shared_ptr<const ListMap>& lists() const { return lists_; }
 
   /// \brief Document frequency f_t (inverted-list length).
   size_t ListLength(wordnet::TermId term) const;
@@ -73,7 +87,7 @@ class InvertedIndex {
 
  private:
   size_t num_docs_;
-  std::unordered_map<wordnet::TermId, std::vector<Posting>> lists_;
+  std::shared_ptr<const ListMap> lists_;
   int impact_bits_;
 };
 

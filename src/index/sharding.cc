@@ -1,7 +1,7 @@
 #include "index/sharding.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <memory>
 
 #include "common/answer_path.h"
 
@@ -92,14 +92,22 @@ Result<ShardedIndex> ShardedIndex::Build(const InvertedIndex& index,
   const size_t shards = options.shard_count;
   const size_t num_docs = index.document_count();
 
-  std::vector<std::unordered_map<wordnet::TermId, std::vector<Posting>>>
-      shard_lists(shards);
-  for (wordnet::TermId term : index.IndexedTerms()) {
-    const std::vector<Posting>* list = index.postings(term);
+  std::vector<std::shared_ptr<ListMap>> shard_lists(shards);
+  for (auto& lists : shard_lists) lists = std::make_shared<ListMap>();
+  // Per-shard fragments of the current term's list, reused across terms;
+  // each is copied out at its exact length.
+  std::vector<std::vector<Posting>> fragments(shards);
+  for (const auto& [term, list] : *index.lists()) {
     for (const Posting& p : *list) {
       // A stable split: each shard's fragment keeps the monolithic
       // (impact desc, doc asc) order, so MergeShardPostings inverts it.
-      shard_lists[ShardOfDoc(p.doc, num_docs, options)][term].push_back(p);
+      fragments[ShardOfDoc(p.doc, num_docs, options)].push_back(p);
+    }
+    for (size_t s = 0; s < shards; ++s) {
+      if (fragments[s].empty()) continue;
+      shard_lists[s]->emplace(
+          term, std::make_shared<const std::vector<Posting>>(fragments[s]));
+      fragments[s].clear();
     }
   }
 

@@ -1,8 +1,11 @@
 #include "index/builder.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,169 @@
 
 namespace embellish::index {
 namespace {
+
+// The straightforward build the two-pass BuildIndex must reproduce bit for
+// bit: std::map term counts per document, every real-valued impact staged,
+// quantized once the maximum is known, and each list stably sorted by
+// impact alone (postings were appended in doc order, so ties stay doc-asc).
+using StagedLists =
+    std::map<wordnet::TermId, std::vector<std::pair<corpus::DocId, double>>>;
+
+template <typename DocFrequency>
+StagedLists StageReference(const std::vector<corpus::Document>& docs,
+                           uint64_t num_docs, double avg_doc_len,
+                           const DocFrequency& doc_frequency,
+                           const IndexBuildOptions& options) {
+  StagedLists staged;
+  for (const corpus::Document& doc : docs) {
+    std::map<wordnet::TermId, uint32_t> tf;
+    for (wordnet::TermId t : doc.tokens) ++tf[t];
+    double w_d = 1.0;
+    if (options.scoring == ScoringModel::kCosine) {
+      double norm_sq = 0.0;
+      for (const auto& [term, f_dt] : tf) {
+        double w = DocTermWeight(f_dt);
+        norm_sq += w * w;
+      }
+      w_d = std::sqrt(norm_sq);
+    }
+    for (const auto& [term, f_dt] : tf) {
+      double p_dt =
+          options.scoring == ScoringModel::kCosine
+              ? DocTermWeight(f_dt) *
+                    TermWeight(num_docs, doc_frequency(term)) / w_d
+              : Bm25Impact(num_docs, doc_frequency(term), f_dt,
+                           static_cast<double>(doc.tokens.size()),
+                           avg_doc_len, options.bm25);
+      staged[term].emplace_back(doc.id, p_dt);
+    }
+  }
+  return staged;
+}
+
+double MaxStagedImpact(const StagedLists& staged) {
+  double max_impact = 0.0;
+  for (const auto& [term, list] : staged) {
+    for (const auto& [doc, impact] : list) {
+      max_impact = std::max(max_impact, impact);
+    }
+  }
+  return max_impact;
+}
+
+std::map<wordnet::TermId, std::vector<Posting>> QuantizeReference(
+    const StagedLists& staged, const ImpactQuantizer& quantizer) {
+  std::map<wordnet::TermId, std::vector<Posting>> lists;
+  for (const auto& [term, list] : staged) {
+    std::vector<Posting>& out = lists[term];
+    for (const auto& [doc, impact] : list) {
+      out.push_back(Posting{doc, quantizer.Quantize(impact)});
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Posting& a, const Posting& b) {
+                       return a.impact > b.impact;
+                     });
+  }
+  return lists;
+}
+
+// The number of adjacent equal-impact pairs across `lists`.
+template <typename Lists>
+size_t CountImpactTies(const Lists& lists) {
+  size_t ties = 0;
+  for (const auto& [term, list] : lists) {
+    for (size_t i = 1; i < list.size(); ++i) {
+      ties += list[i - 1].impact == list[i].impact;
+    }
+  }
+  return ties;
+}
+
+class IndexBuilderReferenceTest
+    : public ::testing::TestWithParam<std::tuple<ScoringModel, int>> {
+ protected:
+  IndexBuildOptions Options() const {
+    IndexBuildOptions options;
+    options.scoring = std::get<0>(GetParam());
+    options.impact_bits = std::get<1>(GetParam());
+    return options;
+  }
+};
+
+TEST_P(IndexBuilderReferenceTest, BuildIndexMatchesTheStagedBuild) {
+  auto lex = testutil::SmallSyntheticLexicon(1500);
+  auto corp = testutil::SmallCorpus(lex, 200);
+  // Repeated tokens exercise f_dt > 1 in both models.
+  size_t repeating_docs = 0;
+  for (const corpus::Document& doc : corp.documents()) {
+    std::set<wordnet::TermId> distinct(doc.tokens.begin(), doc.tokens.end());
+    repeating_docs += distinct.size() < doc.tokens.size();
+  }
+  ASSERT_GT(repeating_docs, 0u);
+
+  const IndexBuildOptions options = Options();
+  auto out = BuildIndex(corp, options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+  const StagedLists staged = StageReference(
+      corp.documents(), corp.document_count(),
+      static_cast<double>(corp.TotalTokens()) /
+          static_cast<double>(corp.document_count()),
+      [&](wordnet::TermId t) { return corp.DocumentFrequency(t); }, options);
+  const double max_impact = MaxStagedImpact(staged);
+  EXPECT_EQ(out->max_real_impact, max_impact);  // exact, not near
+  auto quantizer = ImpactQuantizer::Create(options.impact_bits, max_impact);
+  ASSERT_TRUE(quantizer.ok());
+  const auto expected = QuantizeReference(staged, *quantizer);
+
+  ASSERT_EQ(out->index.term_count(), expected.size());
+  for (const auto& [term, list] : expected) {
+    const std::vector<Posting>* got = out->index.postings(term);
+    ASSERT_NE(got, nullptr) << "term " << term;
+    EXPECT_EQ(*got, list) << "term " << term;
+  }
+  // The comparison covered the doc-asc order of equal impacts.
+  EXPECT_GT(CountImpactTies(expected), 0u);
+}
+
+TEST_P(IndexBuilderReferenceTest, DeltaListsMatchTheStagedBuild) {
+  auto lex = testutil::SmallSyntheticLexicon(1500);
+  auto corp = testutil::SmallCorpus(lex, 120);
+  const IndexBuildOptions options = Options();
+  auto out = BuildIndex(corp, options);
+  ASSERT_TRUE(out.ok());
+  const FrozenCorpusStats stats = CaptureCorpusStats(corp);
+
+  // Fresh documents numbered past the corpus, some over unseen terms.
+  auto more = testutil::SmallCorpus(lex, 12, 99);
+  std::vector<corpus::Document> docs = more.documents();
+  for (size_t i = 0; i < docs.size(); ++i) {
+    docs[i].id = static_cast<corpus::DocId>(corp.document_count() + i);
+  }
+  docs[0].tokens.push_back(9999991);
+  docs[0].tokens.push_back(9999991);
+
+  auto delta = BuildDeltaLists(docs, stats, out->quantizer, options);
+  ASSERT_TRUE(delta.ok());
+  const auto expected = QuantizeReference(
+      StageReference(docs, stats.num_docs, stats.avg_doc_len,
+                     [&](wordnet::TermId t) {
+                       return stats.DocumentFrequency(t);
+                     },
+                     options),
+      out->quantizer);
+  ASSERT_EQ(delta->size(), expected.size());
+  for (const auto& [term, list] : expected) {
+    ASSERT_EQ(delta->count(term), 1u) << "term " << term;
+    EXPECT_EQ(delta->at(term), list) << "term " << term;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndWidths, IndexBuilderReferenceTest,
+    ::testing::Combine(::testing::Values(ScoringModel::kCosine,
+                                         ScoringModel::kOkapiBM25),
+                       ::testing::Values(8, 3)));
 
 TEST(IndexBuilderTest, ValidatesOptions) {
   auto lex = testutil::SmallSyntheticLexicon(1000);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/answer_path.h"
 #include "index/topk.h"
@@ -154,6 +156,87 @@ TEST_F(IndexEpochTest, DeltaShardsStayConsistentWithTheirMonolith) {
     }
     EXPECT_EQ(seen, mono);
   }
+}
+
+TEST_F(IndexEpochTest, ApplyDeltaSharesUntouchedListsCopyOnWrite) {
+  // Under the default kDocRange partition every delta document lands in the
+  // last shard, so the other shards receive no delta postings at all.
+  auto catalog = MakeCatalog(4);
+  auto base = catalog->Acquire();
+  ASSERT_NE(base->sharded(), nullptr);
+  const size_t last = base->shard_count() - 1;
+
+  // Value copies of every base list, to prove the pinned base unchanged.
+  auto copy_lists = [](const InvertedIndex& index) {
+    std::map<wordnet::TermId, std::vector<Posting>> lists;
+    for (wordnet::TermId term : index.IndexedTerms()) {
+      lists[term] = *index.postings(term);
+    }
+    return lists;
+  };
+  const auto mono_before = copy_lists(base->index());
+  std::vector<std::map<wordnet::TermId, std::vector<Posting>>> shards_before;
+  for (size_t s = 0; s < base->shard_count(); ++s) {
+    shards_before.push_back(copy_lists(base->sharded()->shard(s)));
+  }
+
+  std::vector<corpus::Document> docs = SomeDeltaDocs(6, 53);
+  std::set<wordnet::TermId> touched;
+  for (const corpus::Document& doc : docs) {
+    touched.insert(doc.tokens.begin(), doc.tokens.end());
+  }
+  auto next = catalog->ApplyDelta(std::move(docs));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+
+  // Untouched terms: the very same list object; touched: a fresh merge.
+  auto expect_copy_on_write = [&](const InvertedIndex& before,
+                                  const InvertedIndex& after,
+                                  const std::string& where) {
+    size_t shared = 0;
+    size_t rebuilt = 0;
+    for (wordnet::TermId term : before.IndexedTerms()) {
+      if (touched.count(term) != 0) {
+        EXPECT_NE(after.postings(term), before.postings(term))
+            << where << " term " << term;
+        ++rebuilt;
+      } else {
+        EXPECT_EQ(after.postings(term), before.postings(term))
+            << where << " term " << term;
+        ++shared;
+      }
+    }
+    EXPECT_GT(shared, 0u) << where;
+    EXPECT_GT(rebuilt, 0u) << where;
+  };
+  expect_copy_on_write(base->index(), (*next)->index(), "monolith");
+  expect_copy_on_write(base->sharded()->shard(last),
+                       (*next)->sharded()->shard(last), "last shard");
+  EXPECT_NE((*next)->sharded()->shard(last).lists(),
+            base->sharded()->shard(last).lists());
+  for (size_t s = 0; s < last; ++s) {
+    // No delta postings: the whole term map is shared, so every list is.
+    EXPECT_EQ((*next)->sharded()->shard(s).lists(),
+              base->sharded()->shard(s).lists())
+        << "shard " << s;
+    EXPECT_EQ((*next)->sharded()->shard(s).document_count(),
+              (*next)->index().document_count());
+  }
+
+  // The pinned base still reads exactly what it read before the delta.
+  EXPECT_EQ(copy_lists(base->index()), mono_before);
+  for (size_t s = 0; s < base->shard_count(); ++s) {
+    EXPECT_EQ(copy_lists(base->sharded()->shard(s)), shards_before[s])
+        << "shard " << s;
+  }
+}
+
+TEST_F(IndexEpochTest, ZeroKOnAShardedEpochIsEmpty) {
+  // k = 0 reaches EvaluateTopKEpoch straight from a decoded top-k request;
+  // the skip guard must not read the k-th result of an empty merge.
+  auto catalog = MakeCatalog(4);
+  auto snapshot = catalog->Acquire();
+  ASSERT_NE(snapshot->sharded(), nullptr);
+  EXPECT_TRUE(EvaluateTopKEpoch(*snapshot, SomeTerms(3, 17), 0).empty());
 }
 
 TEST_F(IndexEpochTest, RangePartitionPlacesDeltaDocsInLastShard) {

@@ -1,6 +1,7 @@
 #include "index/topk.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <unordered_map>
 
@@ -12,6 +13,18 @@
 
 namespace embellish::index {
 namespace {
+
+// An index over hand-written lists, each already in PostingOrder.
+InvertedIndex IndexOf(
+    size_t num_docs,
+    std::unordered_map<wordnet::TermId, std::vector<Posting>> lists) {
+  auto shared = std::make_shared<ListMap>();
+  for (auto& [term, list] : lists) {
+    shared->emplace(
+        term, std::make_shared<const std::vector<Posting>>(std::move(list)));
+  }
+  return InvertedIndex(num_docs, std::move(shared), /*impact_bits=*/8);
+}
 
 class TopKTest : public ::testing::Test {
  protected:
@@ -167,7 +180,7 @@ TEST(TopKEarlyTerminationTest, SkewedListsTerminateBeforeDraining) {
   skewed.push_back(Posting{1, 254});
   for (corpus::DocId d = 2; d < 1500; ++d) skewed.push_back(Posting{d, 1});
   lists.emplace(7, std::move(skewed));
-  InvertedIndex index(/*num_docs=*/1500, std::move(lists), /*impact_bits=*/8);
+  InvertedIndex index = IndexOf(/*num_docs=*/1500, std::move(lists));
 
   EvalStats full_stats;
   auto full = EvaluateFull(index, {7}, &full_stats);
@@ -213,7 +226,7 @@ TEST(TopKEarlyTerminationTest, MultiTermSkewAgreesWithFullOnTheSet) {
     }
     lists.emplace(t, std::move(unique));
   }
-  InvertedIndex index(/*num_docs=*/3000, std::move(lists), /*impact_bits=*/8);
+  InvertedIndex index = IndexOf(/*num_docs=*/3000, std::move(lists));
 
   const std::vector<wordnet::TermId> query{0, 1, 2, 3};
   EvalStats full_stats;
@@ -244,7 +257,7 @@ TEST(TopKEarlyTerminationTest, ChecksFireBetweenTheOldSixteenPopIntervals) {
   skewed.push_back(Posting{0, 255});
   for (corpus::DocId d = 1; d < 500; ++d) skewed.push_back(Posting{d, 1});
   lists.emplace(3, std::move(skewed));
-  InvertedIndex index(/*num_docs=*/500, std::move(lists), /*impact_bits=*/8);
+  InvertedIndex index = IndexOf(/*num_docs=*/500, std::move(lists));
 
   // After pop 2: kth_best (doc 0) = 255, best outsider = 1, remaining
   // head bound = 1 → 255 > 1 + 1 settles the top-1 immediately.
@@ -268,7 +281,7 @@ TEST(TopKEarlyTerminationTest, ReEnteringDocKeepsTheSetExact) {
                                         {3, 10}, {4, 9}});
   lists.emplace(1, std::vector<Posting>{{5, 120}, {6, 50}, {7, 40},
                                         {8, 2}, {9, 1}});
-  InvertedIndex index(/*num_docs=*/16, std::move(lists), /*impact_bits=*/8);
+  InvertedIndex index = IndexOf(/*num_docs=*/16, std::move(lists));
 
   const std::vector<wordnet::TermId> query{0, 1};
   auto full = EvaluateFull(index, query);
@@ -294,7 +307,7 @@ TEST(TopKEarlyTerminationTest, ZeroImpactPostingsStillQualifyAsCandidates) {
   std::unordered_map<wordnet::TermId, std::vector<Posting>> lists;
   lists.emplace(0, std::vector<Posting>{{1, 5}, {2, 3}, {7, 0}, {9, 0}});
   lists.emplace(1, std::vector<Posting>{{2, 2}, {7, 0}});
-  InvertedIndex index(/*num_docs=*/16, std::move(lists), /*impact_bits=*/8);
+  InvertedIndex index = IndexOf(/*num_docs=*/16, std::move(lists));
 
   const std::vector<wordnet::TermId> query{0, 1};
   auto full = EvaluateFull(index, query);

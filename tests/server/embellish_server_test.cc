@@ -577,6 +577,27 @@ TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
   EXPECT_EQ(hostile_frame->kind, FrameKind::kError);
 }
 
+TEST_F(EmbellishServerTest, ZeroKTopKOnShardedServerMatchesMonolithic) {
+  // k = 0 decodes as a valid request; the sharded server must answer it with
+  // the monolithic server's empty result rather than crash in the fan-out.
+  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServerOptions shard_options;
+  shard_options.shard_count = 3;
+  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+
+  auto request = EncodeFrame(FrameKind::kTopKQuery, 6,
+                             EncodeTopKQuery(0, SomeTerms(5, 23)));
+  auto mono_resp = mono.HandleFrame(request);
+  EXPECT_EQ(sharded.HandleFrame(request), mono_resp);
+
+  auto frame = DecodeFrame(mono_resp);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->kind, FrameKind::kTopKResult);
+  auto docs = DecodeTopKResult(frame->payload);
+  ASSERT_TRUE(docs.ok());
+  EXPECT_TRUE(docs->empty());
+}
+
 TEST_F(EmbellishServerTest, IdleSessionSweepBoundsKeyMemory) {
   // A registration storm of throwaway ids must not pin Benaloh keys
   // forever: idle sessions expire after session_idle_frames, so the table
