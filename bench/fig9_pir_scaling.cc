@@ -130,8 +130,9 @@ class SeedMontgomery {
 };
 
 // The seed implementation of PirServer::Answer: one GetBit and one fully
-// allocating MontMul per (row, column) pair.
-crypto::PirResponse SeedStyleAnswer(const crypto::PirDatabase& db,
+// allocating MontMul per (row, column) pair, one BigInt per row. It is also
+// the reference every engine answer is checked against, row by row.
+std::vector<BigInt> SeedStyleAnswer(const crypto::PirDatabase& db,
                                     const crypto::PirQuery& query) {
   SeedMontgomery mont(query.n);
   const size_t cols = db.cols();
@@ -141,16 +142,31 @@ crypto::PirResponse SeedStyleAnswer(const crypto::PirDatabase& db,
     q_mont[j] = mont.ToMontgomery(query.q[j]);
     q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
   }
-  crypto::PirResponse response;
-  response.gamma.reserve(db.rows());
+  std::vector<BigInt> gammas;
+  gammas.reserve(db.rows());
   for (size_t i = 0; i < db.rows(); ++i) {
     std::vector<uint64_t> acc = mont.One();
     for (size_t j = 0; j < cols; ++j) {
       acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
     }
-    response.gamma.push_back(mont.FromMontgomery(acc));
+    gammas.push_back(mont.FromMontgomery(acc));
   }
-  return response;
+  return gammas;
+}
+
+// True when the flat answer holds exactly the reference residues, row by
+// row, at the modulus's byte width.
+bool MatchesReference(const crypto::PirResponse& response,
+                      const std::vector<BigInt>& reference,
+                      const crypto::PirQuery& query) {
+  if (response.value_size != (query.n.BitLength() + 7) / 8 ||
+      response.rows() != reference.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < reference.size(); ++i) {
+    if (response.Value(i) != reference[i]) return false;
+  }
+  return true;
 }
 
 struct Measurement {
@@ -177,12 +193,15 @@ int main() {
       (json_path_env != nullptr && *json_path_env != '\0') ? json_path_env
                                                            : "BENCH_pir.json";
 
+  // The dispatched tier, before the kernel sweep below overrides it.
+  const char* kernel_tier = KernelName(SelectedKernel());
   std::printf("== Figure 9: PIR answer engine scaling ==\n");
   std::printf("KeyLen %zu bits, matrix %zu x %zu (%llu modmuls/query), "
-              "%zu trials, hardware threads %u\n\n",
+              "%zu trials, hardware threads %u, kernel %s, %s build\n\n",
               key_bits, rows, cols,
               static_cast<unsigned long long>(rows) * cols, trials,
-              std::thread::hardware_concurrency());
+              std::thread::hardware_concurrency(), kernel_tier,
+              EMBELLISH_BUILD_TYPE);
 
   Rng rng(2026);
   auto db = std::make_shared<crypto::PirDatabase>(rows, cols);
@@ -206,12 +225,12 @@ int main() {
   std::vector<Measurement> results;
 
   // -- Seed-style serial baseline. --
+  std::vector<BigInt> seed_gammas;
   {
     Measurement m{"seed-serial", 1, 1e300, 0};
-    crypto::PirResponse last;
     for (size_t t = 0; t < trials; ++t) {
       Stopwatch sw;
-      last = SeedStyleAnswer(*db, *query);
+      seed_gammas = SeedStyleAnswer(*db, *query);
       m.ms = std::min(m.ms, sw.ElapsedMillis());
     }
     m.mops_per_sec = OpsPerSec(ops, m.ms) / 1e6;
@@ -237,8 +256,12 @@ int main() {
                      response.status().ToString().c_str());
         return 1;
       }
-      // Sanity: every configuration must decode to the target column's
-      // actual bits — a wrong-but-well-formed response fails here.
+      // Sanity: every configuration must hold the seed path's residues and
+      // decode to the target column's actual bits — a wrong-but-well-formed
+      // response fails here.
+      if (!MatchesReference(*response, seed_gammas, *query)) {
+        all_match = false;
+      }
       auto bits = client->DecodeResponse(*response);
       if (!bits.ok() || bits->size() != rows) {
         all_match = false;
@@ -269,7 +292,9 @@ int main() {
                     "1-thread engine no slower than seed path");
   bench::ShapeCheck(seed_ms / widest.ms >= 3.0,
                     "widest engine >= 3x seed throughput");
-  bench::ShapeCheck(all_match, "all responses decode to the target column");
+  bench::ShapeCheck(all_match,
+                    "all responses match the seed residues and decode to "
+                    "the target column");
 
   // -- Cross-query batched sweep: AnswerBatch at Q = 1, 2, 8, 32. --
   // Queries come from several clients (distinct moduli), so each sweep
@@ -339,7 +364,10 @@ int main() {
         point.stats = stats;
       }
       for (size_t i = 0; i < q_width; ++i) {
-        if ((*batch)[i].gamma != serial[i].gamma) batch_identical = false;
+        if ((*batch)[i].value_size != serial[i].value_size ||
+            (*batch)[i].values != serial[i].values) {
+          batch_identical = false;
+        }
       }
     }
     point.ops_per_query =
@@ -384,9 +412,10 @@ int main() {
 
   // -- Kernel tier sweep: the same Q=8 batch and one EncryptBatch, answered
   // at every Montgomery kernel tier this CPU supports (scalar, adx, avx2,
-  // ifma). Responses and ciphertexts must be IDENTICAL across tiers — the
-  // run fails (exit 1) on any divergence — and the table reports per-tier
-  // throughput plus the measured SIMD lane fill. Nonces are drawn serially
+  // ifma). Every tier's responses must hold the seed path's residues row by
+  // row, and ciphertexts must be IDENTICAL across tiers — the run fails
+  // (exit 1) on any divergence — and the table reports per-tier throughput
+  // plus the measured SIMD lane fill. Nonces are drawn serially
   // in message order from a reseeded Rng, so the EncryptBatch comparison is
   // exact, not statistical.
   struct KernelPoint {
@@ -422,7 +451,10 @@ int main() {
 
   const MontKernel restore_kernel = SelectedKernel();
   std::vector<KernelPoint> kernel_points;
-  std::vector<std::vector<bignum::BigInt>> scalar_gammas;
+  std::vector<std::vector<BigInt>> kernel_references;
+  for (const crypto::PirQuery& kq : kernel_queries) {
+    kernel_references.push_back(SeedStyleAnswer(*db, kq));
+  }
   std::vector<crypto::BenalohCiphertext> scalar_cts;
   bool kernels_identical = true;
   for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx,
@@ -470,18 +502,20 @@ int main() {
     }
     point.enc_per_sec = OpsPerSec(kEncMsgs, point.enc_ms);
 
-    if (kernel_points.empty()) {  // scalar tier: the reference outputs
-      for (const auto& resp : last_batch) scalar_gammas.push_back(resp.gamma);
+    for (size_t i = 0; i < last_batch.size(); ++i) {
+      if (!MatchesReference(last_batch[i], kernel_references[i],
+                            kernel_queries[i])) {
+        point.match = false;
+      }
+    }
+    if (kernel_points.empty()) {  // scalar tier: the reference ciphertexts
       scalar_cts = std::move(cts);
     } else {
-      for (size_t i = 0; i < last_batch.size(); ++i) {
-        if (last_batch[i].gamma != scalar_gammas[i]) point.match = false;
-      }
       for (size_t i = 0; i < cts.size(); ++i) {
         if (!(cts[i] == scalar_cts[i])) point.match = false;
       }
-      if (!point.match) kernels_identical = false;
     }
+    if (!point.match) kernels_identical = false;
     kernel_points.push_back(point);
   }
   SetKernelOverride(restore_kernel);
@@ -503,7 +537,8 @@ int main() {
                      "encrypt ms", "enc/s", "vs scalar", "identical"},
                     kernel_rows);
   bench::ShapeCheck(kernels_identical,
-                    "every kernel tier bit-identical to the scalar tier");
+                    "every kernel tier matches the seed residues and the "
+                    "scalar tier's ciphertexts");
   if (!kernels_identical) {
     std::fprintf(stderr, "cross-kernel divergence FAILED\n");
     return 1;
@@ -523,11 +558,13 @@ int main() {
                "  \"cols\": %zu,\n"
                "  \"modmuls_per_query\": %llu,\n"
                "  \"hardware_threads\": %u,\n"
+               "  \"kernel\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n"
                "  \"seed_serial\": {\"ms\": %.3f, \"mops_per_sec\": %.4f},\n"
                "  \"engine\": [\n",
                key_bits, rows, cols, static_cast<unsigned long long>(ops),
-               std::thread::hardware_concurrency(), seed_ms,
-               results[0].mops_per_sec);
+               std::thread::hardware_concurrency(), kernel_tier,
+               EMBELLISH_BUILD_TYPE, seed_ms, results[0].mops_per_sec);
   for (size_t i = 1; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,

@@ -36,26 +36,31 @@ struct ThreadPool::Region {
     return next.load(std::memory_order_relaxed) < end;
   }
 
+  // Runs the claimed chunk [start, stop). Returns whether it completed the
+  // region's final index. After a true return (or after `remaining`
+  // reaches zero) the region may be torn down by the caller, so all
+  // bookkeeping for a chunk happens before that chunk's decrement.
+  bool RunChunk(size_t start, size_t stop) {
+    CpuStopwatch cpu;
+    (*fn)(start, stop);
+    cpu_micros.fetch_add(cpu.ElapsedMicros(), std::memory_order_relaxed);
+    const size_t len = stop - start;
+    if (remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
+      std::lock_guard<std::mutex> lock(done_mu);
+      done = true;
+      done_cv.notify_all();
+      return true;
+    }
+    return false;
+  }
+
   // Drains chunks until the index space is exhausted. Returns whether this
-  // thread completed the region's final index. After a true return (or
-  // after `remaining` reaches zero) the region may be torn down by the
-  // caller, so all bookkeeping for a chunk happens before that chunk's
-  // decrement.
+  // thread completed the region's final index.
   bool Participate() {
     while (true) {
       const size_t start = next.fetch_add(chunk, std::memory_order_relaxed);
       if (start >= end) return false;
-      const size_t stop = std::min(end, start + chunk);
-      CpuStopwatch cpu;
-      (*fn)(start, stop);
-      cpu_micros.fetch_add(cpu.ElapsedMicros(), std::memory_order_relaxed);
-      const size_t len = stop - start;
-      if (remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done = true;
-        done_cv.notify_all();
-        return true;
-      }
+      if (RunChunk(start, std::min(end, start + chunk))) return true;
     }
   }
 };
@@ -185,7 +190,12 @@ double ThreadPool::ParallelFor(size_t begin, size_t end, size_t min_grain,
   region.chunk =
       std::max(min_grain, (n + 4 * participants - 1) / (4 * participants));
   region.fn = &fn;
-  region.next.store(begin, std::memory_order_relaxed);
+  // The caller reserves the first chunk before the region is published:
+  // woken workers can drain every other chunk, never this one, so the
+  // caller always runs part of its own region instead of sleeping on
+  // `done_cv` while its workers are needed elsewhere.
+  const size_t first_stop = std::min(end, begin + region.chunk);
+  region.next.store(first_stop, std::memory_order_relaxed);
   region.remaining.store(n, std::memory_order_relaxed);
 
   // Wake only workers that can actually help: one per chunk beyond the one
@@ -217,7 +227,7 @@ double ThreadPool::ParallelFor(size_t begin, size_t end, size_t min_grain,
   }
   for (size_t i = 0; i < wake; ++i) work_ready_.notify_one();
 
-  if (!region.Participate()) {
+  if (!region.RunChunk(begin, first_stop) && !region.Participate()) {
     std::unique_lock<std::mutex> lock(region.done_mu);
     region.done_cv.wait(lock, [&] { return region.done; });
   }

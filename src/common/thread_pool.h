@@ -8,9 +8,10 @@
 // sub-pools (`shard_threads`) just to keep regions from colliding. This
 // executor removes the limit:
 //
-//   - Each ParallelFor caller enqueues a *region* (an atomic chunk cursor
-//     over [begin, end) plus a grain) onto the executor's active-region
-//     list and immediately starts claiming chunks of its own region.
+//   - Each ParallelFor caller reserves the first chunk of a *region* (an
+//     atomic chunk cursor over [begin, end) plus a grain), enqueues the
+//     region onto the executor's active-region list, runs the reserved
+//     chunk and then claims further chunks of its own region.
 //   - Workers drain the region list round-robin: when the region a worker
 //     is participating in runs out of unclaimed chunks, the worker steals
 //     from the next active region instead of going idle, so concurrent and
@@ -20,11 +21,11 @@
 //     nesting depth is bounded only by the call stack.
 //
 // Blocking semantics are unchanged: ParallelFor returns only when every
-// index of its region has run. The caller always participates, so
-// completion never depends on worker availability — a fully-busy executor
-// degrades to the caller draining its own region inline (losing
-// parallelism, never progress), and a region can never deadlock waiting
-// for a worker.
+// index of its region has run. The caller always participates (its first
+// chunk is reserved before any worker can see the region), so completion
+// never depends on worker availability — a fully-busy executor degrades to
+// the caller draining its own region inline (losing parallelism, never
+// progress), and a region can never deadlock waiting for a worker.
 //
 // Wake-up discipline: registration wakes at most min(idle workers, chunks
 // beyond the caller's first, spare hardware threads) sleepers — zero on a

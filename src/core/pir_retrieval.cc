@@ -195,8 +195,7 @@ Result<std::vector<index::Posting>> PirRetrievalClient::RetrieveList(
   EMB_ASSIGN_OR_RETURN(crypto::PirResponse response,
                        server.Answer(where.bucket, query, costs));
   if (costs != nullptr) {
-    costs->downlink_bytes +=
-        response.WireBytes(pir_client_.key_bytes());
+    costs->downlink_bytes += response.WireBytes();
   }
 
   cpu.Restart();

@@ -167,8 +167,7 @@ Result<std::vector<index::Posting>> RetrieveListSharded(
   fragments.reserve(responses.size());
   for (const crypto::PirResponse& response : responses) {
     if (costs != nullptr) {
-      costs->downlink_bytes +=
-          response.WireBytes(client.pir_client().key_bytes());
+      costs->downlink_bytes += response.WireBytes();
     }
     EMB_ASSIGN_OR_RETURN(std::vector<bool> bits,
                          client.pir_client().DecodeResponse(response));

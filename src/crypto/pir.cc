@@ -76,6 +76,17 @@ size_t PirQuery::WireBytes() const {
   return (1 + q.size()) * key_bytes;
 }
 
+BigInt PirResponse::Value(size_t row) const {
+  assert(row < rows());
+  const uint8_t* bytes = values.data() + row * value_size;
+  std::vector<uint64_t> limbs((value_size + 7) / 8, 0);
+  for (size_t i = 0; i < value_size; ++i) {
+    const size_t pos = value_size - 1 - i;  // significance of bytes[i]
+    limbs[pos / 8] |= static_cast<uint64_t>(bytes[i]) << (8 * (pos % 8));
+  }
+  return BigInt::FromLimbs(std::move(limbs));
+}
+
 Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
   if (key_bits < 128 || key_bits > 4096) {
     return Status::InvalidArgument("key_bits out of supported range");
@@ -145,13 +156,34 @@ Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
 
 Result<std::vector<bool>> PirClient::DecodeResponse(
     const PirResponse& response) const {
+  if (response.value_size == 0 ||
+      response.values.size() % response.value_size != 0) {
+    return Status::Corruption(
+        "PIR response is not a whole number of residues");
+  }
+  const size_t rows = response.rows();
   std::vector<bool> bits;
-  bits.reserve(response.gamma.size());
-  for (const BigInt& g : response.gamma) {
+  bits.reserve(rows);
+  // BuildQuery makes the target residue a non-residue modulo both p1 and p2
+  // and every other residue a square, so an honest gamma is a residue modulo
+  // both primes (bit 0) or a non-residue modulo both (bit 1): Euler's
+  // criterion modulo p1 alone decides the bit. It runs on the scratch tier
+  // and compares against Montgomery one, skipping the conversion back.
+  const bignum::MontgomeryContext& mont = *mont_p1_;
+  const size_t k = mont.limb_count();
+  bignum::MontgomeryContext::Scratch scratch(mont);
+  std::vector<uint64_t> base(k);
+  std::vector<uint64_t> euler(k);
+  for (size_t i = 0; i < rows; ++i) {
+    const BigInt g = response.Value(i);
     if (g.IsZero() || g >= n_) {
       return Status::Corruption("PIR response value outside Z*_n");
     }
-    bits.push_back(!IsQuadraticResidue(g));  // QR => bit 0, QNR => bit 1
+    mont.ToMontgomeryInto(g, base.data(), &scratch);
+    mont.ModExpInto(base.data(), p1_half_, euler.data(), &scratch);
+    // Euler's criterion: g^((p1-1)/2) == 1 iff g is a QR mod p1.
+    bits.push_back(!std::equal(euler.begin(), euler.end(),
+                               mont.One().begin()));
   }
   return bits;
 }
@@ -446,6 +478,27 @@ struct LaneSweepState {
   std::vector<uint64_t> plain;
 };
 
+// Stores row `row`'s residue, `plain` as little-endian limbs, into the
+// response's flat buffer as value_size big-endian bytes. The residue is below
+// the modulus, so value_size = ceil(bits(n) / 8) bytes hold it exactly: the
+// bytes BigInt::ToBigEndianBytesPadded(value_size) would produce.
+void StoreRow(const uint64_t* plain, size_t row, PirResponse* response) {
+  const size_t width = response->value_size;
+  const size_t whole = width / 8;  // limbs stored in full
+  uint8_t* out = response->values.data() + row * width;
+  // The bytes of a partial top limb first, then whole limbs, most
+  // significant first (the byte loop compiles to a swap and one store).
+  for (size_t pos = width; pos > 8 * whole;) {
+    --pos;
+    *out++ = static_cast<uint8_t>(plain[pos / 8] >> (8 * (pos % 8)));
+  }
+  for (size_t l = whole; l-- > 0; out += 8) {
+    for (int b = 0; b < 8; ++b) {
+      out[b] = static_cast<uint8_t>(plain[l] >> (56 - 8 * b));
+    }
+  }
+}
+
 // One pass over the bit matrix answering every member query: each row is
 // extracted exactly once and each member's per-query state (subset tables or
 // factor chain) is consulted against it. Rows are the parallel axis; all
@@ -534,8 +587,7 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
         }
         lane.FromMontgomery(st.acc, outp, &st.scratch);
         for (size_t l = 0; l < group.members.size(); ++l) {
-          responses[group.members[l]].gamma[i] = bignum::BigInt::FromLimbs(
-              std::vector<uint64_t>(outp[l], outp[l] + k));
+          StoreRow(outp[l], i, &responses[group.members[l]]);
         }
       }
       for (size_t mi = 0; mi < members.size(); ++mi) {
@@ -568,10 +620,8 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
           mont.MontMulSelectInto(plan.factors.data(), row_words.data(), cols,
                                  acc.data(), scratch);
         }
-        plain.resize(k);
         mont.FromMontgomeryInto(acc.data(), plain.data(), scratch);
-        responses[members[mi]].gamma[i] =
-            bignum::BigInt::FromLimbs(std::move(plain));
+        StoreRow(plain.data(), i, &responses[members[mi]]);
       }
     }
   };
@@ -651,7 +701,8 @@ Result<std::vector<PirResponse>> PirServer::AnswerBatch(
     members.reserve(end - begin);
     for (size_t m = begin; m < end; ++m) {
       members.push_back(m);
-      responses[m].gamma.resize(rows);
+      responses[m].value_size = (queries[m]->n.BitLength() + 7) / 8;
+      responses[m].values.resize(rows * responses[m].value_size);
     }
 
     // Same-width members pair up into SIMD lane groups; leftovers (and every

@@ -73,12 +73,27 @@ struct PirQuery {
   size_t WireBytes() const;
 };
 
-/// \brief PIR response: one residue per database row.
+/// \brief PIR response: one residue gamma_i per database row, stored flat.
+///
+/// `values` holds rows * value_size bytes, row-major, each residue
+/// big-endian and zero-padded to `value_size` = ceil(bits(n) / 8) bytes —
+/// exactly the bytes the wire carries after the response header. The answer
+/// sweep writes every residue straight into this buffer, so a response is
+/// one allocation however many rows it has.
 struct PirResponse {
-  std::vector<bignum::BigInt> gamma;  // size = rows
+  size_t value_size = 0;        ///< bytes per residue
+  std::vector<uint8_t> values;  ///< rows() * value_size bytes
 
-  /// \brief Wire size in bytes given the query's key length.
-  size_t WireBytes(size_t key_bytes) const { return gamma.size() * key_bytes; }
+  /// \brief Number of residues; 0 when value_size is 0.
+  size_t rows() const {
+    return value_size == 0 ? 0 : values.size() / value_size;
+  }
+
+  /// \brief Residue `row` as an integer; `row` must be below rows().
+  bignum::BigInt Value(size_t row) const;
+
+  /// \brief Wire size in bytes of the residues (KeyLen bits per row).
+  size_t WireBytes() const { return values.size(); }
 };
 
 /// \brief Client side: key state, query generation, response decoding.
@@ -90,7 +105,9 @@ class PirClient {
   /// \brief Builds a query for column `target_col` of a `cols`-wide database.
   Result<PirQuery> BuildQuery(size_t target_col, size_t cols, Rng* rng) const;
 
-  /// \brief Decodes the response into the target column's bits.
+  /// \brief Decodes the response into the target column's bits. Corruption
+  ///        when a residue lies outside (0, n), or when the buffer is not a
+  ///        whole number of `value_size`-byte residues.
   Result<std::vector<bool>> DecodeResponse(const PirResponse& response) const;
 
   size_t key_bytes() const { return (n_.BitLength() + 7) / 8; }
@@ -149,7 +166,8 @@ struct PirBatchStats {
 /// Each row's gamma is an independent product, so Answer parallelizes across
 /// rows when a thread pool is supplied: every worker owns a Montgomery
 /// scratch, a row-word buffer and an accumulator, and the inner column loop
-/// performs zero heap allocations per modular multiplication.
+/// performs zero heap allocations per modular multiplication. Each finished
+/// row is stored once, big-endian, into the response's flat buffer.
 ///
 /// AnswerBatch answers Q queries in one matrix x matrix sweep: each row of
 /// the bit matrix is extracted once and every query's per-column state

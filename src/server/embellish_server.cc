@@ -479,43 +479,18 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
   }
 
   RequestOutcome outcome;
-  // PIR answers depend only on the payload (the modulus travels inside it),
-  // never on any registered key, so entries are keyed *globally* — session
-  // and registration-epoch components pinned to zero — and one session's
-  // answer serves every session that replays the same payload. Because the
-  // response frame header embeds the requester's session id, the cache
-  // stores the response payload and the frame is rebuilt per request:
-  // bit-identical bytes for the same session, correctly addressed for every
-  // other. Per-shard answers still occupy distinct entries because the
-  // payload embeds the shard-qualified bucket field, and the database epoch
-  // in the key keeps answers from crossing a delta/reshard cutover (a PIR
-  // answer is a function of the epoch's exact shard layout). (PR entries,
-  // by contrast, stay keyed by session *and* registration epoch — their
-  // ciphertexts are bound to the session's key.)
-  std::string key;
-  if (cache_.enabled()) {
-    key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),
-                                 /*session_id=*/0, /*epoch=*/0,
-                                 engines.epoch->epoch(), frame.payload);
-    std::vector<uint8_t> cached_payload;
-    if (cache_.Get(key, &cached_payload)) {
-      outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
-                                     cached_payload);
-      outcome.delta.pir_queries = 1;
-      return outcome;
-    }
-  }
-
-  // Batched dispatch: park the decoded, cache-missed query; the batch's
-  // phase 2 answers every parked query of this shard in one shared sweep
-  // and fills the response slot (and the cache entry) then. The collector
-  // mutex guards only this queue admission — no answer compute happens
-  // under any server-level lock any more.
+  // PIR answers are never cached: every KO-PIR query carries fresh random
+  // residues, so a stored answer could hit only on a byte-exact replay while
+  // pinning one residue per matrix row.
+  //
+  // Batched dispatch: park the decoded query; the batch's phase 2 answers
+  // every parked query of this shard in one shared sweep and fills the
+  // response slot then. The collector mutex guards only this queue
+  // admission — no answer compute happens under any server-level lock.
   if (collector != nullptr) {
     std::lock_guard<std::mutex> lock(collector->mu);
     collector->pending.push_back(PendingPir{slot, frame.session_id, shard,
-                                            bucket, std::move(*payload),
-                                            std::move(key)});
+                                            bucket, std::move(*payload)});
     outcome.deferred = true;
     return outcome;
   }
@@ -529,12 +504,8 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
               : engines.pir->Answer(bucket, payload->query, &costs);
   if (!response.ok()) return ErrorOutcome(frame.session_id, response.status());
 
-  const size_t value_size = (payload->query.n.BitLength() + 7) / 8;
-  std::vector<uint8_t> response_payload =
-      EncodePirResponse(*response, value_size);
   outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
-                                 response_payload);
-  if (cache_.enabled()) cache_.Put(key, std::move(response_payload));
+                                 EncodePirResponse(*response));
   outcome.delta.pir_queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;
@@ -561,19 +532,12 @@ void EmbellishServer::AnswerDeferredPir(
     groups.emplace_back(shard, std::move(indices));
   }
 
-  // Finish one deferred query: rebuild its per-session response frame from
-  // the gamma vector, fill the global cache, and account the downlink the
-  // dispatch pass could not see.
-  auto finalize = [&](PendingPir& p, const crypto::PirResponse& response,
+  // Finish one deferred query: frame its flat answer for the requesting
+  // session and account the downlink the dispatch pass could not see.
+  auto finalize = [&](const PendingPir& p, const crypto::PirResponse& response,
                       ServerStats* delta) {
-    const size_t value_size = (p.payload.query.n.BitLength() + 7) / 8;
-    std::vector<uint8_t> response_payload =
-        EncodePirResponse(response, value_size);
     (*responses)[p.slot] = EncodeFrame(FrameKind::kPirResult, p.session_id,
-                                       response_payload);
-    if (cache_.enabled() && !p.cache_key.empty()) {
-      cache_.Put(p.cache_key, std::move(response_payload));
-    }
+                                       EncodePirResponse(response));
     delta->pir_queries += 1;
     delta->downlink_bytes += (*responses)[p.slot].size();
   };
@@ -646,8 +610,10 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleTopK(
   if (!query.ok()) return ErrorOutcome(frame.session_id, query.status());
 
   RequestOutcome outcome;
-  // Plaintext top-k is session-independent, so it shares the global keying
-  // (and per-request re-framing) the PIR path uses.
+  // Plaintext top-k is session-independent, so its entries are keyed
+  // globally (session and registration epoch pinned to zero) and hold the
+  // response payload, re-framed per requester: one session's answer serves
+  // every session replaying the same payload.
   std::string key;
   if (cache_.enabled()) {
     key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),

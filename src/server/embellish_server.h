@@ -20,7 +20,10 @@
 // losers inline. Batches of one or two requests skip the fan-out entirely —
 // region bookkeeping costs more than it buys at that size. A bucket-set
 // keyed response cache (see response_cache.h) short-circuits the recurring
-// co-bucket decoy sets that session-consistent embellishment produces.
+// co-bucket decoy sets that session-consistent embellishment produces, and
+// replayed plaintext top-k queries. PIR answers are never cached: every
+// KO-PIR query carries fresh random residues, so an answer could hit only on
+// a byte-exact replay while pinning one residue per matrix row.
 //
 // Sharding (options.shard_count > 1): the index is document-partitioned
 // into N shards (index/sharding.h) and queries are answered by the sharded
@@ -30,19 +33,19 @@
 // monolithic server's. PIR requests address one (shard, bucket) pair: the
 // frame's bucket field carries shard * bucket_count + bucket, shards answer
 // independently (and concurrently — the engines' lazy matrix caches are
-// internally synchronized), and cache entries are keyed per shard.
+// internally synchronized).
 //
 // Batched PIR (PR 9): HandleBatch answers the PIR frames of one dispatched
-// batch in shared sweeps. The dispatch pass defers every decoded,
-// cache-missed kPirQuery into a per-batch collector instead of computing it
-// inline; the batch then groups the deferred queries by (database epoch,
-// shard) — the epoch is the batch's single pinned snapshot, so within a
-// batch the grouping key is the shard, and frames that arrive around a
-// cutover land in different batches and therefore different groups — and
-// answers each group through core::PirRetrievalServer::AnswerBatch: each
-// bucket matrix is swept once for all of the group's queries
-// (crypto::PirServer::AnswerBatch extracts each row once), and the
-// per-session response frames are rebuilt from the per-query gammas. The
+// batch in shared sweeps. The dispatch pass defers every decoded kPirQuery
+// into a per-batch collector instead of computing it inline; the batch then
+// groups the deferred queries by (database epoch, shard) — the epoch is the
+// batch's single pinned snapshot, so within a batch the grouping key is the
+// shard, and frames that arrive around a cutover land in different batches
+// and therefore different groups — and answers each group through
+// core::PirRetrievalServer::AnswerBatch: each bucket matrix is swept once
+// for all of the group's queries (crypto::PirServer::AnswerBatch extracts
+// each row once and writes each residue once into its query's flat answer),
+// and each answer is framed for its own session, sent and dropped. The
 // per-shard mutex that used to serialize whole answer computations is gone;
 // what remains serialized is queue admission into the collector and the
 // matrix caches' lazy builds. Every response stays bit-identical to
@@ -102,7 +105,8 @@ struct AsyncFrontEndOptions;
 
 /// \brief Server construction knobs.
 struct EmbellishServerOptions {
-  /// Response-cache capacity in entries; 0 disables caching.
+  /// Response-cache capacity in entries; 0 disables caching. PR and
+  /// plaintext top-k answers are cached; PIR answers never are.
   size_t cache_capacity = 1024;
 
   /// Response-cache budget in bytes (keys embed request payloads, so entry
@@ -351,7 +355,7 @@ class EmbellishServer {
   };
 
   // One dispatched batch's deferred PIR work: the dispatch pass parks every
-  // decoded, cache-missed kPirQuery here, and the batch answers them in
+  // decoded kPirQuery here, and the batch answers them in
   // shared per-(epoch, shard) sweeps afterwards. The mutex guards queue
   // admission only — the one residue of the per-shard serialization that
   // used to span whole answer computations.
@@ -361,7 +365,6 @@ class EmbellishServer {
     size_t shard = 0;
     size_t bucket = 0;        // shard-local
     PirQueryPayload payload;  // owns the decoded query
-    std::string cache_key;    // empty when the cache is off
   };
   struct PirBatchCollector {
     std::mutex mu;

@@ -325,15 +325,12 @@ Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload) {
   return out;
 }
 
-std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response,
-                                       size_t value_size) {
+std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response) {
   std::vector<uint8_t> out;
-  out.reserve(8 + response.gamma.size() * value_size);
-  PutU32(&out, static_cast<uint32_t>(value_size));
-  PutU32(&out, static_cast<uint32_t>(response.gamma.size()));
-  for (const bignum::BigInt& g : response.gamma) {
-    PutPaddedBigInt(&out, g, value_size);
-  }
+  out.reserve(8 + response.values.size());
+  PutU32(&out, static_cast<uint32_t>(response.value_size));
+  PutU32(&out, static_cast<uint32_t>(response.rows()));
+  out.insert(out.end(), response.values.begin(), response.values.end());
   return out;
 }
 
@@ -350,12 +347,11 @@ Result<crypto::PirResponse> DecodePirResponse(
         "PIR response declares %u residues but holds %zu payload bytes",
         count, reader.remaining()));
   }
+  // The bound above makes count * value_size <= remaining(): no wrap.
   crypto::PirResponse out;
-  out.gamma.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    EMB_ASSIGN_OR_RETURN(bignum::BigInt g, reader.ReadBigInt(value_size));
-    out.gamma.push_back(std::move(g));
-  }
+  out.value_size = value_size;
+  EMB_ASSIGN_OR_RETURN(out.values,
+                       reader.ReadBytes(size_t{count} * value_size));
   EMB_RETURN_NOT_OK(reader.ExpectDone());
   return out;
 }

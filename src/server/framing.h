@@ -129,9 +129,12 @@ struct PirQueryPayload {
 };
 Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload);
 
-/// \brief PIR response payload: [u32 value_size][u32 row_count][gamma...].
-std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response,
-                                       size_t value_size);
+/// \brief PIR response payload: [u32 value_size][u32 row_count][gamma...],
+///        every gamma a big-endian residue padded to value_size bytes — the
+///        response's flat buffer, copied once. Decoding checks the header
+///        against the bytes present (value_size > 0, exactly row_count
+///        residues) and copies the residues once.
+std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response);
 Result<crypto::PirResponse> DecodePirResponse(
     const std::vector<uint8_t>& payload);
 

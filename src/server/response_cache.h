@@ -51,16 +51,13 @@ class ResponseCache {
   ///        cache generations that identical request bytes must not cross —
   ///        the server passes the session's registration epoch so responses
   ///        encrypted under a superseded public key are never replayed after
-  ///        a re-hello. Session-independent answers (PIR executions and
-  ///        plaintext top-k, which never touch a registered key) pin both
-  ///        `session_id` and `epoch` to zero so one session's entry serves
-  ///        every session replaying the same payload; those paths cache the
-  ///        response payload and rebuild the frame per request, because the
-  ///        frame header embeds the requester's session id. On a sharded
-  ///        server the entries are keyed per shard through the payload
-  ///        itself: a kPirQuery payload embeds the shard-qualified bucket
-  ///        field, so per-shard answers occupy distinct entries without any
-  ///        extra key component.
+  ///        a re-hello. Plaintext top-k answers never touch a registered
+  ///        key, so they pin both `session_id` and `epoch` to zero: one
+  ///        session's entry serves every session replaying the same payload.
+  ///        That path caches the response payload and rebuilds the frame per
+  ///        request, because the frame header embeds the requester's session
+  ///        id. (PIR answers are not cached at all: each KO-PIR query carries
+  ///        fresh random residues, so its answer could hit only on a replay.)
   ///
   ///        `database_epoch` is the orthogonal second generation axis: the
   ///        IndexCatalog epoch the answer was computed against. A delta or

@@ -145,6 +145,69 @@ TEST(ThreadPoolStressTest, WorkersStealAcrossConcurrentCallersRegions) {
   EXPECT_EQ(ran.load(), 4);
 }
 
+TEST(ThreadPoolStressTest, WorkersStealAcrossStaggeredCallersRegions) {
+  // The staggered variant: the second caller registers 10 ms after the
+  // first, once both workers have had time to wake into the first region.
+  // Completion still needs one worker in each region. It holds because a
+  // caller reserves its first chunk before publishing its region: the two
+  // workers cannot both be absorbed by the first region, and its caller is
+  // never left asleep while its region's last chunk waits for a worker.
+  ThreadPool pool(2);
+  TestLatch all_four(4);
+  std::atomic<int> ran{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      if (c == 1) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      pool.ParallelFor(0, 2, 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          EXPECT_TRUE(all_four.ArriveAndWait())
+              << "staggered cross-region barrier timed out";
+          ran.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ThreadPoolStressTest, CallerRunsTheFirstIndexOfEveryRegion) {
+  // Regression: ParallelFor used to publish its region and wake workers
+  // before the caller claimed a chunk, so awake workers could take every
+  // chunk and leave the caller asleep on its own region. The caller now
+  // reserves its first chunk before publishing, so index `begin` runs on
+  // the caller's thread in every region — here while two background
+  // callers keep every worker cycling between regions.
+  ThreadPool pool(4);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> background;
+  for (int b = 0; b < 2; ++b) {
+    background.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        pool.ParallelFor(0, 64, 1, [](size_t, size_t) {});
+      }
+    });
+  }
+  constexpr size_t kRegions = 2000;
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t shut_out = 0;
+  for (size_t r = 0; r < kRegions; ++r) {
+    const size_t begin = 2 * r;
+    std::atomic<bool> caller_ran_begin{false};
+    pool.ParallelFor(begin, begin + 2, 1, [&](size_t b, size_t) {
+      if (b == begin && std::this_thread::get_id() == caller) {
+        caller_ran_begin.store(true, std::memory_order_relaxed);
+      }
+    });
+    if (!caller_ran_begin.load(std::memory_order_relaxed)) ++shut_out;
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : background) t.join();
+  EXPECT_EQ(shut_out, 0u) << "regions of " << kRegions
+                          << " whose caller did not run index begin";
+}
+
 TEST(ThreadPoolStressTest, BlockedRegionDoesNotStarveOtherCallers) {
   // Fairness/starvation: one caller's region parks every thread it can get
   // on a flag; a second caller must still push many small regions through

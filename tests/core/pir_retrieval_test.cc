@@ -226,11 +226,8 @@ TEST(PirRetrievalTest, AnswerBatchMatchesPerItemAnswers) {
     auto serial = p.server->Answer(items[i].bucket, queries[i], &serial_costs);
     ASSERT_TRUE(serial.ok());
     buckets_seen[items[i].bucket]++;
-    ASSERT_EQ((*batch)[i].gamma.size(), serial->gamma.size());
-    for (size_t r = 0; r < serial->gamma.size(); ++r) {
-      ASSERT_EQ((*batch)[i].gamma[r], serial->gamma[r])
-          << "item " << i << " row " << r;
-    }
+    ASSERT_EQ((*batch)[i].value_size, serial->value_size);
+    ASSERT_EQ((*batch)[i].values, serial->values) << "item " << i;
   }
   // Serial answers charge one bucket fetch per query; the batch charges one
   // per distinct bucket.

@@ -33,10 +33,10 @@ std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
 }
 
 // The seed implementation of Answer, kept as the reference: one GetBit and
-// one allocating MontMul per (row, column). Independent of the table path
-// and of the batch kernel.
-PirResponse AnswerSerialReference(const PirDatabase& db,
-                                  const PirQuery& query) {
+// one allocating MontMul per (row, column), one BigInt per row. Independent
+// of the table path, of the batch kernel and of the flat answer layout.
+std::vector<BigInt> AnswerSerialReference(const PirDatabase& db,
+                                          const PirQuery& query) {
   auto mont_res = bignum::MontgomeryContext::Create(query.n);
   EXPECT_TRUE(mont_res.ok());
   const bignum::MontgomeryContext& mont = mont_res.value();
@@ -47,15 +47,15 @@ PirResponse AnswerSerialReference(const PirDatabase& db,
     q_mont[j] = mont.ToMontgomery(query.q[j]);
     q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
   }
-  PirResponse response;
+  std::vector<BigInt> gammas;
   for (size_t i = 0; i < db.rows(); ++i) {
     std::vector<uint64_t> acc = mont.One();
     for (size_t j = 0; j < cols; ++j) {
       acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
     }
-    response.gamma.push_back(mont.FromMontgomery(acc));
+    gammas.push_back(mont.FromMontgomery(acc));
   }
-  return response;
+  return gammas;
 }
 
 // Q queries over `cols` columns from a rotating set of clients, so a batch
@@ -90,9 +90,10 @@ void ExpectBatchMatchesSerial(const PirServer& server,
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     auto serial = server.Answer(queries[qi]);
     ASSERT_TRUE(serial.ok());
-    ASSERT_EQ(batch[qi].gamma.size(), serial->gamma.size());
-    for (size_t i = 0; i < serial->gamma.size(); ++i) {
-      ASSERT_EQ(batch[qi].gamma[i], serial->gamma[i])
+    ASSERT_EQ(batch[qi].value_size, serial->value_size);
+    ASSERT_EQ(batch[qi].rows(), serial->rows());
+    for (size_t i = 0; i < serial->rows(); ++i) {
+      ASSERT_EQ(batch[qi].Value(i), serial->Value(i))
           << "query " << qi << " diverged from serial Answer at row " << i;
     }
   }
@@ -119,9 +120,11 @@ TEST(PirBatchTest, BitIdenticalToSerialAnswersAtEveryWidth) {
       EXPECT_EQ(stats.rows_extracted, rows);
       // Every query also matches the seed-style naive reference.
       for (size_t qi = 0; qi < q_count; ++qi) {
-        const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
+        const std::vector<BigInt> reference =
+            AnswerSerialReference(*db, queries[qi]);
+        ASSERT_EQ((*batch)[qi].rows(), rows);
         for (size_t i = 0; i < rows; ++i) {
-          ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i])
+          ASSERT_EQ((*batch)[qi].Value(i), reference[i])
               << "query " << qi << " diverged from reference at row " << i;
         }
       }
@@ -131,22 +134,33 @@ TEST(PirBatchTest, BitIdenticalToSerialAnswersAtEveryWidth) {
 
 TEST(PirBatchTest, MixedKeyLengthsInOneBatch) {
   // Distinct limb widths in one sweep: the worker keeps one scratch per
-  // width and max-width accumulators.
+  // width and max-width accumulators. A 200-bit modulus stores 25-byte
+  // residues, one byte of its top limb ahead of three whole limbs.
   Rng rng(11);
   const size_t rows = 96, cols = 8;
   auto db = RandomDatabase(rows, cols, 13);
   std::vector<PirClient> clients;
-  for (size_t key_bits : {128u, 256u, 384u}) {
+  for (size_t key_bits : {128u, 200u, 256u, 384u}) {
     auto client = PirClient::Create(key_bits, &rng);
     ASSERT_TRUE(client.ok());
     clients.push_back(std::move(client).value());
   }
-  auto queries = MakeQueries(clients, 6, cols, &rng);
+  auto queries = MakeQueries(clients, 8, cols, &rng);
   PirServer server(db);
   auto batch = server.AnswerBatch(
       std::span<const PirQuery>(queries.data(), queries.size()));
   ASSERT_TRUE(batch.ok());
   ExpectBatchMatchesSerial(server, queries, *batch);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    ASSERT_EQ((*batch)[qi].value_size,
+              (queries[qi].n.BitLength() + 7) / 8);
+    const std::vector<BigInt> reference =
+        AnswerSerialReference(*db, queries[qi]);
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ((*batch)[qi].Value(i), reference[i])
+          << "query " << qi << " diverged from reference at row " << i;
+    }
+  }
 }
 
 TEST(PirBatchTest, GateBoundaryAroundOldRowCliff) {
@@ -172,9 +186,11 @@ TEST(PirBatchTest, GateBoundaryAroundOldRowCliff) {
       EXPECT_LT(stats.mont_muls, q_count * rows * cols);
       ExpectBatchMatchesSerial(server, queries, *batch);
       for (size_t qi = 0; qi < q_count; ++qi) {
-        const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
+        const std::vector<BigInt> reference =
+            AnswerSerialReference(*db, queries[qi]);
+        ASSERT_EQ((*batch)[qi].rows(), rows);
         for (size_t i = 0; i < rows; ++i) {
-          ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i]);
+          ASSERT_EQ((*batch)[qi].Value(i), reference[i]);
         }
       }
     }
@@ -259,9 +275,11 @@ TEST(PirBatchTest, BudgetBelowOneTableSetFallsBackToNaivePerQuery) {
   EXPECT_EQ(stats.mont_muls, q_count * rows * cols);
   ExpectBatchMatchesSerial(server, queries, *batch);
   for (size_t qi = 0; qi < q_count; ++qi) {
-    const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
+    const std::vector<BigInt> reference =
+        AnswerSerialReference(*db, queries[qi]);
+    ASSERT_EQ((*batch)[qi].rows(), rows);
     for (size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i]);
+      ASSERT_EQ((*batch)[qi].Value(i), reference[i]);
     }
   }
 }
@@ -291,9 +309,11 @@ TEST(PirBatchTest, EveryKernelTierIsBitIdenticalAndKeepsTheMulFormula) {
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(stats.mont_muls, q_count * (build + rows * per_row));
     for (size_t qi = 0; qi < q_count; ++qi) {
-      const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
+      const std::vector<BigInt> reference =
+          AnswerSerialReference(*db, queries[qi]);
+      ASSERT_EQ((*batch)[qi].rows(), rows);
       for (size_t i = 0; i < rows; ++i) {
-        ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i])
+        ASSERT_EQ((*batch)[qi].Value(i), reference[i])
             << "query " << qi << " diverged from reference at row " << i;
       }
     }

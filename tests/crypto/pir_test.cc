@@ -165,19 +165,105 @@ TEST(PirWireTest, QueryAndResponseSizes) {
   auto query = client->BuildQuery(2, 5, &rng);
   EXPECT_EQ(query->WireBytes(), (1 + 5) * client->key_bytes());
   auto response = server.Answer(*query);
-  EXPECT_EQ(response->WireBytes(client->key_bytes()),
-            64 * client->key_bytes());
+  EXPECT_EQ(response->value_size, client->key_bytes());
+  EXPECT_EQ(response->rows(), 64u);
+  EXPECT_EQ(response->WireBytes(), 64 * client->key_bytes());
+}
+
+// A one-row response holding `v` padded to `width` big-endian bytes.
+PirResponse OneValueResponse(const BigInt& v, size_t width) {
+  PirResponse response;
+  response.value_size = width;
+  response.values = v.ToBigEndianBytesPadded(width);
+  return response;
 }
 
 TEST(PirClientTest, DecodeRejectsCorruptResponse) {
   Rng rng(10);
   auto client = PirClient::Create(128, &rng);
-  PirResponse bad;
-  bad.gamma.push_back(BigInt(0));  // zero is not in Z*_n
-  EXPECT_FALSE(client->DecodeResponse(bad).ok());
-  PirResponse big;
-  big.gamma.push_back(client->n() + BigInt(5));
-  EXPECT_FALSE(client->DecodeResponse(big).ok());
+  ASSERT_TRUE(client.ok());
+  const size_t width = client->key_bytes();
+  // Zero, n itself and the all-ones value lie outside Z*_n.
+  for (const BigInt& v : {BigInt(0), client->n(),
+                          BigInt::PowerOfTwo(8 * width) - BigInt(1)}) {
+    auto bits = client->DecodeResponse(OneValueResponse(v, width));
+    ASSERT_FALSE(bits.ok()) << v.ToHexString();
+    EXPECT_TRUE(bits.status().IsCorruption());
+  }
+  // The rejection holds behind an honest row too.
+  PirResponse second_bad = OneValueResponse(BigInt(4), width);
+  const std::vector<uint8_t> zero(width, 0);
+  second_bad.values.insert(second_bad.values.end(), zero.begin(), zero.end());
+  EXPECT_TRUE(client->DecodeResponse(second_bad).status().IsCorruption());
+
+  // A zero residue width, or a buffer that is not a whole number of
+  // residues, is Corruption rather than a division by zero or a short read.
+  PirResponse no_width = OneValueResponse(BigInt(4), width);
+  no_width.value_size = 0;
+  EXPECT_TRUE(client->DecodeResponse(no_width).status().IsCorruption());
+  PirResponse ragged = OneValueResponse(BigInt(4), width);
+  ragged.values.push_back(0x01);
+  EXPECT_TRUE(client->DecodeResponse(ragged).status().IsCorruption());
+
+  // An empty answer is well formed: no rows, no bits.
+  PirResponse empty;
+  empty.value_size = width;
+  auto none = client->DecodeResponse(empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+// Decodes with Euler's criterion modulo both primes (IsQuadraticResidue):
+// the reference the one-prime decode must agree with on honest answers.
+std::vector<bool> DecodeTwoPrimeReference(const PirClient& client,
+                                          const PirResponse& response) {
+  std::vector<bool> bits;
+  for (size_t i = 0; i < response.rows(); ++i) {
+    bits.push_back(!client.IsQuadraticResidue(response.Value(i)));
+  }
+  return bits;
+}
+
+TEST(PirClientTest, OnePrimeDecodeMatchesTwoPrimeReference) {
+  // An honest gamma is a residue modulo both primes or a non-residue modulo
+  // both, so deciding the bit modulo p1 alone must agree with the two-prime
+  // test and with the database column, over random shapes and key sizes.
+  Rng rng(13);
+  for (size_t key_bits : {128u, 200u, 256u, 384u, 512u}) {
+    auto client = PirClient::Create(key_bits, &rng);
+    ASSERT_TRUE(client.ok());
+    for (size_t trial = 0; trial < 3; ++trial) {
+      const size_t rows = 1 + rng.Uniform(200);
+      const size_t cols = 1 + rng.Uniform(20);
+      auto db = RandomDatabase(rows, cols, key_bits * 10 + trial);
+      const size_t target = rng.Uniform(cols);
+      auto query = client->BuildQuery(target, cols, &rng);
+      ASSERT_TRUE(query.ok());
+      auto response = PirServer(db).Answer(*query);
+      ASSERT_TRUE(response.ok());
+      auto bits = client->DecodeResponse(*response);
+      ASSERT_TRUE(bits.ok());
+      EXPECT_EQ(*bits, DecodeTwoPrimeReference(*client, *response))
+          << "key_bits " << key_bits << " trial " << trial;
+      ASSERT_EQ(bits->size(), rows);
+      for (size_t row = 0; row < rows; ++row) {
+        ASSERT_EQ((*bits)[row], db->GetBit(row, target))
+            << "key_bits " << key_bits << " row " << row;
+      }
+    }
+  }
+}
+
+TEST(PirResponseTest, ValueReadsFixedWidthBigEndianRows) {
+  // Leading zero bytes are padding, not a shorter residue.
+  PirResponse response;
+  response.value_size = 3;
+  response.values = {0x00, 0x00, 0x07, 0x01, 0x02, 0x03, 0x00, 0xFF, 0x00};
+  ASSERT_EQ(response.rows(), 3u);
+  EXPECT_EQ(response.Value(0), BigInt(7));
+  EXPECT_EQ(response.Value(1), BigInt(0x010203));
+  EXPECT_EQ(response.Value(2), BigInt(0xFF00));
+  EXPECT_EQ(response.WireBytes(), 9u);
 }
 
 TEST(PirEndToEndTest, DistinctClientsInteroperate) {

@@ -315,10 +315,8 @@ TEST_F(EmbellishServerTest, PirQueriesThroughTheLoop) {
 
   auto direct_answer = direct.Answer(slot->bucket, *query, nullptr);
   ASSERT_TRUE(direct_answer.ok());
-  ASSERT_EQ(decoded->gamma.size(), direct_answer->gamma.size());
-  for (size_t i = 0; i < decoded->gamma.size(); ++i) {
-    EXPECT_EQ(decoded->gamma[i], direct_answer->gamma[i]);
-  }
+  EXPECT_EQ(decoded->value_size, direct_answer->value_size);
+  EXPECT_EQ(decoded->values, direct_answer->values);
   EXPECT_EQ(server.stats().pir_queries, 1u);
 }
 
@@ -445,7 +443,11 @@ TEST_F(EmbellishServerTest, ShardedPirThroughTheLoopReassemblesTheList) {
   EXPECT_EQ(bad_frame->kind, FrameKind::kError);
 }
 
-TEST_F(EmbellishServerTest, ShardedPirResponsesAreCachedPerShard) {
+TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
+  // PIR answers are never cached, on any shard: a replayed frame is
+  // answered again from the shard's matrix — byte-identical, with no cache
+  // lookup — and the two shards' answers still differ (per-shard matrices
+  // have different row counts).
   EmbellishServerOptions options;
   options.shard_count = 2;
   options.cache_capacity = 64;
@@ -461,26 +463,31 @@ TEST_F(EmbellishServerTest, ShardedPirResponsesAreCachedPerShard) {
       pir_client.BuildQuery(slot->slot, org_.bucket(slot->bucket).size(), &rng);
   ASSERT_TRUE(query.ok());
 
-  // Same query against the two shards: distinct cache entries (the
-  // responses differ — per-shard matrices have different row counts), then
-  // a replay of each hits.
   std::vector<std::vector<uint8_t>> responses;
   for (size_t shard = 0; shard < 2; ++shard) {
     auto request = EncodeFrame(
         FrameKind::kPirQuery, 13,
         EncodePirQuery(server.PirBucketField(shard, slot->bucket), *query));
     responses.push_back(server.HandleFrame(request));
+    const double cpu_before_replay = server.stats().server_cpu_ms;
     EXPECT_EQ(server.HandleFrame(request), responses.back());
+    EXPECT_GT(server.stats().server_cpu_ms, cpu_before_replay)
+        << "shard " << shard << " replay was not recomputed";
   }
+  EXPECT_EQ(DecodeFrame(responses[0])->kind, FrameKind::kPirResult);
   EXPECT_NE(responses[0], responses[1]);
-  EXPECT_EQ(server.stats().cache_hits, 2u);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.pir_queries, 4u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
 }
 
-TEST_F(EmbellishServerTest, PirCacheEntriesAreSharedAcrossSessions) {
-  // PIR answers are session-independent (the modulus travels inside the
-  // payload; no registered key is touched), so the cache keys them
-  // globally: a second session replaying the same payload hits the first
-  // session's entry, and the response frame is re-addressed to it.
+TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
+  // PIR answers depend only on the payload (the modulus travels inside it),
+  // but they are never cached: every KO-PIR query carries fresh random
+  // residues, so a stored answer could serve only a byte-exact replay. A
+  // second session replaying the same payload is answered again — no cache
+  // lookup, the same answer bytes, each frame addressed to its own session.
   EmbellishServerOptions options;
   options.cache_capacity = 64;
   EmbellishServer server(&built_.index, &org_, nullptr, options);
@@ -498,10 +505,15 @@ TEST_F(EmbellishServerTest, PirCacheEntriesAreSharedAcrossSessions) {
 
   auto first = server.HandleFrame(EncodeFrame(FrameKind::kPirQuery, 9,
                                               payload));
-  EXPECT_EQ(server.stats().cache_hits, 0u);
+  const ServerStats after_first = server.stats();
   auto second = server.HandleFrame(EncodeFrame(FrameKind::kPirQuery, 10,
                                                payload));
-  EXPECT_EQ(server.stats().cache_hits, 1u);
+  const ServerStats after_second = server.stats();
+  EXPECT_EQ(after_second.pir_queries, 2u);
+  EXPECT_EQ(after_second.cache_hits, 0u);
+  EXPECT_EQ(after_second.cache_misses, 0u);
+  EXPECT_GT(after_second.server_cpu_ms, after_first.server_cpu_ms)
+      << "the replay was not recomputed";
 
   // Same answer bytes, each frame addressed to its own session.
   auto first_frame = DecodeFrame(first);
@@ -512,25 +524,35 @@ TEST_F(EmbellishServerTest, PirCacheEntriesAreSharedAcrossSessions) {
   EXPECT_EQ(first_frame->session_id, 9u);
   EXPECT_EQ(second_frame->session_id, 10u);
   EXPECT_EQ(first_frame->payload, second_frame->payload);
+}
 
-  // PR entries, by contrast, stay session- and epoch-scoped: replaying one
-  // session's query bytes under another session id misses (and fails — the
-  // ciphertexts are not valid under the other session's key).
+TEST_F(EmbellishServerTest, PrCacheEntriesAreSessionScoped) {
+  // PR entries stay session- and epoch-scoped: replaying one session's
+  // query bytes under another session id misses (and fails — the
+  // ciphertexts are not valid under the other session's key), while the
+  // owning session's replay hits.
+  EmbellishServerOptions options;
+  options.cache_capacity = 64;
+  EmbellishServer server(&built_.index, &org_, nullptr, options);
+
   SessionClient alice = MakeClient(11, 311);
   SessionClient bob = MakeClient(12, 312);
   server.HandleFrame(alice.HelloFrame());
   server.HandleFrame(bob.HelloFrame());
   auto alice_request = alice.QueryFrame(SomeTerms(7, 13));
   ASSERT_TRUE(alice_request.ok());
-  server.HandleFrame(*alice_request);
+  auto alice_answer = server.HandleFrame(*alice_request);
   auto alice_req_frame = DecodeFrame(*alice_request);
   ASSERT_TRUE(alice_req_frame.ok());
   auto replayed = server.HandleFrame(
       EncodeFrame(FrameKind::kQuery, 12, alice_req_frame->payload));
-  EXPECT_EQ(server.stats().cache_hits, 1u);  // no PR cross-session hit
+  EXPECT_EQ(server.stats().cache_hits, 0u);  // no PR cross-session hit
   auto replay_frame = DecodeFrame(replayed);
   ASSERT_TRUE(replay_frame.ok());
-  EXPECT_NE(replayed, server.HandleFrame(*alice_request));
+  EXPECT_NE(replayed, alice_answer);
+
+  EXPECT_EQ(server.HandleFrame(*alice_request), alice_answer);
+  EXPECT_EQ(server.stats().cache_hits, 1u);
 }
 
 TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bignum/montgomery.h"
+#include "common/endian.h"
 #include "common/rng.h"
 
 namespace embellish::server {
@@ -258,20 +260,112 @@ TEST(FramingTest, PirQueryRejectsHostileCounts) {
   }
 }
 
-TEST(FramingTest, PirResponseRoundTrip) {
-  crypto::PirResponse response;
+// The PIR response encoder from before answers were flat, kept as the
+// reference: the header, then one residue per row written through
+// BigInt::ToBigEndianBytesPadded.
+std::vector<uint8_t> ReferencePirResponseEncoding(
+    const std::vector<bignum::BigInt>& gammas, size_t value_size) {
+  std::vector<uint8_t> out;
+  PutU32(&out, static_cast<uint32_t>(value_size));
+  PutU32(&out, static_cast<uint32_t>(gammas.size()));
+  for (const bignum::BigInt& g : gammas) {
+    std::vector<uint8_t> bytes = g.ToBigEndianBytesPadded(value_size);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+// gamma_i = prod_j (b_ij ? q_j : q_j^2) mod n, one row at a time through
+// the allocating BigInt API — independent of the answer engine.
+std::vector<bignum::BigInt> ReferenceGammas(const crypto::PirDatabase& db,
+                                            const crypto::PirQuery& query) {
+  auto mont = bignum::MontgomeryContext::Create(query.n);
+  EXPECT_TRUE(mont.ok());
+  std::vector<bignum::BigInt> gammas;
+  for (size_t i = 0; i < db.rows(); ++i) {
+    bignum::BigInt acc(1);
+    for (size_t j = 0; j < db.cols(); ++j) {
+      const bignum::BigInt& q = query.q[j];
+      acc = mont->Mul(acc, db.GetBit(i, j) ? q : mont->Mul(q, q));
+    }
+    gammas.push_back(std::move(acc));
+  }
+  return gammas;
+}
+
+TEST(FramingTest, PirResponseEncodingMatchesThePerRowEncoder) {
+  // The flat answer must put the same bytes on the wire as padding each
+  // row's BigInt did, including rows whose residue has leading zero bytes
+  // and a 200-bit modulus whose 25-byte residues start inside a limb.
+  // Sixteen columns give each row one of 2^16 residues, so about one row in
+  // 256 starts with a zero byte.
   Rng rng(23);
-  for (int i = 0; i < 9; ++i) {
-    response.gamma.push_back(bignum::BigInt(rng.Uniform(1u << 30)));
+  auto db = std::make_shared<crypto::PirDatabase>(2048, 16);
+  for (size_t i = 0; i < db->rows(); ++i) {
+    for (size_t j = 0; j < db->cols(); ++j) db->SetBit(i, j, rng.Bernoulli(0.5));
   }
-  auto payload = EncodePirResponse(response, 32);
-  auto decoded = DecodePirResponse(payload);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->gamma.size(), response.gamma.size());
-  for (size_t i = 0; i < response.gamma.size(); ++i) {
-    EXPECT_EQ(decoded->gamma[i], response.gamma[i]);
+  for (size_t key_bits : {200u, 256u}) {
+    SCOPED_TRACE(key_bits);
+    auto client = crypto::PirClient::Create(key_bits, &rng);
+    ASSERT_TRUE(client.ok());
+    auto query = client->BuildQuery(1, db->cols(), &rng);
+    ASSERT_TRUE(query.ok());
+    auto response = crypto::PirServer(db).Answer(*query);
+    ASSERT_TRUE(response.ok());
+
+    const std::vector<bignum::BigInt> gammas = ReferenceGammas(*db, *query);
+    const size_t value_size = client->key_bytes();
+    size_t short_rows = 0;
+    for (const bignum::BigInt& g : gammas) {
+      if (g.BitLength() <= 8 * (value_size - 1)) ++short_rows;
+    }
+    ASSERT_GT(short_rows, 0u) << "no residue with a leading zero byte";
+
+    const std::vector<uint8_t> payload = EncodePirResponse(*response);
+    EXPECT_EQ(payload, ReferencePirResponseEncoding(gammas, value_size));
+
+    // The round trip is byte-identical, and re-encodes to the same payload.
+    auto decoded = DecodePirResponse(payload);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->value_size, value_size);
+    EXPECT_EQ(decoded->values, response->values);
+    EXPECT_EQ(EncodePirResponse(*decoded), payload);
   }
-  // Truncation and trailing garbage are rejected.
+}
+
+TEST(FramingTest, PirResponseRejectsHostileHeaders) {
+  crypto::PirResponse response;
+  response.value_size = 32;
+  response.values = SomePayload(9 * 32, 29);
+  const std::vector<uint8_t> payload = EncodePirResponse(response);
+  ASSERT_TRUE(DecodePirResponse(payload).ok());
+
+  auto header = [](uint32_t value_size, uint32_t count, size_t body_bytes) {
+    std::vector<uint8_t> out;
+    PutU32(&out, value_size);
+    PutU32(&out, count);
+    out.resize(out.size() + body_bytes, 0x5A);
+    return out;
+  };
+  // Zero value size would divide by zero if unchecked.
+  EXPECT_TRUE(DecodePirResponse(header(0, 1, 32)).status().IsCorruption());
+  EXPECT_TRUE(DecodePirResponse(header(0, 0, 0)).status().IsCorruption());
+  // A count beyond the residues present.
+  EXPECT_TRUE(DecodePirResponse(header(32, 10, 9 * 32)).status().IsCorruption());
+  EXPECT_TRUE(
+      DecodePirResponse(header(32, UINT32_MAX, 32)).status().IsCorruption());
+  // count * value_size = 0x1'0001'0000 wraps to 0x1'0000 in 32 bits, exactly
+  // the bytes present: only the division bound catches it.
+  EXPECT_TRUE(DecodePirResponse(header(0x10000, 0x10001, 0x10000))
+                  .status()
+                  .IsCorruption());
+  // Truncation inside the header or the residues, and trailing bytes.
+  for (size_t cut : {0u, 3u, 7u, 8u, 40u}) {
+    std::vector<uint8_t> truncated(payload.begin(),
+                                   payload.begin() + static_cast<long>(cut));
+    EXPECT_TRUE(DecodePirResponse(truncated).status().IsCorruption())
+        << "cut=" << cut;
+  }
   std::vector<uint8_t> bad(payload.begin(), payload.end() - 1);
   EXPECT_TRUE(DecodePirResponse(bad).status().IsCorruption());
   bad = payload;
