@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cpuinfo.h"
 #include "embellish.h"
 
 namespace embellish::bench {
@@ -64,6 +66,19 @@ inline void PrintTable(const std::vector<std::string>& header,
 inline void ShapeCheck(bool ok, const std::string& description) {
   std::printf("# shape-check: %s  [%s]\n", description.c_str(),
               ok ? "PASS" : "FAIL");
+}
+
+/// \brief Writes the members every BENCH_*.json records about where it ran:
+///        hardware threads, the dispatched Montgomery kernel tier and the
+///        CMake build type. Each member sits on its own two-space-indented
+///        line ending in a comma, so it goes between other top-level members.
+inline void WriteRunInfo(FILE* f, const char* build_type) {
+  std::fprintf(f,
+               "  \"hardware_threads\": %u,\n"
+               "  \"kernel\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n",
+               std::thread::hardware_concurrency(),
+               KernelName(SelectedKernel()), build_type);
 }
 
 /// \brief The §5.1 fixture: full-scale synthetic lexicon, specificity map,

@@ -411,18 +411,16 @@ int main() {
   }
 
   // -- Kernel tier sweep: the same Q=8 batch and one EncryptBatch, answered
-  // at every Montgomery kernel tier this CPU supports (scalar, adx, avx2,
-  // ifma). Every tier's responses must hold the seed path's residues row by
-  // row, and ciphertexts must be IDENTICAL across tiers — the run fails
-  // (exit 1) on any divergence — and the table reports per-tier throughput
-  // plus the measured SIMD lane fill. Nonces are drawn serially
-  // in message order from a reseeded Rng, so the EncryptBatch comparison is
-  // exact, not statistical.
+  // at every Montgomery kernel tier this CPU supports (scalar, adx). Every
+  // tier's responses must hold the seed path's residues row by row, and
+  // ciphertexts must be IDENTICAL across tiers — the run fails (exit 1) on
+  // any divergence — and the table reports per-tier throughput. Nonces are
+  // drawn serially in message order from a reseeded Rng, so the EncryptBatch
+  // comparison is exact, not statistical.
   struct KernelPoint {
     MontKernel kernel;
     double batch_ms = 1e300;    // AnswerBatch, Q = 8
     double batch_mops = 0;      // mont_muls per second / 1e6
-    double fill = 0;            // PirBatchStats::simd_fill()
     double enc_ms = 1e300;      // EncryptBatch of kEncMsgs messages
     double enc_per_sec = 0;
     bool match = true;          // identical to the scalar tier's outputs
@@ -457,8 +455,7 @@ int main() {
   }
   std::vector<crypto::BenalohCiphertext> scalar_cts;
   bool kernels_identical = true;
-  for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx,
-                            MontKernel::kAvx2, MontKernel::kIfma}) {
+  for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx}) {
     if (ClampToCpu(kernel) != kernel) continue;  // tier above this CPU
     SetKernelOverride(kernel);
     KernelPoint point;
@@ -483,7 +480,6 @@ int main() {
     }
     point.batch_mops =
         OpsPerSec(best_stats.mont_muls, point.batch_ms) / 1e6;
-    point.fill = best_stats.simd_fill();
 
     std::vector<crypto::BenalohCiphertext> cts;
     for (size_t t = 0; t < trials; ++t) {
@@ -527,14 +523,13 @@ int main() {
     kernel_rows.push_back(
         {KernelName(p.kernel), StringPrintf("%.2f", p.batch_ms),
          StringPrintf("%.3f", p.batch_mops),
-         StringPrintf("%.3f", p.fill),
          StringPrintf("%.2f", p.enc_ms),
          StringPrintf("%.1f", p.enc_per_sec),
          StringPrintf("%.3fx", kernel_points[0].batch_ms / p.batch_ms),
          p.match ? "yes" : "NO"});
   }
-  bench::PrintTable({"kernel", "batch ms", "Mmul/s", "lane fill",
-                     "encrypt ms", "enc/s", "vs scalar", "identical"},
+  bench::PrintTable({"kernel", "batch ms", "Mmul/s", "encrypt ms", "enc/s",
+                     "vs scalar", "identical"},
                     kernel_rows);
   bench::ShapeCheck(kernels_identical,
                     "every kernel tier matches the seed residues and the "
@@ -556,15 +551,13 @@ int main() {
                "  \"key_bits\": %zu,\n"
                "  \"rows\": %zu,\n"
                "  \"cols\": %zu,\n"
-               "  \"modmuls_per_query\": %llu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"kernel\": \"%s\",\n"
-               "  \"build_type\": \"%s\",\n"
+               "  \"modmuls_per_query\": %llu,\n",
+               key_bits, rows, cols, static_cast<unsigned long long>(ops));
+  bench::WriteRunInfo(f, EMBELLISH_BUILD_TYPE);
+  std::fprintf(f,
                "  \"seed_serial\": {\"ms\": %.3f, \"mops_per_sec\": %.4f},\n"
                "  \"engine\": [\n",
-               key_bits, rows, cols, static_cast<unsigned long long>(ops),
-               std::thread::hardware_concurrency(), kernel_tier,
-               EMBELLISH_BUILD_TYPE, seed_ms, results[0].mops_per_sec);
+               seed_ms, results[0].mops_per_sec);
   for (size_t i = 1; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,
@@ -594,10 +587,9 @@ int main() {
     std::fprintf(
         f,
         "    {\"name\": \"%s\", \"batch_ms\": %.3f, \"batch_mops_per_sec\": "
-        "%.4f, \"simd_fill\": %.4f, \"encrypt_ms\": %.3f, "
-        "\"encrypts_per_sec\": %.1f, \"speedup_vs_scalar\": %.3f, "
-        "\"identical_to_scalar\": %s}%s\n",
-        KernelName(p.kernel), p.batch_ms, p.batch_mops, p.fill, p.enc_ms,
+        "%.4f, \"encrypt_ms\": %.3f, \"encrypts_per_sec\": %.1f, "
+        "\"speedup_vs_scalar\": %.3f, \"identical_to_scalar\": %s}%s\n",
+        KernelName(p.kernel), p.batch_ms, p.batch_mops, p.enc_ms,
         p.enc_per_sec, kernel_points[0].batch_ms / p.batch_ms,
         p.match ? "true" : "false",
         i + 1 < kernel_points.size() ? "," : "");

@@ -361,12 +361,13 @@ int main() {
                "{\n"
                "  \"bench\": \"fig_coordinator\",\n"
                "  \"queries\": %zu,\n"
-               "  \"key_bits\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
+               "  \"key_bits\": %zu,\n",
+               num_queries, key_bits);
+  bench::WriteRunInfo(f, EMBELLISH_BUILD_TYPE);
+  std::fprintf(f,
                "  \"monolithic_ms\": %.2f,\n"
                "  \"bit_identical\": %s,\n"
                "  \"configs\": [\n",
-               num_queries, key_bits, std::thread::hardware_concurrency(),
                mono_ms, identical ? "true" : "false");
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];

@@ -209,9 +209,9 @@ int main() {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 1;
   }
+  std::fprintf(f, "{\n  \"bench\": \"fig_ingest\",\n");
+  bench::WriteRunInfo(f, EMBELLISH_BUILD_TYPE);
   std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"fig_ingest\",\n"
                "  \"docs\": %zu,\n"
                "  \"reshard_cycles\": %zu,\n"
                "  \"epoch_swaps\": %llu,\n"

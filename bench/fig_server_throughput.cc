@@ -212,10 +212,11 @@ int main() {
                "  \"distinct_per_session\": %zu,\n"
                "  \"key_bits\": %zu,\n"
                "  \"threads\": %zu,\n"
-               "  \"requests\": %zu,\n"
-               "  \"paths\": [\n",
+               "  \"requests\": %zu,\n",
                sessions, queries, pool_size, key_bits, threads,
                load.total_requests);
+  bench::WriteRunInfo(f, EMBELLISH_BUILD_TYPE);
+  std::fprintf(f, "  \"paths\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const PathResult& r = results[i];
     std::fprintf(f,

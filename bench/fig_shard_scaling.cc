@@ -304,10 +304,11 @@ int main() {
                "  \"key_bits\": %zu,\n"
                "  \"pool_threads\": %zu,\n"
                "  \"monolithic_ms\": %.2f,\n"
-               "  \"worst_pooled_vs_serial\": %.3f,\n"
-               "  \"configs\": [\n",
+               "  \"worst_pooled_vs_serial\": %.3f,\n",
                queries.size(), key_bits, threads, mono_ms,
                worst_pooled_vs_serial);
+  bench::WriteRunInfo(f, EMBELLISH_BUILD_TYPE);
+  std::fprintf(f, "  \"configs\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     std::fprintf(f,

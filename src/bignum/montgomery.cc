@@ -103,12 +103,12 @@ void MontMulFixed(const uint64_t* a, const uint64_t* b, const uint64_t* n,
     !defined(EMBELLISH_SANITIZER_BUILD)
 #define EMBELLISH_HAVE_X86_ADX_KERNEL 1
 
-// True when the dispatch ladder selects at least the ADX tier: the CPU has
-// MULX (BMI2) and ADCX/ADOX (ADX), and neither EMBELLISH_KERNEL nor a bench
-// override pinned the process to the scalar tier. The kernel is inline asm,
-// so it needs no compile-time -march flags — only this runtime check.
+// True when the dispatch selects the ADX tier: the CPU has MULX (BMI2) and
+// ADCX/ADOX (ADX), and neither EMBELLISH_KERNEL nor a bench override pinned
+// the process to the scalar tier. The kernel is inline asm, so it needs no
+// compile-time -march flags — only this runtime check.
 bool CpuHasAdx() {
-  return SelectedKernel() >= MontKernel::kAdx;
+  return SelectedKernel() == MontKernel::kAdx;
 }
 
 // 256-bit (k = 4) CIOS round with dual carry chains: MULX leaves flags

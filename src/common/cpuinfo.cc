@@ -1,5 +1,6 @@
 #include "common/cpuinfo.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -13,12 +14,6 @@ CpuFeatures Detect() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   f.adx = __builtin_cpu_supports("adx") != 0;
   f.bmi2 = __builtin_cpu_supports("bmi2") != 0;
-  f.avx2 = __builtin_cpu_supports("avx2") != 0;
-  // The IFMA lane kernel uses 512-bit vectors plus VL-encoded helpers, so
-  // all three bits must be present before the tier is offered.
-  f.avx512ifma = __builtin_cpu_supports("avx512ifma") != 0 &&
-                 __builtin_cpu_supports("avx512f") != 0 &&
-                 __builtin_cpu_supports("avx512vl") != 0;
 #endif
   return f;
 }
@@ -51,16 +46,13 @@ const char* KernelName(MontKernel kernel) {
   switch (kernel) {
     case MontKernel::kScalar: return "scalar";
     case MontKernel::kAdx: return "adx";
-    case MontKernel::kAvx2: return "avx2";
-    case MontKernel::kIfma: return "ifma";
   }
   return "unknown";
 }
 
 bool KernelFromName(const char* name, MontKernel* out) {
   if (name == nullptr || out == nullptr) return false;
-  for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx,
-                            MontKernel::kAvx2, MontKernel::kIfma}) {
+  for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx}) {
     if (std::strcmp(name, KernelName(kernel)) == 0) {
       *out = kernel;
       return true;
@@ -71,23 +63,11 @@ bool KernelFromName(const char* name, MontKernel* out) {
 
 MontKernel MaxSupportedKernel() {
   const CpuFeatures& f = GetCpuFeatures();
-  if (f.avx512ifma) return MontKernel::kIfma;
-  if (f.avx2) return MontKernel::kAvx2;
-  if (f.adx && f.bmi2) return MontKernel::kAdx;
-  return MontKernel::kScalar;
+  return f.adx && f.bmi2 ? MontKernel::kAdx : MontKernel::kScalar;
 }
 
 MontKernel ClampToCpu(MontKernel kernel) {
-  // The ladder is ordered by ISA requirements, but the tiers are not
-  // strictly nested in hardware terms (an AVX2 machine without ADX exists in
-  // principle), so clamp against the specific feature each tier needs.
-  const CpuFeatures& f = GetCpuFeatures();
-  if (kernel == MontKernel::kIfma && !f.avx512ifma) kernel = MontKernel::kAvx2;
-  if (kernel == MontKernel::kAvx2 && !f.avx2) kernel = MontKernel::kAdx;
-  if (kernel == MontKernel::kAdx && !(f.adx && f.bmi2)) {
-    kernel = MontKernel::kScalar;
-  }
-  return kernel;
+  return std::min(kernel, MaxSupportedKernel());
 }
 
 MontKernel SelectedKernel() {

@@ -1,15 +1,15 @@
 // Cached CPU-feature detection and the Montgomery kernel ladder.
 //
-// Every accelerated bignum kernel — the MULX/ADX inline-asm 256-bit kernel,
-// the AVX2 4-lane reduced-radix kernel and the AVX-512 IFMA 8-lane kernel —
+// The one accelerated bignum kernel, the MULX/ADX inline-asm 256-bit kernel,
 // dispatches at runtime through SelectedKernel(), so the binary carries no
 // -march requirement and one build runs correctly on any x86-64 (and, via
 // the scalar tier, on any architecture at all).
 //
-// The environment variable EMBELLISH_KERNEL=scalar|adx|avx2|ifma pins the
-// dispatch so benches and CI can measure one tier reproducibly; a request
-// above what the CPU supports clamps down the ladder rather than failing.
-// Benches that sweep tiers inside one process use SetKernelOverride.
+// The environment variable EMBELLISH_KERNEL=scalar|adx pins the dispatch so
+// benches and CI can measure one tier reproducibly; a request above what the
+// CPU supports clamps down the ladder rather than failing, and any other
+// value keeps the automatic tier. Benches that sweep tiers inside one process
+// use SetKernelOverride.
 
 #ifndef EMBELLISH_COMMON_CPUINFO_H_
 #define EMBELLISH_COMMON_CPUINFO_H_
@@ -18,26 +18,21 @@ namespace embellish {
 
 /// \brief The ISA extensions the bignum kernels care about.
 struct CpuFeatures {
-  bool adx = false;         ///< ADCX/ADOX dual carry chains
-  bool bmi2 = false;        ///< MULX flag-preserving multiply
-  bool avx2 = false;        ///< 256-bit integer SIMD (vpmuludq lanes)
-  bool avx512ifma = false;  ///< VPMADD52 (requires AVX512F + AVX512VL here)
+  bool adx = false;   ///< ADCX/ADOX dual carry chains
+  bool bmi2 = false;  ///< MULX flag-preserving multiply
 };
 
 /// \brief One cached CPUID interrogation per process.
 const CpuFeatures& GetCpuFeatures();
 
-/// \brief The kernel ladder. Each tier implies the ones below it as
-///        fallbacks for the shapes it does not cover (odd limb widths for
-///        the ADX kernel, sub-SIMD lane counts for the lane engines).
+/// \brief The kernel ladder. The ADX tier falls back to the scalar kernels
+///        for the limb widths it does not cover.
 enum class MontKernel : int {
   kScalar = 0,  ///< portable fixed-width / generic CIOS, 64-bit limbs
   kAdx = 1,     ///< + MULX/ADCX/ADOX scalar kernel (k = 4)
-  kAvx2 = 2,    ///< + 4-lane vertical CIOS, 32-bit limbs in 64-bit lanes
-  kIfma = 3,    ///< + 8-lane vertical CIOS, 52-bit limbs (VPMADD52)
 };
 
-/// \brief Stable lowercase name ("scalar", "adx", "avx2", "ifma").
+/// \brief Stable lowercase name ("scalar", "adx").
 const char* KernelName(MontKernel kernel);
 
 /// \brief Parses a KernelName; returns false on anything unrecognized.

@@ -1,11 +1,9 @@
 #include "crypto/benaloh.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 #include "bignum/modmath.h"
-#include "bignum/montgomery_lanes.h"
 #include "bignum/prime.h"
 #include "common/strings.h"
 
@@ -105,63 +103,9 @@ Result<std::vector<BenalohCiphertext>> BenalohPublicKey::EncryptBatch(
   const std::vector<uint64_t> g_mont = mont.ToMontgomery(g_);
   const BigInt r_exp(r_);
 
-  // Every message shares this key's modulus, so the batch is exactly the
-  // multi-buffer shape the SIMD lane engine wants: up to kMaxLanes
-  // encryptions advance in lockstep, g^m via per-lane small exponents and
-  // u^r via the shared exponent. Kernel outputs are bit-identical to the
-  // scalar path (montgomery_lanes_test pins this), so dispatch is purely a
-  // throughput decision.
-  constexpr size_t kLanes = bignum::MontgomeryLaneContext::kMaxLanes;
-  const bignum::MontgomeryContext* lane_ptrs[kLanes];
-  std::fill(std::begin(lane_ptrs), std::end(lane_ptrs), &mont);
-  const auto lane_ctx = bignum::MontgomeryLaneContext::Create(lane_ptrs);
-  const bool use_lanes = lane_ctx.ok() && lane_ctx->vectorized();
-
+  // Each message runs the scalar chain Encrypt runs: g^m, u^r, one product.
   auto encrypt_range = [&](size_t begin, size_t end) {
     bignum::MontgomeryContext::Scratch scratch(mont);
-    if (use_lanes) {
-      const bignum::MontgomeryLaneContext& lc = *lane_ctx;
-      bignum::MontgomeryLaneContext::Scratch lscratch(lc);
-      std::vector<std::vector<uint64_t>> u(kLanes, std::vector<uint64_t>(k));
-      std::vector<std::vector<uint64_t>> plain(kLanes,
-                                               std::vector<uint64_t>(k));
-      std::vector<uint64_t> sink(k);  // padding lanes' discarded output
-      auto g_block = lc.MakeBlock();
-      auto gm_block = lc.MakeBlock();
-      auto u_block = lc.MakeBlock();
-      auto ur_block = lc.MakeBlock();
-      {
-        const uint64_t* gp[kLanes];
-        std::fill(std::begin(gp), std::end(gp), g_mont.data());
-        lc.Pack(gp, &g_block, &lscratch);
-      }
-      for (size_t i = begin; i < end; i += kLanes) {
-        const size_t group = std::min(kLanes, end - i);
-        const uint64_t* up[kLanes];
-        uint64_t* outp[kLanes];
-        uint64_t exps[kLanes];
-        for (size_t l = 0; l < group; ++l) {
-          mont.ToMontgomeryInto(nonces[i + l], u[l].data(), &scratch);
-          up[l] = u[l].data();
-          outp[l] = plain[l].data();
-          exps[l] = ms[i + l];
-        }
-        for (size_t l = group; l < kLanes; ++l) {  // ragged tail: pad lanes
-          up[l] = u[0].data();
-          outp[l] = sink.data();
-          exps[l] = 0;
-        }
-        lc.Pack(up, &u_block, &lscratch);
-        lc.ModExpSmall(g_block, exps, &gm_block, &lscratch);
-        lc.ModExpUniform(u_block, r_exp, &ur_block, &lscratch);
-        lc.Mul(gm_block, ur_block, &gm_block, &lscratch);
-        lc.FromMontgomery(gm_block, outp, &lscratch);
-        for (size_t l = 0; l < group; ++l) {
-          out[i + l].value = BigInt::FromLimbs(plain[l]);
-        }
-      }
-      return;
-    }
     std::vector<uint64_t> gm(k);
     std::vector<uint64_t> u_mont(k);
     std::vector<uint64_t> ur(k);
@@ -176,10 +120,7 @@ Result<std::vector<BenalohCiphertext>> BenalohPublicKey::EncryptBatch(
   };
 
   if (pool != nullptr) {
-    // Grain of one lane group so parallel splits stay lane-aligned and the
-    // vector lanes run full except at range tails.
-    pool->ParallelFor(0, ms.size(), /*min_grain=*/use_lanes ? kLanes : 1,
-                      encrypt_range);
+    pool->ParallelFor(0, ms.size(), /*min_grain=*/1, encrypt_range);
   } else {
     encrypt_range(0, ms.size());
   }

@@ -1,10 +1,8 @@
 #include "crypto/paillier.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "bignum/modmath.h"
-#include "bignum/montgomery_lanes.h"
 #include "bignum/prime.h"
 
 namespace embellish::crypto {
@@ -47,59 +45,8 @@ Result<std::vector<PaillierCiphertext>> PaillierPublicKey::EncryptBatch(
   const bignum::MontgomeryContext& mont = *mont_;
   const size_t k = mont.limb_count();
 
-  // The u^n modexp dominates; every lane shares the exponent n and the
-  // modulus n^2, so up to kMaxLanes nonces ride one SIMD exponentiation.
-  // The g^m half is 1 + m*n mod n^2 — no modexp at all — and stays scalar
-  // per message.
-  constexpr size_t kLanes = bignum::MontgomeryLaneContext::kMaxLanes;
-  const bignum::MontgomeryContext* lane_ptrs[kLanes];
-  std::fill(std::begin(lane_ptrs), std::end(lane_ptrs), &mont);
-  const auto lane_ctx = bignum::MontgomeryLaneContext::Create(lane_ptrs);
-  const bool use_lanes = lane_ctx.ok() && lane_ctx->vectorized();
-
   auto encrypt_range = [&](size_t begin, size_t end) {
     bignum::MontgomeryContext::Scratch scratch(mont);
-    if (use_lanes) {
-      const bignum::MontgomeryLaneContext& lc = *lane_ctx;
-      bignum::MontgomeryLaneContext::Scratch lscratch(lc);
-      std::vector<std::vector<uint64_t>> gm(kLanes, std::vector<uint64_t>(k));
-      std::vector<std::vector<uint64_t>> u(kLanes, std::vector<uint64_t>(k));
-      std::vector<std::vector<uint64_t>> plain(kLanes,
-                                               std::vector<uint64_t>(k));
-      std::vector<uint64_t> sink(k);  // padding lanes' discarded output
-      auto gm_block = lc.MakeBlock();
-      auto u_block = lc.MakeBlock();
-      auto un_block = lc.MakeBlock();
-      for (size_t i = begin; i < end; i += kLanes) {
-        const size_t group = std::min(kLanes, end - i);
-        const uint64_t* gp[kLanes];
-        const uint64_t* up[kLanes];
-        uint64_t* outp[kLanes];
-        for (size_t l = 0; l < group; ++l) {
-          // g = n+1 => g^m = 1 + m*n (mod n^2); avoids one modexp.
-          const BigInt g_m = (BigInt(1) + ms[i + l] * n_) % n2_;
-          mont.ToMontgomeryInto(g_m, gm[l].data(), &scratch);
-          mont.ToMontgomeryInto(nonces[i + l], u[l].data(), &scratch);
-          gp[l] = gm[l].data();
-          up[l] = u[l].data();
-          outp[l] = plain[l].data();
-        }
-        for (size_t l = group; l < kLanes; ++l) {  // ragged tail: pad lanes
-          gp[l] = gm[0].data();
-          up[l] = u[0].data();
-          outp[l] = sink.data();
-        }
-        lc.Pack(up, &u_block, &lscratch);
-        lc.ModExpUniform(u_block, n_, &un_block, &lscratch);
-        lc.Pack(gp, &u_block, &lscratch);
-        lc.Mul(u_block, un_block, &un_block, &lscratch);
-        lc.FromMontgomery(un_block, outp, &lscratch);
-        for (size_t l = 0; l < group; ++l) {
-          out[i + l].value = BigInt::FromLimbs(plain[l]);
-        }
-      }
-      return;
-    }
     std::vector<uint64_t> gm_mont(k);
     std::vector<uint64_t> u_mont(k);
     std::vector<uint64_t> un(k);
@@ -116,8 +63,7 @@ Result<std::vector<PaillierCiphertext>> PaillierPublicKey::EncryptBatch(
   };
 
   if (pool != nullptr) {
-    pool->ParallelFor(0, ms.size(), /*min_grain=*/use_lanes ? kLanes : 1,
-                      encrypt_range);
+    pool->ParallelFor(0, ms.size(), /*min_grain=*/1, encrypt_range);
   } else {
     encrypt_range(0, ms.size());
   }

@@ -4,10 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <optional>
 
 #include "bignum/modmath.h"
-#include "bignum/montgomery_lanes.h"
 #include "bignum/prime.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -196,16 +194,7 @@ void PirBatchStats::Add(const PirBatchStats& other) {
   mont_muls += other.mont_muls;
   table_build_muls += other.table_build_muls;
   table_queries += other.table_queries;
-  simd_lane_muls += other.simd_lane_muls;
-  simd_active_lanes += other.simd_active_lanes;
   cpu_ms += other.cpu_ms;
-}
-
-double PirBatchStats::simd_fill() const {
-  if (simd_lane_muls == 0) return 0.0;
-  return static_cast<double>(simd_active_lanes) /
-         (static_cast<double>(bignum::MontgomeryLaneContext::kMaxLanes) *
-          static_cast<double>(simd_lane_muls));
 }
 
 PirServer::PirServer(std::shared_ptr<const PirDatabase> database,
@@ -343,141 +332,6 @@ void ReleaseTables(QueryPlan* plan) {
   std::vector<uint64_t>().swap(plan->tables);
 }
 
-using LaneCtx = bignum::MontgomeryLaneContext;
-
-// Up to kMaxLanes same-width members of one sweep advancing through the
-// vector Montgomery engine together. Each lane carries its own modulus; the
-// row bits (and hence every table index v) are shared by construction, so a
-// single kernel call folds the row into every member's accumulator. Members
-// in a lane group do not build scalar tables — their subset products live in
-// lane form here. Lane-form entries occupy the internal radix (<= 2x the
-// scalar bytes on avx2, ~1.23x on ifma), a bounded constant over the scalar
-// tables they replace; the sweep budget keeps using the scalar accounting.
-struct LaneGroup {
-  std::vector<size_t> members;  // plan indices, 2..kMaxLanes of equal k
-  std::optional<LaneCtx> lane;
-  // Naive path: slot (2j + bit) mirrors QueryPlan::factors, lane-packed.
-  // Table path: consumed by BuildLaneTables, then released.
-  std::vector<LaneCtx::Block> factor_blocks;
-  // Table path: layout [group][s1/s2][pattern], one Block per entry.
-  std::vector<LaneCtx::Block> table_blocks;
-  bool use_tables = false;
-  size_t ngroups = 0;
-};
-
-// Splits a sub-batch into lane groups of 2..kMaxLanes members sharing a limb
-// width (the table-path decision is width-determined, so equal k implies an
-// identical path) and appends everyone else — singletons, or every member
-// when the CPU lacks a vector tier — to `scalar_members`. Scalar-tier builds
-// take the untouched per-member path, so disabling the engine costs nothing.
-void FormLaneGroups(const std::vector<QueryPlan>& plans,
-                    const std::vector<size_t>& members,
-                    std::vector<LaneGroup>* groups,
-                    std::vector<size_t>* scalar_members) {
-  std::vector<std::pair<size_t, std::vector<size_t>>> buckets;
-  for (size_t m : members) {
-    auto it = std::find_if(buckets.begin(), buckets.end(),
-                           [&](const auto& b) { return b.first == plans[m].k; });
-    if (it == buckets.end()) {
-      buckets.emplace_back(plans[m].k, std::vector<size_t>{});
-      it = buckets.end() - 1;
-    }
-    it->second.push_back(m);
-  }
-  for (auto& [k, bucket] : buckets) {
-    size_t i = 0;
-    while (bucket.size() - i >= 2) {
-      const size_t take = std::min(LaneCtx::kMaxLanes, bucket.size() - i);
-      std::vector<const bignum::MontgomeryContext*> ptrs;
-      ptrs.reserve(take);
-      for (size_t j = i; j < i + take; ++j) {
-        ptrs.push_back(&plans[bucket[j]].mont);
-      }
-      auto lane = LaneCtx::Create(ptrs);
-      if (!lane.ok() || !lane->vectorized()) break;  // whole bucket scalar
-      LaneGroup group;
-      group.members.assign(bucket.begin() + static_cast<ptrdiff_t>(i),
-                           bucket.begin() + static_cast<ptrdiff_t>(i + take));
-      group.lane.emplace(std::move(*lane));
-      group.use_tables = plans[bucket[i]].use_tables;
-      group.ngroups = plans[bucket[i]].ngroups;
-      groups->push_back(std::move(group));
-      i += take;
-    }
-    for (; i < bucket.size(); ++i) scalar_members->push_back(bucket[i]);
-  }
-}
-
-// Lane-packs every member's column factors (slot layout unchanged). Pack is a
-// domain conversion, not a logical multiplication, so it is not charged to
-// mont_muls — same rule as the scalar ToMontgomery conversions in PlanQuery.
-void PackLaneFactors(const std::vector<QueryPlan>& plans, size_t cols,
-                     LaneGroup* group) {
-  const LaneCtx& lane = *group->lane;
-  LaneCtx::Scratch scratch(lane);
-  const size_t k = plans[group->members[0]].k;
-  group->factor_blocks.resize(2 * cols);
-  const uint64_t* ptrs[LaneCtx::kMaxLanes];
-  for (size_t slot = 0; slot < 2 * cols; ++slot) {
-    for (size_t l = 0; l < group->members.size(); ++l) {
-      ptrs[l] = plans[group->members[l]].factors.data() + slot * k;
-    }
-    group->factor_blocks[slot] = lane.MakeBlock();
-    lane.Pack(ptrs, &group->factor_blocks[slot], &scratch);
-  }
-}
-
-// The four-Russians build in lane form: identical v-chain to the scalar
-// BuildTables — table[v] = table[v ^ lowbit] * factor[lowest set column] —
-// executed once for the whole group instead of once per member, every lane
-// building its own modulus's subset products. Per member the chain performs
-// exactly QueryPlan::table_build_muls logical multiplications, which is what
-// keeps the pinned mont_muls formula untouched.
-void BuildLaneTables(size_t cols, LaneGroup* group) {
-  const LaneCtx& lane = *group->lane;
-  LaneCtx::Scratch scratch(lane);
-  group->table_blocks.resize(group->ngroups * 2 * kTableEntries);
-  for (size_t g = 0; g < group->ngroups; ++g) {
-    const size_t col0 = g * kGroupBits;
-    const size_t width = std::min(kGroupBits, cols - col0);
-    for (size_t half = 0; half < 2; ++half) {
-      LaneCtx::Block* table =
-          group->table_blocks.data() + (g * 2 + half) * kTableEntries;
-      table[0] = lane.One();
-      for (size_t v = 1; v < (size_t{1} << width); ++v) {
-        const size_t low = v & (0 - v);
-        const size_t col = col0 + static_cast<size_t>(std::countr_zero(low));
-        const LaneCtx::Block& base =
-            group->factor_blocks[2 * col + (half == 0 ? 1 : 0)];
-        if (v == low) {
-          table[v] = base;
-        } else {
-          table[v] = lane.MakeBlock();
-          lane.Mul(table[v ^ low], base, &table[v], &scratch);
-        }
-      }
-    }
-  }
-  // The packed factors only feed the build; the sweep reads the tables.
-  std::vector<LaneCtx::Block>().swap(group->factor_blocks);
-}
-
-// Worker-owned lane-path state: one Scratch and accumulator pair per lane
-// group (blocks are group-width-bound), plus a flat per-lane plain-limb
-// staging buffer for FromMontgomery.
-struct LaneSweepState {
-  LaneSweepState(const LaneGroup& group, size_t k)
-      : scratch(*group.lane),
-        acc(group.lane->MakeBlock()),
-        part(group.lane->MakeBlock()),
-        plain(LaneCtx::kMaxLanes * k) {}
-
-  LaneCtx::Scratch scratch;
-  LaneCtx::Block acc;
-  LaneCtx::Block part;
-  std::vector<uint64_t> plain;
-};
-
 // Stores row `row`'s residue, `plain` as little-endian limbs, into the
 // response's flat buffer as value_size big-endian bytes. The residue is below
 // the modulus, so value_size = ceil(bits(n) / 8) bytes hold it exactly: the
@@ -505,19 +359,10 @@ void StoreRow(const uint64_t* plain, size_t row, PirResponse* response) {
 // per-multiplication state lives in worker-owned scratch/buffers and the
 // column loops perform zero heap allocations. Per query, the factor multiset
 // and multiplication order match the single-query kernel exactly, so the
-// gammas are bit-identical to serial Answer calls.
-//
-// Members arrive in two populations: `groups` (lane groups — one vector
-// kernel call advances every member of a group at once, indices shared
-// because the row bits are) and `members` (per-query scalar path). The lane
-// path issues the same logical multiplications in the same order as the
-// scalar path — acc = S1[v] * S2[~v], then one combine per extra group, or
-// the One-seeded naive chain — and the lane engine reduces fully, so lane
-// gammas are bit-identical too. Returns worker CPU ms.
+// gammas are bit-identical to serial Answer calls. Returns worker CPU ms.
 double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
                  std::vector<QueryPlan>& plans,
                  const std::vector<size_t>& members,
-                 const std::vector<LaneGroup>& groups,
                  std::vector<PirResponse>& responses) {
   const size_t rows = db.rows();
   auto answer_rows = [&](size_t row_begin, size_t row_end) {
@@ -539,57 +384,12 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
       }
       scratch_of[mi] = static_cast<size_t>(it - widths.begin());
     }
-    std::vector<LaneSweepState> lane_state;
-    lane_state.reserve(groups.size());
-    for (const LaneGroup& group : groups) {
-      lane_state.emplace_back(group, plans[group.members[0]].k);
-    }
     std::vector<uint64_t> row_words(db.RowWords());
     std::vector<uint64_t> acc(max_k);
     std::vector<uint64_t> part(max_k);
     std::vector<uint64_t> plain(max_k);
     for (size_t i = row_begin; i < row_end; ++i) {
       db.ExtractRow(i, row_words.data());
-      for (size_t gi = 0; gi < groups.size(); ++gi) {
-        const LaneGroup& group = groups[gi];
-        LaneSweepState& st = lane_state[gi];
-        const LaneCtx& lane = *group.lane;
-        const size_t k = plans[group.members[0]].k;
-        if (group.use_tables) {
-          for (size_t g = 0; g < group.ngroups; ++g) {
-            const size_t col0 = g * kGroupBits;
-            const size_t width = std::min(kGroupBits, cols - col0);
-            const uint64_t mask = (uint64_t{1} << width) - 1;
-            const uint64_t v = (row_words[col0 / 64] >> (col0 % 64)) & mask;
-            const LaneCtx::Block& s1 =
-                group.table_blocks[(g * 2 + 0) * kTableEntries + v];
-            const LaneCtx::Block& s2 =
-                group.table_blocks[(g * 2 + 1) * kTableEntries +
-                                   ((~v) & mask)];
-            if (g == 0) {
-              lane.Mul(s1, s2, &st.acc, &st.scratch);
-            } else {
-              lane.Mul(s1, s2, &st.part, &st.scratch);
-              lane.Mul(st.acc, st.part, &st.acc, &st.scratch);
-            }
-          }
-        } else {
-          st.acc = lane.One();
-          for (size_t j = 0; j < cols; ++j) {
-            const uint64_t bit = (row_words[j / 64] >> (j % 64)) & 1;
-            lane.Mul(st.acc, group.factor_blocks[2 * j + bit], &st.acc,
-                     &st.scratch);
-          }
-        }
-        uint64_t* outp[LaneCtx::kMaxLanes];
-        for (size_t l = 0; l < group.members.size(); ++l) {
-          outp[l] = st.plain.data() + l * k;
-        }
-        lane.FromMontgomery(st.acc, outp, &st.scratch);
-        for (size_t l = 0; l < group.members.size(); ++l) {
-          StoreRow(outp[l], i, &responses[group.members[l]]);
-        }
-      }
       for (size_t mi = 0; mi < members.size(); ++mi) {
         QueryPlan& plan = plans[members[mi]];
         const bignum::MontgomeryContext& mont = plan.mont;
@@ -705,39 +505,15 @@ Result<std::vector<PirResponse>> PirServer::AnswerBatch(
       responses[m].values.resize(rows * responses[m].value_size);
     }
 
-    // Same-width members pair up into SIMD lane groups; leftovers (and every
-    // member on a scalar-tier build) stay on the per-query scalar path.
-    std::vector<LaneGroup> groups;
-    std::vector<size_t> scalar_members;
-    FormLaneGroups(plans, members, &groups, &scalar_members);
-
     CpuStopwatch build_cpu;
-    for (LaneGroup& group : groups) {
-      PackLaneFactors(plans, cols, &group);
-      if (group.use_tables) BuildLaneTables(cols, &group);
-    }
-    for (size_t m : scalar_members) {
+    for (size_t m : members) {
       if (plans[m].use_tables) BuildTables(&plans[m], cols);
     }
     local.cpu_ms += build_cpu.ElapsedMillis();
-    local.cpu_ms += SweepRows(*database_, pool_, cols, plans, scalar_members,
-                              groups, responses);
-    for (size_t m : scalar_members) ReleaseTables(&plans[m]);
+    local.cpu_ms +=
+        SweepRows(*database_, pool_, cols, plans, members, responses);
+    for (size_t m : members) ReleaseTables(&plans[m]);
 
-    // Lane occupancy, counted arithmetically (the sweep is deterministic):
-    // per row a table group issues 2g - 1 vector muls and a naive group
-    // issues cols; the lane table build issues one member's worth of chain
-    // muls for the whole group. Conversions are excluded, as in mont_muls.
-    for (const LaneGroup& group : groups) {
-      const QueryPlan& p0 = plans[group.members[0]];
-      const uint64_t invocations =
-          group.use_tables
-              ? static_cast<uint64_t>(rows) * (2 * group.ngroups - 1) +
-                    p0.table_build_muls
-              : static_cast<uint64_t>(rows) * cols;
-      local.simd_lane_muls += invocations;
-      local.simd_active_lanes += invocations * group.members.size();
-    }
     ++local.sweeps;
     local.rows_extracted += rows;  // shared: each row read once per sweep
     begin = end;

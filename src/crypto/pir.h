@@ -144,19 +144,13 @@ struct PirBatchStats {
   uint64_t mont_muls = 0;        ///< modular multiplications, summed over queries
   uint64_t table_build_muls = 0; ///< subset of mont_muls spent building tables
   uint64_t table_queries = 0;    ///< queries on the subset-product (table) path
-  /// Vector Montgomery multiplications issued on the SIMD lane path — one per
-  /// kernel invocation, however many lanes it carried. Domain conversions
-  /// (pack/unpack) are excluded, mirroring mont_muls. Zero on a scalar sweep.
-  uint64_t simd_lane_muls = 0;
-  /// Query-occupied lanes summed over those invocations; padding lanes are
-  /// not counted, so simd_active_lanes <= 8 * simd_lane_muls always.
-  uint64_t simd_active_lanes = 0;
   double cpu_ms = 0.0;           ///< thread-CPU ms summed across workers
 
-  /// \brief Mean lane occupancy of the SIMD path,
-  ///        simd_active_lanes / (8 * simd_lane_muls); 0 when no vector kernel
-  ///        ran. 1.0 means every invocation carried a full 8 lanes.
-  double simd_fill() const;
+  /// \brief Always 0. The SIMD lane engine this reported the occupancy of
+  ///        was deleted because no measured workload filled its lanes; the
+  ///        accessor stays so the benchmark's `pir.simd_fill` metric keeps
+  ///        its name and reads 0 rather than disappearing.
+  double simd_fill() const { return 0.0; }
 
   void Add(const PirBatchStats& other);
 };
@@ -174,15 +168,9 @@ struct PirBatchStats {
 /// (subset-product tables or factor chain) is consulted against it, turning
 /// Q passes over the database into one. Per query the factor multiset and
 /// multiplication order are identical to Answer, so the responses are
-/// bit-identical to Q serial Answer calls.
-///
-/// When the CPU has a vector Montgomery tier (see bignum/montgomery_lanes.h),
-/// members of a sweep that share a limb width additionally advance through
-/// the SIMD lane engine up to 8 at a time: one extracted row folds into up to
-/// 8 queries' accumulators per kernel call, and the subset-product tables of
-/// a lane group are built in lane form sharing one v-chain. Lane outputs are
-/// fully reduced, so responses stay bit-identical to the scalar path;
-/// PirBatchStats::simd_fill() reports how full the lanes ran.
+/// bit-identical to Q serial Answer calls. Each member of a sweep folds the
+/// row into its own accumulator on the scalar Montgomery kernel, under its
+/// own modulus; only the row extraction is shared.
 class PirServer {
  public:
   /// \brief Default batch-wide budget for the subset-product tables. A batch

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bignum/modmath.h"
+#include "common/thread_pool.h"
 
 namespace embellish::crypto {
 namespace {
@@ -69,6 +70,29 @@ TEST(BenalohTest, RoundTripAllMessagesSmallR) {
     auto d = kp.private_key().Decrypt(*c);
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(*d, m);
+  }
+}
+
+TEST(BenalohTest, EncryptBatchMatchesEncryptLoop) {
+  // Nonces are drawn serially in message order, so a batch yields exactly
+  // the ciphertexts of Encrypt called in a loop on an identically seeded
+  // rng, serial or fanned out over a pool.
+  auto kp = MakeKeys(59049);
+  std::vector<uint64_t> ms;
+  for (uint64_t i = 0; i < 19; ++i) ms.push_back(i * 37 % 59049);
+  Rng loop_rng(8);
+  std::vector<BenalohCiphertext> expected;
+  for (uint64_t m : ms) {
+    auto c = kp.public_key().Encrypt(m, &loop_rng);
+    ASSERT_TRUE(c.ok());
+    expected.push_back(*c);
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Rng batch_rng(8);
+    auto batch = kp.public_key().EncryptBatch(ms, &batch_rng, p);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(*batch, expected) << (p == nullptr ? "serial" : "pooled");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bignum/modmath.h"
+#include "common/thread_pool.h"
 #include "crypto/benaloh.h"
 
 namespace embellish::crypto {
@@ -81,6 +82,29 @@ TEST(PaillierTest, ProbabilisticCiphertexts) {
   auto c1 = kp.public_key().Encrypt(BigInt(9), &rng);
   auto c2 = kp.public_key().Encrypt(BigInt(9), &rng);
   EXPECT_NE(c1->value, c2->value);
+}
+
+TEST(PaillierTest, EncryptBatchMatchesEncryptLoop) {
+  // Nonces are drawn serially in message order, so a batch yields exactly
+  // the ciphertexts of Encrypt called in a loop on an identically seeded
+  // rng, serial or fanned out over a pool.
+  auto kp = MakeKeys();
+  std::vector<BigInt> ms;
+  for (uint64_t i = 0; i < 11; ++i) ms.push_back(BigInt(i * 1000003));
+  Rng loop_rng(9);
+  std::vector<PaillierCiphertext> expected;
+  for (const BigInt& m : ms) {
+    auto c = kp.public_key().Encrypt(m, &loop_rng);
+    ASSERT_TRUE(c.ok());
+    expected.push_back(*c);
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Rng batch_rng(9);
+    auto batch = kp.public_key().EncryptBatch(ms, &batch_rng, p);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(*batch, expected) << (p == nullptr ? "serial" : "pooled");
+  }
 }
 
 TEST(PaillierTest, CiphertextTwiceModulusWidth) {
