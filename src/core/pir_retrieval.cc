@@ -1,6 +1,8 @@
 #include "core/pir_retrieval.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <map>
 #include <span>
 #include <unordered_set>
@@ -12,19 +14,29 @@ namespace embellish::core {
 
 namespace {
 
-// Column payload: [4-byte BE length][list bytes][zero padding].
-std::vector<uint8_t> EncodeColumn(const std::vector<uint8_t>& list_bytes,
-                                  size_t padded_payload) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + padded_payload);
-  uint32_t len = static_cast<uint32_t>(list_bytes.size());
-  out.push_back(static_cast<uint8_t>(len >> 24));
-  out.push_back(static_cast<uint8_t>(len >> 16));
-  out.push_back(static_cast<uint8_t>(len >> 8));
-  out.push_back(static_cast<uint8_t>(len));
-  out.insert(out.end(), list_bytes.begin(), list_bytes.end());
-  out.resize(4 + padded_payload, 0);
-  return out;
+// Column header: [u32 BE posting count][u8 doc-id width][u8 impact width].
+constexpr size_t kColumnHeaderBytes = 6;
+
+// Bits needed to hold `value`, at least 1.
+int WidthOf(uint32_t value) {
+  return std::max(1, static_cast<int>(std::bit_width(value)));
+}
+
+// Writes the low `width` bits of `value`, MSB-first, at bit `*pos` of `out`.
+void PutBits(uint32_t value, int width, size_t* pos,
+             std::vector<uint8_t>* out) {
+  for (int b = width - 1; b >= 0; --b, ++*pos) {
+    if ((value >> b) & 1) {
+      (*out)[*pos / 8] |= static_cast<uint8_t>(0x80u >> (*pos % 8));
+    }
+  }
+}
+
+// Reads `width` (<= 32) bits MSB-first from bit `*pos` of `bits`.
+uint32_t GetBits(const std::vector<bool>& bits, int width, size_t* pos) {
+  uint32_t value = 0;
+  for (int b = 0; b < width; ++b) value = (value << 1) | bits[(*pos)++];
+  return value;
 }
 
 }  // namespace
@@ -52,18 +64,22 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
   auto it = matrix_cache_.find(bucket);
   if (it != matrix_cache_.end()) return it->second.get();
 
+  // Each member is encoded once; the rows are sized by the largest
+  // encoding, and the zero matrix pads every shorter column.
   const std::vector<wordnet::TermId>& members = buckets_->bucket(bucket);
+  std::vector<std::vector<uint8_t>> columns;
+  columns.reserve(members.size());
   size_t max_bytes = 0;
   for (wordnet::TermId t : members) {
-    max_bytes = std::max(max_bytes, index_->ListBytes(t));
+    std::span<const index::Posting> list;
+    if (const std::vector<index::Posting>* p = index_->postings(t)) list = *p;
+    columns.push_back(ColumnBytesFromPostings(list));
+    max_bytes = std::max(max_bytes, columns.back().size());
   }
-  const size_t rows = (4 + max_bytes) * 8;
   auto matrix =
-      std::make_unique<crypto::PirDatabase>(rows, members.size());
+      std::make_unique<crypto::PirDatabase>(8 * max_bytes, members.size());
   for (size_t col = 0; col < members.size(); ++col) {
-    std::vector<uint8_t> column =
-        EncodeColumn(index_->SerializeList(members[col]), max_bytes);
-    matrix->SetColumnFromBytes(col, column);
+    matrix->SetColumnFromBytes(col, columns[col]);
   }
   const crypto::PirDatabase* out = matrix.get();
   matrix_cache_.emplace(bucket, std::move(matrix));
@@ -158,24 +174,59 @@ Result<PirRetrievalClient> PirRetrievalClient::Create(
   return PirRetrievalClient(buckets, std::move(pir_client));
 }
 
+std::vector<uint8_t> ColumnBytesFromPostings(
+    std::span<const index::Posting> postings) {
+  uint32_t max_doc = 0;
+  uint32_t max_impact = 0;
+  for (const index::Posting& p : postings) {
+    max_doc = std::max(max_doc, p.doc);
+    max_impact = std::max(max_impact, p.impact);
+  }
+  assert(max_impact <= 0xFF && "impacts exceed the 8-bit column bound");
+  const int doc_width = WidthOf(max_doc);
+  const int impact_width = WidthOf(max_impact);
+  const size_t count = postings.size();
+  std::vector<uint8_t> out(
+      kColumnHeaderBytes + (count * (doc_width + impact_width) + 7) / 8, 0);
+  size_t pos = 0;
+  PutBits(static_cast<uint32_t>(count), 32, &pos, &out);
+  PutBits(static_cast<uint32_t>(doc_width), 8, &pos, &out);
+  PutBits(static_cast<uint32_t>(impact_width), 8, &pos, &out);
+  for (const index::Posting& p : postings) {
+    PutBits(p.doc, doc_width, &pos, &out);
+    PutBits(p.impact, impact_width, &pos, &out);
+  }
+  return out;
+}
+
 Result<std::vector<index::Posting>> PostingsFromColumnBits(
     const std::vector<bool>& bits) {
-  if (bits.size() < 32 || bits.size() % 8 != 0) {
-    return Status::Corruption("PIR response has invalid bit count");
+  if (bits.size() < kColumnHeaderBytes * 8) {
+    return Status::Corruption("PIR column shorter than its 6-byte header");
   }
-  std::vector<uint8_t> bytes(bits.size() / 8, 0);
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) bytes[i / 8] |= static_cast<uint8_t>(1u << (7 - i % 8));
+  size_t pos = 0;
+  const uint32_t count = GetBits(bits, 32, &pos);
+  const int doc_width = static_cast<int>(GetBits(bits, 8, &pos));
+  const int impact_width = static_cast<int>(GetBits(bits, 8, &pos));
+  if (doc_width < 1 || doc_width > 32) {
+    return Status::Corruption(
+        StringPrintf("PIR column doc-id width %d out of [1, 32]", doc_width));
   }
-  const uint32_t len = (static_cast<uint32_t>(bytes[0]) << 24) |
-                       (static_cast<uint32_t>(bytes[1]) << 16) |
-                       (static_cast<uint32_t>(bytes[2]) << 8) |
-                       static_cast<uint32_t>(bytes[3]);
-  if (len > bytes.size() - 4) {
-    return Status::Corruption("PIR column length prefix exceeds payload");
+  if (impact_width < 1 || impact_width > 8) {
+    return Status::Corruption(
+        StringPrintf("PIR column impact width %d out of [1, 8]", impact_width));
   }
-  std::vector<uint8_t> list_bytes(bytes.begin() + 4, bytes.begin() + 4 + len);
-  return index::InvertedIndex::DeserializeList(list_bytes);
+  // In 64 bits, so a hostile count cannot wrap past the check.
+  if (uint64_t{count} * static_cast<uint64_t>(doc_width + impact_width) >
+      bits.size() - pos) {
+    return Status::Corruption("PIR column postings exceed its payload");
+  }
+  std::vector<index::Posting> postings(count);
+  for (index::Posting& p : postings) {
+    p.doc = GetBits(bits, doc_width, &pos);
+    p.impact = GetBits(bits, impact_width, &pos);
+  }
+  return postings;
 }
 
 Result<std::vector<index::Posting>> PirRetrievalClient::RetrieveList(

@@ -7,9 +7,14 @@
 // (one term's list), so a query with g genuine terms performs g executions.
 // The client then scores documents locally from the retrieved lists.
 //
-// Column wire layout inside the matrix: a 4-byte big-endian list length (in
-// bytes) followed by the serialized postings, zero-padded to the bucket's
-// maximum. The length prefix lets the client strip padding unambiguously.
+// Column layout inside the matrix (owned by this module alone): a 4-byte
+// big-endian posting count, a 1-byte doc-id width and a 1-byte impact
+// width, then each posting's doc id and impact in exactly those widths,
+// MSB-first and in the list's stored order, zero-padded to the bucket's
+// largest column. The widths are the smallest that hold the list's largest
+// doc id and impact (at least 1 bit each), so a bucket's row count, 8 x its
+// largest encoded column, depends on that bucket's lists alone; the count
+// and widths travel inside the column, where only the client decodes them.
 
 #ifndef EMBELLISH_CORE_PIR_RETRIEVAL_H_
 #define EMBELLISH_CORE_PIR_RETRIEVAL_H_
@@ -17,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -125,10 +131,18 @@ class PirRetrievalClient {
   crypto::PirClient pir_client_;
 };
 
+/// \brief Encodes one inverted list as a PIR column in the layout above,
+///        zero-filled only to a byte boundary (the bucket matrix pads it).
+///        Impacts must fit in 8 bits (the builder's impact_bits bound).
+std::vector<uint8_t> ColumnBytesFromPostings(
+    std::span<const index::Posting> postings);
+
 /// \brief Parses one decoded PIR column (the bit vector a protocol execution
-///        retrieves) into postings: [u32 BE length][serialized list][zero
-///        padding]. Corruption on malformed layout. Shared by the monolithic
-///        and sharded retrieval paths.
+///        retrieves, padding included) into postings: the inverse of
+///        ColumnBytesFromPostings. Corruption when the column is shorter
+///        than its header, a width is out of range (doc id 1-32, impact
+///        1-8), or the postings would run past the column. Shared by every
+///        PIR retrieval path.
 Result<std::vector<index::Posting>> PostingsFromColumnBits(
     const std::vector<bool>& bits);
 

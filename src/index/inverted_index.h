@@ -2,8 +2,8 @@
 //
 // For each term the index stores a postings list of <document, impact>
 // pairs sorted by decreasing impact. Impacts are discretized integers (see
-// impact.h). Wire/posting sizes are exposed because the §5.2 experiments
-// account for I/O, PIR padding, and network traffic in bytes.
+// impact.h). The stored posting size is exposed because the §5.2
+// experiments account for I/O in bytes.
 
 #ifndef EMBELLISH_INDEX_INVERTED_INDEX_H_
 #define EMBELLISH_INDEX_INVERTED_INDEX_H_
@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "corpus/corpus.h"
 #include "wordnet/database.h"
 
@@ -27,7 +26,10 @@ struct Posting {
   bool operator==(const Posting&) const = default;
 };
 
-/// \brief Serialized size of one posting: 4-byte doc id + 1-byte impact.
+/// \brief Stored size of one posting in the storage model: a 4-byte doc id
+///        plus a 1-byte impact. Disk I/O and the PR/PIR I/O parity are
+///        charged by it; PIR columns use their own bit-packed encoding
+///        (core/pir_retrieval).
 inline constexpr size_t kPostingWireBytes = 5;
 
 /// \brief The canonical inverted-list ordering: impact desc, doc id asc.
@@ -69,18 +71,11 @@ class InvertedIndex {
   /// \brief Document frequency f_t (inverted-list length).
   size_t ListLength(wordnet::TermId term) const;
 
-  /// \brief Serialized list size in bytes (list length x posting size).
+  /// \brief Stored list size in bytes in the storage model (list length x
+  ///        kPostingWireBytes): what reading the list from disk costs.
   size_t ListBytes(wordnet::TermId term) const {
     return ListLength(term) * kPostingWireBytes;
   }
-
-  /// \brief Serializes a list: per posting, 4-byte big-endian doc id then
-  ///        1-byte impact. Used for the PIR bit-matrix and traffic numbers.
-  std::vector<uint8_t> SerializeList(wordnet::TermId term) const;
-
-  /// \brief Parses a serialized list (inverse of SerializeList).
-  static Result<std::vector<Posting>> DeserializeList(
-      const std::vector<uint8_t>& bytes);
 
   /// \brief All indexed terms, sorted by id.
   std::vector<wordnet::TermId> IndexedTerms() const;

@@ -39,7 +39,9 @@
 namespace embellish::server {
 
 inline constexpr uint32_t kFrameMagic = 0x454D4251;  // "EMBQ"
-inline constexpr uint8_t kProtocolVersion = 1;
+// Version 2: PIR columns are bit-packed (core/pir_retrieval); a version-1
+// peer would misread their posting count as a byte length.
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 /// \brief Upper bound on each big-integer field of a hello payload (64 kbit

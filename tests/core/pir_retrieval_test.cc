@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 
 #include "index/builder.h"
 #include "testutil.h"
@@ -34,6 +35,25 @@ struct PirPipeline {
         std::move(PirRetrievalClient::Create(&org, 128, &rng)).value());
   }
 };
+
+// A column as a protocol execution retrieves it: MSB-first bits, followed
+// by `pad_bytes` zero bytes of padding.
+std::vector<bool> ColumnBits(const std::vector<uint8_t>& column,
+                             size_t pad_bytes) {
+  std::vector<bool> bits(8 * (column.size() + pad_bytes), false);
+  for (size_t i = 0; i < 8 * column.size(); ++i) {
+    bits[i] = (column[i / 8] >> (7 - i % 8)) & 1;
+  }
+  return bits;
+}
+
+// A column header: [u32 BE count][u8 doc-id width][u8 impact width].
+std::vector<uint8_t> Header(uint32_t count, uint8_t doc_width,
+                            uint8_t impact_width) {
+  return {static_cast<uint8_t>(count >> 24), static_cast<uint8_t>(count >> 16),
+          static_cast<uint8_t>(count >> 8),  static_cast<uint8_t>(count),
+          doc_width,                         impact_width};
+}
 
 TEST(PirRetrievalTest, RetrievedListsMatchIndexExactly) {
   PirPipeline p(4);
@@ -102,18 +122,99 @@ TEST(PirRetrievalTest, RejectsEmptyQueryAndUnknownTerm) {
 
 TEST(PirRetrievalTest, ResponsePaddedToBucketMaximum) {
   // Every execution against a bucket returns the same number of rows —
-  // the padding requirement of Section 4's alternate method.
+  // the padding requirement of Section 4's alternate method — and that
+  // number is 8 x the bucket's largest encoded column.
   PirPipeline p(4);
-  Rng rng(5);
   const auto& bucket = p.org.bucket(3);
   auto matrix = p.server->BucketMatrix(3);
   ASSERT_TRUE(matrix.ok());
-  size_t max_bytes = 0;
+  size_t max_column = 0;
+  size_t max_list_bytes = 0;
   for (auto t : bucket) {
-    max_bytes = std::max(max_bytes, p.built.index.ListBytes(t));
+    std::span<const index::Posting> list;
+    if (const auto* postings = p.built.index.postings(t)) list = *postings;
+    max_column = std::max(max_column, ColumnBytesFromPostings(list).size());
+    max_list_bytes = std::max(max_list_bytes, p.built.index.ListBytes(t));
   }
-  EXPECT_EQ((*matrix)->rows(), (4 + max_bytes) * 8);
+  EXPECT_EQ((*matrix)->rows(), 8 * max_column);
   EXPECT_EQ((*matrix)->cols(), bucket.size());
+  // Bit-packed postings take fewer rows than a byte-length prefix plus
+  // 5-byte postings would.
+  EXPECT_LT((*matrix)->rows(), (4 + max_list_bytes) * 8);
+}
+
+TEST(PirColumnCodecTest, RoundTripsEdgeCases) {
+  using index::Posting;
+  const std::vector<std::vector<Posting>> lists = {
+      {},
+      {{0, 1}},
+      {{0xFFFFFFFFu, 1}},
+      {{7, 255}, {3, 1}},
+      {{0xFFFFFFFFu, 255}, {0, 1}, {12345, 200}},
+  };
+  for (const auto& list : lists) {
+    std::vector<uint8_t> column = ColumnBytesFromPostings(list);
+    // Padding, as the bucket matrix adds it, does not change the decode.
+    for (size_t pad : {size_t{0}, size_t{1}, size_t{64}}) {
+      auto back = PostingsFromColumnBits(ColumnBits(column, pad));
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(*back, list);
+    }
+  }
+  // The widths are the smallest that hold the largest doc id and impact.
+  EXPECT_EQ(ColumnBytesFromPostings(lists[0]), Header(0, 1, 1));
+  std::vector<uint8_t> single = ColumnBytesFromPostings(lists[1]);
+  EXPECT_EQ(single.size(), 7u);
+  EXPECT_EQ(single[4], 1);
+  EXPECT_EQ(single[5], 1);
+  std::vector<uint8_t> widest = ColumnBytesFromPostings(lists[4]);
+  EXPECT_EQ(widest[4], 32);
+  EXPECT_EQ(widest[5], 8);
+  EXPECT_EQ(widest.size(), 6u + 15u);  // 3 x 40 bits
+}
+
+TEST(PirColumnCodecTest, RoundTripsEveryIndexedList) {
+  PirPipeline p(4);
+  for (wordnet::TermId t : p.built.index.IndexedTerms()) {
+    const std::vector<index::Posting>& list = *p.built.index.postings(t);
+    std::vector<uint8_t> column = ColumnBytesFromPostings(list);
+    auto back = PostingsFromColumnBits(ColumnBits(column, 3));
+    ASSERT_TRUE(back.ok()) << "term " << t << ": " << back.status().ToString();
+    EXPECT_EQ(*back, list) << "term " << t;
+  }
+}
+
+TEST(PirColumnCodecTest, RejectsHostileColumns) {
+  auto expect_corruption = [](const std::vector<uint8_t>& column,
+                              const char* what) {
+    auto decoded = PostingsFromColumnBits(ColumnBits(column, 0));
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << what;
+  };
+  // Shorter than the 6-byte header.
+  EXPECT_TRUE(PostingsFromColumnBits({}).status().IsCorruption());
+  EXPECT_TRUE(PostingsFromColumnBits(std::vector<bool>(47, false))
+                  .status()
+                  .IsCorruption());
+  expect_corruption({0, 0, 0, 0, 1}, "5-byte column");
+  // Widths out of range.
+  expect_corruption(Header(0, 0, 8), "doc width 0");
+  expect_corruption(Header(0, 33, 8), "doc width 33");
+  expect_corruption(Header(0, 16, 0), "impact width 0");
+  expect_corruption(Header(0, 16, 9), "impact width 9");
+  // Ten 16-bit postings need 20 payload bytes: 19 is one byte short.
+  std::vector<uint8_t> column = Header(10, 8, 8);
+  column.resize(6 + 19, 0xAB);
+  expect_corruption(column, "count past the payload");
+  column.push_back(0xAB);
+  EXPECT_TRUE(PostingsFromColumnBits(ColumnBits(column, 0)).ok());
+  // Counts whose bit total would wrap in 32 bits.
+  column = Header(0xFFFFFFFFu, 32, 8);
+  column.resize(4096, 0xFF);
+  expect_corruption(column, "count 0xFFFFFFFF");
+  column = Header(0x80000000u, 1, 1);  // 2^32 bits: 0 modulo 2^32
+  column.resize(64, 0);
+  expect_corruption(column, "count 2^31 at 2 bits");
 }
 
 TEST(PirRetrievalTest, DownlinkScalesWithMaxListNotOwnList) {

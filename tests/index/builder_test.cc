@@ -272,24 +272,6 @@ TEST(IndexBuilderTest, ImpactsMatchFormula4OnHandCorpus) {
   EXPECT_EQ(list_b->front().impact, out->quantizer.Quantize(p_b1));
 }
 
-TEST(IndexBuilderTest, SerializationRoundTrip) {
-  auto lex = testutil::SmallSyntheticLexicon(1200);
-  auto corp = testutil::SmallCorpus(lex, 60);
-  auto out = BuildIndex(corp, {});
-  ASSERT_TRUE(out.ok());
-  wordnet::TermId term = out->index.IndexedTerms()[5];
-  auto bytes = out->index.SerializeList(term);
-  EXPECT_EQ(bytes.size(), out->index.ListBytes(term));
-  auto back = InvertedIndex::DeserializeList(bytes);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, *out->index.postings(term));
-}
-
-TEST(IndexBuilderTest, DeserializeRejectsBadLength) {
-  EXPECT_FALSE(InvertedIndex::DeserializeList({1, 2, 3}).ok());
-  EXPECT_TRUE(InvertedIndex::DeserializeList({}).ok());  // empty list is fine
-}
-
 TEST(IndexBuilderTest, UnknownTermHasNoList) {
   auto lex = testutil::SmallSyntheticLexicon(1200);
   auto corp = testutil::SmallCorpus(lex, 30);
@@ -297,7 +279,6 @@ TEST(IndexBuilderTest, UnknownTermHasNoList) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->index.postings(9999999), nullptr);
   EXPECT_EQ(out->index.ListLength(9999999), 0u);
-  EXPECT_TRUE(out->index.SerializeList(9999999).empty());
 }
 
 TEST(SearchDictionaryTest, IntersectsIndexWithLexicon) {

@@ -118,6 +118,25 @@ TEST(FramingTest, ChecksumIsPositionSensitive) {
   EXPECT_FALSE(DecodeFrame(bytes).ok());
 }
 
+TEST(FramingTest, RejectsVersionOnePeers) {
+  // Version 1 carried PIR columns as [u32 byte length][5-byte postings]; a
+  // version-1 peer would read a version-2 column's posting count as that
+  // length. A well-formed, correctly checksummed version-1 frame must be
+  // refused by version, not decoded.
+  auto bytes = EncodeFrame(FrameKind::kPirResult, 3, SomePayload(40, 6));
+  bytes[4] = 1;
+  uint32_t checksum = Fnv1a32(bytes.data(), 20);
+  checksum = Fnv1a32(bytes.data() + kFrameHeaderBytes,
+                     bytes.size() - kFrameHeaderBytes, checksum);
+  for (int i = 0; i < 4; ++i) {
+    bytes[20 + i] = static_cast<uint8_t>(checksum >> (24 - 8 * i));
+  }
+  auto frame = DecodeFrame(bytes);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsCorruption());
+  EXPECT_EQ(frame.status().message(), "unsupported protocol version 1");
+}
+
 // --- Hello payload ----------------------------------------------------------
 
 TEST(FramingTest, HelloRoundTrip) {
