@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "embellish.h"
 
 namespace {
@@ -39,15 +41,21 @@ struct Fixture {
   }
 };
 
+// Arg: pool threads running the build's chunks; 0 builds without a pool.
+// Timed in wall-clock time, since pool workers' CPU is not the caller's.
 void BM_IndexBuild(benchmark::State& state) {
   const auto& f = Fixture::Get();
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool = std::make_unique<ThreadPool>(static_cast<size_t>(state.range(0)));
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index::BuildIndex(f.corp, {}));
+    benchmark::DoNotOptimize(index::BuildIndex(f.corp, {}, pool.get()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.corp.TotalTokens()));
 }
-BENCHMARK(BM_IndexBuild);
+BENCHMARK(BM_IndexBuild)->Arg(0)->Arg(4)->UseRealTime();
 
 void BM_TopKEvaluation(benchmark::State& state) {
   const auto& f = Fixture::Get();

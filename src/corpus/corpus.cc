@@ -1,32 +1,43 @@
 #include "corpus/corpus.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace embellish::corpus {
 
 Corpus::Corpus(std::vector<Document> documents)
     : documents_(std::move(documents)) {
+  size_t table_size = 0;
   for (DocId i = 0; i < documents_.size(); ++i) {
     documents_[i].id = i;
     total_tokens_ += documents_[i].tokens.size();
-    std::unordered_set<wordnet::TermId> seen;
     for (wordnet::TermId t : documents_[i].tokens) {
-      if (seen.insert(t).second) ++doc_frequency_[t];
+      table_size = std::max<size_t>(table_size, size_t{t} + 1);
+    }
+  }
+  // One pass, no per-document set: a term counts toward f_t the first time
+  // it is seen in a document, which its stamp (document id + 1; 0 = never
+  // seen) records.
+  doc_frequency_.assign(table_size, 0);
+  std::vector<uint32_t> last_seen(table_size, 0);
+  for (DocId i = 0; i < documents_.size(); ++i) {
+    for (wordnet::TermId t : documents_[i].tokens) {
+      if (last_seen[t] != i + 1) {
+        last_seen[t] = i + 1;
+        ++doc_frequency_[t];
+      }
     }
   }
 }
 
 uint32_t Corpus::DocumentFrequency(wordnet::TermId term) const {
-  auto it = doc_frequency_.find(term);
-  return it == doc_frequency_.end() ? 0 : it->second;
+  return term < doc_frequency_.size() ? doc_frequency_[term] : 0;
 }
 
 std::vector<wordnet::TermId> Corpus::DistinctTerms() const {
   std::vector<wordnet::TermId> terms;
-  terms.reserve(doc_frequency_.size());
-  for (const auto& [term, freq] : doc_frequency_) terms.push_back(term);
-  std::sort(terms.begin(), terms.end());
+  for (size_t t = 0; t < doc_frequency_.size(); ++t) {
+    if (doc_frequency_[t] > 0) terms.push_back(static_cast<wordnet::TermId>(t));
+  }
   return terms;
 }
 

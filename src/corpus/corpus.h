@@ -3,13 +3,17 @@
 // Documents are token sequences over the lexical database's term ids. The
 // corpus also exposes collection statistics (document frequency f_t, total
 // document count N) that the impact computation of Appendix B.2 consumes.
+//
+// f_t lives in a dense table indexed by term id, sized by the largest id
+// in the collection plus one. Term ids are lexicon indices, so that is the
+// lexicon size (4 bytes a term) and every lookup is one bounds check and
+// one load.
 
 #ifndef EMBELLISH_CORPUS_CORPUS_H_
 #define EMBELLISH_CORPUS_CORPUS_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -35,10 +39,17 @@ class Corpus {
   const Document& document(DocId id) const { return documents_[id]; }
   const std::vector<Document>& documents() const { return documents_; }
 
-  /// \brief Document frequency f_t: number of documents containing `term`.
+  /// \brief Document frequency f_t: number of documents containing `term`
+  ///        (0 for a term past the table).
   uint32_t DocumentFrequency(wordnet::TermId term) const;
 
-  /// \brief All distinct terms appearing in the corpus.
+  /// \brief The dense f_t table: entry t is DocumentFrequency(t), and the
+  ///        table ends at the largest term id in the collection.
+  const std::vector<uint32_t>& DocumentFrequencies() const {
+    return doc_frequency_;
+  }
+
+  /// \brief All distinct terms appearing in the corpus, sorted by id.
   std::vector<wordnet::TermId> DistinctTerms() const;
 
   /// \brief Total token count across all documents.
@@ -50,7 +61,7 @@ class Corpus {
 
  private:
   std::vector<Document> documents_;
-  std::unordered_map<wordnet::TermId, uint32_t> doc_frequency_;
+  std::vector<uint32_t> doc_frequency_;  // indexed by term id
   uint64_t total_tokens_ = 0;
 };
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
+#include <utility>
 
 #include "common/answer_path.h"
+#include "common/strings.h"
 
 namespace embellish::index {
 
@@ -25,6 +28,11 @@ Status IndexBuildOptions::Validate() const {
 }
 
 namespace {
+
+// Document chunks per pool thread in a pooled build: enough for the pool to
+// balance uneven chunks, few enough that the per-chunk count tables (one
+// vocabulary-sized row each) stay small.
+constexpr size_t kBuildChunksPerThread = 4;
 
 // Scores one document under the configured model and calls
 // `emit(term, p_dt)` once per distinct term, in ascending term id order.
@@ -76,8 +84,11 @@ void ScoreDocument(const corpus::Document& doc, uint64_t num_docs,
 }  // namespace
 
 Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
-                               const IndexBuildOptions& options) {
+                               const IndexBuildOptions& options,
+                               ThreadPool* pool) {
   EMB_RETURN_NOT_OK(options.Validate());
+  // The build is charged to the calling thread once, here; the chunks
+  // below run on pool threads and never note a build themselves.
   common::NoteHeavyBuild();
   const size_t num_docs = corpus.document_count();
   if (num_docs == 0) {
@@ -90,50 +101,129 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
   const double avg_doc_len =
       static_cast<double>(corpus.TotalTokens()) /
       static_cast<double>(num_docs);
-  auto doc_frequency = [&](wordnet::TermId term) {
-    return corpus.DocumentFrequency(term);
+  const std::vector<uint32_t>& doc_frequency = corpus.DocumentFrequencies();
+  const size_t vocab = doc_frequency.size();
+  auto frequency_of = [&](wordnet::TermId term) {
+    return doc_frequency[term];
   };
-  std::vector<wordnet::TermId> scratch;
+
+  // Contiguous document chunks, scored independently. Chunk c owns row c
+  // of `slots`: its per-term posting count after pass 1, its per-term write
+  // cursor in pass 2. The rows are allocated here, on the calling thread,
+  // so no worker's malloc arena keeps them resident after the build. They
+  // are separate vocabulary-sized allocations rather than one table: glibc
+  // raises its mmap and trim thresholds to the size of any freed mmap'd
+  // block, and a ~2 MB table freed here made every thread's arena keep
+  // more free memory resident while serving (+3.6 MiB peak on perfbench's
+  // sharded_ingest).
+  const size_t chunks =
+      pool == nullptr
+          ? 1
+          : std::min(num_docs, kBuildChunksPerThread * pool->num_threads());
+  auto chunk_docs = [&](size_t c) {
+    return std::pair<size_t, size_t>(c * num_docs / chunks,
+                                     (c + 1) * num_docs / chunks);
+  };
+  auto for_each_chunk = [&](const std::function<void(size_t)>& fn) {
+    if (pool == nullptr) {
+      fn(0);
+      return;
+    }
+    pool->ParallelFor(0, chunks, 1, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) fn(c);
+    });
+  };
+  std::vector<std::vector<uint32_t>> slots(chunks,
+                                          std::vector<uint32_t>(vocab, 0));
+  std::vector<double> chunk_max(chunks, 0.0);
 
   // Pass 1: every real-valued impact, computed only to find the maximum the
-  // quantizer scales by. Nothing is staged; pass 2 recomputes each impact
-  // with the same arithmetic.
-  double max_impact = 0.0;
-  for (const corpus::Document& doc : corpus.documents()) {
-    ScoreDocument(doc, num_docs, avg_doc_len, doc_frequency, options, &scratch,
-                  [&](wordnet::TermId, double p_dt) {
-                    max_impact = std::max(max_impact, p_dt);
-                  });
-  }
+  // quantizer scales by, plus each chunk's per-term counts. Nothing is
+  // staged; pass 2 recomputes each impact with the same arithmetic. The
+  // maximum over chunk maxima is the serial maximum: max ignores order.
+  for_each_chunk([&](size_t c) {
+    uint32_t* counts = slots[c].data();
+    std::vector<wordnet::TermId> scratch;
+    double max_impact = 0.0;
+    const auto [first, last] = chunk_docs(c);
+    for (size_t d = first; d < last; ++d) {
+      ScoreDocument(corpus.document(static_cast<corpus::DocId>(d)), num_docs,
+                    avg_doc_len, frequency_of, options, &scratch,
+                    [&](wordnet::TermId term, double p_dt) {
+                      max_impact = std::max(max_impact, p_dt);
+                      ++counts[term];
+                    });
+    }
+    chunk_max[c] = max_impact;
+  });
+  const double max_impact =
+      *std::max_element(chunk_max.begin(), chunk_max.end());
   EMB_ASSIGN_OR_RETURN(ImpactQuantizer quantizer,
                        ImpactQuantizer::Create(options.impact_bits, max_impact));
 
-  // Pass 2: recompute, quantize straight into the final shared lists (each
-  // reserved at its exact length f_t), then impact-order every list. The
-  // lists are created non-const here and published const when the index
-  // is returned, so this function is their only writer.
-  auto writable = [](const std::shared_ptr<const std::vector<Posting>>& list) {
-    return const_cast<std::vector<Posting>*>(list.get());
-  };
+  // Sizing: each chunk's counts become its start offsets in every list (an
+  // exclusive prefix sum in chunk order), and each list is allocated at its
+  // exact length f_t. Counts that do not add up to f_t would write outside
+  // a list, so they fail the build.
+  std::vector<uint32_t> filled(vocab, 0);
+  for (size_t c = 0; c < chunks; ++c) {
+    uint32_t* row = slots[c].data();
+    for (size_t t = 0; t < vocab; ++t) {
+      const uint32_t count = row[t];
+      row[t] = filled[t];
+      filled[t] += count;
+    }
+  }
+  // The lists are created non-const here and published const when the
+  // index is returned, so this function is their only writer.
   auto lists = std::make_shared<ListMap>();
-  for (const corpus::Document& doc : corpus.documents()) {
-    ScoreDocument(doc, num_docs, avg_doc_len, doc_frequency, options, &scratch,
-                  [&](wordnet::TermId term, double p_dt) {
-                    std::shared_ptr<const std::vector<Posting>>& slot =
-                        (*lists)[term];
-                    if (slot == nullptr) {
-                      auto list = std::make_shared<std::vector<Posting>>();
-                      list->reserve(corpus.DocumentFrequency(term));
-                      slot = std::move(list);
-                    }
-                    writable(slot)->push_back(
-                        Posting{doc.id, quantizer.Quantize(p_dt)});
-                  });
+  std::vector<Posting*> list_data(vocab, nullptr);
+  std::vector<wordnet::TermId> terms;
+  for (size_t t = 0; t < vocab; ++t) {
+    if (filled[t] != doc_frequency[t]) {
+      return Status::Internal(StringPrintf(
+          "term %zu: chunks counted %u postings, f_t is %u", t, filled[t],
+          doc_frequency[t]));
+    }
+    if (doc_frequency[t] == 0) continue;
+    auto list = std::make_shared<std::vector<Posting>>(doc_frequency[t]);
+    list_data[t] = list->data();
+    lists->emplace(static_cast<wordnet::TermId>(t), std::move(list));
+    terms.push_back(static_cast<wordnet::TermId>(t));
   }
-  for (auto& [term, list] : *lists) {
-    std::vector<Posting>* postings = writable(list);
-    std::sort(postings->begin(), postings->end(), PostingOrder);
-  }
+
+  // Pass 2: recompute and quantize each posting straight into its slot.
+  // Chunks write disjoint slot ranges, in chunk order within every list,
+  // so each list comes out in document order, as a serial append leaves it.
+  for_each_chunk([&](size_t c) {
+    uint32_t* cursor = slots[c].data();
+    std::vector<wordnet::TermId> scratch;
+    const auto [first, last] = chunk_docs(c);
+    for (size_t d = first; d < last; ++d) {
+      const corpus::Document& doc =
+          corpus.document(static_cast<corpus::DocId>(d));
+      ScoreDocument(doc, num_docs, avg_doc_len, frequency_of, options,
+                    &scratch, [&](wordnet::TermId term, double p_dt) {
+                      list_data[term][cursor[term]++] =
+                          Posting{doc.id, quantizer.Quantize(p_dt)};
+                    });
+    }
+  });
+
+  // Impact-order every list. Doc ids are unique within a list, so
+  // PostingOrder is a strict total order and the sorted list does not
+  // depend on which thread sorts it. Lists are dealt largest first,
+  // round-robin over the chunks, so every chunk starts on a long list.
+  std::sort(terms.begin(), terms.end(),
+            [&](wordnet::TermId a, wordnet::TermId b) {
+              return doc_frequency[a] > doc_frequency[b];
+            });
+  for_each_chunk([&](size_t c) {
+    for (size_t i = c; i < terms.size(); i += chunks) {
+      Posting* data = list_data[terms[i]];
+      std::sort(data, data + doc_frequency[terms[i]], PostingOrder);
+    }
+  });
 
   return BuildOutput{
       InvertedIndex(num_docs, std::move(lists), options.impact_bits),
@@ -141,11 +231,10 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
 }
 
 uint32_t FrozenCorpusStats::DocumentFrequency(wordnet::TermId term) const {
-  auto it = doc_frequency.find(term);
   // Unseen at capture time: clamp to 1 so ln(1 + N/f_t) stays finite. The
   // term was absent from the frozen collection, so "rarest possible" is the
   // faithful reading of the frozen statistics.
-  return it == doc_frequency.end() ? 1u : std::max(1u, it->second);
+  return term < doc_frequency.size() ? std::max(1u, doc_frequency[term]) : 1u;
 }
 
 FrozenCorpusStats CaptureCorpusStats(const corpus::Corpus& corpus) {
@@ -155,9 +244,7 @@ FrozenCorpusStats CaptureCorpusStats(const corpus::Corpus& corpus) {
                           ? 0.0
                           : static_cast<double>(corpus.TotalTokens()) /
                                 static_cast<double>(stats.num_docs);
-  for (wordnet::TermId term : corpus.DistinctTerms()) {
-    stats.doc_frequency[term] = corpus.DocumentFrequency(term);
-  }
+  stats.doc_frequency = corpus.DocumentFrequencies();
   return stats;
 }
 

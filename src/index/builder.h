@@ -1,9 +1,20 @@
 // Builds an impact-ordered InvertedIndex from a Corpus.
+//
+// The full build is the two-pass in-memory inversion of Zobel and Moffat
+// ("Inverted files for text search engines", ACM Computing Surveys 2006):
+// a counting pass sizes every list exactly, and a second pass writes each
+// posting in place. Both passes, and the final impact sort, run over
+// contiguous document chunks on an optional ThreadPool.
 
 #ifndef EMBELLISH_INDEX_BUILDER_H_
 #define EMBELLISH_INDEX_BUILDER_H_
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "corpus/corpus.h"
 #include "index/impact.h"
 #include "index/inverted_index.h"
@@ -45,8 +56,25 @@ struct BuildOutput {
 };
 
 /// \brief Builds the index per Appendix B.2 / Formula 4.
+///
+/// `pool` (nullable, not owned) runs both scoring passes and the list sorts
+/// over contiguous document chunks, 4 per pool thread (capped at the
+/// document count; 1 without a pool). The result is bit-identical for
+/// every pool width, no pool included:
+///   - the quantizer scales by the maximum over the chunks' maxima, which
+///     is the serial maximum, since max does not depend on order;
+///   - chunk c writes each list's postings at that list's count of
+///     postings from chunks before c, so every list is in document order
+///     before it is sorted, exactly as a serial append leaves it;
+///   - doc ids are unique within a list, so PostingOrder is a strict total
+///     order and the sorted list cannot depend on who sorted it.
+/// Memory: besides the lists themselves, the build holds one count row per
+/// chunk, each sized by the largest term id in the corpus plus one (4 bytes
+/// a term). Postings are never staged. Returns Internal if the chunks'
+/// counts disagree with the corpus's document frequencies.
 Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
-                               const IndexBuildOptions& options = {});
+                               const IndexBuildOptions& options = {},
+                               ThreadPool* pool = nullptr);
 
 /// \brief Collection statistics captured at full-build time and held fixed
 ///        across incremental deltas.
@@ -61,11 +89,12 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
 struct FrozenCorpusStats {
   uint64_t num_docs = 0;
   double avg_doc_len = 0.0;
-  std::unordered_map<wordnet::TermId, uint32_t> doc_frequency;
+  /// f_t by term id: a copy of the corpus's dense table.
+  std::vector<uint32_t> doc_frequency;
 
   /// \brief f_t under the frozen statistics. Terms unseen at capture time
-  ///        get f_t = 1 (the smallest in-collection frequency) so their
-  ///        TermWeight stays finite.
+  ///        (f_t = 0, or an id past the table) get f_t = 1 (the smallest
+  ///        in-collection frequency) so their TermWeight stays finite.
   uint32_t DocumentFrequency(wordnet::TermId term) const;
 };
 

@@ -79,7 +79,7 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Create(
 
   auto catalog =
       std::unique_ptr<IndexCatalog>(new IndexCatalog(options, pool, false));
-  EMB_ASSIGN_OR_RETURN(BuildOutput out, BuildIndex(corpus, options.build));
+  EMB_ASSIGN_OR_RETURN(BuildOutput out, BuildIndex(corpus, options.build, pool));
   // Frozen delta-scoring state: statistics and quantizer captured exactly
   // once, at full-build time (see FrozenCorpusStats).
   catalog->frozen_stats_ = CaptureCorpusStats(corpus);

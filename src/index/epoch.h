@@ -174,8 +174,8 @@ class IndexCatalog {
  public:
   /// \brief Full build from a corpus. Retains the frozen collection
   ///        statistics and quantizer, so this catalog supports ApplyDelta.
-  ///        `pool` (nullable) provides inner parallelism for background
-  ///        builds and is NOT owned.
+  ///        `pool` (nullable) provides inner parallelism for this full
+  ///        build (BuildIndex) and for background builds, and is NOT owned.
   static Result<std::unique_ptr<IndexCatalog>> Create(
       const corpus::Corpus& corpus,
       std::shared_ptr<const core::BucketOrganization> buckets,

@@ -95,6 +95,8 @@ CoordinatorStats ShardCoordinator::stats() const {
       counters_.degraded_answers.load(std::memory_order_relaxed);
   snapshot.epoch_swaps =
       counters_.epoch_swaps.load(std::memory_order_relaxed);
+  snapshot.deferred_repairs =
+      counters_.deferred_repairs.load(std::memory_order_relaxed);
   snapshot.blocking_io_trips =
       counters_.blocking_io_trips.load(std::memory_order_relaxed);
   snapshot.async_io_trips =
@@ -558,20 +560,27 @@ Status ShardCoordinator::AdvanceEpoch() {
   handshaken_.store(false, std::memory_order_release);
   counters_.epoch_swaps.fetch_add(1, std::memory_order_relaxed);
   // Re-verify the (possibly restarted or re-sharded) slice topology under
-  // the new epoch before any request traffic relies on it.
-  EMB_RETURN_NOT_OK(Handshake());
+  // the new epoch before any request traffic relies on it. A topology error
+  // fails the cutover. A slice that refuses the ping right now (shed under
+  // overload, a dropped trip) does not: the epoch is already bumped, and
+  // handshaken_ stays false, so the next request's Handshake() pings again.
+  Status handshake = Handshake();
+  if (handshake.IsFailedPrecondition() || handshake.IsInvalidArgument()) {
+    return handshake;
+  }
+  if (!handshake.ok()) {
+    Count(&AtomicStats::deferred_repairs);
+    return Status::OK();
+  }
   // Re-push slice state: a cutover that restarted a slice server (or swapped
   // in a resharded deployment) wiped its session table; re-offering every
   // registered key keeps established sessions working without a
-  // client-visible re-hello. ReRegisterOnShards would also repair these
-  // lazily per session, but the eager push keeps the cutover's cost off the
-  // first post-cutover query of every session.
+  // client-visible re-hello. The eager push keeps the cutover's cost off the
+  // first post-cutover query of every session; a session whose re-hello is
+  // refused is left to the query path's ReRegisterOnShards.
   for (const auto& [session_id, pk] : sessions_.Snapshot()) {
     if (!ReRegisterOnShards(session_id, *pk)) {
-      return Status::Unavailable(StringPrintf(
-          "session %llu could not be re-registered on every slice after the "
-          "epoch cutover",
-          static_cast<unsigned long long>(session_id)));
+      Count(&AtomicStats::deferred_repairs);
     }
   }
   return Status::OK();

@@ -189,6 +189,10 @@ struct CoordinatorStats {
   uint64_t shed = 0;          ///< requests refused with kBusy (admission)
   uint64_t degraded_answers = 0;  ///< partial-merge responses produced
   uint64_t epoch_swaps = 0;   ///< AdvanceEpoch cutovers driven
+  /// Repairs an AdvanceEpoch cutover left to the request paths: one per
+  /// refused re-handshake and one per session whose re-hello some slice did
+  /// not ack.
+  uint64_t deferred_repairs = 0;
   /// Physical replica attempts on a transport without a native async
   /// submit, each completed inline on the submitting thread. Zero in a
   /// fully multiplexed deployment: N overlapped round trips then pin zero
@@ -246,6 +250,11 @@ class ShardCoordinator {
   ///        against concurrent AdvanceEpoch calls; concurrent request
   ///        traffic rides through (a request racing the bump may get a
   ///        typed kUnavailable for its fenced trip and simply retries).
+  ///        Only a topology error (FailedPrecondition, InvalidArgument)
+  ///        fails the cutover. A refused ping or re-hello is left to the
+  ///        request paths, counted in CoordinatorStats::deferred_repairs:
+  ///        the next request re-handshakes, and a query that finds its
+  ///        session lost re-registers it (ReRegisterOnShards).
   Status AdvanceEpoch();
 
   /// \brief The current fencing epoch stamped into downstream envelopes.
@@ -390,6 +399,7 @@ class ShardCoordinator {
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> degraded_answers{0};
     std::atomic<uint64_t> epoch_swaps{0};
+    std::atomic<uint64_t> deferred_repairs{0};
     std::atomic<uint64_t> blocking_io_trips{0};
     std::atomic<uint64_t> async_io_trips{0};
     std::atomic<uint64_t> trip_micros{0};

@@ -1,5 +1,8 @@
 #include "corpus/corpus.h"
 
+#include <algorithm>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "testutil.h"
@@ -33,6 +36,43 @@ TEST(CorpusTest, DocumentFrequencyCountsDocumentsNotOccurrences) {
 TEST(CorpusTest, DistinctTermsSorted) {
   Corpus c = MakeTinyCorpus();
   EXPECT_EQ(c.DistinctTerms(), (std::vector<wordnet::TermId>{0, 1, 2}));
+}
+
+TEST(CorpusTest, SparseTermIdCountedOncePerDocument) {
+  // A term id far past the others sizes the dense table; repeats within a
+  // document still count once.
+  std::vector<Document> docs(3);
+  docs[0].tokens = {100000, 3, 100000};
+  docs[1].tokens = {3};
+  docs[2].tokens = {100000, 100000, 100000};
+  Corpus c(std::move(docs));
+  EXPECT_EQ(c.DocumentFrequency(100000), 2u);
+  EXPECT_EQ(c.DocumentFrequency(3), 2u);
+  EXPECT_EQ(c.DocumentFrequency(99999), 0u);
+  EXPECT_EQ(c.DocumentFrequencies().size(), 100001u);
+  // Past the largest id the table ends, and the frequency reads 0.
+  EXPECT_EQ(c.DocumentFrequency(100001), 0u);
+  EXPECT_EQ(c.DocumentFrequency(4000000000u), 0u);
+  EXPECT_EQ(c.DistinctTerms(), (std::vector<wordnet::TermId>{3, 100000}));
+}
+
+TEST(CorpusTest, DistinctTermsSortedAndComplete) {
+  auto lex = testutil::SmallSyntheticLexicon(1500);
+  Corpus c = testutil::SmallCorpus(lex, 100);
+  std::set<wordnet::TermId> seen;
+  for (const Document& doc : c.documents()) {
+    seen.insert(doc.tokens.begin(), doc.tokens.end());
+  }
+  const std::vector<wordnet::TermId> distinct = c.DistinctTerms();
+  EXPECT_EQ(distinct,
+            std::vector<wordnet::TermId>(seen.begin(), seen.end()));
+  for (wordnet::TermId t : distinct) {
+    size_t containing = 0;
+    for (const Document& doc : c.documents()) {
+      containing += std::count(doc.tokens.begin(), doc.tokens.end(), t) > 0;
+    }
+    EXPECT_EQ(c.DocumentFrequency(t), containing) << "term " << t;
+  }
 }
 
 TEST(CorpusTest, TotalTokens) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "index/dictionary.h"
 #include "testutil.h"
 
@@ -92,6 +93,17 @@ size_t CountImpactTies(const Lists& lists) {
   return ties;
 }
 
+// Asserts `got` holds exactly `want`'s lists, maximum impact and shape.
+void ExpectSameBuild(const BuildOutput& got, const BuildOutput& want) {
+  EXPECT_EQ(got.max_real_impact, want.max_real_impact);  // exact, not near
+  EXPECT_EQ(got.index.document_count(), want.index.document_count());
+  ASSERT_EQ(got.index.IndexedTerms(), want.index.IndexedTerms());
+  for (wordnet::TermId term : want.index.IndexedTerms()) {
+    EXPECT_EQ(*got.index.postings(term), *want.index.postings(term))
+        << "term " << term;
+  }
+}
+
 class IndexBuilderReferenceTest
     : public ::testing::TestWithParam<std::tuple<ScoringModel, int>> {
  protected:
@@ -137,6 +149,40 @@ TEST_P(IndexBuilderReferenceTest, BuildIndexMatchesTheStagedBuild) {
   }
   // The comparison covered the doc-asc order of equal impacts.
   EXPECT_GT(CountImpactTies(expected), 0u);
+}
+
+TEST_P(IndexBuilderReferenceTest, PooledBuildsMatchTheStagedBuild) {
+  // 200 documents: more than the 4 chunks per thread of every pool here.
+  auto lex = testutil::SmallSyntheticLexicon(1500);
+  auto corp = testutil::SmallCorpus(lex, 200);
+  const IndexBuildOptions options = Options();
+  auto serial = BuildIndex(corp, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  const StagedLists staged = StageReference(
+      corp.documents(), corp.document_count(),
+      static_cast<double>(corp.TotalTokens()) /
+          static_cast<double>(corp.document_count()),
+      [&](wordnet::TermId t) { return corp.DocumentFrequency(t); }, options);
+  auto quantizer =
+      ImpactQuantizer::Create(options.impact_bits, MaxStagedImpact(staged));
+  ASSERT_TRUE(quantizer.ok());
+  const auto expected = QuantizeReference(staged, *quantizer);
+
+  for (size_t threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    auto pooled = BuildIndex(corp, options, &pool);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ExpectSameBuild(*pooled, *serial);
+    EXPECT_EQ(pooled->max_real_impact, MaxStagedImpact(staged));
+    ASSERT_EQ(pooled->index.term_count(), expected.size());
+    for (const auto& [term, list] : expected) {
+      const std::vector<Posting>* got = pooled->index.postings(term);
+      ASSERT_NE(got, nullptr) << "term " << term;
+      EXPECT_EQ(*got, list) << "term " << term;
+    }
+  }
 }
 
 TEST_P(IndexBuilderReferenceTest, DeltaListsMatchTheStagedBuild) {
@@ -191,6 +237,24 @@ TEST(IndexBuilderTest, ValidatesOptions) {
 TEST(IndexBuilderTest, RejectsEmptyCorpus) {
   corpus::Corpus empty({});
   EXPECT_FALSE(BuildIndex(empty, {}).ok());
+}
+
+TEST(IndexBuilderTest, PooledBuildWithFewerDocumentsThanChunks) {
+  // 3 documents under a 4-thread pool: fewer documents than the pool's 16
+  // chunks, so the build runs one chunk per document.
+  std::vector<corpus::Document> docs(3);
+  docs[0].tokens = {4, 4, 1, 7};
+  docs[1].tokens = {1, 9};
+  docs[2].tokens = {7, 7, 7, 1, 4};
+  corpus::Corpus corp(std::move(docs));
+  auto serial = BuildIndex(corp, {});
+  ASSERT_TRUE(serial.ok());
+  ThreadPool pool(4);
+  auto pooled = BuildIndex(corp, {}, &pool);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ExpectSameBuild(*pooled, *serial);
+  EXPECT_EQ(pooled->index.ListLength(1), 3u);
+  EXPECT_EQ(pooled->index.ListLength(9), 1u);
 }
 
 TEST(IndexBuilderTest, EveryDistinctTermIndexed) {

@@ -82,6 +82,35 @@ TEST_F(IndexEpochTest, CreateBuildsEpochOneMatchingBuildIndex) {
   EXPECT_EQ(catalog->stats().epoch_swaps, 0u);  // the first epoch is no swap
 }
 
+TEST_F(IndexEpochTest, PooledCreateMatchesThePoolLessCatalog) {
+  // The catalog hands its pool to BuildIndex: every monolithic and shard
+  // list must come out exactly as the pool-less catalog's.
+  ThreadPool pool(4);
+  for (size_t shard_count : {1, 3}) {
+    SCOPED_TRACE(shard_count);
+    auto serial = MakeCatalog(shard_count)->Acquire();
+    auto pooled = MakeCatalog(shard_count, &pool)->Acquire();
+    ASSERT_EQ(pooled->index().IndexedTerms(), serial->index().IndexedTerms());
+    for (wordnet::TermId term : serial->index().IndexedTerms()) {
+      EXPECT_EQ(*pooled->index().postings(term),
+                *serial->index().postings(term))
+          << "term " << term;
+    }
+    ASSERT_EQ(pooled->shard_count(), shard_count);
+    if (shard_count == 1) continue;
+    ASSERT_NE(pooled->sharded(), nullptr);
+    for (size_t s = 0; s < shard_count; ++s) {
+      const InvertedIndex& want = serial->sharded()->shard(s);
+      const InvertedIndex& got = pooled->sharded()->shard(s);
+      ASSERT_EQ(got.IndexedTerms(), want.IndexedTerms()) << "shard " << s;
+      for (wordnet::TermId term : want.IndexedTerms()) {
+        EXPECT_EQ(*got.postings(term), *want.postings(term))
+            << "shard " << s << " term " << term;
+      }
+    }
+  }
+}
+
 TEST_F(IndexEpochTest, ApplyDeltaInstallsSuccessorWithoutDisturbingPins) {
   auto catalog = MakeCatalog(2);
   auto pinned = catalog->Acquire();
@@ -410,25 +439,30 @@ TEST_F(IndexEpochTest, ShardImpactBoundMatchesHeadImpacts) {
 TEST_F(IndexEpochTest, BuildsNeverRunOnTheAnswerPath) {
   // The counted invariant: every index build this test triggers happens off
   // any thread marked as serving (no ScopedAnswerPath in scope here, and
-  // the catalog's background builders are never marked).
-  const uint64_t before = common::AnswerPathBuilds();
-  auto catalog = MakeCatalog(3);
-  catalog->ApplyDeltaAsync(SomeDeltaDocs(6, 19));
-  ShardingOptions wider;
-  wider.shard_count = 2;
-  catalog->ReshardAsync(wider);
-  {
-    // A serving thread resolving and evaluating concurrently must not be
-    // charged with a build.
-    common::ScopedAnswerPath serving;
-    for (int i = 0; i < 50; ++i) {
-      auto snapshot = catalog->Acquire();
-      EvaluateTopKEpoch(*snapshot, SomeTerms(i, 2 * i + 1), 5);
+  // the catalog's background builders are never marked) — with and without
+  // a pool running the full build's chunks and the serving evaluations.
+  ThreadPool shared(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &shared}) {
+    SCOPED_TRACE(pool == nullptr ? "pool-less" : "pooled");
+    const uint64_t before = common::AnswerPathBuilds();
+    auto catalog = MakeCatalog(3, pool);
+    catalog->ApplyDeltaAsync(SomeDeltaDocs(6, 19));
+    ShardingOptions wider;
+    wider.shard_count = 2;
+    catalog->ReshardAsync(wider);
+    {
+      // A serving thread resolving and evaluating concurrently must not be
+      // charged with a build.
+      common::ScopedAnswerPath serving;
+      for (int i = 0; i < 50; ++i) {
+        auto snapshot = catalog->Acquire();
+        EvaluateTopKEpoch(*snapshot, SomeTerms(i, 2 * i + 1), 5, pool);
+      }
     }
+    catalog->WaitForBuilds();
+    ASSERT_TRUE(catalog->last_async_status().ok());
+    EXPECT_EQ(common::AnswerPathBuilds(), before);
   }
-  catalog->WaitForBuilds();
-  ASSERT_TRUE(catalog->last_async_status().ok());
-  EXPECT_EQ(common::AnswerPathBuilds(), before);
 }
 
 }  // namespace

@@ -295,7 +295,8 @@ TEST_F(CoordinatorFaultTest, SeededFaultStormNeverCorruptsAnswers) {
   EXPECT_GT(injected, 0u);
 }
 
-// A transport whose peer can be killed mid-test.
+// A transport whose peer can be killed mid-test, and brought back as a
+// restarted peer.
 class KillableTransport : public ShardTransport {
  public:
   explicit KillableTransport(ShardTransport* inner) : inner_(inner) {}
@@ -304,14 +305,80 @@ class KillableTransport : public ShardTransport {
     if (dead_.load(std::memory_order_relaxed)) {
       return Status::Unavailable("replica killed");
     }
-    return inner_->RoundTrip(request);
+    return inner_.load(std::memory_order_relaxed)->RoundTrip(request);
   }
   void Kill() { dead_.store(true, std::memory_order_relaxed); }
+  // Routes further trips to `inner` (not owned) and answers them again.
+  void Revive(ShardTransport* inner) {
+    inner_.store(inner, std::memory_order_relaxed);
+    dead_.store(false, std::memory_order_relaxed);
+  }
 
  private:
-  ShardTransport* inner_;  // not owned
+  std::atomic<ShardTransport*> inner_;
   std::atomic<bool> dead_{false};
 };
+
+TEST_F(CoordinatorFaultTest, CutoverSurvivesASliceRefusingEveryTrip) {
+  // A slice refuses every trip while the writer cuts over, then comes back
+  // restarted, with an empty session table. The cutover still completes and
+  // counts the repair it left behind; the next query re-handshakes,
+  // re-registers its session on the restarted slice, and merges
+  // bit-identically to the monolithic server.
+  SessionClient client = MakeClient(11, 611);
+  mono_.HandleFrame(client.HelloFrame());
+  auto request = client.QueryFrame(SomeTerms(3, 71));
+  ASSERT_TRUE(request.ok());
+  const std::vector<uint8_t> reference = mono_.HandleFrame(*request);
+
+  KillableTransport flaky(inner_transports_[1].get());
+  ShardCoordinator coordinator(std::vector<ShardTransport*>{
+      inner_transports_[0].get(), &flaky, inner_transports_[2].get()});
+  ASSERT_EQ(DecodeFrame(coordinator.HandleFrame(client.HelloFrame()))->kind,
+            FrameKind::kHelloOk);
+  ASSERT_EQ(coordinator.HandleFrame(*request), reference);
+  const uint64_t epoch = coordinator.epoch();
+
+  flaky.Kill();
+  Status cutover = coordinator.AdvanceEpoch();
+  EXPECT_TRUE(cutover.ok()) << cutover.ToString();
+  EXPECT_EQ(coordinator.epoch(), epoch + 1);
+  EXPECT_GE(coordinator.stats().deferred_repairs, 1u);
+
+  EmbellishServerOptions options;
+  options.shard_slice = 1;
+  options.shard_slice_count = kShards;
+  EmbellishServer restarted(&built_.index, &org_, nullptr, options);
+  ShardEndpoint endpoint(&restarted, 1);
+  InProcessTransport transport(&endpoint);
+  flaky.Revive(&transport);
+  EXPECT_EQ(coordinator.HandleFrame(*request), reference);
+}
+
+TEST_F(CoordinatorFaultTest, CutoverSurvivesARefusedReHello) {
+  // The slice answers the cutover's ping but its ack of the session's
+  // re-hello is lost: the cutover completes, counts one deferred repair,
+  // and the session's next query is still byte-identical.
+  SessionClient client = MakeClient(12, 612);
+  mono_.HandleFrame(client.HelloFrame());
+  auto request = client.QueryFrame(SomeTerms(5, 9));
+  ASSERT_TRUE(request.ok());
+  const std::vector<uint8_t> reference = mono_.HandleFrame(*request);
+
+  FaultyTransportOptions options;
+  // hello, cutover ping, cutover re-hello (dropped), then clean.
+  options.schedule = {TransportFault::kNone, TransportFault::kNone,
+                      TransportFault::kDrop};
+  auto coordinator = MakeCoordinator(/*faulty_shard=*/2, options);
+  ASSERT_EQ(DecodeFrame(coordinator->HandleFrame(client.HelloFrame()))->kind,
+            FrameKind::kHelloOk);
+
+  Status cutover = coordinator->AdvanceEpoch();
+  EXPECT_TRUE(cutover.ok()) << cutover.ToString();
+  EXPECT_EQ(faulty_[0]->stats().drops, 1u);
+  EXPECT_EQ(coordinator->stats().deferred_repairs, 1u);
+  EXPECT_EQ(coordinator->HandleFrame(*request), reference);
+}
 
 TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
   // The full stack at once: two replicas per slice, seeded random faults on
