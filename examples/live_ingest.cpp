@@ -64,9 +64,7 @@ int main() {
               (*catalog)->Acquire()->shard_count(),
               static_cast<size_t>(corp->document_count()));
 
-  server::EmbellishServerOptions options;
-  options.cache_capacity = 0;  // recompute every answer: no replay masking
-  server::EmbellishServer srv(catalog->get(), options, &pool);
+  server::EmbellishServer srv(catalog->get(), {}, &pool);
 
   // ---- 2. Sessions and a pre-encoded, replayable query mix ----
   auto terms = corp->DistinctTerms();
@@ -164,7 +162,7 @@ int main() {
   for (const auto& [epoch, snapshot] : snapshots) {
     frozen[epoch] = index::IndexCatalog::FreezeEpoch(snapshot);
     references[epoch] =
-        std::make_unique<server::EmbellishServer>(frozen[epoch].get(), options);
+        std::make_unique<server::EmbellishServer>(frozen[epoch].get());
     for (auto& client : clients) {
       references[epoch]->HandleFrame(client.HelloFrame());
     }

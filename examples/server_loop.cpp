@@ -1,11 +1,11 @@
 // Server loop walkthrough: the framed request/response protocol end to end.
 //
 //   1. build a lexicon, bucket organization and impact-ordered index;
-//   2. stand up an EmbellishServer with a response cache and thread pool;
+//   2. stand up an EmbellishServer with a thread pool;
 //   3. register two sessions via hello frames;
-//   4. issue embellished queries through the wire — including a recurring
-//      one, which the bucket-set keyed cache answers without touching the
-//      index;
+//   4. issue embellished queries through the wire — including a repeated
+//      one, which goes out as different bytes of the same size, so the
+//      server cannot tell that it repeats;
 //   5. show that a corrupted frame gets a transported error, not a crash;
 //   6. print the server's cost accounting.
 
@@ -42,12 +42,9 @@ int main() {
               lexicon->term_count(), buckets->bucket_count(),
               corp->document_count());
 
-  // ---- 2. The server: batched dispatch + response cache ----
+  // ---- 2. The server: batched dispatch on a thread pool ----
   ThreadPool pool(4);
-  server::EmbellishServerOptions options;
-  options.cache_capacity = 256;
-  server::EmbellishServer srv(&built->index, &*buckets, nullptr, options,
-                              &pool);
+  server::EmbellishServer srv(&built->index, &*buckets, nullptr, {}, &pool);
 
   // ---- 3. Two sessions say hello (registering their public keys) ----
   crypto::BenalohKeyOptions ko;
@@ -64,15 +61,16 @@ int main() {
   std::vector<wordnet::TermId> alice_terms{terms[10], terms[25]};
   std::vector<wordnet::TermId> bob_terms{terms[40]};
 
+  // Returns the request frame sent (empty on failure).
   auto run = [&](server::SessionClient& who, const char* name,
                  const std::vector<wordnet::TermId>& genuine) {
     auto request = who.QueryFrame(genuine);
-    if (!request.ok()) return;
+    if (!request.ok()) return std::vector<uint8_t>{};
     auto response = srv.HandleFrame(*request);
     auto top = who.DecodeResultFrame(response, /*k=*/5);
     if (!top.ok()) {
       std::printf("  %s: error: %s\n", name, top.status().ToString().c_str());
-      return;
+      return std::vector<uint8_t>{};
     }
     std::printf("  %s: %zu-byte request -> %zu-byte response, top doc", name,
                 request->size(), response.size());
@@ -81,21 +79,23 @@ int main() {
                   static_cast<unsigned long long>((*top)[0].score));
     }
     std::printf("\n");
+    return std::move(*request);
   };
 
-  std::printf("first round (cache cold):\n");
-  run(*alice, "alice", alice_terms);
+  std::printf("first round:\n");
+  auto alice_first = run(*alice, "alice", alice_terms);
   run(*bob, "bob", bob_terms);
 
-  // A recurring genuine-term set: session-consistent embellishment produces
-  // the same co-bucket decoy set, the client reuses the encoded uplink
-  // bytes, and the server answers from the response cache.
-  std::printf("alice repeats her query (cache warm):\n");
-  run(*alice, "alice", alice_terms);
-  auto stats = srv.stats();
-  std::printf("  cache: %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
+  // A repeated genuine-term set: session-consistent embellishment produces
+  // the same co-bucket decoy set, but the indicators are encrypted afresh,
+  // so the server sees a frame of the same size and no repeated bytes.
+  std::printf("alice repeats her query:\n");
+  auto alice_again = run(*alice, "alice", alice_terms);
+  const bool same_size = alice_first.size() == alice_again.size();
+  const bool same_bytes = alice_first == alice_again;
+  std::printf("  repeated request: same size %s, same bytes %s\n",
+              same_size ? "yes" : "no", same_bytes ? "yes" : "no");
+  if (alice_first.empty() || !same_size || same_bytes) return 1;
 
   // ---- 5. A corrupted frame is answered, not fatal ----
   auto request = alice->QueryFrame(alice_terms);
@@ -112,7 +112,7 @@ int main() {
   }
 
   // ---- 6. Accounting ----
-  stats = srv.stats();
+  auto stats = srv.stats();
   std::printf("server: %llu frames, %llu queries, %llu errors, "
               "%.2f ms CPU, %llu uplink B, %llu downlink B\n",
               static_cast<unsigned long long>(stats.frames),

@@ -93,7 +93,6 @@
 #include "server/framing.h"          // IWYU pragma: export
 #include "server/io_util.h"          // IWYU pragma: export
 #include "server/multiplexed_transport.h"  // IWYU pragma: export
-#include "server/response_cache.h"   // IWYU pragma: export
 #include "server/session_client.h"   // IWYU pragma: export
 #include "server/shard_coordinator.h"// IWYU pragma: export
 #include "server/shard_transport.h"  // IWYU pragma: export

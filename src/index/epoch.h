@@ -89,8 +89,7 @@ class IndexEpoch {
   IndexEpoch(const IndexEpoch&) = delete;
   IndexEpoch& operator=(const IndexEpoch&) = delete;
 
-  /// \brief The database epoch number. Monotonic per catalog; flows into
-  ///        response-cache keys so a cutover invalidates stale answers.
+  /// \brief The database epoch number. Monotonic per catalog.
   uint64_t epoch() const { return epoch_; }
 
   const InvertedIndex& index() const { return *index_; }

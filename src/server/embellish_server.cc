@@ -75,8 +75,7 @@ EmbellishServer::EmbellishServer(
       owned_catalog_(std::move(owned_catalog)),
       catalog_(catalog != nullptr ? catalog : owned_catalog_.get()),
       bucket_count_(catalog_->Acquire()->buckets().bucket_count()),
-      sessions_(options.max_sessions, options.session_idle_frames),
-      cache_(options.cache_capacity, options.cache_max_bytes) {
+      sessions_(options.max_sessions, options.session_idle_frames) {
   // Resolve the initial epoch eagerly so construction surfaces any
   // topology problem immediately (and the first request pays no assembly).
   engines_ = BuildEngines(catalog_->Acquire());
@@ -195,8 +194,6 @@ void EmbellishServer::MergeDelta(const ServerStats& d) {
   t.topk_queries += d.topk_queries;
   t.errors += d.errors;
   t.shed += d.shed;
-  // cache_hits/cache_misses are not per-request deltas; stats() snapshots
-  // them straight from the ResponseCache's own counters.
   t.uplink_bytes += d.uplink_bytes;
   t.downlink_bytes += d.downlink_bytes;
   t.server_cpu_ms += d.server_cpu_ms;
@@ -320,8 +317,6 @@ ServerStats EmbellishServer::stats() const {
   const index::IndexCatalogStats catalog_stats = catalog_->stats();
   std::lock_guard<std::mutex> lock(stats_mu_);
   ServerStats snapshot = totals_;
-  snapshot.cache_hits = cache_.hits();
-  snapshot.cache_misses = cache_.misses();
   snapshot.sessions_expired = sessions_.expired_total();
   snapshot.epoch_swaps = catalog_stats.epoch_swaps;
   snapshot.delta_docs_ingested = catalog_stats.delta_docs_ingested;
@@ -415,33 +410,21 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleQuery(
                             "session has not sent a hello frame"));
   }
   const crypto::BenalohPublicKey& pk = *session.pk;
-  RequestOutcome outcome;
-  std::string key;
-  if (cache_.enabled()) {  // key building copies the payload; skip when off
-    key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),
-                                 frame.session_id, session.epoch,
-                                 engines.epoch->epoch(), frame.payload);
-    if (cache_.Get(key, &outcome.response)) {
-      outcome.delta.queries = 1;
-      return outcome;
-    }
-  }
-
   auto query = core::DecodeQuery(frame.payload, pk);
   if (!query.ok()) return ErrorOutcome(frame.session_id, query.status());
 
   core::RetrievalCosts costs;
   // The sharded engine's merged candidate set is bit-identical to the
-  // monolithic server's, so the encoded response frame (and any cached
-  // copy) does not depend on the shard configuration.
+  // monolithic server's, so the encoded response frame does not depend on
+  // the shard configuration.
   auto result = engines.sharded_pr != nullptr
                     ? engines.sharded_pr->Process(*query, pk, &costs)
                     : engines.pr->Process(*query, pk, &costs);
   if (!result.ok()) return ErrorOutcome(frame.session_id, result.status());
 
+  RequestOutcome outcome;
   outcome.response = EncodeFrame(FrameKind::kResult, frame.session_id,
                                  core::EncodeResult(*result, pk));
-  if (cache_.enabled()) cache_.Put(key, outcome.response);
   outcome.delta.queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;
@@ -479,10 +462,6 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
   }
 
   RequestOutcome outcome;
-  // PIR answers are never cached: every KO-PIR query carries fresh random
-  // residues, so a stored answer could hit only on a byte-exact replay while
-  // pinning one residue per matrix row.
-  //
   // Batched dispatch: park the decoded query; the batch's phase 2 answers
   // every parked query of this shard in one shared sweep and fills the
   // response slot then. The collector mutex guards only this queue
@@ -610,24 +589,6 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleTopK(
   if (!query.ok()) return ErrorOutcome(frame.session_id, query.status());
 
   RequestOutcome outcome;
-  // Plaintext top-k is session-independent, so its entries are keyed
-  // globally (session and registration epoch pinned to zero) and hold the
-  // response payload, re-framed per requester: one session's answer serves
-  // every session replaying the same payload.
-  std::string key;
-  if (cache_.enabled()) {
-    key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),
-                                 /*session_id=*/0, /*epoch=*/0,
-                                 engines.epoch->epoch(), frame.payload);
-    std::vector<uint8_t> cached_payload;
-    if (cache_.Get(key, &cached_payload)) {
-      outcome.response = EncodeFrame(FrameKind::kTopKResult, frame.session_id,
-                                     cached_payload);
-      outcome.delta.topk_queries = 1;
-      return outcome;
-    }
-  }
-
   CpuStopwatch cpu;
   std::vector<index::ScoredDoc> top;
   if (engines.sharded_pr != nullptr) {
@@ -650,10 +611,8 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleTopK(
     if (top.size() > query->k) top.resize(query->k);
     outcome.delta.topk_shards_visited = 1;
   }
-  std::vector<uint8_t> response_payload = EncodeTopKResult(top);
   outcome.response = EncodeFrame(FrameKind::kTopKResult, frame.session_id,
-                                 response_payload);
-  if (cache_.enabled()) cache_.Put(key, std::move(response_payload));
+                                 EncodeTopKResult(top));
   outcome.delta.topk_queries = 1;
   outcome.delta.server_cpu_ms = cpu.ElapsedMillis();
   return outcome;

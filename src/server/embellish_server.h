@@ -18,12 +18,14 @@
 // query fans its shards (and the PIR answer kernel its rows) out as nested
 // regions, and idle workers steal across regions instead of leaving the
 // losers inline. Batches of one or two requests skip the fan-out entirely —
-// region bookkeeping costs more than it buys at that size. A bucket-set
-// keyed response cache (see response_cache.h) short-circuits the recurring
-// co-bucket decoy sets that session-consistent embellishment produces, and
-// replayed plaintext top-k queries. PIR answers are never cached: every
-// KO-PIR query carries fresh random residues, so an answer could hit only on
-// a byte-exact replay while pinning one residue per matrix row.
+// region bookkeeping costs more than it buys at that size.
+//
+// No answer is cached: every request is answered by its engine. A
+// SessionClient encrypts each query afresh (server/session_client.h), so no
+// shipped client sends a PR uplink twice, and every KO-PIR query carries
+// fresh random residues; a response cache could hit only on a replay. A
+// shared top-k cache would also let one session time whether another had
+// recently sent the same query.
 //
 // Sharding (options.shard_count > 1): the index is document-partitioned
 // into N shards (index/sharding.h) and queries are answered by the sharded
@@ -64,12 +66,10 @@
 // Reshard installing a successor mid-batch changes nothing the batch can
 // observe, and the pinned snapshot cannot be torn down under it. The
 // per-epoch answer engines (cheap pointer-bundles) are cached and rebuilt
-// only when the epoch advances; response-cache keys carry the database
-// epoch so a cutover invalidates stale answers without flushing unrelated
-// entries. The legacy raw-pointer constructor survives as a shim wrapping
-// its arguments in a single-frozen-epoch catalog. No unpinned index
-// pointer crosses a batch boundary, and no answer-path thread ever
-// performs a heavy build (counted: common/answer_path.h).
+// only when the epoch advances. The legacy raw-pointer constructor survives
+// as a shim wrapping its arguments in a single-frozen-epoch catalog. No
+// unpinned index pointer crosses a batch boundary, and no answer-path
+// thread ever performs a heavy build (counted: common/answer_path.h).
 //
 // Every request produces a response frame; malformed or failing requests are
 // answered with a kError frame carrying the transported Status, so one
@@ -92,7 +92,6 @@
 #include "index/epoch.h"
 #include "index/sharding.h"
 #include "server/framing.h"
-#include "server/response_cache.h"
 #include "server/session_table.h"
 
 namespace embellish::server {
@@ -105,14 +104,6 @@ struct AsyncFrontEndOptions;
 
 /// \brief Server construction knobs.
 struct EmbellishServerOptions {
-  /// Response-cache capacity in entries; 0 disables caching. PR and
-  /// plaintext top-k answers are cached; PIR answers never are.
-  size_t cache_capacity = 1024;
-
-  /// Response-cache budget in bytes (keys embed request payloads, so entry
-  /// sizes are attacker-controlled; this is the bound that holds).
-  size_t cache_max_bytes = 64u << 20;
-
   /// Maximum registered sessions. Hellos for fresh session ids beyond this
   /// are refused (existing sessions may always re-register), bounding the
   /// memory a hostile client can pin with throwaway registrations.
@@ -187,18 +178,20 @@ struct EmbellishServerOptions {
 struct ServerStats {
   uint64_t frames = 0;        ///< requests handled (including malformed)
   uint64_t hellos = 0;        ///< sessions (re-)registered
-  uint64_t queries = 0;       ///< PR queries answered (cache hits included)
+  uint64_t queries = 0;       ///< PR queries answered
   uint64_t pir_queries = 0;   ///< PIR executions answered
   uint64_t topk_queries = 0;  ///< plaintext top-k queries answered
   uint64_t errors = 0;        ///< kError responses produced
   uint64_t shed = 0;          ///< requests refused with kBusy (admission)
   uint64_t batches = 0;       ///< HandleBatch calls
   uint64_t sessions_expired = 0;  ///< idle sessions swept (keys released)
+  /// Always 0: the server caches no responses, since fresh uplinks leave a
+  /// cache nothing to hit. Both fields stay because `perfbench` reads them.
   uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
+  uint64_t cache_misses = 0;  ///< always 0, like cache_hits
   uint64_t uplink_bytes = 0;    ///< request frame bytes accepted
   uint64_t downlink_bytes = 0;  ///< response frame bytes produced
-  double server_cpu_ms = 0;     ///< answer-engine CPU (cache hits cost none)
+  double server_cpu_ms = 0;     ///< answer-engine CPU
   double server_io_ms = 0;      ///< simulated disk model
 
   // Live-index counters (snapshotted from the IndexCatalog; the legacy
@@ -438,10 +431,8 @@ class EmbellishServer {
 
   const size_t bucket_count_;
 
-  // Registered sessions: the key plus a registration epoch folded into
-  // cache keys so a re-hello can never be answered with a cached response
-  // encrypted under a superseded key; idle entries expire (see
-  // session_idle_frames and server/session_table.h).
+  // Registered sessions' keys; a re-hello replaces the key, and idle
+  // entries expire (see session_idle_frames and server/session_table.h).
   SessionTable sessions_;
 
   // Logical clock for session idle tracking: handled frames.
@@ -455,8 +446,6 @@ class EmbellishServer {
   // batch, so replacement never invalidates an in-flight batch's engines.
   mutable std::mutex engines_mu_;
   mutable std::shared_ptr<const EpochEngines> engines_;
-
-  ResponseCache cache_;
 
   mutable std::mutex stats_mu_;
   ServerStats totals_;

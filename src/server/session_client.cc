@@ -1,7 +1,5 @@
 #include "server/session_client.h"
 
-#include <algorithm>
-
 #include "core/wire_format.h"
 
 namespace embellish::server {
@@ -35,28 +33,14 @@ std::vector<uint8_t> SessionClient::HelloFrame() const {
 
 Result<std::vector<uint8_t>> SessionClient::QueryFrame(
     const std::vector<wordnet::TermId>& genuine_terms) {
-  // Canonicalize: the embellisher collapses duplicates and the decoy set
-  // depends only on which terms appear, so the sorted deduplicated set is
-  // the right cache key.
-  std::vector<wordnet::TermId> sorted = genuine_terms;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  auto it = uplink_cache_.find(sorted);
-  if (it == uplink_cache_.end()) {
-    if (uplink_cache_.size() >= kMaxCachedEncodings) uplink_cache_.clear();
-    EMB_ASSIGN_OR_RETURN(core::EmbellishedQuery query,
-                         client_.FormulateQuery(sorted, &rng_, &costs_));
-    // FormulateQuery charged the payload's wire bytes; the frame header is
-    // added below from the framed size instead.
-    costs_.uplink_bytes -= query.WireBytes(keys_->public_key());
-    it = uplink_cache_
-             .emplace(std::move(sorted),
-                      core::EncodeQuery(query, keys_->public_key()))
-             .first;
-  }
+  EMB_ASSIGN_OR_RETURN(core::EmbellishedQuery query,
+                       client_.FormulateQuery(genuine_terms, &rng_, &costs_));
+  // FormulateQuery charged the payload's wire bytes; charge the whole frame
+  // instead.
+  costs_.uplink_bytes -= query.WireBytes(keys_->public_key());
   std::vector<uint8_t> frame =
-      EncodeFrame(FrameKind::kQuery, session_id_, it->second);
+      EncodeFrame(FrameKind::kQuery, session_id_,
+                  core::EncodeQuery(query, keys_->public_key()));
   costs_.uplink_bytes += frame.size();
   return frame;
 }

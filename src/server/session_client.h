@@ -1,21 +1,19 @@
 // Client-side counterpart of the EmbellishServer: owns one session's keypair
-// and embellishment state, speaks the framed wire protocol, and reuses
-// encoded uplink bytes for recurring genuine-term sets.
+// and embellishment state and speaks the framed wire protocol.
 //
-// Reuse rationale (the session-consistency property, core/session.h): a
-// genuine term's decoys are a deterministic function of the bucket
-// organization, so re-issuing a genuine-term set reproduces the same term
-// multiset — which is everything the adversary observes. Re-encrypting the
-// indicators would spend user CPU to refresh randomness the threat model
-// gains nothing from, so the client caches the encoded query payload per
-// sorted genuine-term set and re-sends it verbatim. This is also what makes
-// the server's response cache effective: identical uplink bytes let the
-// server skip decode + Algorithm 4 + encode entirely.
+// Every query is formulated and encrypted afresh, as Algorithm 3 does per
+// query. A genuine term's decoys are a deterministic function of the bucket
+// organization (core/session.h), so a repeated genuine-term set shows the
+// server the same term multiset; but re-sending the same ciphertexts would
+// also show it that the set repeats. Ciphertext equality links queries,
+// which the adversary of Section 3.1 (Eq. 1-2) does not see: it observes
+// bucket sets only. Under randomized Benaloh encryption, issuing one set
+// twice and issuing two sets drawn from the same buckets give frames of the
+// same size and kind, and no frame repeats another's bytes.
 
 #ifndef EMBELLISH_SERVER_SESSION_CLIENT_H_
 #define EMBELLISH_SERVER_SESSION_CLIENT_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -41,8 +39,8 @@ class SessionClient {
   /// \brief The registration frame; send once before any query.
   std::vector<uint8_t> HelloFrame() const;
 
-  /// \brief The framed embellished query for `genuine_terms`. Encoded
-  ///        payloads are cached per sorted genuine-term set and reused.
+  /// \brief The framed embellished query for `genuine_terms`, encrypted
+  ///        afresh on every call.
   Result<std::vector<uint8_t>> QueryFrame(
       const std::vector<wordnet::TermId>& genuine_terms);
 
@@ -55,17 +53,9 @@ class SessionClient {
   ///        whole frames; user CPU covers formulation and post filtering).
   const core::RetrievalCosts& costs() const { return costs_; }
 
-  /// \brief Distinct genuine-term sets with a cached uplink encoding.
-  size_t encoded_query_cache_size() const { return uplink_cache_.size(); }
-
  private:
   SessionClient(uint64_t session_id, const core::BucketOrganization* buckets,
                 std::unique_ptr<crypto::BenalohKeyPair> keys, uint64_t seed);
-
-  // Bound on distinct cached uplink encodings; when reached the cache is
-  // reset (a long-lived session re-encodes rarely-repeated sets rather than
-  // growing without limit).
-  static constexpr size_t kMaxCachedEncodings = 256;
 
   uint64_t session_id_;
   // keys_ lives behind a unique_ptr so the pointers handed to client_ stay
@@ -74,7 +64,6 @@ class SessionClient {
   core::PrivateRetrievalClient client_;
   Rng rng_;
   core::RetrievalCosts costs_;
-  std::map<std::vector<wordnet::TermId>, std::vector<uint8_t>> uplink_cache_;
 };
 
 }  // namespace embellish::server

@@ -73,8 +73,7 @@ bool SessionTable::Register(
     return false;
   }
   sessions_[session_id] =
-      Entry{std::move(pk), next_epoch_++,
-            std::make_shared<std::atomic<uint64_t>>(now)};
+      Entry{std::move(pk), std::make_shared<std::atomic<uint64_t>>(now)};
   return true;
 }
 

@@ -3,12 +3,11 @@
 // monolithic) and ShardCoordinator.
 //
 // Semantics:
-//   - Register() overwrites an existing id (re-hello), bumping the entry's
-//     registration epoch so response caches can refuse to replay bytes
-//     encrypted under a superseded key, and always admits an existing id.
-//     A fresh id is admitted while the table is under max_sessions; when
-//     full, an idle sweep runs first so a table of dead registrations can
-//     never lock genuine new sessions out permanently.
+//   - Register() overwrites an existing id (re-hello) with its new key, and
+//     always admits an existing id. A fresh id is admitted while the table
+//     is under max_sessions; when full, an idle sweep runs first so a table
+//     of dead registrations can never lock genuine new sessions out
+//     permanently.
 //   - Touch() advances the entry's idle clock; callers invoke it for every
 //     decodable frame naming the session, whatever its kind — a session
 //     streaming only PIR or top-k traffic is just as alive as one
@@ -45,7 +44,6 @@ class SessionTable {
   /// \brief One registered session. `pk == nullptr` means "absent".
   struct Entry {
     std::shared_ptr<const crypto::BenalohPublicKey> pk;
-    uint64_t epoch = 0;
     std::shared_ptr<std::atomic<uint64_t>> last_seen;
   };
 
@@ -90,8 +88,7 @@ class SessionTable {
   const uint64_t idle_frames_;
   mutable std::shared_mutex mu_;
   std::unordered_map<uint64_t, Entry> sessions_;
-  uint64_t next_epoch_ = 1;           // guarded by mu_
-  uint64_t since_sweep_ = 0;          // guarded by mu_
+  uint64_t since_sweep_ = 0;  // guarded by mu_
   std::atomic<uint64_t> expired_{0};
 };
 

@@ -46,8 +46,7 @@ ShardCoordinator::ShardCoordinator(
       pool_(pool),
       probe_rng_(options.probe_seed),
       epoch_(options.epoch),
-      sessions_(options.max_sessions, options.session_idle_frames),
-      cache_(options.cache_capacity, options.cache_max_bytes) {
+      sessions_(options.max_sessions, options.session_idle_frames) {
   replica_failures_.reserve(replicas_.size());
   for (const auto& group : replicas_) {
     replica_failures_.emplace_back();
@@ -83,8 +82,6 @@ CoordinatorStats ShardCoordinator::stats() const {
   snapshot.shard_failures =
       counters_.shard_failures.load(std::memory_order_relaxed);
   snapshot.sessions_expired = sessions_.expired_total();
-  snapshot.cache_hits = cache_.hits();
-  snapshot.cache_misses = cache_.misses();
   snapshot.retries = counters_.retries.load(std::memory_order_relaxed);
   snapshot.hedges_fired =
       counters_.hedges_fired.load(std::memory_order_relaxed);
@@ -830,33 +827,12 @@ bool ShardCoordinator::ReRegisterOnShards(
 
 std::vector<uint8_t> ShardCoordinator::HandleQuery(
     const Frame& frame, const std::vector<uint8_t>& request) {
-  SessionTable::Entry session = sessions_.Find(frame.session_id);
-  const std::shared_ptr<const crypto::BenalohPublicKey>& pk = session.pk;
+  const std::shared_ptr<const crypto::BenalohPublicKey> pk =
+      sessions_.Find(frame.session_id).pk;
   if (pk == nullptr) {
     return ErrorFrame(frame.session_id,
                       Status::FailedPrecondition(
                           "session has not sent a hello frame"));
-  }
-
-  // Upstream cache, keyed exactly like the server's PR entries — kind,
-  // session, registration epoch, payload bytes. Session consistency makes a
-  // recurring genuine-term set a byte-identical uplink, so a hit replays
-  // the previously merged response without touching any shard; the epoch
-  // component means a re-hello (new key, new epoch) can never be answered
-  // with bytes merged under the superseded key. The coordinator's fencing
-  // epoch doubles as the database-epoch key component: AdvanceEpoch is how
-  // an index cutover reaches the coordinator, so responses merged against
-  // the superseded index generation miss naturally after it.
-  std::string cache_key;
-  if (cache_.enabled()) {
-    cache_key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),
-                                       frame.session_id, session.epoch,
-                                       epoch(), frame.payload);
-    std::vector<uint8_t> cached;
-    if (cache_.Get(cache_key, &cached)) {
-      Count(&AtomicStats::queries);
-      return cached;
-    }
   }
 
   // Up to two passes: if a shard turns out to have lost (or to hold a
@@ -927,14 +903,8 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
     Count(&AtomicStats::queries);
     std::vector<uint8_t> payload_bytes = core::EncodeResult(merged, *pk);
     if (missing.empty()) {
-      std::vector<uint8_t> response =
-          EncodeFrame(FrameKind::kResult, frame.session_id, payload_bytes);
-      if (cache_.enabled()) cache_.Put(cache_key, response);
-      return response;
+      return EncodeFrame(FrameKind::kResult, frame.session_id, payload_bytes);
     }
-    // Degraded answers are never cached: the key is the same as the full
-    // answer's, and a healed fan-out must not keep replaying the partial
-    // merge.
     Count(&AtomicStats::degraded_answers);
     return EncodeFrame(
         FrameKind::kDegradedResult, frame.session_id,

@@ -14,8 +14,7 @@
 //   - an empty inner frame is a ping: Handshake() uses it to verify
 //     liveness and learn the shared bucket_count from each shard;
 //   - client hellos are forwarded to every shard (each shard registers the
-//     session key under its own table; the PR 2 session/epoch semantics
-//     apply per shard).
+//     session key under its own table).
 //
 // Request routing:
 //   kQuery      fan out to all shards; merge with core::MergeShardResults.
@@ -30,9 +29,10 @@
 // waits. A transport without a native submit (InProcessTransport) completes
 // each attempt inline, so the shards of one request then run one after
 // another on the calling thread; batches still spread their requests over
-// the constructor's pool. An optional upstream response cache
-// (options.cache_capacity) answers a session's recurring PR decoy sets
-// before any shard round trip.
+// the constructor's pool. Every PR and top-k request fans out: like the
+// server, the coordinator caches no responses, because a SessionClient
+// encrypts every query afresh and an upstream cache could hit only on a
+// replay.
 //
 // Replication (construct with replica groups): each slice may be served by
 // R transports, every one answering with bytes identical to the monolithic
@@ -76,7 +76,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "server/framing.h"
-#include "server/response_cache.h"
 #include "server/session_table.h"
 #include "server/shard_transport.h"
 
@@ -104,21 +103,6 @@ struct ShardCoordinatorOptions {
   /// throwaway ids must not pin keys (or lock genuine new sessions out)
   /// forever at the coordinator either. 0 disables expiry.
   uint64_t session_idle_frames = 1u << 20;
-
-  /// Upstream response-cache capacity in entries; 0 (default) disables it.
-  /// The cache reuses the server's bucket-set keying (kind, session,
-  /// registration epoch, payload bytes) for PR query frames, so a
-  /// session's recurring co-bucket decoy sets — byte-identical uplinks by
-  /// session consistency — short-circuit before ANY shard round trip. The
-  /// epoch component keeps a re-hello from ever being answered with bytes
-  /// merged under a superseded key. Slice servers still cache per shard;
-  /// this sits in front of the whole fan-out.
-  size_t cache_capacity = 0;
-
-  /// Coordinator response-cache budget in bytes (keys embed
-  /// attacker-controlled payloads; the byte budget is the bound that
-  /// holds).
-  size_t cache_max_bytes = 64u << 20;
 
   /// Attempt budget for one logical shard round trip, counting the first
   /// send: each attempt goes to a different replica of the slice (healthy
@@ -180,8 +164,6 @@ struct CoordinatorStats {
   uint64_t shard_trips = 0;     ///< downstream round trips attempted
   uint64_t shard_failures = 0;  ///< round trips that failed (any layer)
   uint64_t sessions_expired = 0;  ///< idle sessions swept (keys released)
-  uint64_t cache_hits = 0;      ///< PR responses served without any trip
-  uint64_t cache_misses = 0;
   uint64_t retries = 0;       ///< failover attempts beyond a trip's first send
   uint64_t hedges_fired = 0;  ///< hedged duplicates actually sent
   uint64_t hedge_wins = 0;    ///< logical trips answered by the hedge
@@ -458,9 +440,6 @@ class ShardCoordinator {
   // Registered client sessions (the coordinator keeps keys to decode and
   // re-merge PR results); bounded and idle-expiring like the server's.
   SessionTable sessions_;
-
-  // Upstream PR response cache (see options.cache_capacity).
-  ResponseCache cache_;
 
   AtomicStats counters_;
 };

@@ -72,9 +72,7 @@ TEST_F(EmbellishServerContendedTest,
     }
   }
 
-  EmbellishServerOptions base;
-  base.cache_capacity = 0;  // force full evaluation on every request
-  EmbellishServer mono(&built_.index, &org_, nullptr, base);
+  EmbellishServer mono(&built_.index, &org_, nullptr);
   for (const auto& hello : hellos) mono.HandleFrame(hello);
   std::vector<std::vector<uint8_t>> reference;
   reference.reserve(requests.size());
@@ -85,7 +83,7 @@ TEST_F(EmbellishServerContendedTest,
   ThreadPool pool(4);
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions options = base;
+    EmbellishServerOptions options;
     options.shard_count = shards;
     options.shard_threads = 2;  // capped nested fan-out, still parallel
     EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
@@ -137,7 +135,6 @@ TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EmbellishServerOptions options;
-    options.cache_capacity = 0;  // every request recomputes
     options.shard_count = shards;
     options.shard_threads = 2;
     EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
@@ -208,10 +205,8 @@ TEST_F(EmbellishServerContendedTest, TinyBatchesRunInlineAndStayIdentical) {
   // can observe "ran inline" directly, so the assertion is behavioral —
   // handling via HandleBatch at sizes 1 and 2 still matches HandleFrame.
   ThreadPool pool(4);
-  EmbellishServerOptions options;
-  options.cache_capacity = 0;
-  EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
-  EmbellishServer serial(&built_.index, &org_, nullptr, options);
+  EmbellishServer server(&built_.index, &org_, nullptr, {}, &pool);
+  EmbellishServer serial(&built_.index, &org_, nullptr);
 
   SessionClient client = MakeClient(7, 77);
   server.HandleFrame(client.HelloFrame());

@@ -1,8 +1,8 @@
 // End-to-end request loop: SessionClients speaking the framed protocol to an
 // EmbellishServer must get byte-identical answers to driving the layers by
-// hand, across many concurrent sessions, batched or not, cached or not —
-// and a hostile frame must produce a kError response, never take the loop
-// down.
+// hand, across many concurrent sessions, batched or not; a session's
+// transcript must not show the server which of its queries repeat; and a
+// hostile frame must produce a kError response, never take the loop down.
 
 #include "server/embellish_server.h"
 
@@ -12,6 +12,7 @@
 #include "index/builder.h"
 #include "server/session_client.h"
 #include "testutil.h"
+#include "transcript.h"
 
 namespace embellish::server {
 namespace {
@@ -126,10 +127,8 @@ TEST_F(EmbellishServerTest, MalformedFramesGetErrorResponses) {
   EXPECT_TRUE(client.DecodeResultFrame(response, 10).ok());
 }
 
-TEST_F(EmbellishServerTest, ResponseCacheHitsOnRecurringQueries) {
-  EmbellishServerOptions options;
-  options.cache_capacity = 64;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+TEST_F(EmbellishServerTest, RepeatedQueryIsEncryptedAfresh) {
+  EmbellishServer server(&built_.index, &org_, nullptr);
   SessionClient client = MakeClient(4, 304);
   server.HandleFrame(client.HelloFrame());
 
@@ -138,35 +137,76 @@ TEST_F(EmbellishServerTest, ResponseCacheHitsOnRecurringQueries) {
   ASSERT_TRUE(first_req.ok());
   auto first_resp = server.HandleFrame(*first_req);
 
-  // Session consistency: the client reuses the encoded uplink bytes, so the
-  // recurring term set is a cache hit and the response is bit-identical.
+  // A repeated genuine-term set goes out as different bytes of the same
+  // size, and its answer decodes to the same ranking.
   auto second_req = client.QueryFrame(genuine);
   ASSERT_TRUE(second_req.ok());
-  EXPECT_EQ(*first_req, *second_req);
-  EXPECT_EQ(client.encoded_query_cache_size(), 1u);
+  EXPECT_NE(*first_req, *second_req);
+  EXPECT_EQ(first_req->size(), second_req->size());
+  // The client charges each whole frame to its uplink.
+  EXPECT_EQ(client.costs().uplink_bytes,
+            first_req->size() + second_req->size());
   auto second_resp = server.HandleFrame(*second_req);
-  EXPECT_EQ(first_resp, second_resp);
+  EXPECT_NE(first_resp, second_resp);
+  EXPECT_EQ(first_resp.size(), second_resp.size());
+  auto first_top = client.DecodeResultFrame(first_resp, 10);
+  auto second_top = client.DecodeResultFrame(second_resp, 10);
+  ASSERT_TRUE(first_top.ok() && second_top.ok());
+  EXPECT_EQ(*first_top, *second_top);
 
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.queries, 2u);
-
-  // A different session sending byte-different ciphertexts must miss.
-  SessionClient other = MakeClient(5, 305);
-  server.HandleFrame(other.HelloFrame());
-  auto other_req = other.QueryFrame(genuine);
-  ASSERT_TRUE(other_req.ok());
-  server.HandleFrame(*other_req);
-  EXPECT_EQ(server.stats().cache_hits, 1u);
+  // Identical request bytes are answered with identical bytes, each time by
+  // the engine.
+  EXPECT_EQ(server.HandleFrame(*first_req), first_resp);
+  EXPECT_EQ(server.stats().queries, 3u);
 }
 
-TEST_F(EmbellishServerTest, ReHelloInvalidatesCachedResponses) {
+TEST_F(EmbellishServerTest, TranscriptHidesWhichQueriesRepeat) {
+  // Session A issues {a1, b1} twice; session B issues {a1, b1} and then
+  // {a2, b2}, from the same two buckets. The server must see the same
+  // transcript shape of both, answering frame by frame or in one batch on
+  // a pool.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  ThreadPool pool(4);
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "HandleBatch" : "HandleFrame");
+    EmbellishServer server(&built_.index, &org_, nullptr, {},
+                           batched ? &pool : nullptr);
+    SessionClient a = MakeClient(51, 951);
+    SessionClient b = MakeClient(52, 952);
+    server.HandleFrame(a.HelloFrame());
+    server.HandleFrame(b.HelloFrame());
+
+    auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
+    if (batched) {
+      auto responses = server.HandleBatch({ta.requests[0], ta.requests[1],
+                                           tb.requests[0], tb.requests[1]});
+      ta.responses = {responses[0], responses[1]};
+      tb.responses = {responses[2], responses[3]};
+    } else {
+      auto serve = [&](const std::vector<uint8_t>& request) {
+        return server.HandleFrame(request);
+      };
+      testutil::AnswerEach(&ta, serve);
+      testutil::AnswerEach(&tb, serve);
+    }
+    testutil::ExpectIndistinguishable(ta, tb);
+
+    // Every answer is a result frame, and A's two answers rank alike.
+    auto first = a.DecodeResultFrame(ta.responses[0], 10);
+    auto second = a.DecodeResultFrame(ta.responses[1], 10);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(*first, *second);
+    EXPECT_TRUE(b.DecodeResultFrame(tb.responses[0], 10).ok());
+    EXPECT_TRUE(b.DecodeResultFrame(tb.responses[1], 10).ok());
+  }
+}
+
+TEST_F(EmbellishServerTest, ReHelloReplayIsNotTheOldAnswer) {
   // A session may re-register with a fresh public key. Replaying the same
-  // query bytes afterwards must NOT be served from the cache: the cached
-  // response's ciphertexts are under the superseded key.
-  EmbellishServerOptions options;
-  options.cache_capacity = 64;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+  // query bytes afterwards must not return the answer under the superseded
+  // key.
+  EmbellishServer server(&built_.index, &org_, nullptr);
 
   SessionClient old_client = MakeClient(6, 306);
   server.HandleFrame(old_client.HelloFrame());
@@ -180,9 +220,8 @@ TEST_F(EmbellishServerTest, ReHelloInvalidatesCachedResponses) {
   server.HandleFrame(new_client.HelloFrame());
   auto replayed = server.HandleFrame(*request);
   EXPECT_NE(replayed, first_resp);
-  EXPECT_EQ(server.stats().cache_hits, 0u);
   // The old ciphertexts are not valid under the new key, so the replay is
-  // either rejected or re-processed — never the stale cached bytes.
+  // either rejected or re-processed — never the old bytes.
 }
 
 TEST_F(EmbellishServerTest, SessionTableIsBounded) {
@@ -207,11 +246,9 @@ TEST_F(EmbellishServerTest, SessionTableIsBounded) {
 }
 
 TEST_F(EmbellishServerTest, BatchedDispatchMatchesSerial) {
-  EmbellishServerOptions options;
-  options.cache_capacity = 0;  // isolate batching from caching
   ThreadPool pool(4);
-  EmbellishServer batched(&built_.index, &org_, nullptr, options, &pool);
-  EmbellishServer serial(&built_.index, &org_, nullptr, options);
+  EmbellishServer batched(&built_.index, &org_, nullptr, {}, &pool);
+  EmbellishServer serial(&built_.index, &org_, nullptr);
 
   constexpr size_t kSessions = 6;
   std::vector<SessionClient> clients;
@@ -242,9 +279,8 @@ TEST_F(EmbellishServerTest, InflightBudgetShedsBatchSuffixTyped) {
   // exactly the suffix beyond the budget is shed with a typed kBusy error
   // while the admitted prefix answers byte-identically to an unthrottled
   // server.
+  EmbellishServer reference(&built_.index, &org_, nullptr);
   EmbellishServerOptions options;
-  options.cache_capacity = 0;
-  EmbellishServer reference(&built_.index, &org_, nullptr, options);
   options.max_inflight = 4;
   EmbellishServer throttled(&built_.index, &org_, nullptr, options);
 
@@ -324,7 +360,7 @@ TEST_F(EmbellishServerTest, ShardedServerAnswersBitIdenticalToMonolithic) {
   // The shard configuration is a server-side implementation detail: the
   // same request frames must produce byte-identical response frames
   // whether the index is monolithic or document-partitioned, serial or
-  // shard-pooled, cached or not.
+  // shard-pooled.
   EmbellishServerOptions mono_options;
   EmbellishServer mono(&built_.index, &org_, nullptr, mono_options);
 
@@ -445,12 +481,11 @@ TEST_F(EmbellishServerTest, ShardedPirThroughTheLoopReassemblesTheList) {
 
 TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
   // PIR answers are never cached, on any shard: a replayed frame is
-  // answered again from the shard's matrix — byte-identical, with no cache
-  // lookup — and the two shards' answers still differ (per-shard matrices
-  // have different row counts).
+  // answered again from the shard's matrix — byte-identical — and the two
+  // shards' answers still differ (per-shard matrices have different row
+  // counts).
   EmbellishServerOptions options;
   options.shard_count = 2;
-  options.cache_capacity = 64;
   EmbellishServer server(&built_.index, &org_, nullptr, options);
 
   auto terms = built_.index.IndexedTerms();
@@ -476,21 +511,16 @@ TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
   }
   EXPECT_EQ(DecodeFrame(responses[0])->kind, FrameKind::kPirResult);
   EXPECT_NE(responses[0], responses[1]);
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.pir_queries, 4u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(server.stats().pir_queries, 4u);
 }
 
 TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
   // PIR answers depend only on the payload (the modulus travels inside it),
   // but they are never cached: every KO-PIR query carries fresh random
   // residues, so a stored answer could serve only a byte-exact replay. A
-  // second session replaying the same payload is answered again — no cache
-  // lookup, the same answer bytes, each frame addressed to its own session.
-  EmbellishServerOptions options;
-  options.cache_capacity = 64;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+  // second session replaying the same payload is answered again — the same
+  // answer bytes, each frame addressed to its own session.
+  EmbellishServer server(&built_.index, &org_, nullptr);
 
   auto terms = built_.index.IndexedTerms();
   auto slot = org_.Locate(terms[17]);
@@ -510,8 +540,6 @@ TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
                                                payload));
   const ServerStats after_second = server.stats();
   EXPECT_EQ(after_second.pir_queries, 2u);
-  EXPECT_EQ(after_second.cache_hits, 0u);
-  EXPECT_EQ(after_second.cache_misses, 0u);
   EXPECT_GT(after_second.server_cpu_ms, after_first.server_cpu_ms)
       << "the replay was not recomputed";
 
@@ -526,14 +554,12 @@ TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
   EXPECT_EQ(first_frame->payload, second_frame->payload);
 }
 
-TEST_F(EmbellishServerTest, PrCacheEntriesAreSessionScoped) {
-  // PR entries stay session- and epoch-scoped: replaying one session's
-  // query bytes under another session id misses (and fails — the
-  // ciphertexts are not valid under the other session's key), while the
-  // owning session's replay hits.
-  EmbellishServerOptions options;
-  options.cache_capacity = 64;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+TEST_F(EmbellishServerTest, PrAnswersAreSessionScoped) {
+  // Replaying one session's query bytes under another session id is
+  // answered under the other session's key (and fails — the ciphertexts are
+  // not valid under it), while the owning session's replay is answered
+  // with its original bytes.
+  EmbellishServer server(&built_.index, &org_, nullptr);
 
   SessionClient alice = MakeClient(11, 311);
   SessionClient bob = MakeClient(12, 312);
@@ -546,13 +572,11 @@ TEST_F(EmbellishServerTest, PrCacheEntriesAreSessionScoped) {
   ASSERT_TRUE(alice_req_frame.ok());
   auto replayed = server.HandleFrame(
       EncodeFrame(FrameKind::kQuery, 12, alice_req_frame->payload));
-  EXPECT_EQ(server.stats().cache_hits, 0u);  // no PR cross-session hit
   auto replay_frame = DecodeFrame(replayed);
   ASSERT_TRUE(replay_frame.ok());
   EXPECT_NE(replayed, alice_answer);
 
   EXPECT_EQ(server.HandleFrame(*alice_request), alice_answer);
-  EXPECT_EQ(server.stats().cache_hits, 1u);
 }
 
 TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
@@ -581,11 +605,11 @@ TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
   EXPECT_EQ(*docs, expected);
   EXPECT_EQ(mono.stats().topk_queries, 1u);
 
-  // Top-k shares the global cache keying: a different session replaying the
-  // payload hits, re-addressed.
+  // A different session sending the same payload is answered again, with
+  // the same payload addressed to it.
   auto other = mono.HandleFrame(EncodeFrame(FrameKind::kTopKQuery, 7,
                                             EncodeTopKQuery(10, genuine)));
-  EXPECT_EQ(mono.stats().cache_hits, 1u);
+  EXPECT_EQ(mono.stats().topk_queries, 2u);
   auto other_frame = DecodeFrame(other);
   ASSERT_TRUE(other_frame.ok());
   EXPECT_EQ(other_frame->session_id, 7u);
@@ -725,45 +749,6 @@ TEST_F(EmbellishServerTest, SliceServerServesOneShardsDocuments) {
   invalid.shard_slice_count = 3;
   EmbellishServer fallback(&built_.index, &org_, nullptr, invalid);
   EXPECT_FALSE(fallback.serves_slice());
-}
-
-TEST_F(EmbellishServerTest, ByteBudgetBoundsTheCache) {
-  // Keys embed attacker-controlled request payloads, so the byte budget —
-  // not the entry count — is what bounds pinned memory.
-  ResponseCache cache(/*capacity=*/1024, /*max_total_bytes=*/100);
-  std::vector<uint8_t> out;
-
-  // One entry bigger than the whole budget is never cached.
-  cache.Put(std::string(80, 'k'), std::vector<uint8_t>(80, 9));
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Entries within budget accumulate until the budget forces eviction
-  // (keys count twice: they are resident in both the LRU list and the
-  // index map, so each entry below charges 2*10 + 20 = 40 bytes).
-  cache.Put(std::string(10, 'a'), std::vector<uint8_t>(20, 1));  // 40 B
-  cache.Put(std::string(10, 'b'), std::vector<uint8_t>(20, 2));  // 80 B
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Put(std::string(10, 'c'), std::vector<uint8_t>(20, 3));  // 120 -> evict
-  EXPECT_LE(cache.total_bytes(), 100u);
-  EXPECT_FALSE(cache.Get(std::string(10, 'a'), &out));  // LRU victim
-  EXPECT_TRUE(cache.Get(std::string(10, 'b'), &out));
-  EXPECT_TRUE(cache.Get(std::string(10, 'c'), &out));
-}
-
-TEST_F(EmbellishServerTest, LruEvictionBoundsTheCache) {
-  ResponseCache cache(2);
-  cache.Put("a", {1});
-  cache.Put("b", {2});
-  cache.Put("c", {3});  // evicts "a"
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.Get("a", &out));
-  EXPECT_TRUE(cache.Get("b", &out));
-  EXPECT_EQ(out, std::vector<uint8_t>{2});
-  cache.Put("d", {4});  // "c" is now least recent -> evicted
-  EXPECT_FALSE(cache.Get("c", &out));
-  EXPECT_TRUE(cache.Get("b", &out));
-  EXPECT_TRUE(cache.Get("d", &out));
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

@@ -66,9 +66,7 @@ TEST_F(LiveIngestTest, StormAnswersAreBitIdenticalToSomePinnedEpoch) {
   auto catalog = index::IndexCatalog::Create(corp_, org_, copts, &pool);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
-  EmbellishServerOptions options;
-  options.cache_capacity = 0;  // every answer recomputed: no replay masking
-  EmbellishServer server(catalog->get(), options, &pool);
+  EmbellishServer server(catalog->get(), {}, &pool);
 
   // Pre-register the storm sessions and pre-encode every request frame so
   // the racing threads are deterministic byte replayers.
@@ -155,7 +153,7 @@ TEST_F(LiveIngestTest, StormAnswersAreBitIdenticalToSomePinnedEpoch) {
   for (const auto& [epoch, snapshot] : snapshots) {
     ref_catalogs[epoch] = index::IndexCatalog::FreezeEpoch(snapshot);
     references[epoch] =
-        std::make_unique<EmbellishServer>(ref_catalogs[epoch].get(), options);
+        std::make_unique<EmbellishServer>(ref_catalogs[epoch].get());
     for (auto& client : clients) {
       references[epoch]->HandleFrame(client.HelloFrame());
     }

@@ -53,7 +53,6 @@ TEST_F(PirBatchIngestTest, BatchesAreBitIdenticalToOnePinnedEpochEach) {
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
   EmbellishServerOptions options;
-  options.cache_capacity = 0;  // every answer recomputed: no replay masking
   options.shard_threads = 2;
   EmbellishServer server(catalog->get(), options, &pool);
 

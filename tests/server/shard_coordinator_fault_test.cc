@@ -14,6 +14,7 @@
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
 #include "testutil.h"
+#include "transcript.h"
 
 namespace embellish::server {
 namespace {
@@ -318,6 +319,39 @@ class KillableTransport : public ShardTransport {
   std::atomic<ShardTransport*> inner_;
   std::atomic<bool> dead_{false};
 };
+
+TEST_F(CoordinatorFaultTest, DegradedTranscriptHidesWhichQueriesRepeat) {
+  // The transcript case over degraded partial results: slice 1 dies after
+  // both sessions register, and the survivors' merges must not tell a
+  // session repeating {a1, b1} from one issuing {a1, b1} and {a2, b2}.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  KillableTransport dying(inner_transports_[1].get());
+  ShardCoordinatorOptions options;
+  options.allow_partial_results = true;
+  ShardCoordinator coordinator(
+      std::vector<ShardTransport*>{inner_transports_[0].get(), &dying,
+                                   inner_transports_[2].get()},
+      options);
+  SessionClient a = MakeClient(13, 613);
+  SessionClient b = MakeClient(14, 614);
+  ASSERT_EQ(DecodeFrame(coordinator.HandleFrame(a.HelloFrame()))->kind,
+            FrameKind::kHelloOk);
+  ASSERT_EQ(DecodeFrame(coordinator.HandleFrame(b.HelloFrame()))->kind,
+            FrameKind::kHelloOk);
+  dying.Kill();
+
+  auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
+  auto serve = [&](const std::vector<uint8_t>& request) {
+    return coordinator.HandleFrame(request);
+  };
+  testutil::AnswerEach(&ta, serve);
+  testutil::AnswerEach(&tb, serve);
+  for (const auto& response : ta.responses) {
+    EXPECT_EQ(DecodeFrame(response)->kind, FrameKind::kDegradedResult);
+  }
+  testutil::ExpectIndistinguishable(ta, tb);
+}
 
 TEST_F(CoordinatorFaultTest, CutoverSurvivesASliceRefusingEveryTrip) {
   // A slice refuses every trip while the writer cuts over, then comes back

@@ -12,6 +12,7 @@
 #include "index/builder.h"
 #include "server/session_client.h"
 #include "testutil.h"
+#include "transcript.h"
 
 namespace embellish::server {
 namespace {
@@ -267,40 +268,40 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
   }
 }
 
-TEST_F(ShardCoordinatorTest, ResponseCacheShortCircuitsRecurringPrQueries) {
-  ShardCoordinatorOptions copts;
-  copts.cache_capacity = 64;
-  Rig rig = MakeRig(3, copts);
-  SessionClient client = MakeClient(41, 941);
-  ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client.HelloFrame())),
+TEST_F(ShardCoordinatorTest, TranscriptHidesWhichQueriesRepeat) {
+  // The server test's transcript case through a 2-slice coordinator:
+  // session A issues {a1, b1} twice, session B issues {a1, b1} and then
+  // {a2, b2}, and the fan-out and merge must not tell them apart.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  Rig rig = MakeRig(2);
+  SessionClient a = MakeClient(53, 953);
+  SessionClient b = MakeClient(54, 954);
+  ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(a.HelloFrame())),
             FrameKind::kHelloOk);
-  auto request = client.QueryFrame(SomeTerms(3, 71));
-  ASSERT_TRUE(request.ok());
+  ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(b.HelloFrame())),
+            FrameKind::kHelloOk);
 
-  auto first = rig.coordinator->HandleFrame(*request);
-  ASSERT_EQ(KindOf(first), FrameKind::kResult);
-  const uint64_t trips_after_first = rig.coordinator->stats().shard_trips;
-
-  // Session consistency makes a recurring genuine-term set a byte-identical
-  // uplink; the replay must be served upstream with zero new shard trips.
-  auto second = rig.coordinator->HandleFrame(*request);
-  EXPECT_EQ(second, first);
-  CoordinatorStats stats = rig.coordinator->stats();
-  EXPECT_EQ(stats.shard_trips, trips_after_first);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.queries, 2u);
+  auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
+  auto serve = [&](const std::vector<uint8_t>& request) {
+    return rig.coordinator->HandleFrame(request);
+  };
+  testutil::AnswerEach(&ta, serve);
+  testutil::AnswerEach(&tb, serve);
+  for (const auto& response : ta.responses) {
+    EXPECT_TRUE(a.DecodeResultFrame(response, 10).ok());
+  }
+  for (const auto& response : tb.responses) {
+    EXPECT_TRUE(b.DecodeResultFrame(response, 10).ok());
+  }
+  testutil::ExpectIndistinguishable(ta, tb);
 }
 
-TEST_F(ShardCoordinatorTest, ResponseCacheIsEpochScopedAcrossReHellos) {
-  // Regression: a re-hello bumps the session's registration epoch, and the
-  // epoch is a cache-key component — identical request bytes after the
-  // re-hello must MISS and re-fan out, never replay bytes merged under the
-  // superseded registration.
+TEST_F(ShardCoordinatorTest, ReHelloReplayFansOutAgain) {
+  // Identical request bytes after a re-hello fan out to every slice again
+  // and merge to the same bytes.
   constexpr size_t kShards = 3;
-  ShardCoordinatorOptions copts;
-  copts.cache_capacity = 64;
-  Rig rig = MakeRig(kShards, copts);
+  Rig rig = MakeRig(kShards);
   SessionClient client = MakeClient(42, 942);
   rig.coordinator->HandleFrame(client.HelloFrame());
   auto request = client.QueryFrame(SomeTerms(5, 23));
@@ -308,20 +309,17 @@ TEST_F(ShardCoordinatorTest, ResponseCacheIsEpochScopedAcrossReHellos) {
 
   auto first = rig.coordinator->HandleFrame(*request);
   ASSERT_EQ(KindOf(first), FrameKind::kResult);
-  ASSERT_EQ(rig.coordinator->stats().cache_misses, 1u);
 
   ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client.HelloFrame())),
             FrameKind::kHelloOk);
   const uint64_t trips_after_rehello = rig.coordinator->stats().shard_trips;
 
-  // Same bytes, new epoch: a fresh fan-out (one trip per shard). The key
-  // did not change, so the recomputed merge is still byte-identical.
+  // Same bytes: a fresh fan-out (one trip per shard). The key did not
+  // change, so the recomputed merge is byte-identical.
   auto replay = rig.coordinator->HandleFrame(*request);
   EXPECT_EQ(replay, first);
-  CoordinatorStats stats = rig.coordinator->stats();
-  EXPECT_EQ(stats.shard_trips, trips_after_rehello + kShards);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(rig.coordinator->stats().shard_trips,
+            trips_after_rehello + kShards);
 }
 
 TEST_F(ShardCoordinatorTest, EndpointValidatesEnvelopes) {
