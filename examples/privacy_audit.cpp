@@ -2,7 +2,8 @@
 // (intra-bucket specificity spread; closest/farthest cover distances)
 // against the Random-decoy baseline, prints Algorithm 1 sequence snippets
 // and sample buckets in the style of Section 3.3/3.4, and reports the
-// Bayesian risk of an example query.
+// Bayesian risk of an example query, also when it is issued three times
+// with and without byte-identical uplinks linking the issues.
 //
 // Usage: privacy_audit [terms] [bktsz] [segsz] [trials]
 
@@ -102,14 +103,34 @@ int main(int argc, char** argv) {
               wins_far ? "beats" : "LOSES TO");
 
   // --- Bayesian risk of a 2-term query under this organization ---
-  auto risk = core::ComputeAdversaryRisk(
-      *org, distance, {{all_terms[17], all_terms[4211 % all_terms.size()]}});
+  const std::vector<wordnet::TermId> example = {
+      all_terms[17], all_terms[4211 % all_terms.size()]};
+  auto risk = core::ComputeAdversaryRisk(*org, distance, {example});
   if (risk.ok()) {
     std::printf(
         "example 2-term query: |Q| = %llu candidates, posterior on truth "
         "%.4f, expected adversary similarity %.3f\n",
         static_cast<unsigned long long>(risk->candidate_count),
         risk->posterior_on_truth, risk->risk);
+  }
+
+  // --- The same query issued three times. Fresh uplinks leave the server
+  //     three independent choices; byte-identical uplinks would link them
+  //     into one, raising the posterior while Eq. 2's risk stays put ---
+  const std::vector<std::vector<wordnet::TermId>> thrice(3, example);
+  auto unlinked = core::ComputeAdversaryRisk(*org, distance, thrice);
+  auto linked = core::ComputeAdversaryRisk(*org, distance, thrice, {0, 0, 0});
+  if (unlinked.ok() && linked.ok()) {
+    auto print = [](const char* name, const core::AdversaryRisk& r) {
+      std::printf(
+          "  %-25s |S| = %8llu  posterior on truth %.3g  expected "
+          "similarity %.3f\n",
+          name, static_cast<unsigned long long>(r.candidate_count),
+          r.posterior_on_truth, r.risk);
+    };
+    std::printf("the same query issued 3 times:\n");
+    print("unlinked (fresh uplinks)", *unlinked);
+    print("linked (repeated bytes)", *linked);
   }
 
   // --- §3.4 grouping adversary: MAP coherence attack on related-term

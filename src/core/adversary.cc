@@ -32,21 +32,46 @@ double QuerySimilarity(const SemanticDistanceCalculator& distance,
 Result<AdversaryRisk> ComputeAdversaryRisk(
     const BucketOrganization& org, const SemanticDistanceCalculator& distance,
     const std::vector<std::vector<wordnet::TermId>>& genuine_sequence,
-    uint64_t max_candidates) {
+    const std::vector<size_t>& repeat_of, uint64_t max_candidates) {
   if (genuine_sequence.empty()) {
     return Status::InvalidArgument("empty query sequence");
   }
+  const size_t n = genuine_sequence.size();
+  if (!repeat_of.empty() && repeat_of.size() != n) {
+    return Status::InvalidArgument(StringPrintf(
+        "repeat_of has %zu entries for %zu queries", repeat_of.size(), n));
+  }
+  // first[i] is the position whose candidate position i must repeat.
+  std::vector<size_t> first(n);
+  for (size_t i = 0; i < n; ++i) {
+    first[i] = repeat_of.empty() ? i : repeat_of[i];
+    if (first[i] > i) {
+      return Status::InvalidArgument(StringPrintf(
+          "repeat_of[%zu] points after its own position", i));
+    }
+    if (first[first[i]] != first[i]) {
+      return Status::InvalidArgument(StringPrintf(
+          "repeat_of[%zu] points at a position that repeats another", i));
+    }
+    if (genuine_sequence[i] != genuine_sequence[first[i]]) {
+      return Status::InvalidArgument(StringPrintf(
+          "positions %zu and %zu are linked but their genuine terms differ",
+          first[i], i));
+    }
+  }
 
   // Resolve each genuine term's bucket; Q_i = product of the host buckets.
-  // Count |S| first so we fail fast on oversized instances.
-  std::vector<std::vector<const std::vector<wordnet::TermId>*>> bucket_seq;
+  // Count |S| first so we fail fast on oversized instances. A linked
+  // position repeats its first occurrence's candidate, so it adds no factor.
+  std::vector<std::vector<const std::vector<wordnet::TermId>*>> bucket_seq(n);
   uint64_t candidates = 1;
-  for (const auto& query : genuine_sequence) {
-    if (query.empty()) {
+  for (size_t i = 0; i < n; ++i) {
+    if (first[i] != i) continue;
+    if (genuine_sequence[i].empty()) {
       return Status::InvalidArgument("empty query in sequence");
     }
-    std::vector<const std::vector<wordnet::TermId>*> host_buckets;
-    for (wordnet::TermId t : query) {
+    auto& host_buckets = bucket_seq[i];
+    for (wordnet::TermId t : genuine_sequence[i]) {
       EMB_ASSIGN_OR_RETURN(BucketSlot where, org.Locate(t));
       host_buckets.push_back(&org.bucket(where.bucket));
       uint64_t width = org.bucket(where.bucket).size();
@@ -57,17 +82,23 @@ Result<AdversaryRisk> ComputeAdversaryRisk(
       }
       candidates *= width;
     }
-    bucket_seq.push_back(std::move(host_buckets));
   }
 
   // Per-query candidate tuples and their similarity to the genuine query.
   // risk factorizes: with a uniform prior, beta is uniform on S, and
   // sim(s', s) averages per-query similarities, so
   //   risk = (1/n) * sum_i mean_{q' in Q_i} sim_q(q', q_i).
-  // We still track the posterior on the exact genuine sequence.
+  // We still track the posterior on the exact genuine sequence. A linked
+  // position's marginal is its first occurrence's, so it adds that
+  // position's mean similarity again and leaves the posterior alone.
   double risk_total = 0.0;
   double truth_mass = 1.0;
-  for (size_t i = 0; i < genuine_sequence.size(); ++i) {
+  std::vector<double> mean_sim(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (first[i] != i) {
+      risk_total += mean_sim[first[i]];
+      continue;
+    }
     const auto& hosts = bucket_seq[i];
     const auto& genuine = genuine_sequence[i];
     const size_t m = hosts.size();
@@ -89,12 +120,13 @@ Result<AdversaryRisk> ComputeAdversaryRisk(
       }
       if (j == m) break;
     }
-    risk_total += sim_sum / static_cast<double>(count);
+    mean_sim[i] = sim_sum / static_cast<double>(count);
+    risk_total += mean_sim[i];
     truth_mass /= static_cast<double>(count);
   }
 
   AdversaryRisk out;
-  out.risk = risk_total / static_cast<double>(genuine_sequence.size());
+  out.risk = risk_total / static_cast<double>(n);
   out.posterior_on_truth = truth_mass;
   out.candidate_count = candidates;
   return out;

@@ -105,17 +105,6 @@ Result<crypto::PirResponse> ShardedPirRetrievalServer::Answer(
   return servers_[shard].Answer(bucket, query, costs);
 }
 
-Result<std::vector<crypto::PirResponse>> ShardedPirRetrievalServer::AnswerBatch(
-    size_t shard, const std::vector<PirBatchItem>& items,
-    RetrievalCosts* costs, crypto::PirBatchStats* stats) const {
-  if (shard >= servers_.size()) {
-    return Status::OutOfRange(
-        StringPrintf("shard %zu out of range (%zu shards)", shard,
-                     servers_.size()));
-  }
-  return servers_[shard].AnswerBatch(items, costs, stats);
-}
-
 Result<std::vector<crypto::PirResponse>> ShardedPirRetrievalServer::AnswerAll(
     size_t bucket, const crypto::PirQuery& query,
     RetrievalCosts* costs) const {

@@ -101,13 +101,6 @@ class ShardedPirRetrievalServer {
                                      const crypto::PirQuery& query,
                                      RetrievalCosts* costs) const;
 
-  /// \brief Batched executions against one shard: items grouped by bucket,
-  ///        each bucket matrix swept once for all of its queries. Response i
-  ///        is bit-identical to Answer(shard, items[i]).
-  Result<std::vector<crypto::PirResponse>> AnswerBatch(
-      size_t shard, const std::vector<PirBatchItem>& items,
-      RetrievalCosts* costs, crypto::PirBatchStats* stats = nullptr) const;
-
   /// \brief Answers `query` against `bucket` on every shard (fanned out
   ///        over the pool), in shard order — the per-shard answer
   ///        concatenation the client decodes shard by shard.

@@ -1,7 +1,6 @@
 #include "server/embellish_server.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/answer_path.h"
@@ -200,9 +199,6 @@ void EmbellishServer::MergeDelta(const ServerStats& d) {
   t.server_io_ms += d.server_io_ms;
   t.topk_shards_visited += d.topk_shards_visited;
   t.topk_shards_skipped += d.topk_shards_skipped;
-  t.pir_batch_sweeps += d.pir_batch_sweeps;
-  t.pir_batched_queries += d.pir_batched_queries;
-  t.pir_batch_budget_splits += d.pir_batch_budget_splits;
 }
 
 size_t EmbellishServer::AcquireInflight(size_t want) {
@@ -263,18 +259,13 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
   // requests are processed, the rest are shed with typed kBusy frames — a
   // deterministic suffix, so the client knows exactly which to resend.
   const size_t granted = AcquireInflight(requests.size());
-  // Phase 1 (dispatch): decode and answer everything except PIR compute,
-  // which parks in the collector. Phase 2 then answers the parked queries
-  // in shared sweeps, grouped by (epoch, shard) — the epoch is this batch's
-  // single pinned snapshot, so the group key reduces to the shard.
-  PirBatchCollector collector;
+  // Each frame takes HandleFrame's ProcessOne path, PIR frames included, so
+  // its response equals HandleFrame's.
   auto handle_range = [&](size_t begin, size_t end) {
     common::ScopedAnswerPath answer_path;
     for (size_t i = begin; i < end; ++i) {
-      RequestOutcome outcome = i < granted
-                                   ? ProcessOne(*engines, requests[i],
-                                                &collector, i)
-                                   : BusyOutcome();
+      RequestOutcome outcome =
+          i < granted ? ProcessOne(*engines, requests[i]) : BusyOutcome();
       MergeDelta(outcome.delta);
       responses[i] = std::move(outcome.response);
     }
@@ -289,7 +280,6 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
   } else {
     handle_range(0, requests.size());
   }
-  AnswerDeferredPir(*engines, collector, &responses);
   ReleaseInflight(granted);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++totals_.batches;
@@ -339,8 +329,7 @@ EmbellishServer::RequestOutcome EmbellishServer::ErrorOutcome(
 }
 
 EmbellishServer::RequestOutcome EmbellishServer::ProcessOne(
-    const EpochEngines& engines, const std::vector<uint8_t>& request,
-    PirBatchCollector* collector, size_t slot) {
+    const EpochEngines& engines, const std::vector<uint8_t>& request) {
   frame_clock_.fetch_add(1, std::memory_order_relaxed);
   RequestOutcome outcome;
   auto frame = DecodeFrame(request);
@@ -360,7 +349,7 @@ EmbellishServer::RequestOutcome EmbellishServer::ProcessOne(
         outcome = HandleQuery(engines, *frame);
         break;
       case FrameKind::kPirQuery:
-        outcome = HandlePirQuery(engines, *frame, collector, slot);
+        outcome = HandlePirQuery(engines, *frame);
         break;
       case FrameKind::kTopKQuery:
         outcome = HandleTopK(engines, *frame);
@@ -432,8 +421,7 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleQuery(
 }
 
 EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
-    const EpochEngines& engines, const Frame& frame,
-    PirBatchCollector* collector, size_t slot) {
+    const EpochEngines& engines, const Frame& frame) {
   auto payload = DecodePirQuery(frame.payload);
   if (!payload.ok()) return ErrorOutcome(frame.session_id, payload.status());
 
@@ -461,126 +449,22 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
         Status::OutOfRange("shard-qualified bucket out of range"));
   }
 
-  RequestOutcome outcome;
-  // Batched dispatch: park the decoded query; the batch's phase 2 answers
-  // every parked query of this shard in one shared sweep and fills the
-  // response slot then. The collector mutex guards only this queue
-  // admission — no answer compute happens under any server-level lock.
-  if (collector != nullptr) {
-    std::lock_guard<std::mutex> lock(collector->mu);
-    collector->pending.push_back(PendingPir{slot, frame.session_id, shard,
-                                            bucket, std::move(*payload)});
-    outcome.deferred = true;
-    return outcome;
-  }
-
   core::RetrievalCosts costs;
   // The engines' lazy bucket-matrix caches are internally synchronized, so
-  // the single-frame path computes without any external lock.
+  // concurrent frames compute without any external lock.
   Result<crypto::PirResponse> response =
       sharded ? engines.sharded_pir->Answer(shard, bucket, payload->query,
                                             &costs)
               : engines.pir->Answer(bucket, payload->query, &costs);
   if (!response.ok()) return ErrorOutcome(frame.session_id, response.status());
 
+  RequestOutcome outcome;
   outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
                                  EncodePirResponse(*response));
   outcome.delta.pir_queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;
   return outcome;
-}
-
-void EmbellishServer::AnswerDeferredPir(
-    const EpochEngines& engines, PirBatchCollector& collector,
-    std::vector<std::vector<uint8_t>>* responses) {
-  if (collector.pending.empty()) return;
-
-  // Group the batch's deferred queries by shard (the epoch half of the
-  // (epoch, shard) key is constant: the whole batch answers against one
-  // pinned snapshot). Deterministic order; arrival order within a group is
-  // whatever dispatch produced, which is fine — every slot is addressed
-  // explicitly.
-  std::map<size_t, std::vector<size_t>> by_shard;
-  for (size_t i = 0; i < collector.pending.size(); ++i) {
-    by_shard[collector.pending[i].shard].push_back(i);
-  }
-  std::vector<std::pair<size_t, std::vector<size_t>>> groups;
-  groups.reserve(by_shard.size());
-  for (auto& [shard, indices] : by_shard) {
-    groups.emplace_back(shard, std::move(indices));
-  }
-
-  // Finish one deferred query: frame its flat answer for the requesting
-  // session and account the downlink the dispatch pass could not see.
-  auto finalize = [&](const PendingPir& p, const crypto::PirResponse& response,
-                      ServerStats* delta) {
-    (*responses)[p.slot] = EncodeFrame(FrameKind::kPirResult, p.session_id,
-                                       EncodePirResponse(response));
-    delta->pir_queries += 1;
-    delta->downlink_bytes += (*responses)[p.slot].size();
-  };
-
-  auto answer_group = [&](size_t gbegin, size_t gend) {
-    common::ScopedAnswerPath answer_path;
-    for (size_t g = gbegin; g < gend; ++g) {
-      const size_t shard = groups[g].first;
-      const std::vector<size_t>& indices = groups[g].second;
-      std::vector<core::PirBatchItem> items;
-      items.reserve(indices.size());
-      for (size_t i : indices) {
-        items.push_back(core::PirBatchItem{collector.pending[i].bucket,
-                                           &collector.pending[i].payload.query});
-      }
-      ServerStats delta;
-      core::RetrievalCosts costs;
-      crypto::PirBatchStats stats;
-      auto batch =
-          engines.sharded_pir != nullptr
-              ? engines.sharded_pir->AnswerBatch(shard, items, &costs, &stats)
-              : engines.pir->AnswerBatch(items, &costs, &stats);
-      if (batch.ok()) {
-        for (size_t j = 0; j < indices.size(); ++j) {
-          finalize(collector.pending[indices[j]], (*batch)[j], &delta);
-        }
-        delta.pir_batch_sweeps = stats.sweeps;
-        delta.pir_batched_queries = stats.queries;
-        delta.pir_batch_budget_splits = stats.budget_splits;
-      } else {
-        // The shared sweep is all-or-nothing per group; re-answer each
-        // member serially so one malformed query yields one error frame
-        // instead of poisoning its whole group.
-        costs = core::RetrievalCosts{};
-        for (size_t i : indices) {
-          PendingPir& p = collector.pending[i];
-          auto single =
-              engines.sharded_pir != nullptr
-                  ? engines.sharded_pir->Answer(shard, p.bucket,
-                                                p.payload.query, &costs)
-                  : engines.pir->Answer(p.bucket, p.payload.query, &costs);
-          if (single.ok()) {
-            finalize(p, *single, &delta);
-          } else {
-            (*responses)[p.slot] = EncodeFrame(FrameKind::kError, p.session_id,
-                                               EncodeError(single.status()));
-            delta.errors += 1;
-            delta.downlink_bytes += (*responses)[p.slot].size();
-          }
-        }
-      }
-      delta.server_cpu_ms += costs.server_cpu_ms;
-      delta.server_io_ms += costs.server_io_ms;
-      MergeDelta(delta);
-    }
-  };
-  // Distinct shards touch distinct engines, so groups answer concurrently;
-  // each group's intra-sweep row parallelism still arrives through the
-  // engines' own nested pool regions.
-  if (pool_ != nullptr && groups.size() > 1) {
-    pool_->ParallelFor(0, groups.size(), /*min_grain=*/1, answer_group);
-  } else {
-    answer_group(0, groups.size());
-  }
 }
 
 EmbellishServer::RequestOutcome EmbellishServer::HandleTopK(

@@ -37,21 +37,9 @@
 // independently (and concurrently — the engines' lazy matrix caches are
 // internally synchronized).
 //
-// Batched PIR (PR 9): HandleBatch answers the PIR frames of one dispatched
-// batch in shared sweeps. The dispatch pass defers every decoded kPirQuery
-// into a per-batch collector instead of computing it inline; the batch then
-// groups the deferred queries by (database epoch, shard) — the epoch is the
-// batch's single pinned snapshot, so within a batch the grouping key is the
-// shard, and frames that arrive around a cutover land in different batches
-// and therefore different groups — and answers each group through
-// core::PirRetrievalServer::AnswerBatch: each bucket matrix is swept once
-// for all of the group's queries (crypto::PirServer::AnswerBatch extracts
-// each row once and writes each residue once into its query's flat answer),
-// and each answer is framed for its own session, sent and dropped. The
-// per-shard mutex that used to serialize whole answer computations is gone;
-// what remains serialized is queue admission into the collector and the
-// matrix caches' lazy builds. Every response stays bit-identical to
-// HandleFrame's.
+// PIR frames are answered where they are decoded: HandleBatch runs each
+// decoded kPirQuery through the same Answer call HandleFrame does, against
+// the batch's pinned epoch.
 //
 // Slice mode (options.shard_slice set): the server owns one slice of an
 // N-way document partition and behaves as a monolithic server over it —
@@ -205,13 +193,6 @@ struct ServerStats {
   // Impact-bound shard skipping on the plaintext top-k path.
   uint64_t topk_shards_visited = 0;
   uint64_t topk_shards_skipped = 0;
-
-  // Cross-query batched PIR: HandleBatch groups a batch's PIR frames by
-  // (database epoch, shard) and answers each group in shared sweeps.
-  uint64_t pir_batch_sweeps = 0;     ///< shared matrix sweeps run
-  uint64_t pir_batched_queries = 0;  ///< PIR queries answered via a shared sweep
-  uint64_t pir_batch_budget_splits = 0;  ///< sub-batches forced by the
-                                         ///< batch-wide table budget
 };
 
 /// \brief Multi-session batched answer server.
@@ -306,14 +287,10 @@ class EmbellishServer {
   ServerStats stats() const;
 
  private:
-  // Per-request counters merged into totals_ under stats_mu_. `deferred`
-  // marks a PIR request parked in the batch collector: the response is
-  // empty for now and the remaining counters (downlink, pir_queries, CPU)
-  // merge when the shared sweep finishes it.
+  // Per-request counters merged into totals_ under stats_mu_.
   struct RequestOutcome {
     std::vector<uint8_t> response;
     ServerStats delta;
-    bool deferred = false;
   };
 
   // Everything one batch needs to answer against one pinned epoch. The
@@ -347,23 +324,6 @@ class EmbellishServer {
     std::unique_ptr<core::ShardedPirRetrievalServer> sharded_pir;
   };
 
-  // One dispatched batch's deferred PIR work: the dispatch pass parks every
-  // decoded kPirQuery here, and the batch answers them in
-  // shared per-(epoch, shard) sweeps afterwards. The mutex guards queue
-  // admission only — the one residue of the per-shard serialization that
-  // used to span whole answer computations.
-  struct PendingPir {
-    size_t slot = 0;  // index into the batch's responses
-    uint64_t session_id = 0;
-    size_t shard = 0;
-    size_t bucket = 0;        // shard-local
-    PirQueryPayload payload;  // owns the decoded query
-  };
-  struct PirBatchCollector {
-    std::mutex mu;
-    std::vector<PendingPir> pending;
-  };
-
   // Pins the catalog's current epoch and returns the (possibly cached)
   // engine bundle for it. Never regresses to an older epoch, and prefers
   // an already-installed bundle for the same epoch (its lazy PIR matrices
@@ -372,18 +332,8 @@ class EmbellishServer {
   std::shared_ptr<const EpochEngines> BuildEngines(
       std::shared_ptr<const index::IndexEpoch> snapshot) const;
 
-  // `collector`, when non-null, makes kPirQuery requests defer their answer
-  // compute into it (outcome.deferred set; `slot` names the response index
-  // the deferred answer must fill). AnswerDeferredPir then answers every
-  // parked query in shared sweeps and writes the finished frames into
-  // `responses`.
   RequestOutcome ProcessOne(const EpochEngines& engines,
-                            const std::vector<uint8_t>& request,
-                            PirBatchCollector* collector = nullptr,
-                            size_t slot = 0);
-  void AnswerDeferredPir(const EpochEngines& engines,
-                         PirBatchCollector& collector,
-                         std::vector<std::vector<uint8_t>>* responses);
+                            const std::vector<uint8_t>& request);
 
   // Admission control: grants up to `want` in-flight slots (all of them
   // when max_inflight is 0); ReleaseInflight returns what was granted.
@@ -398,8 +348,7 @@ class EmbellishServer {
   RequestOutcome HandleHello(const EpochEngines& engines, const Frame& frame);
   RequestOutcome HandleQuery(const EpochEngines& engines, const Frame& frame);
   RequestOutcome HandlePirQuery(const EpochEngines& engines,
-                                const Frame& frame,
-                                PirBatchCollector* collector, size_t slot);
+                                const Frame& frame);
   RequestOutcome HandleTopK(const EpochEngines& engines, const Frame& frame);
   static RequestOutcome ErrorOutcome(uint64_t session_id,
                                      const Status& status);

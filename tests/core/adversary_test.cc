@@ -88,8 +88,8 @@ TEST_F(AdversaryTest, RejectsOversizedCandidateSpace) {
   ASSERT_TRUE(org.ok());
   // 4^12 = 16M > 2M cap.
   std::vector<std::vector<wordnet::TermId>> seq(12, {0});
-  auto risk = ComputeAdversaryRisk(*org, dist_, seq, /*max_candidates=*/
-                                   2000000);
+  auto risk = ComputeAdversaryRisk(*org, dist_, seq, /*repeat_of=*/{},
+                                   /*max_candidates=*/2000000);
   EXPECT_FALSE(risk.ok());
 }
 
@@ -99,6 +99,54 @@ TEST_F(AdversaryTest, RejectsMalformedInput) {
   EXPECT_FALSE(ComputeAdversaryRisk(*org, dist_, {}).ok());
   EXPECT_FALSE(ComputeAdversaryRisk(*org, dist_, {{}}).ok());
   EXPECT_FALSE(ComputeAdversaryRisk(*org, dist_, {{99}}).ok());  // unbucketed
+}
+
+TEST_F(AdversaryTest, LinkedRepeatsRaiseThePosteriorNotTheRisk) {
+  // One 2-term set issued 3 times at bucket size 4. Unlinked, every issue
+  // is a fresh 4 x 4 choice: 4^6 sequences. Linked by byte-identical
+  // uplinks, the three issues are one choice: 4^2.
+  auto org = BucketOrganization::Create({{0, 5, 8, 11}, {1, 3, 6, 9}});
+  ASSERT_TRUE(org.ok());
+  const std::vector<std::vector<wordnet::TermId>> thrice(3, {5, 6});
+  auto unlinked = ComputeAdversaryRisk(*org, dist_, thrice);
+  auto linked = ComputeAdversaryRisk(*org, dist_, thrice, {0, 0, 0});
+  ASSERT_TRUE(unlinked.ok()) << unlinked.status().ToString();
+  ASSERT_TRUE(linked.ok()) << linked.status().ToString();
+  EXPECT_EQ(unlinked->candidate_count, 4096u);
+  EXPECT_NEAR(unlinked->posterior_on_truth, 1.0 / 4096.0, 1e-15);
+  EXPECT_EQ(linked->candidate_count, 16u);
+  EXPECT_NEAR(linked->posterior_on_truth, 1.0 / 16.0, 1e-15);
+  EXPECT_DOUBLE_EQ(linked->risk, unlinked->risk);
+
+  // The identity partition is the unlinked case.
+  auto identity = ComputeAdversaryRisk(*org, dist_, thrice, {0, 1, 2});
+  ASSERT_TRUE(identity.ok());
+  EXPECT_EQ(identity->candidate_count, 4096u);
+  EXPECT_DOUBLE_EQ(identity->risk, unlinked->risk);
+}
+
+TEST_F(AdversaryTest, RejectsMalformedRepeatPartition) {
+  auto org = BucketOrganization::Create({{0, 5, 8, 11}, {1, 3, 6, 9}});
+  ASSERT_TRUE(org.ok());
+  const std::vector<std::vector<wordnet::TermId>> thrice(3, {5, 6});
+  // Wrong length.
+  EXPECT_TRUE(ComputeAdversaryRisk(*org, dist_, thrice, {0, 0})
+                  .status()
+                  .IsInvalidArgument());
+  // An entry that points after its own position.
+  EXPECT_TRUE(ComputeAdversaryRisk(*org, dist_, thrice, {1, 1, 2})
+                  .status()
+                  .IsInvalidArgument());
+  // An entry that points at a position which repeats an earlier one.
+  EXPECT_TRUE(ComputeAdversaryRisk(*org, dist_, thrice, {0, 0, 1})
+                  .status()
+                  .IsInvalidArgument());
+  // Linked positions whose genuine terms differ.
+  const std::vector<std::vector<wordnet::TermId>> differ = {{5, 6}, {8, 6}};
+  EXPECT_TRUE(ComputeAdversaryRisk(*org, dist_, differ, {0, 0})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ComputeAdversaryRisk(*org, dist_, differ, {0, 1}).ok());
 }
 
 TEST_F(AdversaryTest, RiskBoundedByOne) {

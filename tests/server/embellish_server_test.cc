@@ -1,8 +1,8 @@
 // End-to-end request loop: SessionClients speaking the framed protocol to an
 // EmbellishServer must get byte-identical answers to driving the layers by
-// hand, across many concurrent sessions, batched or not; a session's
-// transcript must not show the server which of its queries repeat; and a
-// hostile frame must produce a kError response, never take the loop down.
+// hand, across many concurrent sessions, batched or not; a session's PR or
+// PIR transcript must not show the server which of its queries repeat; and
+// a hostile frame must produce a kError response, never take the loop down.
 
 #include "server/embellish_server.h"
 
@@ -202,6 +202,56 @@ TEST_F(EmbellishServerTest, TranscriptHidesWhichQueriesRepeat) {
   }
 }
 
+TEST_F(EmbellishServerTest, PirTranscriptHidesWhichColumnsRepeat) {
+  // Session A asks for the columns of a1, b1, a1, b1; session B for a1, b1,
+  // a2, b2, from the same two buckets, each under its own 256-bit modulus.
+  // The server must see the same transcript shape of both, answering frame
+  // by frame or all eight frames in one batch on a pool.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  Rng rng(961);
+  crypto::PirClient a = std::move(crypto::PirClient::Create(256, &rng)).value();
+  crypto::PirClient b = std::move(crypto::PirClient::Create(256, &rng)).value();
+  ThreadPool pool(4);
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "HandleBatch" : "HandleFrame");
+    EmbellishServer server(&built_.index, &org_, nullptr, {},
+                           batched ? &pool : nullptr);
+    auto [ta, tb] =
+        testutil::RepeatedAndDistinctPirQueries(61, a, 62, b, org_, t, &rng);
+    if (batched) {
+      std::vector<std::vector<uint8_t>> requests = ta.requests;
+      requests.insert(requests.end(), tb.requests.begin(), tb.requests.end());
+      auto responses = server.HandleBatch(requests);
+      ASSERT_EQ(responses.size(), 8u);
+      ta.responses.assign(responses.begin(), responses.begin() + 4);
+      tb.responses.assign(responses.begin() + 4, responses.end());
+    } else {
+      auto serve = [&](const std::vector<uint8_t>& request) {
+        return server.HandleFrame(request);
+      };
+      testutil::AnswerEach(&ta, serve);
+      testutil::AnswerEach(&tb, serve);
+    }
+    testutil::ExpectIndistinguishable(ta, tb);
+    EXPECT_EQ(server.stats().pir_queries, 8u);
+
+    // Both of A's answers for a1 decode to a1's inverted list.
+    for (size_t i : {0, 2}) {
+      auto frame = DecodeFrame(ta.responses[i]);
+      ASSERT_TRUE(frame.ok());
+      ASSERT_EQ(frame->kind, FrameKind::kPirResult) << "response " << i;
+      auto decoded = DecodePirResponse(frame->payload);
+      ASSERT_TRUE(decoded.ok());
+      auto bits = a.DecodeResponse(*decoded);
+      ASSERT_TRUE(bits.ok());
+      auto list = core::PostingsFromColumnBits(*bits);
+      ASSERT_TRUE(list.ok());
+      EXPECT_EQ(*list, *built_.index.postings(t.a1)) << "response " << i;
+    }
+  }
+}
+
 TEST_F(EmbellishServerTest, ReHelloReplayIsNotTheOldAnswer) {
   // A session may re-register with a fresh public key. Replaying the same
   // query bytes afterwards must not return the answer under the superseded
@@ -354,6 +404,77 @@ TEST_F(EmbellishServerTest, PirQueriesThroughTheLoop) {
   EXPECT_EQ(decoded->value_size, direct_answer->value_size);
   EXPECT_EQ(decoded->values, direct_answer->values);
   EXPECT_EQ(server.stats().pir_queries, 1u);
+}
+
+TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
+  // One batch of four PIR frames on a pool: two well-formed, one whose
+  // query is one column wider than its bucket, and one whose modulus is
+  // even. Both bad frames address a valid bucket and fail inside the PIR
+  // engine. Each frame is answered on its own, so every response equals
+  // HandleFrame's for the same frame: an error frame for each bad one and
+  // the same answer bytes for each good one, monolithic and on 2 shards.
+  auto terms = built_.index.IndexedTerms();
+  auto first = org_.Locate(terms[23]);
+  auto second = org_.Locate(terms[41]);
+  ASSERT_TRUE(first.ok() && second.ok());
+  const size_t first_cols = org_.bucket(first->bucket).size();
+  Rng rng(973);
+  crypto::PirClient pir =
+      std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto good = pir.BuildQuery(first->slot, first_cols, &rng);
+  auto wide = pir.BuildQuery(first->slot, first_cols + 1, &rng);
+  auto good2 = pir.BuildQuery(
+      second->slot, org_.bucket(second->bucket).size(), &rng);
+  ASSERT_TRUE(good.ok() && wide.ok() && good2.ok());
+  crypto::PirQuery even = *good2;
+  even.n = even.n + bignum::BigInt(1);
+
+  ThreadPool pool(4);
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EmbellishServerOptions options;
+    options.shard_count = shards;
+    EmbellishServer batched(&built_.index, &org_, nullptr, options, &pool);
+    EmbellishServer serial(&built_.index, &org_, nullptr, options);
+    // On 2 shards each shard gets one good and one bad frame.
+    const size_t last_shard = shards - 1;
+    std::vector<std::vector<uint8_t>> requests = {
+        EncodeFrame(FrameKind::kPirQuery, 31,
+                    EncodePirQuery(batched.PirBucketField(0, first->bucket),
+                                   *good)),
+        EncodeFrame(FrameKind::kPirQuery, 32,
+                    EncodePirQuery(batched.PirBucketField(0, first->bucket),
+                                   *wide)),
+        EncodeFrame(FrameKind::kPirQuery, 33,
+                    EncodePirQuery(
+                        batched.PirBucketField(last_shard, second->bucket),
+                        *good2)),
+        EncodeFrame(FrameKind::kPirQuery, 34,
+                    EncodePirQuery(
+                        batched.PirBucketField(last_shard, second->bucket),
+                        even)),
+    };
+    auto responses = batched.HandleBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(responses[i], serial.HandleFrame(requests[i]))
+          << "request " << i;
+      auto frame = DecodeFrame(responses[i]);
+      ASSERT_TRUE(frame.ok());
+      if (i % 2 == 0) {
+        EXPECT_EQ(frame->kind, FrameKind::kPirResult) << "request " << i;
+        continue;
+      }
+      // The engine, not the frame decoder or the address check, refused it.
+      ASSERT_EQ(frame->kind, FrameKind::kError) << "request " << i;
+      Status carried;
+      ASSERT_TRUE(DecodeError(frame->payload, &carried).ok());
+      EXPECT_TRUE(carried.IsInvalidArgument()) << carried.ToString();
+    }
+    const ServerStats stats = batched.stats();
+    EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(stats.pir_queries, 2u);
+  }
 }
 
 TEST_F(EmbellishServerTest, ShardedServerAnswersBitIdenticalToMonolithic) {

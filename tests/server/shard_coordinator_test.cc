@@ -221,10 +221,9 @@ TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
 }
 
 TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
-  // Batched PIR through the coordinator: each slice server answers its
-  // batch's PIR frames in shared sweeps, and the coordinator-dispatched
-  // bytes must still equal both the serial coordinator path and the
-  // in-process sharded server, for a batch mixing shards and moduli.
+  // Batched PIR through the coordinator: for a batch mixing shards and
+  // moduli, dispatched over the pool, the coordinator's bytes must equal
+  // both the serial coordinator path and the in-process sharded server.
   constexpr size_t kShards = 3;
   ThreadPool pool(4);
   EmbellishServerOptions shard_options;

@@ -6,7 +6,8 @@
 // twice and a session that issues two different sets from the same buckets
 // must leave transcripts the server cannot tell apart: each frame of the
 // same kind and size, and the same pattern of frames that repeat another
-// frame's bytes.
+// frame's bytes. The same holds for KO-PIR traffic, where each request asks
+// for one column of a bucket.
 
 #ifndef EMBELLISH_TESTS_TRANSCRIPT_H_
 #define EMBELLISH_TESTS_TRANSCRIPT_H_
@@ -17,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/bucket_organization.h"
+#include "crypto/pir.h"
 #include "server/framing.h"
 #include "server/session_client.h"
 
@@ -78,6 +81,42 @@ inline std::pair<Transcript, Transcript> RepeatedAndDistinctQueries(
   issue(a, {t.a1, t.b1}, &out.first);
   issue(b, {t.a1, t.b1}, &out.second);
   issue(b, {t.a2, t.b2}, &out.second);
+  return out;
+}
+
+/// \brief The PIR transcripts' requests: session `a_id` asks for the columns
+///        of a1, b1, a1, b1 under client `a`'s modulus, and session `b_id`
+///        for a1, b1, a2, b2 under `b`'s. Each request is a fresh KO-PIR
+///        query addressed to the term's bucket. Answers are left to the
+///        caller.
+inline std::pair<Transcript, Transcript> RepeatedAndDistinctPirQueries(
+    uint64_t a_id, const crypto::PirClient& a, uint64_t b_id,
+    const crypto::PirClient& b, const core::BucketOrganization& org,
+    const TwoBucketTerms& t, Rng* rng) {
+  std::pair<Transcript, Transcript> out;
+  auto issue = [&](uint64_t session_id, const crypto::PirClient& client,
+                   wordnet::TermId term, Transcript* into) {
+    std::vector<uint8_t> request;
+    auto where = org.Locate(term);
+    EXPECT_TRUE(where.ok()) << where.status().ToString();
+    if (where.ok()) {
+      auto query = client.BuildQuery(
+          where->slot, org.bucket(where->bucket).size(), rng);
+      EXPECT_TRUE(query.ok()) << query.status().ToString();
+      if (query.ok()) {
+        request = server::EncodeFrame(
+            server::FrameKind::kPirQuery, session_id,
+            server::EncodePirQuery(where->bucket, *query));
+      }
+    }
+    into->requests.push_back(std::move(request));
+  };
+  for (wordnet::TermId term : {t.a1, t.b1, t.a1, t.b1}) {
+    issue(a_id, a, term, &out.first);
+  }
+  for (wordnet::TermId term : {t.a1, t.b1, t.a2, t.b2}) {
+    issue(b_id, b, term, &out.second);
+  }
   return out;
 }
 
