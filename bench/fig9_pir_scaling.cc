@@ -16,7 +16,6 @@
 //   EMBELLISH_BENCH_JSON     output path                 (default BENCH_pir.json)
 
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -296,147 +295,47 @@ int main() {
                     "all responses match the seed residues and decode to "
                     "the target column");
 
-  // -- Cross-query batched sweep: AnswerBatch at Q = 1, 2, 8, 32. --
-  // Queries come from several clients (distinct moduli), so each sweep
-  // genuinely crosses Montgomery rings; every batched answer is checked
-  // bit-identical to its serial Answer, and the run FAILS (exit 1) on any
-  // mismatch. ops/query counts each query's own MontMuls plus its share of
-  // the batch's row extractions — the shared work whose amortization is the
-  // point of batching — and must be strictly decreasing in Q while the
-  // four-Russians tables are on.
-  struct BatchPoint {
-    size_t q = 0;
-    double ms = 1e300;
-    crypto::PirBatchStats stats;
-    double ops_per_query = 0;
-  };
-  std::vector<crypto::PirClient> batch_clients;
-  for (size_t c = 0; c < 4; ++c) {
-    auto bc = crypto::PirClient::Create(key_bits, &rng);
-    if (!bc.ok()) {
-      std::fprintf(stderr, "batch client keygen failed: %s\n",
-                   bc.status().ToString().c_str());
-      return 1;
-    }
-    batch_clients.push_back(std::move(*bc));
-  }
-  ThreadPool batch_pool(max_threads);
-  crypto::PirServer batch_server(db, max_threads > 1 ? &batch_pool : nullptr);
-  bool batch_identical = true;
-  std::vector<BatchPoint> batch_points;
-  for (size_t q_width : {1u, 2u, 8u, 32u}) {
-    std::vector<crypto::PirQuery> queries;
-    for (size_t i = 0; i < q_width; ++i) {
-      auto bq = batch_clients[i % batch_clients.size()].BuildQuery(
-          (cols / 2 + i) % cols, cols, &rng);
-      if (!bq.ok()) {
-        std::fprintf(stderr, "batch query build failed: %s\n",
-                     bq.status().ToString().c_str());
-        return 1;
-      }
-      queries.push_back(std::move(*bq));
-    }
-    std::vector<crypto::PirResponse> serial;
-    for (const auto& bq : queries) {
-      auto r = batch_server.Answer(bq);
-      if (!r.ok()) {
-        std::fprintf(stderr, "serial Answer failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      serial.push_back(std::move(*r));
-    }
-    BatchPoint point;
-    point.q = q_width;
-    for (size_t t = 0; t < trials; ++t) {
-      crypto::PirBatchStats stats;
-      Stopwatch sw;
-      auto batch = batch_server.AnswerBatch(
-          std::span<const crypto::PirQuery>(queries), &stats);
-      const double ms = sw.ElapsedMillis();
-      if (!batch.ok()) {
-        std::fprintf(stderr, "AnswerBatch failed: %s\n",
-                     batch.status().ToString().c_str());
-        return 1;
-      }
-      if (ms < point.ms) {
-        point.ms = ms;
-        point.stats = stats;
-      }
-      for (size_t i = 0; i < q_width; ++i) {
-        if ((*batch)[i].value_size != serial[i].value_size ||
-            (*batch)[i].values != serial[i].values) {
-          batch_identical = false;
-        }
-      }
-    }
-    point.ops_per_query =
-        static_cast<double>(point.stats.mont_muls +
-                            point.stats.rows_extracted) /
-        q_width;
-    batch_points.push_back(point);
-  }
-
-  std::printf("\n== Cross-query batched answering ==\n");
-  std::vector<std::vector<std::string>> batch_rows;
-  for (const BatchPoint& p : batch_points) {
-    batch_rows.push_back(
-        {std::to_string(p.q), StringPrintf("%.2f", p.ms),
-         StringPrintf("%.2f", p.ms / p.q),
-         std::to_string(p.stats.rows_extracted),
-         StringPrintf("%.1f", p.ops_per_query),
-         StringPrintf("%.3fx",
-                      p.ops_per_query / batch_points[0].ops_per_query)});
-  }
-  bench::PrintTable({"Q", "batch ms", "ms/query", "rows extracted",
-                     "ops/query", "vs Q=1"},
-                    batch_rows);
-
-  bool amortization_decreasing = true;
-  for (size_t i = 1; i < batch_points.size(); ++i) {
-    if (batch_points[i].ops_per_query >=
-        batch_points[i - 1].ops_per_query) {
-      amortization_decreasing = false;
-    }
-  }
-  const bool tables_on =
-      batch_points.back().stats.table_queries == batch_points.back().q;
-  bench::ShapeCheck(batch_identical,
-                    "every batched answer bit-identical to serial Answer");
-  bench::ShapeCheck(!tables_on || amortization_decreasing,
-                    "ops/query strictly decreasing in Q (tables on)");
-  if (!batch_identical || (tables_on && !amortization_decreasing)) {
-    std::fprintf(stderr, "batched-answer equivalence/amortization FAILED\n");
-    return 1;
-  }
-
-  // -- Kernel tier sweep: the same Q=8 batch and one EncryptBatch, answered
-  // at every Montgomery kernel tier this CPU supports (scalar, adx). Every
-  // tier's responses must hold the seed path's residues row by row, and
-  // ciphertexts must be IDENTICAL across tiers — the run fails (exit 1) on
-  // any divergence — and the table reports per-tier throughput. Nonces are
-  // drawn serially in message order from a reseeded Rng, so the EncryptBatch
-  // comparison is exact, not statistical.
+  // -- Kernel tier sweep: 8 queries from 4 clients (distinct moduli), each
+  // answered through Answer, and one EncryptBatch, at every Montgomery
+  // kernel tier this CPU supports (scalar, adx). Every tier's responses must
+  // hold the seed path's residues row by row, and ciphertexts must be
+  // IDENTICAL across tiers — the run fails (exit 1) on any divergence — and
+  // the table reports per-tier throughput. Nonces are drawn serially in
+  // message order from a reseeded Rng, so the EncryptBatch comparison is
+  // exact, not statistical.
   struct KernelPoint {
     MontKernel kernel;
-    double batch_ms = 1e300;    // AnswerBatch, Q = 8
-    double batch_mops = 0;      // mont_muls per second / 1e6
+    double answer_ms = 1e300;   // the kKernelQueries answers, one at a time
+    double answer_mops = 0;     // mont_muls per second / 1e6
     double enc_ms = 1e300;      // EncryptBatch of kEncMsgs messages
     double enc_per_sec = 0;
     bool match = true;          // identical to the scalar tier's outputs
   };
   constexpr size_t kEncMsgs = 64;
-  const size_t kernel_q = 8;
+  constexpr size_t kKernelQueries = 8;
+  std::vector<crypto::PirClient> kernel_clients;
+  for (size_t c = 0; c < 4; ++c) {
+    auto kc = crypto::PirClient::Create(key_bits, &rng);
+    if (!kc.ok()) {
+      std::fprintf(stderr, "kernel-sweep client keygen failed: %s\n",
+                   kc.status().ToString().c_str());
+      return 1;
+    }
+    kernel_clients.push_back(std::move(*kc));
+  }
   std::vector<crypto::PirQuery> kernel_queries;
-  for (size_t i = 0; i < kernel_q; ++i) {
-    auto bq = batch_clients[i % batch_clients.size()].BuildQuery(
+  for (size_t i = 0; i < kKernelQueries; ++i) {
+    auto kq = kernel_clients[i % kernel_clients.size()].BuildQuery(
         i % cols, cols, &rng);
-    if (!bq.ok()) {
+    if (!kq.ok()) {
       std::fprintf(stderr, "kernel-sweep query build failed\n");
       return 1;
     }
-    kernel_queries.push_back(std::move(*bq));
+    kernel_queries.push_back(std::move(*kq));
   }
+  ThreadPool kernel_pool(max_threads);
+  crypto::PirServer kernel_server(db,
+                                  max_threads > 1 ? &kernel_pool : nullptr);
   auto benaloh_keys =
       crypto::BenalohKeyPair::Generate({.key_bits = key_bits}, &rng);
   if (!benaloh_keys.ok()) {
@@ -460,26 +359,24 @@ int main() {
     SetKernelOverride(kernel);
     KernelPoint point;
     point.kernel = kernel;
-    crypto::PirBatchStats best_stats;
-    std::vector<crypto::PirResponse> last_batch;
+    uint64_t answer_muls = 0;
+    std::vector<crypto::PirResponse> answers(kKernelQueries);
     for (size_t t = 0; t < trials; ++t) {
-      crypto::PirBatchStats stats;
+      answer_muls = 0;
       Stopwatch sw;
-      auto batch = batch_server.AnswerBatch(
-          std::span<const crypto::PirQuery>(kernel_queries), &stats);
-      const double ms = sw.ElapsedMillis();
-      if (!batch.ok()) {
-        std::fprintf(stderr, "kernel-sweep AnswerBatch failed\n");
-        return 1;
+      for (size_t i = 0; i < kKernelQueries; ++i) {
+        uint64_t muls = 0;
+        auto answer = kernel_server.Answer(kernel_queries[i], &muls);
+        if (!answer.ok()) {
+          std::fprintf(stderr, "kernel-sweep Answer failed\n");
+          return 1;
+        }
+        answer_muls += muls;
+        answers[i] = std::move(*answer);
       }
-      if (ms < point.batch_ms) {
-        point.batch_ms = ms;
-        best_stats = stats;
-      }
-      last_batch = std::move(*batch);
+      point.answer_ms = std::min(point.answer_ms, sw.ElapsedMillis());
     }
-    point.batch_mops =
-        OpsPerSec(best_stats.mont_muls, point.batch_ms) / 1e6;
+    point.answer_mops = OpsPerSec(answer_muls, point.answer_ms) / 1e6;
 
     std::vector<crypto::BenalohCiphertext> cts;
     for (size_t t = 0; t < trials; ++t) {
@@ -487,7 +384,7 @@ int main() {
       Stopwatch sw;
       auto enc = benaloh_keys->public_key().EncryptBatch(enc_messages,
                                                          &enc_rng,
-                                                         &batch_pool);
+                                                         &kernel_pool);
       const double ms = sw.ElapsedMillis();
       if (!enc.ok()) {
         std::fprintf(stderr, "kernel-sweep EncryptBatch failed\n");
@@ -498,8 +395,8 @@ int main() {
     }
     point.enc_per_sec = OpsPerSec(kEncMsgs, point.enc_ms);
 
-    for (size_t i = 0; i < last_batch.size(); ++i) {
-      if (!MatchesReference(last_batch[i], kernel_references[i],
+    for (size_t i = 0; i < kKernelQueries; ++i) {
+      if (!MatchesReference(answers[i], kernel_references[i],
                             kernel_queries[i])) {
         point.match = false;
       }
@@ -516,19 +413,19 @@ int main() {
   }
   SetKernelOverride(restore_kernel);
 
-  std::printf("\n== Montgomery kernel tiers (Q=%zu batch, %zu encrypts) ==\n",
-              kernel_q, kEncMsgs);
+  std::printf("\n== Montgomery kernel tiers (%zu answers, %zu encrypts) ==\n",
+              kKernelQueries, kEncMsgs);
   std::vector<std::vector<std::string>> kernel_rows;
   for (const KernelPoint& p : kernel_points) {
     kernel_rows.push_back(
-        {KernelName(p.kernel), StringPrintf("%.2f", p.batch_ms),
-         StringPrintf("%.3f", p.batch_mops),
+        {KernelName(p.kernel), StringPrintf("%.2f", p.answer_ms),
+         StringPrintf("%.3f", p.answer_mops),
          StringPrintf("%.2f", p.enc_ms),
          StringPrintf("%.1f", p.enc_per_sec),
-         StringPrintf("%.3fx", kernel_points[0].batch_ms / p.batch_ms),
+         StringPrintf("%.3fx", kernel_points[0].answer_ms / p.answer_ms),
          p.match ? "yes" : "NO"});
   }
-  bench::PrintTable({"kernel", "batch ms", "Mmul/s", "encrypt ms", "enc/s",
+  bench::PrintTable({"kernel", "answers ms", "Mmul/s", "encrypt ms", "enc/s",
                      "vs scalar", "identical"},
                     kernel_rows);
   bench::ShapeCheck(kernels_identical,
@@ -566,31 +463,16 @@ int main() {
                  m.threads, m.ms, m.mops_per_sec, seed_ms / m.ms,
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"batch\": [\n");
-  for (size_t i = 0; i < batch_points.size(); ++i) {
-    const BatchPoint& p = batch_points[i];
-    std::fprintf(
-        f,
-        "    {\"q\": %zu, \"ms\": %.3f, \"ms_per_query\": %.3f, "
-        "\"mont_muls\": %llu, \"rows_extracted\": %llu, \"sweeps\": %llu, "
-        "\"ops_per_query\": %.2f, \"amortization_vs_q1\": %.4f}%s\n",
-        p.q, p.ms, p.ms / p.q,
-        static_cast<unsigned long long>(p.stats.mont_muls),
-        static_cast<unsigned long long>(p.stats.rows_extracted),
-        static_cast<unsigned long long>(p.stats.sweeps), p.ops_per_query,
-        p.ops_per_query / batch_points[0].ops_per_query,
-        i + 1 < batch_points.size() ? "," : "");
-  }
   std::fprintf(f, "  ],\n  \"kernels\": [\n");
   for (size_t i = 0; i < kernel_points.size(); ++i) {
     const KernelPoint& p = kernel_points[i];
     std::fprintf(
         f,
-        "    {\"name\": \"%s\", \"batch_ms\": %.3f, \"batch_mops_per_sec\": "
+        "    {\"name\": \"%s\", \"answer_ms\": %.3f, \"answer_mops_per_sec\": "
         "%.4f, \"encrypt_ms\": %.3f, \"encrypts_per_sec\": %.1f, "
         "\"speedup_vs_scalar\": %.3f, \"identical_to_scalar\": %s}%s\n",
-        KernelName(p.kernel), p.batch_ms, p.batch_mops, p.enc_ms,
-        p.enc_per_sec, kernel_points[0].batch_ms / p.batch_ms,
+        KernelName(p.kernel), p.answer_ms, p.answer_mops, p.enc_ms,
+        p.enc_per_sec, kernel_points[0].answer_ms / p.answer_ms,
         p.match ? "true" : "false",
         i + 1 < kernel_points.size() ? "," : "");
   }

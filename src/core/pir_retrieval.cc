@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <map>
 #include <span>
 #include <unordered_set>
 
@@ -87,8 +86,8 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
 }
 
 Result<crypto::PirResponse> PirRetrievalServer::Answer(
-    size_t bucket, const crypto::PirQuery& query,
-    RetrievalCosts* costs) const {
+    size_t bucket, const crypto::PirQuery& query, RetrievalCosts* costs,
+    crypto::PirBatchStats* stats) const {
   EMB_ASSIGN_OR_RETURN(const crypto::PirDatabase* matrix,
                        BucketMatrix(bucket));
 
@@ -105,11 +104,19 @@ Result<crypto::PirResponse> PirRetrievalServer::Answer(
   // miss the cycles worker threads burn.
   crypto::PirServer server_impl(
       std::shared_ptr<const crypto::PirDatabase>(matrix, [](auto*) {}), pool_);
+  uint64_t ops = 0;
   double cpu_ms = 0.0;
   EMB_ASSIGN_OR_RETURN(crypto::PirResponse response,
-                       server_impl.Answer(query, nullptr, &cpu_ms));
+                       server_impl.Answer(query, &ops, &cpu_ms));
   if (costs != nullptr) {
     costs->server_cpu_ms += cpu_ms;
+  }
+  if (stats != nullptr) {
+    stats->Add({.queries = 1,
+                .sweeps = 1,
+                .rows_extracted = matrix->rows(),
+                .mont_muls = ops,
+                .cpu_ms = cpu_ms});
   }
   return response;
 }
@@ -117,48 +124,15 @@ Result<crypto::PirResponse> PirRetrievalServer::Answer(
 Result<std::vector<crypto::PirResponse>> PirRetrievalServer::AnswerBatch(
     const std::vector<PirBatchItem>& items, RetrievalCosts* costs,
     crypto::PirBatchStats* stats) const {
-  std::vector<crypto::PirResponse> responses(items.size());
-  if (items.empty()) return responses;
-
-  // Group item indices by bucket (ordered, so evaluation order is
-  // deterministic), preserving arrival order within each group.
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].query == nullptr) {
+  std::vector<crypto::PirResponse> responses;
+  responses.reserve(items.size());
+  for (const PirBatchItem& item : items) {
+    if (item.query == nullptr) {
       return Status::InvalidArgument("null query in PIR batch item");
     }
-    groups[items[i].bucket].push_back(i);
-  }
-
-  for (const auto& [bucket, indices] : groups) {
-    EMB_ASSIGN_OR_RETURN(const crypto::PirDatabase* matrix,
-                         BucketMatrix(bucket));
-
-    // I/O: one bucket fetch per group — the shared sweep touches every list
-    // in the bucket once for all of the group's queries.
-    if (layout_ != nullptr && costs != nullptr) {
-      storage::SimulatedDisk disk(disk_options_);
-      EMB_RETURN_NOT_OK(layout_->ChargeGroupRead(bucket, &disk));
-      costs->server_io_ms += disk.accumulated_ms();
-    }
-
-    std::vector<const crypto::PirQuery*> queries;
-    queries.reserve(indices.size());
-    for (size_t i : indices) queries.push_back(items[i].query);
-
-    crypto::PirServer server_impl(
-        std::shared_ptr<const crypto::PirDatabase>(matrix, [](auto*) {}),
-        pool_);
-    crypto::PirBatchStats group_stats;
-    EMB_ASSIGN_OR_RETURN(
-        std::vector<crypto::PirResponse> group,
-        server_impl.AnswerBatch(
-            std::span<const crypto::PirQuery* const>(queries), &group_stats));
-    for (size_t j = 0; j < indices.size(); ++j) {
-      responses[indices[j]] = std::move(group[j]);
-    }
-    if (costs != nullptr) costs->server_cpu_ms += group_stats.cpu_ms;
-    if (stats != nullptr) stats->Add(group_stats);
+    EMB_ASSIGN_OR_RETURN(crypto::PirResponse response,
+                         Answer(item.bucket, *item.query, costs, stats));
+    responses.push_back(std::move(response));
   }
   return responses;
 }

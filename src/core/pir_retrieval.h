@@ -37,7 +37,7 @@
 
 namespace embellish::core {
 
-/// \brief One query of a PIR batch: the bucket it addresses and the decoded
+/// \brief One item of AnswerBatch: the bucket it addresses and the decoded
 ///        query it carries (not owned; must outlive the call).
 struct PirBatchItem {
   size_t bucket = 0;
@@ -62,17 +62,18 @@ class PirRetrievalServer {
                      ThreadPool* pool = nullptr);
 
   /// \brief Runs one PIR execution against bucket `bucket`. Charges one
-  ///        bucket fetch of I/O plus the protocol CPU to `costs`.
+  ///        bucket fetch of I/O plus the protocol CPU to `costs`, and adds
+  ///        one query, one sweep, the matrix's rows, the multiplications and
+  ///        the CPU to `stats` when non-null.
   Result<crypto::PirResponse> Answer(size_t bucket,
                                      const crypto::PirQuery& query,
-                                     RetrievalCosts* costs) const;
+                                     RetrievalCosts* costs,
+                                     crypto::PirBatchStats* stats = nullptr)
+      const;
 
-  /// \brief Answers a batch of PIR executions in shared sweeps: items are
-  ///        grouped by bucket and each bucket's matrix is swept once for all
-  ///        of its queries (crypto::PirServer::AnswerBatch), with one bucket
-  ///        fetch of I/O charged per group. Response i corresponds to
-  ///        items[i] and is bit-identical to Answer(items[i]). Counters are
-  ///        added into `stats` when non-null.
+  /// \brief Answer for each item in turn; response i corresponds to
+  ///        items[i]. Stops at the first failing item. Only perfbench's
+  ///        replay calls it, until that replay moves onto Answer.
   Result<std::vector<crypto::PirResponse>> AnswerBatch(
       const std::vector<PirBatchItem>& items, RetrievalCosts* costs,
       crypto::PirBatchStats* stats = nullptr) const;

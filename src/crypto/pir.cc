@@ -86,7 +86,7 @@ BigInt PirResponse::Value(size_t row) const {
 }
 
 Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
-  if (key_bits < 128 || key_bits > 4096) {
+  if (key_bits < 128 || key_bits > kMaxPirModulusBits) {
     return Status::InvalidArgument("key_bits out of supported range");
   }
   PirClient client;
@@ -189,11 +189,8 @@ Result<std::vector<bool>> PirClient::DecodeResponse(
 void PirBatchStats::Add(const PirBatchStats& other) {
   queries += other.queries;
   sweeps += other.sweeps;
-  budget_splits += other.budget_splits;
   rows_extracted += other.rows_extracted;
   mont_muls += other.mont_muls;
-  table_build_muls += other.table_build_muls;
-  table_queries += other.table_queries;
   cpu_ms += other.cpu_ms;
 }
 
@@ -208,11 +205,14 @@ namespace {
 constexpr size_t kGroupBits = 8;
 constexpr size_t kTableEntries = size_t{1} << kGroupBits;
 
-// Per-query evaluation state shared by Answer and AnswerBatch: the Montgomery
-// context, the interleaved column factors, and the table-path decision from
-// the amortization cost model. The subset tables themselves are built per
-// sweep (BuildTables) and released afterwards, so a batch never holds more
-// than one sub-batch's tables live.
+// Cap on one query's subset-table bytes. The modulus is the client's, so
+// without a cap a wide one would size the tables; past it the query takes
+// the naive chain.
+constexpr size_t kMaxTableBytes = size_t{4} << 20;
+
+// One query's evaluation state: the Montgomery context, the interleaved
+// column factors, the table-path decision from the amortization cost model,
+// and the subset tables when that path is taken.
 struct QueryPlan {
   explicit QueryPlan(bignum::MontgomeryContext m) : mont(std::move(m)) {}
 
@@ -225,15 +225,13 @@ struct QueryPlan {
   std::vector<uint64_t> factors;
   size_t ngroups = 0;
   bool use_tables = false;
-  size_t table_bytes = 0;         // footprint of the subset tables if built
-  uint64_t table_build_muls = 0;  // MontMuls to build them
-  // Subset-product tables, layout [group][s1/s2][pattern][limb]; empty until
-  // BuildTables and after ReleaseTables.
+  uint64_t muls = 0;  // MontMuls the answer performs, table build included
+  // Subset-product tables, layout [group][s1/s2][pattern][limb]; empty on
+  // the naive path.
   std::vector<uint64_t> tables;
 };
 
-Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
-                            size_t table_budget_bytes) {
+Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols) {
   if (query.q.size() != cols) {
     return Status::InvalidArgument(
         StringPrintf("query width %zu != database width %zu", query.q.size(),
@@ -259,34 +257,28 @@ Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
   }
 
   plan.ngroups = (cols + kGroupBits - 1) / kGroupBits;
-  plan.table_bytes =
+  const size_t table_bytes =
       plan.ngroups * 2 * kTableEntries * plan.k * sizeof(uint64_t);
+  uint64_t build_muls = 0;
   for (size_t group = 0; group < plan.ngroups; ++group) {
     const size_t width = std::min(kGroupBits, cols - group * kGroupBits);
-    plan.table_build_muls += 2 * ((uint64_t{1} << width) - width - 1);
+    build_muls += 2 * ((uint64_t{1} << width) - width - 1);
   }
 
   // Amortization-aware gate (replaces the old `rows >= 128` cliff, which
   // silently dropped small post-reshard slices onto the naive path): take
   // the subset-product tables exactly when they strictly reduce the MontMul
   // count — build cost plus (2g - 1) muls per row versus the naive cols muls
-  // per row — and this query's tables alone fit the budget. Batch width
-  // never flips this decision; budget pressure across a batch splits the
-  // sweep instead (see AnswerBatch).
+  // per row — and they fit the cap.
   const uint64_t row_muls_tables =
       static_cast<uint64_t>(rows) * (2 * plan.ngroups - 1);
   const uint64_t row_muls_naive = static_cast<uint64_t>(rows) * cols;
   plan.use_tables = cols >= 4 &&
-                    plan.table_build_muls + row_muls_tables < row_muls_naive &&
-                    plan.table_bytes <= table_budget_bytes;
+                    build_muls + row_muls_tables < row_muls_naive &&
+                    table_bytes <= kMaxTableBytes;
+  plan.muls =
+      plan.use_tables ? build_muls + row_muls_tables : row_muls_naive;
   return plan;
-}
-
-// MontMuls charged to one query's row sweep (excludes the table build).
-uint64_t RowMuls(const QueryPlan& plan, size_t rows, size_t cols) {
-  return plan.use_tables
-             ? static_cast<uint64_t>(rows) * (2 * plan.ngroups - 1)
-             : static_cast<uint64_t>(rows) * cols;
 }
 
 // Subset-product tables ("four Russians" over the bit matrix): split the
@@ -298,7 +290,7 @@ uint64_t RowMuls(const QueryPlan& plan, size_t rows, size_t cols) {
 // plus one combining MontMul per extra group — ~2 multiplications per 8
 // columns instead of 8. The multiset of factors is unchanged, so the gamma
 // values are bit-identical to the naive chain. Tables are built once per
-// query per sweep (serial setup) and shared read-only across workers.
+// query (serial setup) and shared read-only across workers.
 void BuildTables(QueryPlan* plan, size_t cols) {
   const bignum::MontgomeryContext& mont = plan->mont;
   const size_t k = plan->k;
@@ -328,10 +320,6 @@ void BuildTables(QueryPlan* plan, size_t cols) {
   }
 }
 
-void ReleaseTables(QueryPlan* plan) {
-  std::vector<uint64_t>().swap(plan->tables);
-}
-
 // Stores row `row`'s residue, `plain` as little-endian limbs, into the
 // response's flat buffer as value_size big-endian bytes. The residue is below
 // the modulus, so value_size = ceil(bits(n) / 8) bytes hold it exactly: the
@@ -353,84 +341,58 @@ void StoreRow(const uint64_t* plain, size_t row, PirResponse* response) {
   }
 }
 
-// One pass over the bit matrix answering every member query: each row is
-// extracted exactly once and each member's per-query state (subset tables or
-// factor chain) is consulted against it. Rows are the parallel axis; all
-// per-multiplication state lives in worker-owned scratch/buffers and the
-// column loops perform zero heap allocations. Per query, the factor multiset
-// and multiplication order match the single-query kernel exactly, so the
-// gammas are bit-identical to serial Answer calls. Returns worker CPU ms.
-double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
-                 std::vector<QueryPlan>& plans,
-                 const std::vector<size_t>& members,
-                 std::vector<PirResponse>& responses) {
-  const size_t rows = db.rows();
+// One pass over the bit matrix for one query: each row is extracted and
+// folded under the query's subset tables or factor chain. Rows are the
+// parallel axis; all per-multiplication state lives in worker-owned scratch
+// and buffers, and the column loops perform zero heap allocations. Returns
+// worker CPU ms.
+double SweepRows(const PirDatabase& db, ThreadPool* pool,
+                 const QueryPlan& plan, PirResponse* response) {
+  const size_t cols = db.cols();
+  const bignum::MontgomeryContext& mont = plan.mont;
+  const size_t k = plan.k;
   auto answer_rows = [&](size_t row_begin, size_t row_end) {
-    // Worker-owned state: one Scratch per distinct limb width (a Scratch is
-    // width-bound and reusable across contexts of the same width), one
-    // row-word buffer shared by all members, max-width accumulators.
-    std::vector<size_t> widths;
-    std::vector<bignum::MontgomeryContext::Scratch> scratches;
-    std::vector<size_t> scratch_of(members.size());
-    size_t max_k = 1;
-    for (size_t mi = 0; mi < members.size(); ++mi) {
-      const QueryPlan& plan = plans[members[mi]];
-      max_k = std::max(max_k, plan.k);
-      auto it = std::find(widths.begin(), widths.end(), plan.k);
-      if (it == widths.end()) {
-        widths.push_back(plan.k);
-        scratches.emplace_back(plan.mont);
-        it = widths.end() - 1;
-      }
-      scratch_of[mi] = static_cast<size_t>(it - widths.begin());
-    }
+    bignum::MontgomeryContext::Scratch scratch(mont);
     std::vector<uint64_t> row_words(db.RowWords());
-    std::vector<uint64_t> acc(max_k);
-    std::vector<uint64_t> part(max_k);
-    std::vector<uint64_t> plain(max_k);
+    std::vector<uint64_t> acc(k);
+    std::vector<uint64_t> part(k);
+    std::vector<uint64_t> plain(k);
     for (size_t i = row_begin; i < row_end; ++i) {
       db.ExtractRow(i, row_words.data());
-      for (size_t mi = 0; mi < members.size(); ++mi) {
-        QueryPlan& plan = plans[members[mi]];
-        const bignum::MontgomeryContext& mont = plan.mont;
-        const size_t k = plan.k;
-        bignum::MontgomeryContext::Scratch* scratch = &scratches[scratch_of[mi]];
-        if (plan.use_tables) {
-          for (size_t group = 0; group < plan.ngroups; ++group) {
-            const size_t col0 = group * kGroupBits;
-            const size_t width = std::min(kGroupBits, cols - col0);
-            const uint64_t mask = (uint64_t{1} << width) - 1;
-            // Groups are byte-aligned, so a group never straddles a word.
-            const uint64_t v = (row_words[col0 / 64] >> (col0 % 64)) & mask;
-            const uint64_t* s1 =
-                plan.tables.data() + (group * 2 + 0) * kTableEntries * k +
-                v * k;
-            const uint64_t* s2 =
-                plan.tables.data() + (group * 2 + 1) * kTableEntries * k +
-                ((~v) & mask) * k;
-            if (group == 0) {
-              mont.MontMulInto(s1, s2, acc.data(), scratch);
-            } else {
-              mont.MontMulInto(s1, s2, part.data(), scratch);
-              mont.MontMulInto(acc.data(), part.data(), acc.data(), scratch);
-            }
+      if (plan.use_tables) {
+        for (size_t group = 0; group < plan.ngroups; ++group) {
+          const size_t col0 = group * kGroupBits;
+          const size_t width = std::min(kGroupBits, cols - col0);
+          const uint64_t mask = (uint64_t{1} << width) - 1;
+          // Groups are byte-aligned, so a group never straddles a word.
+          const uint64_t v = (row_words[col0 / 64] >> (col0 % 64)) & mask;
+          const uint64_t* s1 =
+              plan.tables.data() + (group * 2 + 0) * kTableEntries * k + v * k;
+          const uint64_t* s2 = plan.tables.data() +
+                               (group * 2 + 1) * kTableEntries * k +
+                               ((~v) & mask) * k;
+          if (group == 0) {
+            mont.MontMulInto(s1, s2, acc.data(), &scratch);
+          } else {
+            mont.MontMulInto(s1, s2, part.data(), &scratch);
+            mont.MontMulInto(acc.data(), part.data(), acc.data(), &scratch);
           }
-        } else {
-          std::memcpy(acc.data(), mont.One().data(), k * sizeof(uint64_t));
-          mont.MontMulSelectInto(plan.factors.data(), row_words.data(), cols,
-                                 acc.data(), scratch);
         }
-        mont.FromMontgomeryInto(acc.data(), plain.data(), scratch);
-        StoreRow(plain.data(), i, &responses[members[mi]]);
+      } else {
+        std::memcpy(acc.data(), mont.One().data(), k * sizeof(uint64_t));
+        mont.MontMulSelectInto(plan.factors.data(), row_words.data(), cols,
+                               acc.data(), &scratch);
       }
+      mont.FromMontgomeryInto(acc.data(), plain.data(), &scratch);
+      StoreRow(plain.data(), i, response);
     }
   };
 
   if (pool != nullptr) {
-    return pool->ParallelFor(0, rows, /*min_grain=*/4, answer_rows);
+    return pool->ParallelFor(0, db.rows(), /*min_grain=*/4, answer_rows);
   }
   CpuStopwatch cpu;
-  answer_rows(0, rows);
+  answer_rows(0, db.rows());
   return cpu.ElapsedMillis();
 }
 
@@ -439,100 +401,21 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
 Result<PirResponse> PirServer::Answer(const PirQuery& query,
                                       uint64_t* ops_out,
                                       double* cpu_ms_out) const {
-  // The single-query answer is exactly the Q=1 batch: one shared code path
-  // is what makes the batch-vs-serial bit-identity claim structural.
-  PirBatchStats stats;
-  const PirQuery* ptr = &query;
-  auto batch = AnswerBatch(std::span<const PirQuery* const>(&ptr, 1), &stats);
-  if (!batch.ok()) return batch.status();
-  if (ops_out != nullptr) *ops_out = stats.mont_muls;
-  if (cpu_ms_out != nullptr) *cpu_ms_out = stats.cpu_ms;
-  std::vector<PirResponse> responses = std::move(batch).value();
-  return std::move(responses[0]);
-}
-
-Result<std::vector<PirResponse>> PirServer::AnswerBatch(
-    std::span<const PirQuery> queries, PirBatchStats* stats) const {
-  std::vector<const PirQuery*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const PirQuery& query : queries) ptrs.push_back(&query);
-  return AnswerBatch(std::span<const PirQuery* const>(ptrs), stats);
-}
-
-Result<std::vector<PirResponse>> PirServer::AnswerBatch(
-    std::span<const PirQuery* const> queries, PirBatchStats* stats) const {
   const size_t rows = database_->rows();
   const size_t cols = database_->cols();
-  std::vector<PirResponse> responses(queries.size());
-  if (queries.empty()) return responses;
+  CpuStopwatch setup_cpu;  // caller-thread CPU: context, factors, tables
+  EMB_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(query, rows, cols));
+  if (plan.use_tables) BuildTables(&plan, cols);
+  double cpu_ms = setup_cpu.ElapsedMillis();
 
-  CpuStopwatch setup_cpu;  // caller-thread CPU: contexts + factor setup
-  std::vector<QueryPlan> plans;
-  plans.reserve(queries.size());
-  for (const PirQuery* query : queries) {
-    if (query == nullptr) {
-      return Status::InvalidArgument("null PIR query in batch");
-    }
-    auto plan = PlanQuery(*query, rows, cols, table_budget_bytes_);
-    if (!plan.ok()) return plan.status();
-    plans.push_back(std::move(plan).value());
-  }
+  PirResponse response;
+  response.value_size = (query.n.BitLength() + 7) / 8;
+  response.values.resize(rows * response.value_size);
+  cpu_ms += SweepRows(*database_, pool_, plan, &response);
 
-  PirBatchStats local;
-  local.queries = queries.size();
-  local.cpu_ms = setup_cpu.ElapsedMillis();
-
-  // Partition the batch into consecutive sub-batches whose combined table
-  // footprint fits the batch-wide budget. The gate already degraded any
-  // query whose tables alone exceed the budget to the naive path, so every
-  // table query fits in some sub-batch: budget pressure splits the sweep, it
-  // never silently inflates a query onto the naive path.
-  size_t begin = 0;
-  while (begin < plans.size()) {
-    size_t end = begin;
-    size_t live_bytes = 0;
-    while (end < plans.size()) {
-      const size_t bytes = plans[end].use_tables ? plans[end].table_bytes : 0;
-      if (end > begin && live_bytes + bytes > table_budget_bytes_) break;
-      live_bytes += bytes;
-      ++end;
-    }
-    std::vector<size_t> members;
-    members.reserve(end - begin);
-    for (size_t m = begin; m < end; ++m) {
-      members.push_back(m);
-      responses[m].value_size = (queries[m]->n.BitLength() + 7) / 8;
-      responses[m].values.resize(rows * responses[m].value_size);
-    }
-
-    CpuStopwatch build_cpu;
-    for (size_t m : members) {
-      if (plans[m].use_tables) BuildTables(&plans[m], cols);
-    }
-    local.cpu_ms += build_cpu.ElapsedMillis();
-    local.cpu_ms +=
-        SweepRows(*database_, pool_, cols, plans, members, responses);
-    for (size_t m : members) ReleaseTables(&plans[m]);
-
-    ++local.sweeps;
-    local.rows_extracted += rows;  // shared: each row read once per sweep
-    begin = end;
-  }
-  local.budget_splits = local.sweeps - 1;
-
-  for (const QueryPlan& plan : plans) {
-    // Per-query MontMuls are charged per query — nothing about the modular
-    // arithmetic is shared across moduli — matching Answer's ops_out exactly.
-    local.mont_muls += RowMuls(plan, rows, cols);
-    if (plan.use_tables) {
-      local.mont_muls += plan.table_build_muls;
-      local.table_build_muls += plan.table_build_muls;
-      ++local.table_queries;
-    }
-  }
-
-  if (stats != nullptr) stats->Add(local);
-  return responses;
+  if (ops_out != nullptr) *ops_out = plan.muls;
+  if (cpu_ms_out != nullptr) *cpu_ms_out = cpu_ms;
+  return response;
 }
 
 }  // namespace embellish::crypto

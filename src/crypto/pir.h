@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "bignum/bigint.h"
@@ -26,6 +25,11 @@
 #include "common/thread_pool.h"
 
 namespace embellish::crypto {
+
+/// \brief Largest modulus, in bits, a PIR client creates and the server's
+///        wire decoder accepts. Server work per row grows superlinearly with
+///        the modulus, and the modulus is the client's choice.
+inline constexpr size_t kMaxPirModulusBits = 4096;
 
 /// \brief The bit-matrix "database" the PIR server answers over.
 ///
@@ -128,23 +132,16 @@ class PirClient {
   std::shared_ptr<bignum::MontgomeryContext> mont_p2_;
 };
 
-/// \brief Operation counters for one Answer/AnswerBatch evaluation.
-///
-/// The accounting keeps the batch amortization claim truthful: work shared
-/// across the queries of a sweep (row extraction) is counted once per sweep,
-/// work owned by a query (its table build, its per-row MontMuls) is counted
-/// per query. `mont_muls` for a single query equals exactly what `Answer`
-/// reports through `ops_out`, so batch-vs-serial op comparisons are
-/// apples-to-apples.
+/// \brief Operation counters summed over PIR answers. Each answer is one
+///        query and one sweep over its bucket's rows; `mont_muls` and
+///        `cpu_ms` add up what PirServer::Answer reports through `ops_out`
+///        and `cpu_ms_out`.
 struct PirBatchStats {
-  uint64_t queries = 0;       ///< queries answered
-  uint64_t sweeps = 0;        ///< passes over the bit matrix (sub-batches)
-  uint64_t budget_splits = 0; ///< extra sweeps forced by the table budget
-  uint64_t rows_extracted = 0;   ///< rows pulled from the matrix, shared per sweep
-  uint64_t mont_muls = 0;        ///< modular multiplications, summed over queries
-  uint64_t table_build_muls = 0; ///< subset of mont_muls spent building tables
-  uint64_t table_queries = 0;    ///< queries on the subset-product (table) path
-  double cpu_ms = 0.0;           ///< thread-CPU ms summed across workers
+  uint64_t queries = 0;         ///< queries answered
+  uint64_t sweeps = 0;          ///< passes over a bit matrix
+  uint64_t rows_extracted = 0;  ///< rows pulled from the matrices
+  uint64_t mont_muls = 0;       ///< modular multiplications
+  double cpu_ms = 0.0;          ///< thread-CPU ms summed across workers
 
   /// \brief Always 0. The SIMD lane engine this reported the occupancy of
   ///        was deleted because no measured workload filled its lanes; the
@@ -162,59 +159,26 @@ struct PirBatchStats {
 /// scratch, a row-word buffer and an accumulator, and the inner column loop
 /// performs zero heap allocations per modular multiplication. Each finished
 /// row is stored once, big-endian, into the response's flat buffer.
-///
-/// AnswerBatch answers Q queries in one matrix x matrix sweep: each row of
-/// the bit matrix is extracted once and every query's per-column state
-/// (subset-product tables or factor chain) is consulted against it, turning
-/// Q passes over the database into one. Per query the factor multiset and
-/// multiplication order are identical to Answer, so the responses are
-/// bit-identical to Q serial Answer calls. Each member of a sweep folds the
-/// row into its own accumulator on the scalar Montgomery kernel, under its
-/// own modulus; only the row extraction is shared.
 class PirServer {
  public:
-  /// \brief Default batch-wide budget for the subset-product tables. A batch
-  ///        holds at most this many table bytes live at once; wider batches
-  ///        degrade to consecutive sub-batch sweeps, never to the naive path.
-  static constexpr size_t kDefaultTableBudgetBytes = size_t{4} << 20;
-
   /// \brief `pool` may be null (serial) and must outlive the server.
   explicit PirServer(std::shared_ptr<const PirDatabase> database,
                      ThreadPool* pool = nullptr);
 
-  /// \brief Computes gamma_i for every row (the whole-column answer).
-  ///        `ops_out`, if non-null, receives the number of modular
-  ///        multiplications actually performed by the row-product evaluation
-  ///        (the subset-product tables need far fewer than the naive
-  ///        rows*cols; conversions are not counted), and `cpu_ms_out`, if
-  ///        non-null, the thread-CPU milliseconds consumed summed across all
-  ///        participating workers.
+  /// \brief Computes gamma_i for every row (the whole-column answer) in one
+  ///        pass over the matrix. `ops_out`, if non-null, receives the number
+  ///        of modular multiplications actually performed, table build
+  ///        included (the subset-product tables need far fewer than the
+  ///        naive rows*cols; conversions are not counted), and `cpu_ms_out`,
+  ///        if non-null, the thread-CPU milliseconds consumed summed across
+  ///        all participating workers.
   Result<PirResponse> Answer(const PirQuery& query,
                              uint64_t* ops_out = nullptr,
                              double* cpu_ms_out = nullptr) const;
 
-  /// \brief Answers all `queries` with shared row extraction (see class
-  ///        comment). All-or-nothing: the first invalid query fails the whole
-  ///        call. Response i corresponds to queries[i]; counters are added
-  ///        into `stats` when non-null.
-  Result<std::vector<PirResponse>> AnswerBatch(
-      std::span<const PirQuery> queries,
-      PirBatchStats* stats = nullptr) const;
-
-  /// \brief Pointer form for callers whose queries are not contiguous (the
-  ///        retrieval layer batches decoded frames without copying them).
-  Result<std::vector<PirResponse>> AnswerBatch(
-      std::span<const PirQuery* const> queries,
-      PirBatchStats* stats = nullptr) const;
-
-  /// \brief Overrides the batch-wide table budget (tests and tuning).
-  void set_table_budget_bytes(size_t bytes) { table_budget_bytes_ = bytes; }
-  size_t table_budget_bytes() const { return table_budget_bytes_; }
-
  private:
   std::shared_ptr<const PirDatabase> database_;
   ThreadPool* pool_;  // not owned; null => serial
-  size_t table_budget_bytes_ = kDefaultTableBudgetBytes;
 };
 
 }  // namespace embellish::crypto

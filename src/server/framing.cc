@@ -306,6 +306,13 @@ Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload) {
   if (value_size == 0) {
     return Status::Corruption("PIR value size must be positive");
   }
+  // The server's work grows with the client's modulus: refuse one wider
+  // than any PirClient creates before reading a residue.
+  if (value_size > crypto::kMaxPirModulusBits / 8) {
+    return Status::Corruption(StringPrintf(
+        "PIR value size %u exceeds the %zu-byte modulus bound", value_size,
+        crypto::kMaxPirModulusBits / 8));
+  }
   // Bound count by the bytes present before any size arithmetic (the
   // divisions cannot overflow; a product could).
   if (count > reader.remaining() / value_size) {

@@ -123,6 +123,8 @@ Status DecodeError(const std::vector<uint8_t>& payload, Status* out);
 /// \brief PIR query payload:
 ///        [u32 bucket][u32 value_size][u32 col_count][n][q_0]..[q_{c-1}],
 ///        every value a big-endian residue padded to value_size bytes.
+///        Decoding refuses a value_size above crypto::kMaxPirModulusBits / 8
+///        as Corruption.
 std::vector<uint8_t> EncodePirQuery(size_t bucket,
                                     const crypto::PirQuery& query);
 struct PirQueryPayload {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "bignum/modmath.h"
+#include "common/cpuinfo.h"
+#include "common/thread_pool.h"
 
 namespace embellish::crypto {
 namespace {
@@ -19,6 +24,44 @@ std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
     }
   }
   return db;
+}
+
+// The seed implementation of Answer, kept as the reference: one GetBit and
+// one allocating MontMul per (row, column), one BigInt per row. Independent
+// of the table path and of the flat answer layout.
+std::vector<BigInt> AnswerSerialReference(const PirDatabase& db,
+                                          const PirQuery& query) {
+  auto mont_res = bignum::MontgomeryContext::Create(query.n);
+  EXPECT_TRUE(mont_res.ok());
+  const bignum::MontgomeryContext& mont = mont_res.value();
+  const size_t cols = db.cols();
+  std::vector<std::vector<uint64_t>> q_mont(cols);
+  std::vector<std::vector<uint64_t>> q2_mont(cols);
+  for (size_t j = 0; j < cols; ++j) {
+    q_mont[j] = mont.ToMontgomery(query.q[j]);
+    q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
+  }
+  std::vector<BigInt> gammas;
+  for (size_t i = 0; i < db.rows(); ++i) {
+    std::vector<uint64_t> acc = mont.One();
+    for (size_t j = 0; j < cols; ++j) {
+      acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
+    }
+    gammas.push_back(mont.FromMontgomery(acc));
+  }
+  return gammas;
+}
+
+// Fails unless `response` holds exactly the reference residues, row by row,
+// at the modulus's byte width.
+void ExpectMatchesReference(const PirDatabase& db, const PirQuery& query,
+                            const PirResponse& response) {
+  const std::vector<BigInt> reference = AnswerSerialReference(db, query);
+  ASSERT_EQ(response.value_size, (query.n.BitLength() + 7) / 8);
+  ASSERT_EQ(response.rows(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(response.Value(i), reference[i]) << "diverged at row " << i;
+  }
 }
 
 TEST(PirDatabaseTest, BitAccessors) {
@@ -44,6 +87,7 @@ TEST(PirDatabaseTest, ColumnFromBytesIsMsbFirst) {
 TEST(PirClientTest, CreateRejectsBadKeyBits) {
   Rng rng(1);
   EXPECT_FALSE(PirClient::Create(64, &rng).ok());
+  EXPECT_FALSE(PirClient::Create(kMaxPirModulusBits + 1, &rng).ok());
   EXPECT_FALSE(PirClient::Create(8192, &rng).ok());
 }
 
@@ -154,6 +198,106 @@ TEST(PirServerTest, ReportsTablePathCountWhenTablesPay) {
   auto response = server.Answer(*query, &ops);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(ops, 22u + 16u);
+}
+
+TEST(PirServerTest, AnswerMatchesReferenceAtEveryModulusWidth) {
+  // A 200-bit modulus stores 25-byte residues, one byte of its top limb
+  // ahead of three whole limbs. Serial and pooled answers alike.
+  ThreadPool pool(4);
+  Rng rng(11);
+  const size_t rows = 96, cols = 8;
+  auto db = RandomDatabase(rows, cols, 13);
+  for (size_t key_bits : {128u, 200u, 256u, 384u}) {
+    SCOPED_TRACE("key_bits " + std::to_string(key_bits));
+    auto client = PirClient::Create(key_bits, &rng);
+    ASSERT_TRUE(client.ok());
+    auto query = client->BuildQuery(key_bits % cols, cols, &rng);
+    ASSERT_TRUE(query.ok());
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto response = PirServer(db, p).Answer(*query);
+      ASSERT_TRUE(response.ok());
+      ExpectMatchesReference(*db, *query, *response);
+    }
+  }
+}
+
+TEST(PirServerTest, TablePathKeepsThePinnedFormulaAtEightColumns) {
+  // At 8 columns (one width-8 group) the table build costs 2*(256-8-1) =
+  // 494 MontMuls and each row one more. The old gate (rows >= 128) dropped
+  // 127-row matrices to the naive chain although the tables pay there too
+  // (494 + 127 = 621 against the naive 127 * 8 = 1016); the cost-model gate
+  // keeps the table path on both sides of that former cliff.
+  Rng rng(17);
+  auto client = PirClient::Create(256, &rng);
+  ASSERT_TRUE(client.ok());
+  const size_t cols = 8;
+  for (size_t rows : {127u, 128u, 256u}) {
+    auto db = RandomDatabase(rows, cols, 1000 + rows);
+    auto query = client->BuildQuery(rows % cols, cols, &rng);
+    ASSERT_TRUE(query.ok());
+    uint64_t ops = 0;
+    double cpu_ms = -1.0;
+    auto response = PirServer(db).Answer(*query, &ops, &cpu_ms);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(ops, 494u + rows) << "rows=" << rows;
+    EXPECT_GE(cpu_ms, 0.0);
+    ExpectMatchesReference(*db, *query, *response);
+  }
+}
+
+TEST(PirServerTest, EveryKernelTierMatchesReferenceAndKeepsTheMulFormula) {
+  // The kernel tier must change nothing observable except speed: at every
+  // tier the CPU supports, the answer matches the seed reference bit for bit
+  // and the multiplication count follows the same pinned formula.
+  Rng rng(59);
+  const size_t rows = 128, cols = 8;
+  auto db = RandomDatabase(rows, cols, 61);
+  auto client = PirClient::Create(256, &rng);
+  ASSERT_TRUE(client.ok());
+  std::vector<PirQuery> queries;
+  for (size_t target : {0u, 5u}) {
+    auto query = client->BuildQuery(target, cols, &rng);
+    ASSERT_TRUE(query.ok());
+    queries.push_back(std::move(query).value());
+  }
+
+  const MontKernel restore = SelectedKernel();
+  for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx}) {
+    if (ClampToCpu(kernel) != kernel) continue;  // CPU can't run this tier
+    SetKernelOverride(kernel);
+    SCOPED_TRACE(KernelName(kernel));
+    PirServer server(db);
+    for (const PirQuery& query : queries) {
+      uint64_t ops = 0;
+      auto response = server.Answer(query, &ops);
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(ops, 494u + rows);
+      ExpectMatchesReference(*db, query, *response);
+    }
+  }
+  SetKernelOverride(restore);
+}
+
+TEST(PirServerTest, TablesPastTheCapTakeTheNaiveChain) {
+  // Table bytes are ceil(cols/8) * 2 * 256 * limbs * 8: at 136 columns and
+  // a 4,096-bit modulus that is 17 * 2 * 256 * 64 * 8 = 4.25 MiB, past the
+  // 4 MiB cap, although at 96 rows the tables would cost 8,398 + 96 * 33
+  // multiplications against the naive 96 * 136. The server does not need
+  // the trapdoor, so any odd modulus of the largest width will do.
+  Rng rng(41);
+  const size_t rows = 96, cols = 136;
+  auto db = RandomDatabase(rows, cols, 43);
+  PirQuery query;
+  query.n = (bignum::RandomBits(kMaxPirModulusBits - 1, &rng) << 1) + BigInt(1);
+  ASSERT_EQ(query.n.BitLength(), kMaxPirModulusBits);
+  for (size_t j = 0; j < cols; ++j) {
+    query.q.push_back(bignum::RandomBelow(query.n, &rng));
+  }
+  uint64_t ops = 0;
+  auto response = PirServer(db).Answer(query, &ops);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(ops, rows * cols);
+  ExpectMatchesReference(*db, query, *response);
 }
 
 TEST(PirWireTest, QueryAndResponseSizes) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bignum/modmath.h"
 #include "core/wire_format.h"
 #include "index/builder.h"
 #include "server/session_client.h"
@@ -250,6 +251,89 @@ TEST_F(EmbellishServerTest, PirTranscriptHidesWhichColumnsRepeat) {
       EXPECT_EQ(*list, *built_.index.postings(t.a1)) << "response " << i;
     }
   }
+}
+
+TEST_F(EmbellishServerTest, ShedTranscriptHidesWhichQueriesRepeat) {
+  // Admission sheds a deterministic suffix of each batch and answers it with
+  // a kBusy frame under session id 0. Each session's two requests follow a
+  // third session's filler in one batch, so both sessions are shed alike:
+  // at a budget of 1 both requests are shed, at 2 the second one is.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  ThreadPool pool(4);
+  for (size_t max_inflight : {1u, 2u}) {
+    SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
+    EmbellishServerOptions options;
+    options.max_inflight = max_inflight;
+    EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
+    SessionClient a = MakeClient(71, 971);
+    SessionClient b = MakeClient(72, 972);
+    SessionClient filler = MakeClient(73, 973);
+    for (SessionClient* client : {&a, &b, &filler}) {
+      auto hello = DecodeFrame(server.HandleFrame(client->HelloFrame()));
+      ASSERT_TRUE(hello.ok());
+      ASSERT_EQ(hello->kind, FrameKind::kHelloOk);
+    }
+
+    auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
+    const uint64_t shed = testutil::AnswerBehindFiller(
+        &ta, &tb, max_inflight,
+        [&] { return std::move(filler.QueryFrame(SomeTerms(11, 17))).value(); },
+        [&](const std::vector<std::vector<uint8_t>>& batch) {
+          return server.HandleBatch(batch);
+        });
+    testutil::ExpectIndistinguishable(ta, tb);
+    EXPECT_EQ(shed, 2 * (3 - max_inflight));
+    EXPECT_EQ(server.stats().shed, shed);
+  }
+}
+
+TEST_F(EmbellishServerTest, PirModulusPastTheBoundIsRefused) {
+  // A modulus one byte wider than any PirClient creates would let a frame
+  // size the answer (rows x value_size bytes) and the CPU spent on it. It
+  // gets a typed error before any sweep, and the next honest frame is
+  // answered.
+  ThreadPool pool(4);
+  EmbellishServer server(&built_.index, &org_, nullptr, {}, &pool);
+  const wordnet::TermId term = built_.index.IndexedTerms()[7];
+  auto where = org_.Locate(term);
+  ASSERT_TRUE(where.ok());
+  const size_t cols = org_.bucket(where->bucket).size();
+  Rng rng(981);
+
+  crypto::PirQuery wide;
+  wide.n = (bignum::RandomBits(crypto::kMaxPirModulusBits + 7, &rng) << 1) +
+           bignum::BigInt(1);
+  ASSERT_EQ((wide.n.BitLength() + 7) / 8, crypto::kMaxPirModulusBits / 8 + 1);
+  for (size_t j = 0; j < cols; ++j) {
+    wide.q.push_back(bignum::RandomBelow(wide.n, &rng));
+  }
+  auto refused = DecodeFrame(server.HandleFrame(EncodeFrame(
+      FrameKind::kPirQuery, 81, EncodePirQuery(where->bucket, wide))));
+  ASSERT_TRUE(refused.ok());
+  ASSERT_EQ(refused->kind, FrameKind::kError);
+  Status transported;
+  ASSERT_TRUE(DecodeError(refused->payload, &transported).ok());
+  EXPECT_TRUE(transported.IsCorruption()) << transported.ToString();
+  EXPECT_EQ(server.stats().pir_queries, 0u);
+  EXPECT_EQ(server.stats().errors, 1u);
+
+  crypto::PirClient client =
+      std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto query = client.BuildQuery(where->slot, cols, &rng);
+  ASSERT_TRUE(query.ok());
+  auto answered = DecodeFrame(server.HandleFrame(EncodeFrame(
+      FrameKind::kPirQuery, 81, EncodePirQuery(where->bucket, *query))));
+  ASSERT_TRUE(answered.ok());
+  ASSERT_EQ(answered->kind, FrameKind::kPirResult);
+  auto decoded = DecodePirResponse(answered->payload);
+  ASSERT_TRUE(decoded.ok());
+  auto bits = client.DecodeResponse(*decoded);
+  ASSERT_TRUE(bits.ok());
+  auto list = core::PostingsFromColumnBits(*bits);
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(*list, *built_.index.postings(term));
+  EXPECT_EQ(server.stats().pir_queries, 1u);
 }
 
 TEST_F(EmbellishServerTest, ReHelloReplayIsNotTheOldAnswer) {

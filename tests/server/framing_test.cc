@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bignum/modmath.h"
 #include "bignum/montgomery.h"
 #include "common/endian.h"
 #include "common/rng.h"
@@ -276,6 +277,34 @@ TEST(FramingTest, PirQueryRejectsHostileCounts) {
                                    payload.begin() + static_cast<long>(cut));
     EXPECT_TRUE(DecodePirQuery(truncated).status().IsCorruption())
         << "cut=" << cut;
+  }
+}
+
+TEST(FramingTest, PirQueryRejectsModuliPastTheBound) {
+  // The server's work grows with the client's modulus, so the decoder
+  // accepts residues up to the largest modulus a PirClient creates (512
+  // bytes) and refuses a wider one, whole and well formed as it is.
+  static_assert(crypto::kMaxPirModulusBits / 8 == 512);
+  Rng rng(23);
+  for (size_t bits : {crypto::kMaxPirModulusBits,
+                      crypto::kMaxPirModulusBits + 8}) {
+    crypto::PirQuery query;
+    query.n = (bignum::RandomBits(bits - 1, &rng) << 1) + bignum::BigInt(1);
+    for (size_t j = 0; j < 3; ++j) {
+      query.q.push_back(bignum::RandomBelow(query.n, &rng));
+    }
+    auto payload = EncodePirQuery(2, query);
+    const uint32_t value_size = GetU32(payload.data() + 4);
+    auto decoded = DecodePirQuery(payload);
+    if (bits == crypto::kMaxPirModulusBits) {
+      EXPECT_EQ(value_size, 512u);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded->query.n, query.n);
+    } else {
+      EXPECT_EQ(value_size, 513u);
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_TRUE(decoded.status().IsCorruption());
+    }
   }
 }
 

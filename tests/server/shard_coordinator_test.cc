@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bignum/modmath.h"
 #include "index/builder.h"
 #include "server/session_client.h"
 #include "testutil.h"
@@ -294,6 +295,80 @@ TEST_F(ShardCoordinatorTest, TranscriptHidesWhichQueriesRepeat) {
     EXPECT_TRUE(b.DecodeResultFrame(response, 10).ok());
   }
   testutil::ExpectIndistinguishable(ta, tb);
+}
+
+TEST_F(ShardCoordinatorTest, ShedTranscriptHidesWhichQueriesRepeat) {
+  // The server test's shedding case through a 2-slice coordinator: each
+  // session's two requests follow a third session's filler in one batch, so
+  // the coordinator's admission sheds both sessions alike.
+  const testutil::TwoBucketTerms t =
+      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
+  for (size_t max_inflight : {1u, 2u}) {
+    SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
+    ShardCoordinatorOptions copts;
+    copts.max_inflight = max_inflight;
+    Rig rig = MakeRig(2, copts);
+    SessionClient a = MakeClient(73, 973);
+    SessionClient b = MakeClient(74, 974);
+    SessionClient filler = MakeClient(75, 975);
+    for (SessionClient* client : {&a, &b, &filler}) {
+      ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client->HelloFrame())),
+                FrameKind::kHelloOk);
+    }
+
+    auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
+    const uint64_t shed = testutil::AnswerBehindFiller(
+        &ta, &tb, max_inflight,
+        [&] { return std::move(filler.QueryFrame(SomeTerms(11, 17))).value(); },
+        [&](const std::vector<std::vector<uint8_t>>& batch) {
+          return rig.coordinator->HandleBatch(batch);
+        });
+    testutil::ExpectIndistinguishable(ta, tb);
+    EXPECT_EQ(shed, 2 * (3 - max_inflight));
+    EXPECT_EQ(rig.coordinator->stats().shed, shed);
+  }
+}
+
+TEST_F(ShardCoordinatorTest, PirModulusPastTheBoundIsRefused) {
+  // The coordinator decodes PIR frames with the server's decoder, so a
+  // modulus one byte past the bound gets a typed error and reaches no
+  // slice; the next honest frame is answered.
+  Rig rig = MakeRig(2);
+  ASSERT_TRUE(rig.coordinator->Handshake().ok());
+  const wordnet::TermId term = built_.index.IndexedTerms()[29];
+  auto where = org_.Locate(term);
+  ASSERT_TRUE(where.ok());
+  const size_t cols = org_.bucket(where->bucket).size();
+  const size_t field = rig.coordinator->PirBucketField(1, where->bucket);
+  Rng rng(982);
+
+  crypto::PirQuery wide;
+  wide.n = (bignum::RandomBits(crypto::kMaxPirModulusBits + 7, &rng) << 1) +
+           bignum::BigInt(1);
+  for (size_t j = 0; j < cols; ++j) {
+    wide.q.push_back(bignum::RandomBelow(wide.n, &rng));
+  }
+  auto refused = DecodeFrame(rig.coordinator->HandleFrame(
+      EncodeFrame(FrameKind::kPirQuery, 82, EncodePirQuery(field, wide))));
+  ASSERT_TRUE(refused.ok());
+  ASSERT_EQ(refused->kind, FrameKind::kError);
+  Status transported;
+  ASSERT_TRUE(DecodeError(refused->payload, &transported).ok());
+  EXPECT_TRUE(transported.IsCorruption()) << transported.ToString();
+  EXPECT_EQ(rig.coordinator->stats().pir_queries, 0u);
+  for (const auto& slice : rig.slices) {
+    EXPECT_EQ(slice->stats().pir_queries, 0u);
+  }
+
+  crypto::PirClient client =
+      std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto query = client.BuildQuery(where->slot, cols, &rng);
+  ASSERT_TRUE(query.ok());
+  EXPECT_EQ(KindOf(rig.coordinator->HandleFrame(EncodeFrame(
+                FrameKind::kPirQuery, 82, EncodePirQuery(field, *query)))),
+            FrameKind::kPirResult);
+  EXPECT_EQ(rig.coordinator->stats().pir_queries, 1u);
+  EXPECT_EQ(rig.slices[1]->stats().pir_queries, 1u);
 }
 
 TEST_F(ShardCoordinatorTest, ReHelloReplayFansOutAgain) {

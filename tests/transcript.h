@@ -120,6 +120,46 @@ inline std::pair<Transcript, Transcript> RepeatedAndDistinctPirQueries(
   return out;
 }
 
+/// \brief The shedding case: each of `ta` and `tb`'s two requests goes out
+///        in one batch behind a filler request from a third session, so an
+///        admission budget of `max_inflight` sheds both sessions alike
+///        (shedding takes a deterministic suffix of each batch). `filler`
+///        makes a fresh filler request per batch, and `serve_batch` answers
+///        a batch. Fills the transcripts' answers, checks that every shed
+///        frame is the typed kBusy error under session id 0 and every other
+///        one a result, and returns how many were shed.
+template <typename Filler, typename ServeBatch>
+uint64_t AnswerBehindFiller(Transcript* ta, Transcript* tb,
+                            size_t max_inflight, Filler&& filler,
+                            ServeBatch&& serve_batch) {
+  uint64_t shed = 0;
+  for (Transcript* transcript : {ta, tb}) {
+    std::vector<std::vector<uint8_t>> responses = serve_batch(
+        {filler(), transcript->requests[0], transcript->requests[1]});
+    EXPECT_EQ(responses.size(), 3u);
+    if (responses.size() != 3) continue;
+    transcript->responses = {responses[1], responses[2]};
+    // Batch position p is shed iff p >= max_inflight; request i sits at
+    // position i + 1, and the filler at 0 is always answered.
+    for (size_t p = 0; p < 3; ++p) {
+      auto frame = server::DecodeFrame(responses[p]);
+      EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+      if (!frame.ok()) continue;
+      if (p < max_inflight) {
+        EXPECT_EQ(frame->kind, server::FrameKind::kResult) << "position " << p;
+        continue;
+      }
+      EXPECT_EQ(frame->kind, server::FrameKind::kError) << "position " << p;
+      EXPECT_EQ(frame->session_id, 0u);
+      Status transported;
+      EXPECT_TRUE(server::DecodeError(frame->payload, &transported).ok());
+      EXPECT_TRUE(transported.IsBusy()) << transported.ToString();
+      ++shed;
+    }
+  }
+  return shed;
+}
+
 /// \brief Fills `transcript`'s answers by handing each request to `serve`.
 template <typename Serve>
 void AnswerEach(Transcript* transcript, Serve&& serve) {
