@@ -1,8 +1,6 @@
 #include "core/pir_retrieval.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <span>
 #include <unordered_set>
 
@@ -13,12 +11,17 @@ namespace embellish::core {
 
 namespace {
 
-// Column header: [u32 BE posting count][u8 doc-id width][u8 impact width].
-constexpr size_t kColumnHeaderBytes = 6;
+// Column header: [u32 BE posting count][u8 top impact][u8 Rice parameter k].
+constexpr size_t kColumnHeaderBits = 48;
+constexpr int kMaxRiceParameter = 31;
 
-// Bits needed to hold `value`, at least 1.
-int WidthOf(uint32_t value) {
-  return std::max(1, static_cast<int>(std::bit_width(value)));
+// The value posting i's Rice code carries: its doc id where an impact run
+// starts, else its gap past the previous doc id, less one.
+uint32_t RiceValue(std::span<const index::Posting> postings, size_t i) {
+  if (i == 0 || postings[i].impact != postings[i - 1].impact) {
+    return postings[i].doc;
+  }
+  return postings[i].doc - postings[i - 1].doc - 1;
 }
 
 // Writes the low `width` bits of `value`, MSB-first, at bit `*pos` of `out`.
@@ -31,11 +34,29 @@ void PutBits(uint32_t value, int width, size_t* pos,
   }
 }
 
+// Writes `n` one-bits, then a zero-bit.
+void PutUnary(uint32_t n, size_t* pos, std::vector<uint8_t>* out) {
+  for (; n > 0; --n) PutBits(1, 1, pos, out);
+  ++*pos;
+}
+
 // Reads `width` (<= 32) bits MSB-first from bit `*pos` of `bits`.
 uint32_t GetBits(const std::vector<bool>& bits, int width, size_t* pos) {
   uint32_t value = 0;
   for (int b = 0; b < width; ++b) value = (value << 1) | bits[(*pos)++];
   return value;
+}
+
+// Reads the one-bits before the next zero-bit, consuming both; stops after
+// max + 1 ones, which the caller refuses. Corruption when the run reaches
+// the column's end.
+Result<uint64_t> GetUnary(const std::vector<bool>& bits, uint64_t max,
+                          size_t* pos) {
+  uint64_t n = 0;
+  while (*pos < bits.size()) {
+    if (!bits[(*pos)++] || n++ == max) return n;
+  }
+  return Status::Corruption("PIR column unary run reaches the column's end");
 }
 
 }  // namespace
@@ -72,8 +93,10 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
   for (wordnet::TermId t : members) {
     std::span<const index::Posting> list;
     if (const std::vector<index::Posting>* p = index_->postings(t)) list = *p;
-    columns.push_back(ColumnBytesFromPostings(list));
-    max_bytes = std::max(max_bytes, columns.back().size());
+    EMB_ASSIGN_OR_RETURN(std::vector<uint8_t> column,
+                         ColumnBytesFromPostings(list));
+    max_bytes = std::max(max_bytes, column.size());
+    columns.push_back(std::move(column));
   }
   auto matrix =
       std::make_unique<crypto::PirDatabase>(8 * max_bytes, members.size());
@@ -148,57 +171,95 @@ Result<PirRetrievalClient> PirRetrievalClient::Create(
   return PirRetrievalClient(buckets, std::move(pir_client));
 }
 
-std::vector<uint8_t> ColumnBytesFromPostings(
+Result<std::vector<uint8_t>> ColumnBytesFromPostings(
     std::span<const index::Posting> postings) {
-  uint32_t max_doc = 0;
-  uint32_t max_impact = 0;
-  for (const index::Posting& p : postings) {
-    max_doc = std::max(max_doc, p.doc);
-    max_impact = std::max(max_impact, p.impact);
+  // Each drop costs drop + 1 bits whatever k is.
+  uint64_t drop_bits = 0;
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const index::Posting& p = postings[i];
+    if (p.impact < 1 || p.impact > 0xFF) {
+      return Status::InvalidArgument(StringPrintf(
+          "PIR column impact %u at posting %zu outside [1, 255]", p.impact, i));
+    }
+    if (i > 0 && !index::PostingOrder(postings[i - 1], p)) {
+      return Status::InvalidArgument(StringPrintf(
+          "PIR column list leaves strict PostingOrder at posting %zu", i));
+    }
+    drop_bits += (i == 0 ? 0 : postings[i - 1].impact - p.impact) + 1;
   }
-  assert(max_impact <= 0xFF && "impacts exceed the 8-bit column bound");
-  const int doc_width = WidthOf(max_doc);
-  const int impact_width = WidthOf(max_impact);
-  const size_t count = postings.size();
-  std::vector<uint8_t> out(
-      kColumnHeaderBytes + (count * (doc_width + impact_width) + 7) / 8, 0);
+  // The value codes cost count x (1 + k) bits plus the quotients. That is
+  // convex in k, so the first k whose successor does no better is the
+  // smallest k with the fewest bits.
+  const uint64_t count = postings.size();
+  int k = 0;
+  uint64_t value_bits = UINT64_MAX;
+  for (int c = 0; c <= kMaxRiceParameter; ++c) {
+    uint64_t bits = count * static_cast<uint64_t>(1 + c);
+    for (size_t i = 0; i < count; ++i) bits += RiceValue(postings, i) >> c;
+    if (bits >= value_bits) break;
+    k = c;
+    value_bits = bits;
+  }
+
+  std::vector<uint8_t> out((kColumnHeaderBits + drop_bits + value_bits + 7) / 8,
+                           0);
   size_t pos = 0;
   PutBits(static_cast<uint32_t>(count), 32, &pos, &out);
-  PutBits(static_cast<uint32_t>(doc_width), 8, &pos, &out);
-  PutBits(static_cast<uint32_t>(impact_width), 8, &pos, &out);
-  for (const index::Posting& p : postings) {
-    PutBits(p.doc, doc_width, &pos, &out);
-    PutBits(p.impact, impact_width, &pos, &out);
+  PutBits(postings.empty() ? 1 : postings.front().impact, 8, &pos, &out);
+  PutBits(static_cast<uint32_t>(k), 8, &pos, &out);
+  for (size_t i = 0; i < count; ++i) {
+    PutUnary(i == 0 ? 0 : postings[i - 1].impact - postings[i].impact, &pos,
+             &out);
+    const uint32_t value = RiceValue(postings, i);
+    PutUnary(value >> k, &pos, &out);
+    PutBits(value, k, &pos, &out);
   }
   return out;
 }
 
 Result<std::vector<index::Posting>> PostingsFromColumnBits(
     const std::vector<bool>& bits) {
-  if (bits.size() < kColumnHeaderBytes * 8) {
+  if (bits.size() < kColumnHeaderBits) {
     return Status::Corruption("PIR column shorter than its 6-byte header");
   }
   size_t pos = 0;
   const uint32_t count = GetBits(bits, 32, &pos);
-  const int doc_width = static_cast<int>(GetBits(bits, 8, &pos));
-  const int impact_width = static_cast<int>(GetBits(bits, 8, &pos));
-  if (doc_width < 1 || doc_width > 32) {
+  uint32_t impact = GetBits(bits, 8, &pos);
+  const int k = static_cast<int>(GetBits(bits, 8, &pos));
+  if (impact == 0) return Status::Corruption("PIR column top impact is 0");
+  if (k > kMaxRiceParameter) {
     return Status::Corruption(
-        StringPrintf("PIR column doc-id width %d out of [1, 32]", doc_width));
+        StringPrintf("PIR column Rice parameter %d out of [0, 31]", k));
   }
-  if (impact_width < 1 || impact_width > 8) {
-    return Status::Corruption(
-        StringPrintf("PIR column impact width %d out of [1, 8]", impact_width));
-  }
-  // In 64 bits, so a hostile count cannot wrap past the check.
-  if (uint64_t{count} * static_cast<uint64_t>(doc_width + impact_width) >
-      bits.size() - pos) {
+  // Each posting takes at least its two unary zero-bits and k remainder
+  // bits. In 64 bits, so a hostile count cannot wrap past the check.
+  if (uint64_t{count} * static_cast<uint64_t>(2 + k) > bits.size() - pos) {
     return Status::Corruption("PIR column postings exceed its payload");
   }
-  std::vector<index::Posting> postings(count);
-  for (index::Posting& p : postings) {
-    p.doc = GetBits(bits, doc_width, &pos);
-    p.impact = GetBits(bits, impact_width, &pos);
+  const uint64_t max_quotient = uint64_t{UINT32_MAX} >> k;
+  std::vector<index::Posting> postings;
+  postings.reserve(count);
+  uint64_t doc = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    EMB_ASSIGN_OR_RETURN(uint64_t drop, GetUnary(bits, impact - 1, &pos));
+    if (drop >= impact) {
+      return Status::Corruption("PIR column impact drops below 1");
+    }
+    EMB_ASSIGN_OR_RETURN(uint64_t quotient,
+                         GetUnary(bits, max_quotient, &pos));
+    if (quotient > max_quotient) {
+      return Status::Corruption("PIR column value passes 2^32 - 1");
+    }
+    if (bits.size() - pos < static_cast<size_t>(k)) {
+      return Status::Corruption("PIR column remainder cut short");
+    }
+    const uint64_t value = (quotient << k) | GetBits(bits, k, &pos);
+    doc = (i == 0 || drop > 0) ? value : doc + 1 + value;
+    if (doc > UINT32_MAX) {
+      return Status::Corruption("PIR column doc id passes 2^32 - 1");
+    }
+    impact -= static_cast<uint32_t>(drop);
+    postings.push_back({static_cast<uint32_t>(doc), impact});
   }
   return postings;
 }

@@ -7,14 +7,20 @@
 // (one term's list), so a query with g genuine terms performs g executions.
 // The client then scores documents locally from the retrieved lists.
 //
-// Column layout inside the matrix (owned by this module alone): a 4-byte
-// big-endian posting count, a 1-byte doc-id width and a 1-byte impact
-// width, then each posting's doc id and impact in exactly those widths,
-// MSB-first and in the list's stored order, zero-padded to the bucket's
-// largest column. The widths are the smallest that hold the list's largest
-// doc id and impact (at least 1 bit each), so a bucket's row count, 8 x its
-// largest encoded column, depends on that bucket's lists alone; the count
-// and widths travel inside the column, where only the client decodes them.
+// Column layout inside the matrix (owned by this module alone), MSB-first
+// and zero-padded to the bucket's largest column: a 4-byte big-endian
+// posting count, a 1-byte top impact (the first posting's; 1 for an empty
+// list) and a 1-byte Rice parameter k, then every posting in the list's
+// stored order (impact descending, doc id ascending) as two codes. First
+// its impact drop from the previous posting (from the top impact for the
+// first) in unary: `drop` one-bits, then a zero-bit. Then a value v,
+// Rice-coded: v >> k one-bits, a zero-bit, and v's low k bits. v is the
+// doc id itself where an impact run starts (the first posting, or
+// drop > 0), and doc - previous doc - 1 inside a run. The encoder picks the
+// smallest k in [0, 31] that gives the list the fewest bits. A bucket's row
+// count, 8 x its largest encoded column, depends on that bucket's lists
+// alone; the count and k travel inside the column, where only the client
+// decodes them.
 
 #ifndef EMBELLISH_CORE_PIR_RETRIEVAL_H_
 #define EMBELLISH_CORE_PIR_RETRIEVAL_H_
@@ -134,15 +140,18 @@ class PirRetrievalClient {
 
 /// \brief Encodes one inverted list as a PIR column in the layout above,
 ///        zero-filled only to a byte boundary (the bucket matrix pads it).
-///        Impacts must fit in 8 bits (the builder's impact_bits bound).
-std::vector<uint8_t> ColumnBytesFromPostings(
+///        InvalidArgument unless the list is strictly in index::PostingOrder
+///        with every impact in [1, 255] (the builder's 8-bit bound).
+Result<std::vector<uint8_t>> ColumnBytesFromPostings(
     std::span<const index::Posting> postings);
 
 /// \brief Parses one decoded PIR column (the bit vector a protocol execution
-///        retrieves, padding included) into postings: the inverse of
-///        ColumnBytesFromPostings. Corruption when the column is shorter
-///        than its header, a width is out of range (doc id 1-32, impact
-///        1-8), or the postings would run past the column. Shared by every
+///        retrieves, padding included) into postings, in stored order: the
+///        inverse of ColumnBytesFromPostings. Corruption when the column is
+///        shorter than its header, the top impact is 0 or k exceeds 31, the
+///        count cannot fit the bits after the header, a unary run reaches
+///        the column's end, a drop takes the impact below 1, a value or doc
+///        id passes 2^32 - 1, or a remainder is cut short. Shared by every
 ///        PIR retrieval path.
 Result<std::vector<index::Posting>> PostingsFromColumnBits(
     const std::vector<bool>& bits);

@@ -28,7 +28,7 @@ struct Posting {
 
 /// \brief Stored size of one posting in the storage model: a 4-byte doc id
 ///        plus a 1-byte impact. Disk I/O and the PR/PIR I/O parity are
-///        charged by it; PIR columns use their own bit-packed encoding
+///        charged by it; PIR columns use their own Rice-coded encoding
 ///        (core/pir_retrieval).
 inline constexpr size_t kPostingWireBytes = 5;
 

@@ -459,8 +459,7 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
   if (!response.ok()) return ErrorOutcome(frame.session_id, response.status());
 
   RequestOutcome outcome;
-  outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
-                                 EncodePirResponse(*response));
+  outcome.response = EncodePirResultFrame(frame.session_id, *response);
   outcome.delta.pir_queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;

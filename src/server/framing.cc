@@ -66,6 +66,34 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
+// The checksum of a whole frame: the header up to the checksum field, then
+// the payload.
+uint32_t FrameChecksum(const uint8_t* frame, size_t size) {
+  return Fnv1a32(frame + kFrameHeaderBytes, size - kFrameHeaderBytes,
+                 Fnv1a32(frame, 20));
+}
+
+// Appends a frame header for a `payload_size`-byte payload. Its checksum
+// field stays zero until SealFrame, once the payload follows.
+void PutFrameHeader(FrameKind kind, uint64_t session_id, size_t payload_size,
+                    std::vector<uint8_t>* out) {
+  PutU32(out, kFrameMagic);
+  out->push_back(kProtocolVersion);
+  out->push_back(static_cast<uint8_t>(kind));
+  out->push_back(0);  // flags
+  out->push_back(0);
+  PutU64(out, session_id);
+  PutU32(out, static_cast<uint32_t>(payload_size));
+  PutU32(out, 0);  // checksum
+}
+
+void SealFrame(std::vector<uint8_t>* frame) {
+  const uint32_t checksum = FrameChecksum(frame->data(), frame->size());
+  for (int i = 0; i < 4; ++i) {
+    (*frame)[20 + i] = static_cast<uint8_t>(checksum >> (24 - 8 * i));
+  }
+}
+
 void PutPaddedBigInt(std::vector<uint8_t>* out, const bignum::BigInt& v,
                      size_t width) {
   std::vector<uint8_t> bytes = v.ToBigEndianBytesPadded(width);
@@ -92,17 +120,9 @@ std::vector<uint8_t> EncodeFrame(FrameKind kind, uint64_t session_id,
                                  const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, kFrameMagic);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<uint8_t>(kind));
-  out.push_back(0);  // flags
-  out.push_back(0);
-  PutU64(&out, session_id);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  uint32_t checksum = Fnv1a32(out.data(), out.size());
-  checksum = Fnv1a32(payload.data(), payload.size(), checksum);
-  PutU32(&out, checksum);
+  PutFrameHeader(kind, session_id, payload.size(), &out);
   out.insert(out.end(), payload.begin(), payload.end());
+  SealFrame(&out);
   return out;
 }
 
@@ -122,9 +142,7 @@ Result<Frame> DecodeFrame(const std::vector<uint8_t>& bytes) {
   // Checksum covers the header (minus the checksum field) and the payload;
   // verify before interpreting any field so a corrupted frame is rejected
   // no matter which bit flipped.
-  uint32_t checksum = Fnv1a32(bytes.data(), 20);
-  checksum = Fnv1a32(bytes.data() + kFrameHeaderBytes, payload_size, checksum);
-  if (checksum != GetU32(bytes.data() + 20)) {
+  if (FrameChecksum(bytes.data(), bytes.size()) != GetU32(bytes.data() + 20)) {
     return Status::Corruption("frame checksum mismatch");
   }
   if (GetU32(bytes.data()) != kFrameMagic) {
@@ -332,12 +350,16 @@ Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload) {
   return out;
 }
 
-std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response) {
+std::vector<uint8_t> EncodePirResultFrame(
+    uint64_t session_id, const crypto::PirResponse& response) {
+  const size_t payload_size = 8 + response.values.size();
   std::vector<uint8_t> out;
-  out.reserve(8 + response.values.size());
+  out.reserve(kFrameHeaderBytes + payload_size);
+  PutFrameHeader(FrameKind::kPirResult, session_id, payload_size, &out);
   PutU32(&out, static_cast<uint32_t>(response.value_size));
   PutU32(&out, static_cast<uint32_t>(response.rows()));
   out.insert(out.end(), response.values.begin(), response.values.end());
+  SealFrame(&out);
   return out;
 }
 

@@ -39,9 +39,10 @@
 namespace embellish::server {
 
 inline constexpr uint32_t kFrameMagic = 0x454D4251;  // "EMBQ"
-// Version 2: PIR columns are bit-packed (core/pir_retrieval); a version-1
-// peer would misread their posting count as a byte length.
-inline constexpr uint8_t kProtocolVersion = 2;
+// Version 3: PIR columns are impact-ordered and Rice-coded
+// (core/pir_retrieval); a version-2 peer would read the top impact and the
+// Rice parameter as bit widths and decode wrong postings without an error.
+inline constexpr uint8_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 /// \brief Upper bound on each big-integer field of a hello payload (64 kbit
@@ -133,12 +134,18 @@ struct PirQueryPayload {
 };
 Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload);
 
-/// \brief PIR response payload: [u32 value_size][u32 row_count][gamma...],
-///        every gamma a big-endian residue padded to value_size bytes — the
-///        response's flat buffer, copied once. Decoding checks the header
-///        against the bytes present (value_size > 0, exactly row_count
-///        residues) and copies the residues once.
-std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response);
+/// \brief A whole kPirResult frame, equal to EncodeFrame(kPirResult,
+///        session_id, payload) for the payload
+///        [u32 value_size][u32 row_count][gamma...], every gamma a
+///        big-endian residue padded to value_size bytes. The response's flat
+///        buffer is copied once, straight into the frame, and checksummed in
+///        the same single pass as the header.
+std::vector<uint8_t> EncodePirResultFrame(uint64_t session_id,
+                                          const crypto::PirResponse& response);
+
+/// \brief Parses a kPirResult payload. Checks the header against the bytes
+///        present (value_size > 0, exactly row_count residues) and copies
+///        the residues once.
 Result<crypto::PirResponse> DecodePirResponse(
     const std::vector<uint8_t>& payload);
 

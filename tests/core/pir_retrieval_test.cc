@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <set>
 #include <span>
+#include <string>
 
 #include "index/builder.h"
 #include "testutil.h"
@@ -47,12 +51,58 @@ std::vector<bool> ColumnBits(const std::vector<uint8_t>& column,
   return bits;
 }
 
-// A column header: [u32 BE count][u8 doc-id width][u8 impact width].
-std::vector<uint8_t> Header(uint32_t count, uint8_t doc_width,
-                            uint8_t impact_width) {
+// A column header: [u32 BE count][u8 top impact][u8 Rice parameter k].
+std::vector<uint8_t> Header(uint32_t count, uint8_t top_impact, uint8_t k) {
   return {static_cast<uint8_t>(count >> 24), static_cast<uint8_t>(count >> 16),
           static_cast<uint8_t>(count >> 8),  static_cast<uint8_t>(count),
-          doc_width,                         impact_width};
+          top_impact,                        k};
+}
+
+// A retrieved column: a header, then `body` ('0' and '1'; spaces ignored).
+std::vector<bool> Column(uint32_t count, uint8_t top_impact, uint8_t k,
+                         const std::string& body) {
+  std::vector<bool> bits = ColumnBits(Header(count, top_impact, k), 0);
+  for (char c : body) {
+    if (c != ' ') bits.push_back(c == '1');
+  }
+  return bits;
+}
+
+std::vector<uint8_t> EncodeColumn(std::span<const index::Posting> list) {
+  auto column = ColumnBytesFromPostings(list);
+  EXPECT_TRUE(column.ok()) << column.status().ToString();
+  return column.ok() ? *std::move(column) : std::vector<uint8_t>{};
+}
+
+// Bound on the fixture's rows, summed over its buckets, against the
+// bit-packed layout's: measured 0.897 (74,432 vs 83,016 rows), with margin.
+// Its 150 documents give 8-bit doc ids, so the fixed widths were already
+// narrow here; perfbench's 20,000-document band measures ~0.67.
+constexpr double kMaxRowsVsBitPacked = 0.92;
+
+// Rows of a bucket in the previous bit-packed layout: a 48-bit header, then
+// each posting's doc id and impact in the narrowest widths that hold the
+// list's largest of each (at least 1 bit), as 8 x the largest column's bytes.
+size_t BitPackedRows(const index::InvertedIndex& index,
+                     const std::vector<wordnet::TermId>& bucket) {
+  size_t max_bytes = 0;
+  for (wordnet::TermId t : bucket) {
+    uint32_t max_doc = 0;
+    uint32_t max_impact = 0;
+    size_t count = 0;
+    if (const auto* list = index.postings(t)) {
+      count = list->size();
+      for (const index::Posting& p : *list) {
+        max_doc = std::max(max_doc, p.doc);
+        max_impact = std::max(max_impact, p.impact);
+      }
+    }
+    const size_t wd = std::max(1, static_cast<int>(std::bit_width(max_doc)));
+    const size_t wi =
+        std::max(1, static_cast<int>(std::bit_width(max_impact)));
+    max_bytes = std::max(max_bytes, (48 + count * (wd + wi) + 7) / 8);
+  }
+  return 8 * max_bytes;
 }
 
 TEST(PirRetrievalTest, RetrievedListsMatchIndexExactly) {
@@ -133,14 +183,29 @@ TEST(PirRetrievalTest, ResponsePaddedToBucketMaximum) {
   for (auto t : bucket) {
     std::span<const index::Posting> list;
     if (const auto* postings = p.built.index.postings(t)) list = *postings;
-    max_column = std::max(max_column, ColumnBytesFromPostings(list).size());
+    max_column = std::max(max_column, EncodeColumn(list).size());
     max_list_bytes = std::max(max_list_bytes, p.built.index.ListBytes(t));
   }
   EXPECT_EQ((*matrix)->rows(), 8 * max_column);
   EXPECT_EQ((*matrix)->cols(), bucket.size());
-  // Bit-packed postings take fewer rows than a byte-length prefix plus
-  // 5-byte postings would.
+  // Coded postings take fewer rows than a byte-length prefix plus 5-byte
+  // postings would.
   EXPECT_LT((*matrix)->rows(), (4 + max_list_bytes) * 8);
+
+  // Summed over every bucket, the Rice-coded columns need well under the
+  // previous bit-packed layout's rows.
+  size_t rows = 0;
+  size_t bit_packed_rows = 0;
+  for (size_t b = 0; b < p.org.bucket_count(); ++b) {
+    auto m = p.server->BucketMatrix(b);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    rows += (*m)->rows();
+    bit_packed_rows += BitPackedRows(p.built.index, p.org.bucket(b));
+  }
+  const double ratio = static_cast<double>(rows) / bit_packed_rows;
+  std::printf("rows %zu vs bit-packed %zu: %.3fx\n", rows, bit_packed_rows,
+              ratio);
+  EXPECT_LT(ratio, kMaxRowsVsBitPacked);
 }
 
 TEST(PirColumnCodecTest, RoundTripsEdgeCases) {
@@ -150,10 +215,10 @@ TEST(PirColumnCodecTest, RoundTripsEdgeCases) {
       {{0, 1}},
       {{0xFFFFFFFFu, 1}},
       {{7, 255}, {3, 1}},
-      {{0xFFFFFFFFu, 255}, {0, 1}, {12345, 200}},
+      {{0xFFFFFFFFu, 255}, {0, 1}, {1, 1}, {0xFFFFFFFFu, 1}},
   };
   for (const auto& list : lists) {
-    std::vector<uint8_t> column = ColumnBytesFromPostings(list);
+    std::vector<uint8_t> column = EncodeColumn(list);
     // Padding, as the bucket matrix adds it, does not change the decode.
     for (size_t pad : {size_t{0}, size_t{1}, size_t{64}}) {
       auto back = PostingsFromColumnBits(ColumnBits(column, pad));
@@ -161,60 +226,177 @@ TEST(PirColumnCodecTest, RoundTripsEdgeCases) {
       EXPECT_EQ(*back, list);
     }
   }
-  // The widths are the smallest that hold the largest doc id and impact.
-  EXPECT_EQ(ColumnBytesFromPostings(lists[0]), Header(0, 1, 1));
-  std::vector<uint8_t> single = ColumnBytesFromPostings(lists[1]);
-  EXPECT_EQ(single.size(), 7u);
-  EXPECT_EQ(single[4], 1);
-  EXPECT_EQ(single[5], 1);
-  std::vector<uint8_t> widest = ColumnBytesFromPostings(lists[4]);
-  EXPECT_EQ(widest[4], 32);
-  EXPECT_EQ(widest[5], 8);
-  EXPECT_EQ(widest.size(), 6u + 15u);  // 3 x 40 bits
+  // An empty list names top impact 1 and k = 0.
+  EXPECT_EQ(EncodeColumn(lists[0]), Header(0, 1, 0));
+  // Doc 0: a 1-bit drop and a 1-bit quotient after the header.
+  std::vector<uint8_t> single = EncodeColumn(lists[1]);
+  EXPECT_EQ(single, (std::vector<uint8_t>{0, 0, 0, 1, 1, 0, 0}));
+  // Doc 2^32 - 1 is cheapest at k = 31: quotient 1, then 31 remainder bits.
+  std::vector<uint8_t> widest = EncodeColumn(lists[2]);
+  EXPECT_EQ(widest[5], 31);
+  EXPECT_EQ(widest.size(), (48u + 1 + 2 + 31 + 7) / 8);
+  // A 254-step drop is 254 one-bits and a zero-bit. Values 7 and 3 (both
+  // run starts) take 7 bits at k = 2, against 8 at k = 1 or 3.
+  std::vector<uint8_t> drop = EncodeColumn(lists[3]);
+  EXPECT_EQ(drop[4], 255);
+  EXPECT_EQ(drop[5], 2);
+  EXPECT_EQ(drop.size(), (48u + 1 + 255 + 2 * 3 + 1 + 7) / 8);
+}
+
+TEST(PirColumnCodecTest, RefusesListsOutsidePostingOrder) {
+  using index::Posting;
+  auto expect_invalid = [](const std::vector<Posting>& list,
+                           const char* what) {
+    auto column = ColumnBytesFromPostings(list);
+    ASSERT_FALSE(column.ok()) << what;
+    EXPECT_TRUE(column.status().IsInvalidArgument()) << what;
+  };
+  expect_invalid({{0xFFFFFFFFu, 255}, {0, 1}, {12345, 200}}, "impact rises");
+  expect_invalid({{5, 3}, {5, 3}}, "doc repeated within a run");
+  expect_invalid({{6, 3}, {5, 3}}, "docs descend within a run");
+  expect_invalid({{1, 0}}, "impact 0");
+  expect_invalid({{1, 256}}, "impact 256");
+
+  // The bucket matrix propagates the refusal.
+  auto lists = std::make_shared<index::ListMap>();
+  (*lists)[1] = std::make_shared<const std::vector<Posting>>(
+      std::vector<Posting>{{4, 300}, {2, 1}});
+  (*lists)[2] = std::make_shared<const std::vector<Posting>>(
+      std::vector<Posting>{{1, 2}});
+  index::InvertedIndex index(5, std::move(lists), /*impact_bits=*/9);
+  auto org = BucketOrganization::Create({{1, 2}});
+  ASSERT_TRUE(org.ok());
+  PirRetrievalServer server(&index, &*org, nullptr);
+  auto matrix = server.BucketMatrix(0);
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_TRUE(matrix.status().IsInvalidArgument());
 }
 
 TEST(PirColumnCodecTest, RoundTripsEveryIndexedList) {
   PirPipeline p(4);
   for (wordnet::TermId t : p.built.index.IndexedTerms()) {
     const std::vector<index::Posting>& list = *p.built.index.postings(t);
-    std::vector<uint8_t> column = ColumnBytesFromPostings(list);
+    std::vector<uint8_t> column = EncodeColumn(list);
     auto back = PostingsFromColumnBits(ColumnBits(column, 3));
     ASSERT_TRUE(back.ok()) << "term " << t << ": " << back.status().ToString();
     EXPECT_EQ(*back, list) << "term " << t;
   }
 }
 
+TEST(PirColumnCodecTest, RoundTripsRandomListsAndSurvivesMutations) {
+  // Random lists whose doc spreads drive k from 0 to the high 20s
+  // round-trip. Every single-bit flip and every truncation of their columns
+  // decodes to some postings or to Corruption, never to another error or a
+  // crash.
+  Rng rng(17);
+  std::vector<int> ks;
+  for (uint64_t spread : {uint64_t{1}, uint64_t{40}, uint64_t{1} << 20,
+                          uint64_t{1} << 32}) {
+    std::set<std::pair<uint32_t, uint32_t>> drawn;  // (7 - impact, doc)
+    for (int i = 0; i < 40; ++i) {
+      const uint32_t impact = static_cast<uint32_t>(rng.UniformRange(1, 6));
+      drawn.insert({7 - impact, static_cast<uint32_t>(rng.Uniform(spread))});
+    }
+    std::vector<index::Posting> list;
+    for (const auto& [neg_impact, doc] : drawn) {
+      list.push_back({doc, 7 - neg_impact});
+    }
+    std::vector<uint8_t> column = EncodeColumn(list);
+    ks.push_back(column[5]);
+    std::vector<bool> bits = ColumnBits(column, 1);
+    auto back = PostingsFromColumnBits(bits);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, list) << "spread " << spread;
+    for (size_t i = 0; i < bits.size(); ++i) {
+      bits[i] = !bits[i];
+      auto flipped = PostingsFromColumnBits(bits);
+      EXPECT_TRUE(flipped.ok() || flipped.status().IsCorruption()) << i;
+      bits[i] = !bits[i];
+      auto cut = PostingsFromColumnBits(
+          std::vector<bool>(bits.begin(), bits.begin() + i));
+      EXPECT_TRUE(cut.ok() || cut.status().IsCorruption()) << i;
+    }
+  }
+  EXPECT_TRUE(std::is_sorted(ks.begin(), ks.end()));
+  EXPECT_EQ(ks.front(), 0);
+  EXPECT_GE(ks.back(), 24);
+}
+
 TEST(PirColumnCodecTest, RejectsHostileColumns) {
-  auto expect_corruption = [](const std::vector<uint8_t>& column,
-                              const char* what) {
-    auto decoded = PostingsFromColumnBits(ColumnBits(column, 0));
-    ASSERT_FALSE(decoded.ok()) << what;
-    EXPECT_TRUE(decoded.status().IsCorruption()) << what;
+  auto expect_corruption = [](const std::vector<bool>& column,
+                              const std::string& message) {
+    auto decoded = PostingsFromColumnBits(column);
+    ASSERT_FALSE(decoded.ok()) << message;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << message;
+    EXPECT_EQ(decoded.status().message(), message);
   };
-  // Shorter than the 6-byte header.
-  EXPECT_TRUE(PostingsFromColumnBits({}).status().IsCorruption());
-  EXPECT_TRUE(PostingsFromColumnBits(std::vector<bool>(47, false))
-                  .status()
-                  .IsCorruption());
-  expect_corruption({0, 0, 0, 0, 1}, "5-byte column");
-  // Widths out of range.
-  expect_corruption(Header(0, 0, 8), "doc width 0");
-  expect_corruption(Header(0, 33, 8), "doc width 33");
-  expect_corruption(Header(0, 16, 0), "impact width 0");
-  expect_corruption(Header(0, 16, 9), "impact width 9");
-  // Ten 16-bit postings need 20 payload bytes: 19 is one byte short.
-  std::vector<uint8_t> column = Header(10, 8, 8);
-  column.resize(6 + 19, 0xAB);
-  expect_corruption(column, "count past the payload");
-  column.push_back(0xAB);
-  EXPECT_TRUE(PostingsFromColumnBits(ColumnBits(column, 0)).ok());
-  // Counts whose bit total would wrap in 32 bits.
-  column = Header(0xFFFFFFFFu, 32, 8);
-  column.resize(4096, 0xFF);
-  expect_corruption(column, "count 0xFFFFFFFF");
-  column = Header(0x80000000u, 1, 1);  // 2^32 bits: 0 modulo 2^32
-  column.resize(64, 0);
-  expect_corruption(column, "count 2^31 at 2 bits");
+  const std::string short_header = "PIR column shorter than its 6-byte header";
+  expect_corruption({}, short_header);
+  expect_corruption(std::vector<bool>(47, false), short_header);
+  expect_corruption(ColumnBits({0, 0, 0, 0, 1}, 0), short_header);
+
+  expect_corruption(Column(0, 0, 0, ""), "PIR column top impact is 0");
+  expect_corruption(Column(1, 0, 0, "00"), "PIR column top impact is 0");
+  expect_corruption(Column(0, 1, 32, ""),
+                    "PIR column Rice parameter 32 out of [0, 31]");
+  expect_corruption(Column(0, 1, 255, ""),
+                    "PIR column Rice parameter 255 out of [0, 31]");
+
+  // Every posting needs at least 2 + k bits, counted in 64 bits: 0xFFFFFFFF
+  // postings at k = 31, and 2^31 postings at k = 0 (2^32 bits, 0 modulo
+  // 2^32), both against 32 Kibit.
+  const std::string past_payload = "PIR column postings exceed its payload";
+  expect_corruption(Column(0xFFFFFFFFu, 255, 31, std::string(32768, '1')),
+                    past_payload);
+  expect_corruption(Column(0x80000000u, 1, 0, std::string(32768, '0')),
+                    past_payload);
+  // Ten postings at k = 3 need at least 50 bits: 49 are one short, and 50
+  // zero bits decode as docs 0..9 at impact 1.
+  expect_corruption(Column(10, 1, 3, std::string(49, '0')), past_payload);
+  auto ten = PostingsFromColumnBits(Column(10, 1, 3, std::string(50, '0')));
+  ASSERT_TRUE(ten.ok()) << ten.status().ToString();
+  ASSERT_EQ(ten->size(), 10u);
+  EXPECT_EQ(ten->back(), (index::Posting{9, 1}));
+
+  // Unary runs of ones to the column's end: an impact run, then a quotient
+  // run.
+  const std::string run_to_end =
+      "PIR column unary run reaches the column's end";
+  expect_corruption(Column(1, 255, 0, "1111111111"), run_to_end);
+  expect_corruption(Column(1, 255, 0, "0" + std::string(64, '1')),
+                    run_to_end);
+
+  // A drop of 2 from impact 3 reaches impact 1; a drop of 3 passes it.
+  auto lowest = PostingsFromColumnBits(Column(1, 3, 0, "110 0"));
+  ASSERT_TRUE(lowest.ok()) << lowest.status().ToString();
+  EXPECT_EQ(*lowest, (std::vector<index::Posting>{{0, 1}}));
+  expect_corruption(Column(1, 3, 0, "1110 0"),
+                    "PIR column impact drops below 1");
+  expect_corruption(Column(2, 3, 0, "0 0  1110 0"),
+                    "PIR column impact drops below 1");
+
+  // At k = 31 the largest quotient is 1: quotient 1 with 31 one-bits is doc
+  // 2^32 - 1, and quotient 2 would carry a run-start doc past it.
+  const std::string max_doc = "0 10" + std::string(31, '1');
+  auto top_doc = PostingsFromColumnBits(Column(1, 1, 31, max_doc));
+  ASSERT_TRUE(top_doc.ok()) << top_doc.status().ToString();
+  EXPECT_EQ(*top_doc, (std::vector<index::Posting>{{0xFFFFFFFFu, 1}}));
+  expect_corruption(Column(1, 1, 31, "0 110" + std::string(31, '0')),
+                    "PIR column value passes 2^32 - 1");
+  // Through a gap at k = 31: doc 2^31 - 1, then in the same run a gap of
+  // 2^31 - 1 reaches doc 2^32 - 1, and quotient 1 (a gap of 2^31) carries
+  // the doc past it.
+  const std::string half = "0 0" + std::string(31, '1');
+  auto gap_top = PostingsFromColumnBits(Column(2, 1, 31, half + half));
+  ASSERT_TRUE(gap_top.ok()) << gap_top.status().ToString();
+  EXPECT_EQ(gap_top->back(), (index::Posting{0xFFFFFFFFu, 1}));
+  expect_corruption(Column(2, 1, 31, half + " 0 10" + std::string(31, '0')),
+                    "PIR column doc id passes 2^32 - 1");
+
+  // A remainder cut short: at k = 8, a 14-bit quotient leaves no bits for
+  // the remainder.
+  expect_corruption(Column(1, 1, 8, "0 11111111111111 0"),
+                    "PIR column remainder cut short");
 }
 
 TEST(PirRetrievalTest, DownlinkScalesWithMaxListNotOwnList) {

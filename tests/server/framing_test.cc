@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
 #include "common/endian.h"
@@ -119,23 +121,27 @@ TEST(FramingTest, ChecksumIsPositionSensitive) {
   EXPECT_FALSE(DecodeFrame(bytes).ok());
 }
 
-TEST(FramingTest, RejectsVersionOnePeers) {
-  // Version 1 carried PIR columns as [u32 byte length][5-byte postings]; a
-  // version-1 peer would read a version-2 column's posting count as that
-  // length. A well-formed, correctly checksummed version-1 frame must be
-  // refused by version, not decoded.
-  auto bytes = EncodeFrame(FrameKind::kPirResult, 3, SomePayload(40, 6));
-  bytes[4] = 1;
-  uint32_t checksum = Fnv1a32(bytes.data(), 20);
-  checksum = Fnv1a32(bytes.data() + kFrameHeaderBytes,
-                     bytes.size() - kFrameHeaderBytes, checksum);
-  for (int i = 0; i < 4; ++i) {
-    bytes[20 + i] = static_cast<uint8_t>(checksum >> (24 - 8 * i));
+TEST(FramingTest, RejectsEarlierProtocolVersions) {
+  // Version 1 carried PIR columns as [u32 byte length][5-byte postings], and
+  // version 2 bit-packed them behind a doc-id width and an impact width; a
+  // version-2 peer would read a version-3 column's top impact and Rice
+  // parameter as those widths. A well-formed, correctly checksummed frame
+  // of either version must be refused by version, not decoded.
+  for (uint8_t version : {1, 2}) {
+    auto bytes = EncodeFrame(FrameKind::kPirResult, 3, SomePayload(40, 6));
+    bytes[4] = version;
+    uint32_t checksum = Fnv1a32(bytes.data(), 20);
+    checksum = Fnv1a32(bytes.data() + kFrameHeaderBytes,
+                       bytes.size() - kFrameHeaderBytes, checksum);
+    for (int i = 0; i < 4; ++i) {
+      bytes[20 + i] = static_cast<uint8_t>(checksum >> (24 - 8 * i));
+    }
+    auto frame = DecodeFrame(bytes);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_TRUE(frame.status().IsCorruption());
+    EXPECT_EQ(frame.status().message(),
+              "unsupported protocol version " + std::to_string(version));
   }
-  auto frame = DecodeFrame(bytes);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_TRUE(frame.status().IsCorruption());
-  EXPECT_EQ(frame.status().message(), "unsupported protocol version 1");
 }
 
 // --- Hello payload ----------------------------------------------------------
@@ -369,15 +375,38 @@ TEST(FramingTest, PirResponseEncodingMatchesThePerRowEncoder) {
     }
     ASSERT_GT(short_rows, 0u) << "no residue with a leading zero byte";
 
-    const std::vector<uint8_t> payload = EncodePirResponse(*response);
-    EXPECT_EQ(payload, ReferencePirResponseEncoding(gammas, value_size));
+    const std::vector<uint8_t> frame = EncodePirResultFrame(9, *response);
+    auto parsed = DecodeFrame(frame);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->kind, FrameKind::kPirResult);
+    EXPECT_EQ(parsed->payload,
+              ReferencePirResponseEncoding(gammas, value_size));
 
-    // The round trip is byte-identical, and re-encodes to the same payload.
-    auto decoded = DecodePirResponse(payload);
+    // The round trip is byte-identical, and re-encodes to the same frame.
+    auto decoded = DecodePirResponse(parsed->payload);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->value_size, value_size);
     EXPECT_EQ(decoded->values, response->values);
-    EXPECT_EQ(EncodePirResponse(*decoded), payload);
+    EXPECT_EQ(EncodePirResultFrame(9, *decoded), frame);
+  }
+}
+
+TEST(FramingTest, PirResultFrameEqualsEncodeFrame) {
+  // One buffer and one checksum pass give the bytes of framing the payload
+  // separately, for an empty answer, one row and 3,000 rows.
+  for (size_t rows : {0u, 1u, 3000u}) {
+    SCOPED_TRACE(rows);
+    crypto::PirResponse response;
+    response.value_size = 32;
+    response.values = SomePayload(rows * 32, 31 + rows);
+    std::vector<uint8_t> payload;
+    PutU32(&payload, 32);
+    PutU32(&payload, static_cast<uint32_t>(rows));
+    payload.insert(payload.end(), response.values.begin(),
+                   response.values.end());
+    EXPECT_EQ(EncodePirResultFrame(0x0102030405060708ull, response),
+              EncodeFrame(FrameKind::kPirResult, 0x0102030405060708ull,
+                          payload));
   }
 }
 
@@ -385,7 +414,9 @@ TEST(FramingTest, PirResponseRejectsHostileHeaders) {
   crypto::PirResponse response;
   response.value_size = 32;
   response.values = SomePayload(9 * 32, 29);
-  const std::vector<uint8_t> payload = EncodePirResponse(response);
+  auto frame = DecodeFrame(EncodePirResultFrame(4, response));
+  ASSERT_TRUE(frame.ok());
+  const std::vector<uint8_t> payload = frame->payload;
   ASSERT_TRUE(DecodePirResponse(payload).ok());
 
   auto header = [](uint32_t value_size, uint32_t count, size_t body_bytes) {
