@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the cryptographic primitives that
 // dominate the Section 5.2 costs: Benaloh encrypt/decrypt/scalar-mul,
-// Paillier encrypt/decrypt, PIR row products, and the bignum kernels.
+// Paillier encrypt/decrypt, PIR query building, row products and decoding,
+// and the bignum kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -52,6 +53,20 @@ void BM_BigIntDivMod(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BigIntDivMod)->Arg(256)->Arg(512)->Arg(1024);
+
+// gcd of a random value below an odd modulus and the modulus: the test
+// RandomUnit runs on every draw.
+void BM_Gcd(benchmark::State& state) {
+  Rng rng(14);
+  size_t bits = static_cast<size_t>(state.range(0));
+  BigInt n = bignum::RandomBits(bits, &rng) + BigInt(1);
+  if (n.IsEven()) n = n + BigInt(1);
+  BigInt a = bignum::RandomBelow(n, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bignum::Gcd(a, n));
+  }
+}
+BENCHMARK(BM_Gcd)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_MontgomeryModExp(benchmark::State& state) {
   Rng rng(3);
@@ -263,6 +278,19 @@ void BM_PirDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PirDecode);
+
+// One KO-PIR query over `cols` columns at a 256-bit key: a random unit per
+// column, squared for the others and drawn until a non-residue for the
+// wanted one.
+void BM_PirBuildQuery(benchmark::State& state) {
+  const size_t cols = static_cast<size_t>(state.range(0));
+  Rng rng(15);
+  auto client = crypto::PirClient::Create(256, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client->BuildQuery(1, cols, &rng));
+  }
+}
+BENCHMARK(BM_PirBuildQuery)->Arg(4)->Arg(24);
 
 void BM_MillerRabinPrimality(benchmark::State& state) {
   Rng rng(13);

@@ -1,6 +1,9 @@
 #include "bignum/modmath.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 #include "bignum/montgomery.h"
 
@@ -14,6 +17,72 @@ const BigInt& ReduceInto(const BigInt& v, const BigInt& m, BigInt* storage) {
   if (v < m) return v;
   *storage = v % m;
   return *storage;
+}
+
+// Limb helpers for Gcd. A value is `n` little-endian limbs, the top one
+// nonzero (n >= 1: Gcd only works on nonzero values).
+
+// Trailing zero bits of a nonzero value.
+size_t TrailingZeroBits(const uint64_t* a) {
+  size_t i = 0;
+  while (a[i] == 0) ++i;
+  return 64 * i + static_cast<size_t>(std::countr_zero(a[i]));
+}
+
+// a >>= bits in place, for bits below a's bit length; returns a's new
+// length.
+size_t ShiftRightLimbs(uint64_t* a, size_t n, size_t bits) {
+  const size_t limbs = bits / 64;
+  const unsigned shift = static_cast<unsigned>(bits % 64);
+  const size_t out = n - limbs;
+  for (size_t i = 0; i < out; ++i) {
+    uint64_t v = a[i + limbs] >> shift;
+    if (shift != 0 && i + limbs + 1 < n) v |= a[i + limbs + 1] << (64 - shift);
+    a[i] = v;
+  }
+  return a[out - 1] == 0 ? out - 1 : out;
+}
+
+// Three-way comparison of two values.
+int CompareLimbs(const uint64_t* a, size_t na, const uint64_t* b, size_t nb) {
+  if (na != nb) return na < nb ? -1 : 1;
+  for (size_t i = na; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+// One limb of a - b, updating the borrow it takes in and passes on.
+uint64_t SubtractLimb(uint64_t a, uint64_t b, uint64_t* borrow) {
+  const uint64_t d = a - b - *borrow;
+  *borrow = (a < b || (a == b && *borrow != 0)) ? 1 : 0;
+  return d;
+}
+
+// a = (a - b) >> (its trailing zero bits), in place, for odd a > odd b;
+// returns a's new length. One pass when the low limbs differ (the shift is
+// then below 64), else a subtraction pass and a shift pass.
+size_t SubtractAndStripTwos(uint64_t* a, size_t na, const uint64_t* b,
+                            size_t nb) {
+  uint64_t borrow = 0;
+  if (a[0] == b[0]) {
+    for (size_t i = 0; i < na; ++i) {
+      a[i] = SubtractLimb(a[i], i < nb ? b[i] : 0, &borrow);
+    }
+    while (a[na - 1] == 0) --na;
+    return ShiftRightLimbs(a, na, TrailingZeroBits(a));
+  }
+  // Odd minus odd is even, so the shift is in [1, 63].
+  const unsigned shift = static_cast<unsigned>(std::countr_zero(a[0] - b[0]));
+  uint64_t low = SubtractLimb(a[0], b[0], &borrow);
+  for (size_t i = 1; i < na; ++i) {
+    const uint64_t high = SubtractLimb(a[i], i < nb ? b[i] : 0, &borrow);
+    a[i - 1] = (low >> shift) | (high << (64 - shift));
+    low = high;
+  }
+  a[na - 1] = low >> shift;
+  while (a[na - 1] == 0) --na;
+  return na;
 }
 
 }  // namespace
@@ -65,16 +134,32 @@ BigInt ModExp(const BigInt& a, const BigInt& e, const BigInt& m) {
 }
 
 BigInt Gcd(const BigInt& a, const BigInt& b) {
-  // Euclid; BigInt division is fast enough for crypto-sized operands and the
-  // code is simpler than binary GCD with vector limb surgery.
-  BigInt x = a;
-  BigInt y = b;
-  while (!y.IsZero()) {
-    BigInt r = x % y;
-    x = std::move(y);
-    y = std::move(r);
+  // Binary GCD (Stein) in two working copies of the limbs: every step is a
+  // compare, a subtraction and a shift in place, where Euclid allocates a
+  // quotient and a remainder per step. RandomUnit runs it on every draw.
+  if (a.IsZero()) return b;
+  if (b.IsZero()) return a;
+  std::vector<uint64_t> u = a.limbs();
+  std::vector<uint64_t> v = b.limbs();
+  const size_t u_twos = TrailingZeroBits(u.data());
+  const size_t v_twos = TrailingZeroBits(v.data());
+  size_t nu = ShiftRightLimbs(u.data(), u.size(), u_twos);
+  size_t nv = ShiftRightLimbs(v.data(), v.size(), v_twos);
+  // Both odd from here on, and gcd(a, b) = gcd(u, v) * 2^min(twos). The
+  // odd difference v - u is even, and halving it keeps the gcd.
+  for (;;) {
+    const int order = CompareLimbs(u.data(), nu, v.data(), nv);
+    if (order == 0) break;
+    if (order > 0) {
+      std::swap(u, v);
+      std::swap(nu, nv);
+    }
+    nv = SubtractAndStripTwos(v.data(), nv, u.data(), nu);
   }
-  return x;
+  u.resize(nu);
+  BigInt g = BigInt::FromLimbs(std::move(u));
+  const size_t twos = std::min(u_twos, v_twos);
+  return twos == 0 ? g : g << twos;
 }
 
 Result<BigInt> ModInverse(const BigInt& a, const BigInt& m) {

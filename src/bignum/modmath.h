@@ -33,7 +33,8 @@ BigInt ModMulReduced(const BigInt& a, const BigInt& b, const BigInt& m);
 ///        which is ~3-4x faster on crypto-sized moduli.
 BigInt ModExp(const BigInt& a, const BigInt& e, const BigInt& m);
 
-/// \brief Greatest common divisor (binary GCD).
+/// \brief Greatest common divisor, by binary GCD (Stein) over the limbs.
+///        Gcd(0, b) is b.
 BigInt Gcd(const BigInt& a, const BigInt& b);
 
 /// \brief Multiplicative inverse of a modulo m, if gcd(a, m) == 1.

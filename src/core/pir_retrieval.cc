@@ -76,16 +76,18 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
   if (bucket >= buckets_->bucket_count()) {
     return Status::OutOfRange(StringPrintf("bucket %zu out of range", bucket));
   }
-  // Lazy materialization happens under the lock (a per-epoch warm-up cost);
-  // the common case — the matrix already exists — holds it only for the
-  // lookup, so concurrent queries never serialize behind each other's
-  // compute.
-  std::lock_guard<std::mutex> lock(*matrix_mu_);
-  auto it = matrix_cache_.find(bucket);
-  if (it != matrix_cache_.end()) return it->second.get();
+  {
+    std::lock_guard<std::mutex> lock(*matrix_mu_);
+    auto it = matrix_cache_.find(bucket);
+    if (it != matrix_cache_.end()) return it->second.get();
+  }
 
-  // Each member is encoded once; the rows are sized by the largest
-  // encoding, and the zero matrix pads every shorter column.
+  // A missing matrix is built outside the lock, so first touches of
+  // different buckets build in parallel and lookups of built buckets never
+  // wait behind a build. Threads that first-touch the same bucket at once
+  // each build the same bytes; the first insert wins and the others drop
+  // their copies. Each member is encoded once; the rows are sized by the
+  // largest encoding, and the zero matrix pads every shorter column.
   const std::vector<wordnet::TermId>& members = buckets_->bucket(bucket);
   std::vector<std::vector<uint8_t>> columns;
   columns.reserve(members.size());
@@ -103,9 +105,9 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
   for (size_t col = 0; col < members.size(); ++col) {
     matrix->SetColumnFromBytes(col, columns[col]);
   }
-  const crypto::PirDatabase* out = matrix.get();
-  matrix_cache_.emplace(bucket, std::move(matrix));
-  return out;
+  std::lock_guard<std::mutex> lock(*matrix_mu_);
+  return matrix_cache_.try_emplace(bucket, std::move(matrix))
+      .first->second.get();
 }
 
 Result<crypto::PirResponse> PirRetrievalServer::Answer(
@@ -177,9 +179,9 @@ Result<std::vector<uint8_t>> ColumnBytesFromPostings(
   uint64_t drop_bits = 0;
   for (size_t i = 0; i < postings.size(); ++i) {
     const index::Posting& p = postings[i];
-    if (p.impact < 1 || p.impact > 0xFF) {
-      return Status::InvalidArgument(StringPrintf(
-          "PIR column impact %u at posting %zu outside [1, 255]", p.impact, i));
+    if (p.impact == 0) {
+      return Status::InvalidArgument(
+          StringPrintf("PIR column impact 0 at posting %zu", i));
     }
     if (i > 0 && !index::PostingOrder(postings[i - 1], p)) {
       return Status::InvalidArgument(StringPrintf(
@@ -259,7 +261,9 @@ Result<std::vector<index::Posting>> PostingsFromColumnBits(
       return Status::Corruption("PIR column doc id passes 2^32 - 1");
     }
     impact -= static_cast<uint32_t>(drop);
-    postings.push_back({static_cast<uint32_t>(doc), impact});
+    // The top impact is an 8-bit field and only drops, so it fits the byte.
+    postings.push_back(
+        {static_cast<uint32_t>(doc), static_cast<uint8_t>(impact)});
   }
   return postings;
 }

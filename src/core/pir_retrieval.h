@@ -53,10 +53,9 @@ struct PirBatchItem {
 /// \brief Search-engine side: answers per-bucket PIR executions.
 ///
 /// Answer and AnswerBatch are safe to call concurrently: bucket matrices are
-/// materialized lazily under an internal mutex (held only while a matrix is
-/// built — concurrent queries against already-built buckets proceed without
-/// serialization), matrices are immutable once built, and the protocol
-/// evaluation fans out over `pool` when supplied.
+/// materialized lazily, built outside an internal mutex that guards only the
+/// cache lookup and insert, matrices are immutable once built, and the
+/// protocol evaluation fans out over `pool` when supplied.
 class PirRetrievalServer {
  public:
   /// \brief `pool` may be null (serial evaluation) and must outlive the
@@ -84,8 +83,10 @@ class PirRetrievalServer {
       const std::vector<PirBatchItem>& items, RetrievalCosts* costs,
       crypto::PirBatchStats* stats = nullptr) const;
 
-  /// \brief The (lazily built) matrix for a bucket. Thread-safe; the
-  ///        returned matrix is immutable and lives as long as the server.
+  /// \brief The (lazily built) matrix for a bucket. Thread-safe: callers
+  ///        that first-touch one bucket at once may each build it, and all
+  ///        get the one matrix inserted first. The returned matrix is
+  ///        immutable and lives as long as the server.
   Result<const crypto::PirDatabase*> BucketMatrix(size_t bucket) const;
 
  private:
@@ -94,11 +95,11 @@ class PirRetrievalServer {
   const storage::StorageLayout* layout_;
   storage::DiskModelOptions disk_options_;
   ThreadPool* pool_;  // not owned; null => serial
-  // Guards matrix_cache_ (lazy materialization); matrices themselves are
-  // immutable after insertion and entries are never evicted, so pointers
-  // handed out remain valid without the lock. Heap-allocated so the server
-  // stays movable (the sharded engine keeps one server per shard in a
-  // vector).
+  // Guards matrix_cache_'s lookups and inserts (matrices are built outside
+  // it); matrices themselves are immutable after insertion and entries are
+  // never evicted, so pointers handed out remain valid without the lock.
+  // Heap-allocated so the server stays movable (the sharded engine keeps
+  // one server per shard in a vector).
   mutable std::unique_ptr<std::mutex> matrix_mu_ =
       std::make_unique<std::mutex>();
   mutable std::unordered_map<size_t, std::unique_ptr<crypto::PirDatabase>>
@@ -141,7 +142,7 @@ class PirRetrievalClient {
 /// \brief Encodes one inverted list as a PIR column in the layout above,
 ///        zero-filled only to a byte boundary (the bucket matrix pads it).
 ///        InvalidArgument unless the list is strictly in index::PostingOrder
-///        with every impact in [1, 255] (the builder's 8-bit bound).
+///        with no impact 0 (a posting's impact byte bounds it by 255).
 Result<std::vector<uint8_t>> ColumnBytesFromPostings(
     std::span<const index::Posting> postings);
 

@@ -96,7 +96,7 @@ Result<EncryptedResult> PrivateRetrievalServer::Process(
       // E(u)^p for the discretized impacts p in [1, 255]. For long lists a
       // power table turns each posting into a single MontMul; short lists
       // use direct square-and-multiply to avoid the table's setup cost.
-      uint32_t max_impact = 0;
+      uint8_t max_impact = 0;
       for (const index::Posting& p : list) {
         max_impact = std::max(max_impact, p.impact);
       }

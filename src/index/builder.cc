@@ -14,7 +14,7 @@ namespace embellish::index {
 Status IndexBuildOptions::Validate() const {
   if (impact_bits < 2 || impact_bits > 8) {
     return Status::InvalidArgument(
-        "impact_bits out of [2, 8] (postings serialize impacts in one byte)");
+        "impact_bits out of [2, 8] (a posting holds its impact in one byte)");
   }
   if (scoring == ScoringModel::kOkapiBM25) {
     if (bm25.k1 <= 0.0) {
@@ -33,6 +33,12 @@ namespace {
 // balance uneven chunks, few enough that the per-chunk count tables (one
 // vocabulary-sized row each) stay small.
 constexpr size_t kBuildChunksPerThread = 4;
+
+// A posting at a quantizer level. Validate caps impact_bits at 8, so every
+// level (at most 2^8 - 1) fits the posting's impact byte.
+Posting QuantizedPosting(corpus::DocId doc, uint32_t level) {
+  return Posting{doc, static_cast<uint8_t>(level)};
+}
 
 // Scores one document under the configured model and calls
 // `emit(term, p_dt)` once per distinct term, in ascending term id order.
@@ -176,7 +182,7 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
   }
   // The lists are created non-const here and published const when the
   // index is returned, so this function is their only writer.
-  auto lists = std::make_shared<ListMap>();
+  auto lists = std::make_shared<ListMap>(vocab);
   std::vector<Posting*> list_data(vocab, nullptr);
   std::vector<wordnet::TermId> terms;
   for (size_t t = 0; t < vocab; ++t) {
@@ -188,7 +194,7 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
     if (doc_frequency[t] == 0) continue;
     auto list = std::make_shared<std::vector<Posting>>(doc_frequency[t]);
     list_data[t] = list->data();
-    lists->emplace(static_cast<wordnet::TermId>(t), std::move(list));
+    lists->Set(static_cast<wordnet::TermId>(t), std::move(list));
     terms.push_back(static_cast<wordnet::TermId>(t));
   }
 
@@ -205,7 +211,7 @@ Result<BuildOutput> BuildIndex(const corpus::Corpus& corpus,
       ScoreDocument(doc, num_docs, avg_doc_len, frequency_of, options,
                     &scratch, [&](wordnet::TermId term, double p_dt) {
                       list_data[term][cursor[term]++] =
-                          Posting{doc.id, quantizer.Quantize(p_dt)};
+                          QuantizedPosting(doc.id, quantizer.Quantize(p_dt));
                     });
     }
   });
@@ -272,7 +278,7 @@ BuildDeltaLists(const std::vector<corpus::Document>& docs,
     ScoreDocument(doc, stats.num_docs, stats.avg_doc_len, doc_frequency,
                   options, &scratch, [&](wordnet::TermId term, double p_dt) {
                     lists[term].push_back(
-                        Posting{doc.id, quantizer.Quantize(p_dt)});
+                        QuantizedPosting(doc.id, quantizer.Quantize(p_dt)));
                   });
   }
   for (auto& [term, list] : lists) {
@@ -287,23 +293,29 @@ InvertedIndex MergeDeltaLists(
     size_t new_num_docs) {
   common::NoteHeavyBuild();
   if (delta.empty()) {
-    // Nothing lands here (a shard the delta missed): share the whole map.
+    // Nothing lands here (a shard the delta missed): share the whole table.
     return InvertedIndex(new_num_docs, base.lists(), base.impact_bits());
   }
-  // Copy-on-write: the successor starts from the base's list pointers, and
-  // only the terms the delta touches get a freshly merged list.
+  // Copy-on-write: the successor starts from a flat copy of the base's
+  // list pointers, grown once to hold every delta term, and only the terms
+  // the delta touches get a freshly merged list.
   auto merged = std::make_shared<ListMap>(*base.lists());
+  size_t table_size = 0;
   for (const auto& [term, fresh] : delta) {
-    std::shared_ptr<const std::vector<Posting>>& slot = (*merged)[term];
-    if (slot == nullptr) {
-      slot = std::make_shared<const std::vector<Posting>>(fresh);
+    table_size = std::max(table_size, size_t{term} + 1);
+  }
+  merged->GrowTo(table_size);
+  for (const auto& [term, fresh] : delta) {
+    const std::vector<Posting>* old = merged->Find(term);
+    if (old == nullptr) {
+      merged->Set(term, std::make_shared<const std::vector<Posting>>(fresh));
       continue;
     }
     auto out = std::make_shared<std::vector<Posting>>();
-    out->reserve(slot->size() + fresh.size());
-    std::merge(slot->begin(), slot->end(), fresh.begin(), fresh.end(),
+    out->reserve(old->size() + fresh.size());
+    std::merge(old->begin(), old->end(), fresh.begin(), fresh.end(),
                std::back_inserter(*out), PostingOrder);
-    slot = std::move(out);
+    merged->Set(term, std::move(out));
   }
   return InvertedIndex(new_num_docs, std::move(merged), base.impact_bits());
 }

@@ -31,8 +31,10 @@ enum class ScoringModel {
 
 /// \brief Index construction parameters.
 struct IndexBuildOptions {
-  /// Bits per discretized impact. 8 keeps postings at 5 bytes and bounds
-  /// Algorithm 4's accumulated scores well inside the Benaloh message space.
+  /// Bits per discretized impact, in [2, 8]. A posting holds its impact in
+  /// one byte (index::Posting is the 5 bytes kPostingWireBytes charges, in
+  /// memory as in the storage model), and 8 bits bound Algorithm 4's
+  /// accumulated scores well inside the Benaloh message space.
   int impact_bits = 8;
 
   ScoringModel scoring = ScoringModel::kCosine;
@@ -113,11 +115,15 @@ BuildDeltaLists(const std::vector<corpus::Document>& docs,
                 const IndexBuildOptions& options);
 
 /// \brief Merges delta lists into `base`, producing a successor index with
-///        `new_num_docs` documents. Copy-on-write: the successor shares the
-///        list of every term the delta does not touch (for an empty delta,
-///        `base`'s whole term map), and each touched term gets a fresh
-///        per-term sorted merge in the canonical impact order. `base` is
-///        untouched (it is someone's pinned epoch).
+///        `new_num_docs` documents. Copy-on-write: the successor copies
+///        `base`'s term table (for an empty delta it shares the table
+///        itself), so it shares the list of every term the delta does not
+///        touch, and each touched term gets a fresh per-term sorted merge in
+///        the canonical impact order. A delta term past the table's end
+///        grows the successor's table to that term + 1 slots (16 bytes a
+///        slot, copied by every later delta), so delta term ids should come
+///        from the collection's lexicon. `base` is untouched (it is
+///        someone's pinned epoch).
 InvertedIndex MergeDeltaLists(
     const InvertedIndex& base,
     const std::unordered_map<wordnet::TermId, std::vector<Posting>>& delta,

@@ -253,8 +253,8 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
             .push_back(p);
       }
     }
-    // A shard with no delta postings shares its base's whole term map;
-    // the others copy list pointers and merge only the touched terms.
+    // A shard with no delta postings shares its base's whole term table;
+    // the others copy the table and merge only the touched terms.
     std::vector<std::optional<InvertedIndex>> built(shard_count);
     ForEachShard(pool_, shard_count, [&](size_t s) {
       built[s].emplace(MergeDeltaLists(base->sharded()->shard(s),

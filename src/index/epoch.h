@@ -21,7 +21,7 @@
 //                  (see FrozenCorpusStats in index/builder.h) and merges
 //                  per-shard posting deltas copy-on-write into a successor
 //                  snapshot: only the touched terms' lists are rebuilt, and
-//                  a shard the delta misses shares its whole term map.
+//                  a shard the delta misses shares its whole term table.
 //                  Reshard(options) re-partitions the corpus. Both build
 //                  off the answer path (background threads, inner
 //                  parallelism on the shared executor) against the pinned

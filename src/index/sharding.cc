@@ -92,24 +92,28 @@ Result<ShardedIndex> ShardedIndex::Build(const InvertedIndex& index,
   const size_t shards = options.shard_count;
   const size_t num_docs = index.document_count();
 
+  // Every shard's table spans the monolith's term ids.
+  const ListMap& lists = *index.lists();
   std::vector<std::shared_ptr<ListMap>> shard_lists(shards);
-  for (auto& lists : shard_lists) lists = std::make_shared<ListMap>();
+  for (auto& table : shard_lists) {
+    table = std::make_shared<ListMap>(lists.table_size());
+  }
   // Per-shard fragments of the current term's list, reused across terms;
   // each is copied out at its exact length.
   std::vector<std::vector<Posting>> fragments(shards);
-  for (const auto& [term, list] : *index.lists()) {
-    for (const Posting& p : *list) {
+  lists.ForEach([&](wordnet::TermId term, const std::vector<Posting>& list) {
+    for (const Posting& p : list) {
       // A stable split: each shard's fragment keeps the monolithic
       // (impact desc, doc asc) order, so MergeShardPostings inverts it.
       fragments[ShardOfDoc(p.doc, num_docs, options)].push_back(p);
     }
     for (size_t s = 0; s < shards; ++s) {
       if (fragments[s].empty()) continue;
-      shard_lists[s]->emplace(
+      shard_lists[s]->Set(
           term, std::make_shared<const std::vector<Posting>>(fragments[s]));
       fragments[s].clear();
     }
-  }
+  });
 
   std::vector<InvertedIndex> sub;
   sub.reserve(shards);

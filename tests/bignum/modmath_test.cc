@@ -1,5 +1,8 @@
 #include "bignum/modmath.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "bignum/prime.h"
@@ -80,6 +83,55 @@ TEST(GcdTest, DividesBothAndIsMaximal) {
     EXPECT_TRUE((a % d).IsZero());
     EXPECT_TRUE((b % d).IsZero());
     EXPECT_TRUE((d % g).IsZero());  // g divides the gcd
+  }
+}
+
+// Euclid through BigInt division: the reference the binary GCD must match.
+BigInt EuclidGcd(BigInt x, BigInt y) {
+  while (!y.IsZero()) {
+    BigInt r = x % y;
+    x = std::move(y);
+    y = std::move(r);
+  }
+  return x;
+}
+
+TEST(GcdTest, MatchesEuclidReference) {
+  std::vector<std::pair<BigInt, BigInt>> cases;
+  // Zero, one and equal operands, in both orders.
+  const BigInt big = BigInt::PowerOfTwo(200) + BigInt(12345);
+  for (const BigInt& x : {BigInt(0), BigInt(1), BigInt(2), BigInt(9), big}) {
+    for (const BigInt& y : {BigInt(0), BigInt(1), BigInt(2), BigInt(9), big}) {
+      cases.push_back({x, y});
+    }
+  }
+  // Powers of two against powers of two and against odd multiples of them,
+  // across limb boundaries.
+  for (size_t i : {0, 1, 63, 64, 65, 127, 128, 1000, 4095}) {
+    for (size_t j : {0, 5, 64, 200, 4095}) {
+      cases.push_back({BigInt::PowerOfTwo(i), BigInt::PowerOfTwo(j)});
+      cases.push_back({BigInt::PowerOfTwo(i),
+                       BigInt::PowerOfTwo(j) * BigInt(0xFFFFFFFFFFFFFFC5ull)});
+    }
+  }
+  // 1 to 64 limbs: random pairs, pairs sharing a factor, both operands even
+  // (a shared power of two on top of the shared factor), and equal pairs.
+  Rng rng(111);
+  for (size_t limbs = 1; limbs <= 64; ++limbs) {
+    const size_t bits = 64 * limbs;
+    const BigInt a = RandomBits(bits, &rng);
+    const BigInt b = RandomBits(1 + rng.Uniform(bits), &rng);
+    const BigInt g = RandomBits(1 + rng.Uniform(bits / 2 + 1), &rng);
+    cases.push_back({a, b});
+    cases.push_back({b, a});
+    cases.push_back({g * a, g * b});
+    cases.push_back({(g * a) << (1 + rng.Uniform(130)),
+                     (g * b) << (1 + rng.Uniform(130))});
+    cases.push_back({a, a});
+  }
+  for (const auto& [x, y] : cases) {
+    EXPECT_EQ(Gcd(x, y), EuclidGcd(x, y))
+        << "gcd(" << x.ToHexString() << ", " << y.ToHexString() << ")";
   }
 }
 

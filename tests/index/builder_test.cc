@@ -71,7 +71,8 @@ std::map<wordnet::TermId, std::vector<Posting>> QuantizeReference(
   for (const auto& [term, list] : staged) {
     std::vector<Posting>& out = lists[term];
     for (const auto& [doc, impact] : list) {
-      out.push_back(Posting{doc, quantizer.Quantize(impact)});
+      out.push_back(
+          Posting{doc, static_cast<uint8_t>(quantizer.Quantize(impact))});
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const Posting& a, const Posting& b) {

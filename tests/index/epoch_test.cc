@@ -243,7 +243,7 @@ TEST_F(IndexEpochTest, ApplyDeltaSharesUntouchedListsCopyOnWrite) {
   EXPECT_NE((*next)->sharded()->shard(last).lists(),
             base->sharded()->shard(last).lists());
   for (size_t s = 0; s < last; ++s) {
-    // No delta postings: the whole term map is shared, so every list is.
+    // No delta postings: the whole term table is shared, so every list is.
     EXPECT_EQ((*next)->sharded()->shard(s).lists(),
               base->sharded()->shard(s).lists())
         << "shard " << s;

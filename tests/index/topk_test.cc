@@ -20,8 +20,8 @@ InvertedIndex IndexOf(
     std::unordered_map<wordnet::TermId, std::vector<Posting>> lists) {
   auto shared = std::make_shared<ListMap>();
   for (auto& [term, list] : lists) {
-    shared->emplace(
-        term, std::make_shared<const std::vector<Posting>>(std::move(list)));
+    shared->Set(term,
+                std::make_shared<const std::vector<Posting>>(std::move(list)));
   }
   return InvertedIndex(num_docs, std::move(shared), /*impact_bits=*/8);
 }
@@ -203,8 +203,8 @@ TEST(TopKEarlyTerminationTest, MultiTermSkewAgreesWithFullOnTheSet) {
   // every boundary gap exceeds the worst-case remaining upper bound (four
   // tail cursors at impact <= 3 each), which lets the evaluator stop at its
   // first termination check.
-  constexpr uint32_t kHeavy1[] = {255, 240, 225, 210};
-  constexpr uint32_t kHeavy2[] = {120, 110, 100, 90};
+  constexpr uint8_t kHeavy1[] = {255, 240, 225, 210};
+  constexpr uint8_t kHeavy2[] = {120, 110, 100, 90};
   Rng rng(17);
   std::unordered_map<wordnet::TermId, std::vector<Posting>> lists;
   for (wordnet::TermId t = 0; t < 4; ++t) {
@@ -214,7 +214,7 @@ TEST(TopKEarlyTerminationTest, MultiTermSkewAgreesWithFullOnTheSet) {
     for (corpus::DocId d = 0; d < 800; ++d) {
       list.push_back(Posting{100 + static_cast<corpus::DocId>(
                                  rng.Uniform(2000)),
-                             static_cast<uint32_t>(1 + rng.Uniform(3))});
+                             static_cast<uint8_t>(1 + rng.Uniform(3))});
     }
     // Restore the builder's canonical (impact desc, doc asc) ordering and
     // de-duplicate docs within the list (a doc appears once per list).

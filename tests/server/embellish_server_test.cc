@@ -828,6 +828,56 @@ TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
   EXPECT_EQ(hostile_frame->kind, FrameKind::kError);
 }
 
+TEST_F(EmbellishServerTest, TermIdsPastTheTermTableReadAsUnindexed) {
+  // Clients choose the u32 term ids of PR queries (into Algorithm 4) and of
+  // top-k queries. The term table ends at the corpus's largest term id, and
+  // an id at or past its end, up to 2^32 - 1, must read as unindexed: the
+  // answer is byte-for-byte the answer without it, monolithic and sharded.
+  const wordnet::TermId end =
+      static_cast<wordnet::TermId>(built_.index.lists()->table_size());
+  const std::vector<wordnet::TermId> hostile = {
+      end, end + 1, wordnet::TermId{1} << 31, UINT32_MAX};
+  for (wordnet::TermId t : hostile) {
+    EXPECT_EQ(built_.index.postings(t), nullptr) << t;
+  }
+  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServerOptions shard_options;
+  shard_options.shard_count = 3;
+  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+  const auto genuine = SomeTerms(5, 23);
+  std::vector<wordnet::TermId> widened_terms = genuine;
+  widened_terms.insert(widened_terms.end(), hostile.begin(), hostile.end());
+
+  SessionClient client = MakeClient(1, 301);
+  auto request = client.QueryFrame(genuine);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  auto request_frame = DecodeFrame(*request);
+  ASSERT_TRUE(request_frame.ok());
+  auto query = core::DecodeQuery(request_frame->payload, client.public_key());
+  ASSERT_TRUE(query.ok());
+  core::EmbellishedQuery widened = *query;
+  for (wordnet::TermId t : hostile) {
+    widened.entries.push_back({t, query->entries.front().indicator});
+  }
+  const auto widened_request =
+      EncodeFrame(FrameKind::kQuery, 1,
+                  core::EncodeQuery(widened, client.public_key()));
+
+  for (EmbellishServer* server : {&mono, &sharded}) {
+    EXPECT_EQ(server->HandleFrame(
+                  EncodeFrame(FrameKind::kTopKQuery, 6,
+                              EncodeTopKQuery(10, widened_terms))),
+              server->HandleFrame(EncodeFrame(FrameKind::kTopKQuery, 6,
+                                              EncodeTopKQuery(10, genuine))));
+    server->HandleFrame(client.HelloFrame());
+    const auto answer = server->HandleFrame(*request);
+    EXPECT_EQ(server->HandleFrame(widened_request), answer);
+    auto top = client.DecodeResultFrame(answer, 10);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    EXPECT_FALSE(top->empty());
+  }
+}
+
 TEST_F(EmbellishServerTest, ZeroKTopKOnShardedServerMatchesMonolithic) {
   // k = 0 decodes as a valid request; the sharded server must answer it with
   // the monolithic server's empty result rather than crash in the fan-out.
