@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/cpuinfo.h"
 #include "embellish.h"
@@ -291,6 +293,84 @@ void BM_PirBuildQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PirBuildQuery)->Arg(4)->Arg(24);
+
+// A PR answer shaped like perfbench's (20,000 documents, a 2-term query at
+// bucket size 4): 8 lists with skewed impacts, each adding 68 documents to
+// the candidates (and overlapping earlier lists), so 544 candidates in
+// (bound desc, doc asc) order at a 256-bit key. Each candidate's bound sums
+// all 8 lists' impacts and its score the 2 genuine lists'.
+struct PrAnswer {
+  core::EncryptedResult result;
+  std::vector<uint8_t> bytes;
+};
+
+const PrAnswer& SampleAnswer() {
+  static const PrAnswer* answer = [] {
+    const crypto::BenalohPublicKey& pk = BenalohKeys(256)->public_key();
+    Rng rng(16);
+    std::map<corpus::DocId, std::pair<uint32_t, uint64_t>> docs;
+    for (size_t term = 0; term < 8; ++term) {
+      std::set<corpus::DocId> list;
+      while (docs.size() < 68 * (term + 1)) {
+        const auto doc = static_cast<corpus::DocId>(rng.Uniform(20000));
+        if (!list.insert(doc).second) continue;
+        const auto impact = static_cast<uint32_t>(
+            1 + rng.Uniform(255) * rng.Uniform(255) / 255);
+        auto& [bound, score] = docs[doc];
+        bound += impact;
+        if (term < 2) score += impact;
+      }
+    }
+    auto* out = new PrAnswer;
+    for (const auto& [doc, value] : docs) {
+      out->result.candidates.push_back(
+          {doc, value.first, *pk.Encrypt(value.second, &rng)});
+    }
+    std::sort(out->result.candidates.begin(), out->result.candidates.end(),
+              core::CandidateOrder);
+    out->bytes = core::EncodeResult(out->result, pk);
+    return out;
+  }();
+  return *answer;
+}
+
+void BM_EncodeResult(benchmark::State& state) {
+  const crypto::BenalohPublicKey& pk = BenalohKeys(256)->public_key();
+  const PrAnswer& answer = SampleAnswer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::EncodeResult(answer.result, pk));
+  }
+  state.counters["candidates"] =
+      static_cast<double>(answer.result.candidates.size());
+  state.counters["bytes"] = static_cast<double>(answer.bytes.size());
+}
+BENCHMARK(BM_EncodeResult);
+
+void BM_DecodeResult(benchmark::State& state) {
+  const crypto::BenalohPublicKey& pk = BenalohKeys(256)->public_key();
+  const PrAnswer& answer = SampleAnswer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::DecodeResult(answer.bytes, pk));
+  }
+}
+BENCHMARK(BM_DecodeResult);
+
+// Algorithm 5 on the sample answer at k = 10: the threshold's decryptions.
+void BM_PostFilter(benchmark::State& state) {
+  crypto::BenalohKeyPair* keys = BenalohKeys(256);
+  const PrAnswer& answer = SampleAnswer();
+  auto buckets = core::BucketOrganization::Create({{0, 1, 2, 3}});
+  core::PrivateRetrievalClient client(&*buckets, &keys->public_key(),
+                                      &keys->private_key());
+  core::RetrievalCosts costs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.PostFilter(answer.result, 10, &costs));
+  }
+  state.counters["decryptions"] =
+      benchmark::Counter(static_cast<double>(costs.decryptions),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PostFilter);
 
 void BM_MillerRabinPrimality(benchmark::State& state) {
   Rng rng(13);

@@ -69,7 +69,7 @@ Result<BigInt> BigInt::FromHexString(std::string_view s) {
   return out;
 }
 
-BigInt BigInt::FromBigEndianBytes(const std::vector<uint8_t>& bytes) {
+BigInt BigInt::FromBigEndianBytes(std::span<const uint8_t> bytes) {
   BigInt out;
   size_t n = bytes.size();
   if (n == 0) return out;
@@ -116,17 +116,22 @@ std::vector<uint8_t> BigInt::ToBigEndianBytes() const {
 }
 
 std::vector<uint8_t> BigInt::ToBigEndianBytesPadded(size_t n) const {
-  std::vector<uint8_t> raw = ToBigEndianBytes();
-  assert(raw.size() <= n && "value does not fit in requested width");
-  if (raw.size() > n) {
-    // Defined Release-build fallback: keep the low-order n bytes (the value
-    // mod 2^(8n)) instead of computing an out-of-range iterator below.
-    raw.erase(raw.begin(), raw.begin() + static_cast<long>(raw.size() - n));
-    return raw;
-  }
-  std::vector<uint8_t> out(n, 0);
-  std::copy(raw.begin(), raw.end(), out.begin() + (n - raw.size()));
+  std::vector<uint8_t> out(n);
+  ToBigEndianBytesInto(out.data(), n);
   return out;
+}
+
+void BigInt::ToBigEndianBytesInto(uint8_t* out, size_t n) const {
+  assert((BitLength() + 7) / 8 <= n && "value does not fit in requested width");
+  // Byte pos counts from the least-significant end; bytes past the limbs
+  // are zero. A wider value keeps its low-order n bytes (the value mod
+  // 2^(8n)) in Release builds.
+  for (size_t i = 0; i < n; ++i) {
+    const size_t pos = n - 1 - i;
+    out[i] = pos / 8 < limbs_.size()
+                 ? static_cast<uint8_t>(limbs_[pos / 8] >> (8 * (pos % 8)))
+                 : 0;
+  }
 }
 
 std::string BigInt::ToHexString() const {

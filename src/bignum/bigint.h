@@ -15,6 +15,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,7 +40,7 @@ class BigInt {
   static Result<BigInt> FromHexString(std::string_view s);
 
   /// \brief Builds from big-endian bytes (empty => zero).
-  static BigInt FromBigEndianBytes(const std::vector<uint8_t>& bytes);
+  static BigInt FromBigEndianBytes(std::span<const uint8_t> bytes);
 
   /// \brief Value with only bit `bit` set (i.e. 2^bit).
   static BigInt PowerOfTwo(size_t bit);
@@ -74,6 +75,9 @@ class BigInt {
   ///        is expected to fit in `n` bytes (asserted in Debug); a wider
   ///        value is reduced mod 2^(8n) so the result width always holds.
   std::vector<uint8_t> ToBigEndianBytesPadded(size_t n) const;
+
+  /// \brief ToBigEndianBytesPadded(n), written to `out[0, n)` in place.
+  void ToBigEndianBytesInto(uint8_t* out, size_t n) const;
 
   // -- Arithmetic (value-returning; all operands unsigned) --
 

@@ -1,6 +1,7 @@
 #include "core/pir_retrieval.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <unordered_set>
 
@@ -11,17 +12,63 @@ namespace embellish::core {
 
 namespace {
 
-// Column header: [u32 BE posting count][u8 top impact][u8 Rice parameter k].
-constexpr size_t kColumnHeaderBits = 48;
 constexpr int kMaxRiceParameter = 31;
 
-// The value posting i's Rice code carries: its doc id where an impact run
+// A PIR column: [u32 BE posting count][u8 top impact][u8 Rice parameter k].
+constexpr RiceListFormat kColumnFormat{
+    8, 1, "PIR column", "impact", "postings", "column"};
+
+// The value entry i's Rice code carries: its doc id where a value run
 // starts, else its gap past the previous doc id, less one.
-uint32_t RiceValue(std::span<const index::Posting> postings, size_t i) {
-  if (i == 0 || postings[i].impact != postings[i - 1].impact) {
-    return postings[i].doc;
+uint32_t RiceValue(std::span<const RiceEntry> entries, size_t i) {
+  if (i == 0 || entries[i].value != entries[i - 1].value) {
+    return entries[i].doc;
   }
-  return postings[i].doc - postings[i - 1].doc - 1;
+  return entries[i].doc - entries[i - 1].doc - 1;
+}
+
+// A list's Rice parameter and its size in bits, header included.
+struct RicePlan {
+  int k = 0;
+  uint64_t bits = 0;
+};
+
+RicePlan PlanRiceList(std::span<const RiceEntry> entries,
+                      const RiceListFormat& format) {
+  // Each drop costs drop + 1 bits whatever k is.
+  uint64_t drop_bits = 0;
+  uint64_t value_sum = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    drop_bits += (i == 0 ? 0 : entries[i - 1].value - entries[i].value) + 1;
+    value_sum += RiceValue(entries, i);
+  }
+  // The value codes cost count x (1 + k) bits plus the quotients. Each
+  // step up in k saves a value ceil(quotient / 2) bits, which never grows
+  // with k, so the cost is convex in k: a walk from the mean value's width,
+  // down while no worse and else up while better, ends at the smallest k
+  // with the fewest bits.
+  const uint64_t count = entries.size();
+  const auto value_bits = [&](int c) {
+    uint64_t bits = count * static_cast<uint64_t>(1 + c);
+    for (size_t i = 0; i < count; ++i) bits += RiceValue(entries, i) >> c;
+    return bits;
+  };
+  RicePlan plan;
+  if (count > 0) {
+    const int mean_width = static_cast<int>(std::bit_width(value_sum / count));
+    plan.k = std::max(0, mean_width - 1);
+  }
+  uint64_t best = value_bits(plan.k);
+  for (int step : {-1, 1}) {
+    for (int c = plan.k + step; c >= 0 && c <= kMaxRiceParameter; c += step) {
+      const uint64_t bits = value_bits(c);
+      if (step < 0 ? bits > best : bits >= best) break;
+      plan.k = c;
+      best = bits;
+    }
+  }
+  plan.bits = 32 + format.top_bits + 8 + drop_bits + best;
+  return plan;
 }
 
 // Writes the low `width` bits of `value`, MSB-first, at bit `*pos` of `out`.
@@ -40,8 +87,16 @@ void PutUnary(uint32_t n, size_t* pos, std::vector<uint8_t>* out) {
   ++*pos;
 }
 
+// The first `size` bits of a byte string, MSB-first.
+struct BitSpan {
+  const uint8_t* data;
+  size_t size;
+
+  bool operator[](size_t i) const { return (data[i / 8] >> (7 - i % 8)) & 1; }
+};
+
 // Reads `width` (<= 32) bits MSB-first from bit `*pos` of `bits`.
-uint32_t GetBits(const std::vector<bool>& bits, int width, size_t* pos) {
+uint32_t GetBits(BitSpan bits, int width, size_t* pos) {
   uint32_t value = 0;
   for (int b = 0; b < width; ++b) value = (value << 1) | bits[(*pos)++];
   return value;
@@ -49,14 +104,15 @@ uint32_t GetBits(const std::vector<bool>& bits, int width, size_t* pos) {
 
 // Reads the one-bits before the next zero-bit, consuming both; stops after
 // max + 1 ones, which the caller refuses. Corruption when the run reaches
-// the column's end.
-Result<uint64_t> GetUnary(const std::vector<bool>& bits, uint64_t max,
-                          size_t* pos) {
+// the end of the bits.
+Result<uint64_t> GetUnary(BitSpan bits, uint64_t max,
+                          const RiceListFormat& format, size_t* pos) {
   uint64_t n = 0;
-  while (*pos < bits.size()) {
+  while (*pos < bits.size) {
     if (!bits[(*pos)++] || n++ == max) return n;
   }
-  return Status::Corruption("PIR column unary run reaches the column's end");
+  return Status::Corruption(StringPrintf("%s unary run reaches the %s's end",
+                                         format.name, format.end));
 }
 
 }  // namespace
@@ -173,97 +229,138 @@ Result<PirRetrievalClient> PirRetrievalClient::Create(
   return PirRetrievalClient(buckets, std::move(pir_client));
 }
 
-Result<std::vector<uint8_t>> ColumnBytesFromPostings(
-    std::span<const index::Posting> postings) {
-  // Each drop costs drop + 1 bits whatever k is.
-  uint64_t drop_bits = 0;
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const index::Posting& p = postings[i];
-    if (p.impact == 0) {
-      return Status::InvalidArgument(
-          StringPrintf("PIR column impact 0 at posting %zu", i));
-    }
-    if (i > 0 && !index::PostingOrder(postings[i - 1], p)) {
+Result<std::vector<uint8_t>> EncodeRiceList(std::span<const RiceEntry> entries,
+                                            const RiceListFormat& format) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const RiceEntry& e = entries[i];
+    if (e.value == 0) {
       return Status::InvalidArgument(StringPrintf(
-          "PIR column list leaves strict PostingOrder at posting %zu", i));
+          "%s %s 0 at entry %zu", format.name, format.value, i));
     }
-    drop_bits += (i == 0 ? 0 : postings[i - 1].impact - p.impact) + 1;
+    if (i > 0 && !(entries[i - 1].value > e.value ||
+                   (entries[i - 1].value == e.value &&
+                    entries[i - 1].doc < e.doc))) {
+      return Status::InvalidArgument(
+          StringPrintf("%s leaves strict (%s desc, doc asc) order at entry %zu",
+                       format.name, format.value, i));
+    }
   }
-  // The value codes cost count x (1 + k) bits plus the quotients. That is
-  // convex in k, so the first k whose successor does no better is the
-  // smallest k with the fewest bits.
-  const uint64_t count = postings.size();
-  int k = 0;
-  uint64_t value_bits = UINT64_MAX;
-  for (int c = 0; c <= kMaxRiceParameter; ++c) {
-    uint64_t bits = count * static_cast<uint64_t>(1 + c);
-    for (size_t i = 0; i < count; ++i) bits += RiceValue(postings, i) >> c;
-    if (bits >= value_bits) break;
-    k = c;
-    value_bits = bits;
+  const uint32_t top = entries.empty() ? format.empty_top : entries[0].value;
+  if (format.top_bits < 32 && (top >> format.top_bits) != 0) {
+    return Status::InvalidArgument(StringPrintf(
+        "%s top %s %u exceeds %d bits", format.name, format.value, top,
+        format.top_bits));
   }
 
-  std::vector<uint8_t> out((kColumnHeaderBits + drop_bits + value_bits + 7) / 8,
-                           0);
+  const RicePlan plan = PlanRiceList(entries, format);
+  std::vector<uint8_t> out((plan.bits + 7) / 8, 0);
   size_t pos = 0;
-  PutBits(static_cast<uint32_t>(count), 32, &pos, &out);
-  PutBits(postings.empty() ? 1 : postings.front().impact, 8, &pos, &out);
-  PutBits(static_cast<uint32_t>(k), 8, &pos, &out);
-  for (size_t i = 0; i < count; ++i) {
-    PutUnary(i == 0 ? 0 : postings[i - 1].impact - postings[i].impact, &pos,
-             &out);
-    const uint32_t value = RiceValue(postings, i);
-    PutUnary(value >> k, &pos, &out);
-    PutBits(value, k, &pos, &out);
+  PutBits(static_cast<uint32_t>(entries.size()), 32, &pos, &out);
+  PutBits(top, format.top_bits, &pos, &out);
+  PutBits(static_cast<uint32_t>(plan.k), 8, &pos, &out);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    PutUnary(i == 0 ? 0 : entries[i - 1].value - entries[i].value, &pos, &out);
+    const uint32_t value = RiceValue(entries, i);
+    PutUnary(value >> plan.k, &pos, &out);
+    PutBits(value, plan.k, &pos, &out);
   }
   return out;
 }
 
-Result<std::vector<index::Posting>> PostingsFromColumnBits(
-    const std::vector<bool>& bits) {
-  if (bits.size() < kColumnHeaderBits) {
-    return Status::Corruption("PIR column shorter than its 6-byte header");
+size_t RiceListBytes(std::span<const RiceEntry> entries,
+                     const RiceListFormat& format) {
+  return (PlanRiceList(entries, format).bits + 7) / 8;
+}
+
+Result<std::vector<RiceEntry>> DecodeRiceList(std::span<const uint8_t> bytes,
+                                              size_t bit_count,
+                                              const RiceListFormat& format,
+                                              size_t* end_bit) {
+  const BitSpan bits{bytes.data(), std::min(bit_count, 8 * bytes.size())};
+  const size_t header_bits = 32 + static_cast<size_t>(format.top_bits) + 8;
+  if (bits.size < header_bits) {
+    return Status::Corruption(
+        StringPrintf("%s shorter than its %zu-byte header", format.name,
+                     header_bits / 8));
   }
   size_t pos = 0;
   const uint32_t count = GetBits(bits, 32, &pos);
-  uint32_t impact = GetBits(bits, 8, &pos);
+  uint32_t value = GetBits(bits, format.top_bits, &pos);
   const int k = static_cast<int>(GetBits(bits, 8, &pos));
-  if (impact == 0) return Status::Corruption("PIR column top impact is 0");
-  if (k > kMaxRiceParameter) {
+  if (value == 0 && (count > 0 || format.empty_top != 0)) {
     return Status::Corruption(
-        StringPrintf("PIR column Rice parameter %d out of [0, 31]", k));
+        StringPrintf("%s top %s is 0", format.name, format.value));
   }
-  // Each posting takes at least its two unary zero-bits and k remainder
+  if (count == 0 && value != format.empty_top) {
+    return Status::Corruption(StringPrintf("%s top %s %u with no %s",
+                                           format.name, format.value, value,
+                                           format.entries));
+  }
+  if (k > kMaxRiceParameter) {
+    return Status::Corruption(StringPrintf(
+        "%s Rice parameter %d out of [0, 31]", format.name, k));
+  }
+  // Each entry takes at least its two unary zero-bits and k remainder
   // bits. In 64 bits, so a hostile count cannot wrap past the check.
-  if (uint64_t{count} * static_cast<uint64_t>(2 + k) > bits.size() - pos) {
-    return Status::Corruption("PIR column postings exceed its payload");
+  if (uint64_t{count} * static_cast<uint64_t>(2 + k) > bits.size - pos) {
+    return Status::Corruption(
+        StringPrintf("%s %s exceed its payload", format.name, format.entries));
   }
   const uint64_t max_quotient = uint64_t{UINT32_MAX} >> k;
-  std::vector<index::Posting> postings;
-  postings.reserve(count);
+  std::vector<RiceEntry> entries;
+  entries.reserve(count);
   uint64_t doc = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    EMB_ASSIGN_OR_RETURN(uint64_t drop, GetUnary(bits, impact - 1, &pos));
-    if (drop >= impact) {
-      return Status::Corruption("PIR column impact drops below 1");
+    EMB_ASSIGN_OR_RETURN(uint64_t drop,
+                         GetUnary(bits, value - 1, format, &pos));
+    if (drop >= value) {
+      return Status::Corruption(
+          StringPrintf("%s %s drops below 1", format.name, format.value));
     }
     EMB_ASSIGN_OR_RETURN(uint64_t quotient,
-                         GetUnary(bits, max_quotient, &pos));
+                         GetUnary(bits, max_quotient, format, &pos));
     if (quotient > max_quotient) {
-      return Status::Corruption("PIR column value passes 2^32 - 1");
+      return Status::Corruption(
+          StringPrintf("%s value passes 2^32 - 1", format.name));
     }
-    if (bits.size() - pos < static_cast<size_t>(k)) {
-      return Status::Corruption("PIR column remainder cut short");
+    if (bits.size - pos < static_cast<size_t>(k)) {
+      return Status::Corruption(
+          StringPrintf("%s remainder cut short", format.name));
     }
-    const uint64_t value = (quotient << k) | GetBits(bits, k, &pos);
-    doc = (i == 0 || drop > 0) ? value : doc + 1 + value;
+    const uint64_t rice = (quotient << k) | GetBits(bits, k, &pos);
+    doc = (i == 0 || drop > 0) ? rice : doc + 1 + rice;
     if (doc > UINT32_MAX) {
-      return Status::Corruption("PIR column doc id passes 2^32 - 1");
+      return Status::Corruption(
+          StringPrintf("%s doc id passes 2^32 - 1", format.name));
     }
-    impact -= static_cast<uint32_t>(drop);
-    // The top impact is an 8-bit field and only drops, so it fits the byte.
-    postings.push_back(
-        {static_cast<uint32_t>(doc), static_cast<uint8_t>(impact)});
+    value -= static_cast<uint32_t>(drop);
+    entries.push_back({value, static_cast<uint32_t>(doc)});
+  }
+  if (end_bit != nullptr) *end_bit = pos;
+  return entries;
+}
+
+Result<std::vector<uint8_t>> ColumnBytesFromPostings(
+    std::span<const index::Posting> postings) {
+  std::vector<RiceEntry> entries;
+  entries.reserve(postings.size());
+  for (const index::Posting& p : postings) entries.push_back({p.impact, p.doc});
+  return EncodeRiceList(entries, kColumnFormat);
+}
+
+Result<std::vector<index::Posting>> PostingsFromColumnBits(
+    const std::vector<bool>& bits) {
+  std::vector<uint8_t> packed((bits.size() + 7) / 8, 0);
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) packed[i / 8] |= static_cast<uint8_t>(0x80u >> (i % 8));
+  }
+  EMB_ASSIGN_OR_RETURN(std::vector<RiceEntry> entries,
+                       DecodeRiceList(packed, bits.size(), kColumnFormat));
+  std::vector<index::Posting> postings;
+  postings.reserve(entries.size());
+  // The top impact is an 8-bit field and only drops, so it fits the byte.
+  for (const RiceEntry& e : entries) {
+    postings.push_back({e.doc, static_cast<uint8_t>(e.value)});
   }
   return postings;
 }

@@ -21,6 +21,12 @@
 // count, 8 x its largest encoded column, depends on that bucket's lists
 // alone; the count and k travel inside the column, where only the client
 // decodes them.
+//
+// This module also owns that list codec, a "Rice list": any list of
+// (value, doc) entries in strict (value desc, doc asc) order, behind a
+// header [u32 count][top value][u8 k]. A PIR column is a Rice list of
+// (impact, doc) with an 8-bit top value; a PR answer (core/wire_format)
+// carries its candidates as a Rice list of (bound, doc) with a 32-bit one.
 
 #ifndef EMBELLISH_CORE_PIR_RETRIEVAL_H_
 #define EMBELLISH_CORE_PIR_RETRIEVAL_H_
@@ -139,6 +145,54 @@ class PirRetrievalClient {
   crypto::PirClient pir_client_;
 };
 
+/// \brief One entry of a Rice list: a posting's impact and doc id in a PIR
+///        column, a candidate's bound and doc id in a PR answer.
+struct RiceEntry {
+  uint32_t value = 0;
+  uint32_t doc = 0;
+};
+
+/// \brief One Rice list layout: the width of its header's top value, the
+///        top value an empty list carries, and the words its codec's
+///        messages use ("PIR column", "impact", "postings", "column").
+struct RiceListFormat {
+  int top_bits;
+  uint32_t empty_top;
+  const char* name;
+  const char* value;
+  const char* entries;
+  const char* end;  ///< what a unary run must not reach the end of
+};
+
+/// \brief Encodes `entries` as a Rice list: the header, then every entry as
+///        a unary value drop and a Rice-coded value, zero-filled to a byte
+///        boundary. InvalidArgument unless the entries are in strict (value
+///        desc, doc asc) order, every value is at least 1 and the first fits
+///        the top field.
+Result<std::vector<uint8_t>> EncodeRiceList(std::span<const RiceEntry> entries,
+                                            const RiceListFormat& format);
+
+/// \brief The bytes EncodeRiceList gives `entries`, which must be valid for
+///        it.
+size_t RiceListBytes(std::span<const RiceEntry> entries,
+                     const RiceListFormat& format);
+
+/// \brief Decodes a Rice list from the first `bit_count` bits of `bytes`
+///        (MSB-first); bits past the last entry are left unread, and
+///        `*end_bit`, when non-null, is set to the first of them. Corruption
+///        when the bits are shorter than the header; the top value is 0
+///        while there are entries or the format's empty top is not 0; an
+///        empty list's top is not the format's empty top; k exceeds 31;
+///        count x (2 + k) bits exceed the bits after the header (counted in
+///        64 bits, before anything is allocated); a unary run reaches the
+///        end; a drop takes the value below 1; a value or doc id passes
+///        2^32 - 1; or a remainder is cut short. The messages use the
+///        format's words, e.g. "PIR column impact drops below 1".
+Result<std::vector<RiceEntry>> DecodeRiceList(std::span<const uint8_t> bytes,
+                                              size_t bit_count,
+                                              const RiceListFormat& format,
+                                              size_t* end_bit = nullptr);
+
 /// \brief Encodes one inverted list as a PIR column in the layout above,
 ///        zero-filled only to a byte boundary (the bucket matrix pads it).
 ///        InvalidArgument unless the list is strictly in index::PostingOrder
@@ -148,12 +202,8 @@ Result<std::vector<uint8_t>> ColumnBytesFromPostings(
 
 /// \brief Parses one decoded PIR column (the bit vector a protocol execution
 ///        retrieves, padding included) into postings, in stored order: the
-///        inverse of ColumnBytesFromPostings. Corruption when the column is
-///        shorter than its header, the top impact is 0 or k exceeds 31, the
-///        count cannot fit the bits after the header, a unary run reaches
-///        the column's end, a drop takes the impact below 1, a value or doc
-///        id passes 2^32 - 1, or a remainder is cut short. Shared by every
-///        PIR retrieval path.
+///        inverse of ColumnBytesFromPostings. Corruption as DecodeRiceList
+///        gives it. Shared by every PIR retrieval path.
 Result<std::vector<index::Posting>> PostingsFromColumnBits(
     const std::vector<bool>& bits);
 

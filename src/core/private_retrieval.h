@@ -8,6 +8,15 @@
 // every list is touched identically — the engine cannot tell which terms
 // mattered (Claim 1 guarantees the final ranking equals a plaintext engine's
 // ranking over the genuine terms alone).
+//
+// Next to E(score_j) the server sums the plaintext impacts of *all* the
+// query's terms per document: B_j = sum_i p_ij, an upper bound on the
+// genuine score, computed from the embellished term set and the index, both
+// of which the server holds. It sends the candidates in (B_j desc, doc asc)
+// order with their bounds, and Algorithm 5 runs the threshold algorithm of
+// Fagin, Lotem and Naor (PODS 2001) over that one list: it decrypts in
+// order and stops once its k-th (score, doc) beats the next candidate's
+// (bound, doc), which returns exactly full decryption's top k.
 
 #ifndef EMBELLISH_CORE_PRIVATE_RETRIEVAL_H_
 #define EMBELLISH_CORE_PRIVATE_RETRIEVAL_H_
@@ -32,24 +41,39 @@ struct RetrievalCosts {
   uint64_t uplink_bytes = 0;        ///< user -> server
   uint64_t downlink_bytes = 0;      ///< server -> user (the paper's Traffic)
   double user_cpu_ms = 0.0;         ///< query formulation + post filtering
+  uint64_t decryptions = 0;         ///< scores Algorithm 5 decrypted
 
   void Add(const RetrievalCosts& other);
 };
 
-/// \brief One candidate document with its encrypted relevance score.
+/// \brief One candidate document with the plaintext upper bound B_d on its
+///        relevance score, and that score encrypted.
 struct EncryptedCandidate {
   corpus::DocId doc;
+  uint32_t bound;
   crypto::BenalohCiphertext score;
 };
 
-/// \brief The candidate set R returned by Algorithm 4.
+/// \brief The order of Algorithm 4's candidates: bound descending, then doc
+///        id ascending.
+inline bool CandidateOrder(const EncryptedCandidate& a,
+                           const EncryptedCandidate& b) {
+  return a.bound != b.bound ? a.bound > b.bound : a.doc < b.doc;
+}
+
+/// \brief Sorts `candidates` into CandidateOrder: a radix sort of a packed
+///        (bound, doc) key per candidate, then one move per candidate. On a
+///        544-candidate answer it costs a fraction of a comparison sort of
+///        the candidates, which mispredicts a branch on every other step.
+void SortCandidates(std::vector<EncryptedCandidate>* candidates);
+
+/// \brief The candidate set R returned by Algorithm 4, in CandidateOrder.
 struct EncryptedResult {
   std::vector<EncryptedCandidate> candidates;
 
-  /// \brief Downlink wire size: 4-byte doc id + ciphertext per candidate.
-  size_t WireBytes(const crypto::BenalohPublicKey& pk) const {
-    return candidates.size() * (4 + pk.CiphertextBytes());
-  }
+  /// \brief Downlink wire size: the bytes core::EncodeResult gives this
+  ///        result (defined in core/wire_format.cc, with the layout).
+  size_t WireBytes(const crypto::BenalohPublicKey& pk) const;
 };
 
 /// \brief Algorithm 4 execution options.
@@ -82,8 +106,11 @@ class PrivateRetrievalServer {
       const PrivateRetrievalServerOptions& options = {},
       ThreadPool* pool = nullptr);
 
-  /// \brief Processes an embellished query; charges I/O and CPU to `costs`
-  ///        (which may be null).
+  /// \brief Processes an embellished query into candidates in
+  ///        CandidateOrder; charges I/O, CPU and downlink to `costs` (which
+  ///        may be null). A bound past 2^32 - 1 is clamped to it, and a
+  ///        document whose postings all carry impact 0 (bound 0) cannot
+  ///        score and is left out.
   Result<EncryptedResult> Process(const EmbellishedQuery& query,
                                   const crypto::BenalohPublicKey& pk,
                                   RetrievalCosts* costs) const;
@@ -113,8 +140,12 @@ class PrivateRetrievalClient {
       const std::vector<wordnet::TermId>& genuine_terms, Rng* rng,
       RetrievalCosts* costs) const;
 
-  /// \brief Algorithm 5: decrypt scores, rank, return the top `k`
-  ///        (score > 0 only). Charges decryption time and downlink.
+  /// \brief Algorithm 5 as a threshold algorithm: decrypts `result`'s
+  ///        candidates in order until none left can enter the top `k`, and
+  ///        returns the top `k` with score > 0, in index::SortByScore order:
+  ///        exactly what decrypting every candidate would return. Charges
+  ///        decryption time and count. Corruption when the candidates leave
+  ///        strict (bound desc, doc asc) order or a score exceeds its bound.
   Result<std::vector<index::ScoredDoc>> PostFilter(
       const EncryptedResult& result, size_t k, RetrievalCosts* costs) const;
 

@@ -46,12 +46,10 @@ EncryptedResult MergeShardResults(std::vector<EncryptedResult> per_shard) {
                              std::make_move_iterator(p.candidates.begin()),
                              std::make_move_iterator(p.candidates.end()));
   }
-  // Documents are shard-disjoint, so re-sorting by doc id restores exactly
-  // the canonical order the monolithic server emits.
-  std::sort(merged.candidates.begin(), merged.candidates.end(),
-            [](const EncryptedCandidate& a, const EncryptedCandidate& b) {
-              return a.doc < b.doc;
-            });
+  // Documents are shard-disjoint and each shard sums a document's whole
+  // bound, so re-sorting by (bound, doc) restores exactly the order the
+  // monolithic server emits.
+  SortCandidates(&merged.candidates);
   return merged;
 }
 

@@ -6,9 +6,10 @@
 //
 //   PR (Algorithm 4): every posting of a document lives in exactly one
 //   shard, so the shard computes the document's complete encrypted
-//   accumulator. Modular multiplication is commutative, so the residues are
-//   bit-identical to the monolithic evaluation; merging is concatenation
-//   re-sorted into the canonical doc-id order.
+//   accumulator and its complete bound. Modular multiplication is
+//   commutative, so the residues are bit-identical to the monolithic
+//   evaluation; merging is concatenation re-sorted into the canonical
+//   (bound desc, doc asc) order.
 //
 //   PIR: all shards share the bucket organization, so one client query (one
 //   residue per bucket column) is valid against every shard's (shorter)
@@ -40,11 +41,12 @@ std::vector<storage::StorageLayout> BuildShardLayouts(
     const storage::DiskModelOptions& disk_options = {});
 
 /// \brief Merges per-shard Algorithm 4 partial results into the monolithic
-///        encrypted result: concatenate and re-sort by doc id (documents are
-///        shard-disjoint, so the canonical order is restored exactly and the
-///        merged candidate set is bit-identical to the monolithic
-///        evaluation). Shared by ShardedPrivateRetrievalServer and the
-///        remote-shard coordinator. `per_shard` must be in shard order.
+///        encrypted result: concatenate and re-sort by CandidateOrder
+///        (documents are shard-disjoint and each shard's bounds are whole,
+///        so the canonical order is restored exactly and the merged
+///        candidate set is bit-identical to the monolithic evaluation).
+///        Shared by ShardedPrivateRetrievalServer and the remote-shard
+///        coordinator. `per_shard` must be in shard order.
 EncryptedResult MergeShardResults(std::vector<EncryptedResult> per_shard);
 
 /// \brief Search-engine side of the PR scheme over shards.

@@ -1,46 +1,59 @@
 #include "core/wire_format.h"
 
-#include <cassert>
-
 #include "common/endian.h"
 #include "common/strings.h"
+#include "core/pir_retrieval.h"
 
 namespace embellish::core {
 
 namespace {
 
-// Shared frame: [u32 count] + count x ([u32 id][key_bytes ciphertext]).
-template <typename Entry, typename GetId, typename GetCipher>
-std::vector<uint8_t> EncodeFrame(const std::vector<Entry>& entries,
-                                 const crypto::BenalohPublicKey& pk,
-                                 GetId get_id, GetCipher get_cipher) {
-  const size_t key_bytes = pk.CiphertextBytes();
+// A PR answer's candidate list: [u32 count][u32 top bound][u8 Rice k] and
+// the (bound, doc) stream.
+constexpr RiceListFormat kResultFormat{
+    32, 0, "PR result", "bound", "candidates", "stream"};
+constexpr size_t kResultHeaderBytes = (32 + kResultFormat.top_bits + 8) / 8;
+
+// Appends `c` in exactly key_bytes, big-endian and zero-padded, so a short
+// value cannot shift every later ciphertext.
+void AppendCiphertext(const crypto::BenalohPublicKey& pk,
+                      const crypto::BenalohCiphertext& c,
+                      std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + pk.CiphertextBytes());
+  pk.SerializeInto(c, out->data() + at);
+}
+
+Result<crypto::BenalohCiphertext> ReadCiphertext(
+    const crypto::BenalohPublicKey& pk, const uint8_t* p) {
+  return pk.Deserialize(std::span<const uint8_t>(p, pk.CiphertextBytes()));
+}
+
+std::vector<RiceEntry> ResultEntries(const EncryptedResult& result) {
+  std::vector<RiceEntry> entries;
+  entries.reserve(result.candidates.size());
+  for (const EncryptedCandidate& c : result.candidates) {
+    entries.push_back({c.bound, static_cast<uint32_t>(c.doc)});
+  }
+  return entries;
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeQuery(const EmbellishedQuery& query,
+                                 const crypto::BenalohPublicKey& pk) {
   std::vector<uint8_t> out;
-  out.reserve(4 + entries.size() * (4 + key_bytes));
-  PutU32(&out, static_cast<uint32_t>(entries.size()));
-  for (const Entry& e : entries) {
-    PutU32(&out, get_id(e));
-    std::vector<uint8_t> c = pk.Serialize(get_cipher(e));
-    // Every entry must occupy exactly key_bytes on the wire — a short
-    // serialization would silently shift every later entry, so pad with
-    // leading zeros (big-endian). Oversize cannot occur: Serialize's
-    // ToBigEndianBytesPadded clamps to the requested width.
-    assert(c.size() == key_bytes && "Serialize must emit CiphertextBytes()");
-    if (c.size() < key_bytes) {
-      out.insert(out.end(), key_bytes - c.size(), 0);
-    }
-    out.insert(out.end(), c.begin(), c.end());
+  out.reserve(4 + query.entries.size() * (4 + pk.CiphertextBytes()));
+  PutU32(&out, static_cast<uint32_t>(query.entries.size()));
+  for (const EmbellishedTerm& e : query.entries) {
+    PutU32(&out, static_cast<uint32_t>(e.term));
+    AppendCiphertext(pk, e.indicator, &out);
   }
   return out;
 }
 
-struct FrameEntry {
-  uint32_t id;
-  crypto::BenalohCiphertext ciphertext;
-};
-
-Result<std::vector<FrameEntry>> DecodeFrame(
-    const std::vector<uint8_t>& bytes, const crypto::BenalohPublicKey& pk) {
+Result<EmbellishedQuery> DecodeQuery(const std::vector<uint8_t>& bytes,
+                                     const crypto::BenalohPublicKey& pk) {
   const size_t key_bytes = pk.CiphertextBytes();
   if (bytes.size() < 4) {
     return Status::Corruption("frame shorter than its header");
@@ -62,63 +75,73 @@ Result<std::vector<FrameEntry>> DecodeFrame(
         StringPrintf("frame size %zu != expected %zu for %u entries",
                      bytes.size(), expected, count));
   }
-  std::vector<FrameEntry> entries;
-  entries.reserve(count);
+  EmbellishedQuery query;
+  query.entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     const uint8_t* p = bytes.data() + 4 + i * entry_size;
-    FrameEntry entry;
-    entry.id = GetU32(p);
-    std::vector<uint8_t> cipher_bytes(p + 4, p + 4 + key_bytes);
-    EMB_ASSIGN_OR_RETURN(entry.ciphertext, pk.Deserialize(cipher_bytes));
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeQuery(const EmbellishedQuery& query,
-                                 const crypto::BenalohPublicKey& pk) {
-  return EncodeFrame(
-      query.entries, pk,
-      [](const EmbellishedTerm& e) { return static_cast<uint32_t>(e.term); },
-      [](const EmbellishedTerm& e) { return e.indicator; });
-}
-
-Result<EmbellishedQuery> DecodeQuery(const std::vector<uint8_t>& bytes,
-                                     const crypto::BenalohPublicKey& pk) {
-  EMB_ASSIGN_OR_RETURN(std::vector<FrameEntry> entries,
-                       DecodeFrame(bytes, pk));
-  EmbellishedQuery query;
-  query.entries.reserve(entries.size());
-  for (FrameEntry& e : entries) {
-    query.entries.push_back(
-        EmbellishedTerm{static_cast<wordnet::TermId>(e.id),
-                        std::move(e.ciphertext)});
+    EMB_ASSIGN_OR_RETURN(crypto::BenalohCiphertext indicator,
+                         ReadCiphertext(pk, p + 4));
+    query.entries.push_back(EmbellishedTerm{
+        static_cast<wordnet::TermId>(GetU32(p)), std::move(indicator)});
   }
   return query;
 }
 
 std::vector<uint8_t> EncodeResult(const EncryptedResult& result,
                                   const crypto::BenalohPublicKey& pk) {
-  return EncodeFrame(
-      result.candidates, pk,
-      [](const EncryptedCandidate& c) { return static_cast<uint32_t>(c.doc); },
-      [](const EncryptedCandidate& c) { return c.score; });
+  auto list = EncodeRiceList(ResultEntries(result), kResultFormat);
+  if (!list.ok()) return {};
+  std::vector<uint8_t> out = std::move(*list);
+  out.reserve(out.size() + result.candidates.size() * pk.CiphertextBytes());
+  for (const EncryptedCandidate& c : result.candidates) {
+    AppendCiphertext(pk, c.score, &out);
+  }
+  return out;
 }
 
 Result<EncryptedResult> DecodeResult(const std::vector<uint8_t>& bytes,
                                      const crypto::BenalohPublicKey& pk) {
-  EMB_ASSIGN_OR_RETURN(std::vector<FrameEntry> entries,
-                       DecodeFrame(bytes, pk));
+  // The ciphertexts fill the payload's tail, so the count fixes where the
+  // (bound, doc) stream must end. In 64 bits, so a hostile count cannot wrap.
+  const bool has_header = bytes.size() >= kResultHeaderBytes;
+  const uint64_t key_bytes = pk.CiphertextBytes();
+  const uint64_t cipher_bytes =
+      has_header ? uint64_t{GetU32(bytes.data())} * key_bytes : 0;
+  if (has_header && cipher_bytes > bytes.size() - kResultHeaderBytes) {
+    return Status::Corruption("PR result candidates exceed its payload");
+  }
+  const size_t list_bytes = bytes.size() - static_cast<size_t>(cipher_bytes);
+  size_t end_bit = 0;
+  EMB_ASSIGN_OR_RETURN(
+      std::vector<RiceEntry> entries,
+      DecodeRiceList(std::span<const uint8_t>(bytes.data(), list_bytes),
+                     8 * list_bytes, kResultFormat, &end_bit));
+  if (end_bit % 8 != 0 && (bytes[end_bit / 8] & (0xFFu >> (end_bit % 8)))) {
+    return Status::Corruption("PR result padding bits are not zero");
+  }
+  const size_t stream_bytes = (end_bit + 7) / 8;
+  if (stream_bytes != list_bytes) {
+    return Status::Corruption(StringPrintf(
+        "PR result size %zu != %zu for its stream and %zu candidates",
+        bytes.size(), stream_bytes + static_cast<size_t>(cipher_bytes),
+        entries.size()));
+  }
   EncryptedResult result;
   result.candidates.reserve(entries.size());
-  for (FrameEntry& e : entries) {
-    result.candidates.push_back(
-        EncryptedCandidate{static_cast<corpus::DocId>(e.id),
-                           std::move(e.ciphertext)});
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EMB_ASSIGN_OR_RETURN(
+        crypto::BenalohCiphertext score,
+        ReadCiphertext(pk, bytes.data() + list_bytes + i * key_bytes));
+    result.candidates.push_back(EncryptedCandidate{
+        static_cast<corpus::DocId>(entries[i].doc), entries[i].value,
+        std::move(score)});
   }
   return result;
+}
+
+size_t EncryptedResult::WireBytes(const crypto::BenalohPublicKey& pk) const {
+  return RiceListBytes(ResultEntries(*this), kResultFormat) +
+         candidates.size() * pk.CiphertextBytes();
 }
 
 }  // namespace embellish::core

@@ -142,8 +142,13 @@ std::vector<uint8_t> BenalohPublicKey::Serialize(
   return c.value.ToBigEndianBytesPadded(CiphertextBytes());
 }
 
+void BenalohPublicKey::SerializeInto(const BenalohCiphertext& c,
+                                     uint8_t* out) const {
+  c.value.ToBigEndianBytesInto(out, CiphertextBytes());
+}
+
 Result<BenalohCiphertext> BenalohPublicKey::Deserialize(
-    const std::vector<uint8_t>& bytes) const {
+    std::span<const uint8_t> bytes) const {
   if (bytes.size() != CiphertextBytes()) {
     return Status::Corruption("ciphertext wire size mismatch");
   }

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -92,7 +93,10 @@ class BenalohPublicKey {
 
   /// \brief Fixed-width serialization, for traffic accounting.
   std::vector<uint8_t> Serialize(const BenalohCiphertext& c) const;
-  Result<BenalohCiphertext> Deserialize(const std::vector<uint8_t>& bytes) const;
+  Result<BenalohCiphertext> Deserialize(std::span<const uint8_t> bytes) const;
+
+  /// \brief Serialize(c), written to `out[0, CiphertextBytes())` in place.
+  void SerializeInto(const BenalohCiphertext& c, uint8_t* out) const;
 
  private:
   bignum::BigInt n_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/answer_path.h"
+#include "common/strings.h"
 #include "core/sharded_retrieval.h"
 #include "index/topk.h"
 
@@ -216,6 +217,15 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
         "catalog built with IndexCatalog::Create");
   }
   if (docs.empty()) return Acquire();
+  for (size_t d = 0; d < docs.size(); ++d) {
+    for (wordnet::TermId token : docs[d].tokens) {
+      if (!buckets_->Contains(token)) {
+        return Status::InvalidArgument(StringPrintf(
+            "delta document %zu token %u is not in the bucket organization",
+            d, token));
+      }
+    }
+  }
 
   // Serialize against other builders; readers (Acquire) never wait here.
   std::lock_guard<std::mutex> build_lock(build_mu_);

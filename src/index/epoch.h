@@ -216,7 +216,10 @@ class IndexCatalog {
   ///        scored under the frozen statistics, merged per shard against
   ///        the pinned base, layouts rebuilt, snapshot installed. Blocks
   ///        the *calling* thread for the build; readers never block.
-  ///        Returns the installed snapshot.
+  ///        Returns the installed snapshot. InvalidArgument, before any
+  ///        scoring or copying, when a token is not a term of the
+  ///        catalog's bucket organization: the dense term tables grow to
+  ///        the largest id + 1 slots, and every later delta copies them.
   Result<std::shared_ptr<const IndexEpoch>> ApplyDelta(
       std::vector<corpus::Document> docs);
 

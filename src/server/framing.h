@@ -39,10 +39,12 @@
 namespace embellish::server {
 
 inline constexpr uint32_t kFrameMagic = 0x454D4251;  // "EMBQ"
-// Version 3: PIR columns are impact-ordered and Rice-coded
-// (core/pir_retrieval); a version-2 peer would read the top impact and the
-// Rice parameter as bit widths and decode wrong postings without an error.
-inline constexpr uint8_t kProtocolVersion = 3;
+// Version 4: PR results carry their candidates in (bound desc, doc asc)
+// order as a Rice-coded (bound, doc) stream ahead of the ciphertexts
+// (core/wire_format); a version-3 peer would read the top bound and stream
+// as doc ids and ciphertexts. Version 3 made PIR columns impact-ordered and
+// Rice-coded (core/pir_retrieval).
+inline constexpr uint8_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 /// \brief Upper bound on each big-integer field of a hello payload (64 kbit

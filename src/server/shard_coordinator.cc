@@ -893,11 +893,11 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
       return ErrorFrame(frame.session_id, decode_failure);
     }
 
-    // The PR 3 merge: shard-disjoint documents re-sorted into canonical
-    // order, bit-identical to the in-process sharded server's response.
-    // With missing slices the same merge over the survivors is still exact
-    // over the surviving documents — disjointness means a dead slice
-    // removes documents, it cannot corrupt the rest.
+    // The shard merge: shard-disjoint documents re-sorted into canonical
+    // (bound, doc) order, bit-identical to the in-process sharded server's
+    // response. With missing slices the same merge over the survivors is
+    // still exact over the surviving documents — disjointness means a dead
+    // slice removes documents, it cannot corrupt the rest.
     core::EncryptedResult merged =
         core::MergeShardResults(std::move(partial));
     Count(&AtomicStats::queries);

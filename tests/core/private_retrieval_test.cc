@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "index/builder.h"
 #include "testutil.h"
 
@@ -232,12 +234,13 @@ TEST(PrivateRetrievalClientTest, PooledClientMatchesSerialClient) {
 TEST(PrivateRetrievalClientTest, PostFilterDropsZeroScores) {
   Pipeline p(4, 77);
   Rng rng(104);
-  // Construct an encrypted result of two candidates: score 7 and score 0.
+  // Construct an encrypted result of two candidates: score 7 and score 0,
+  // each under a bound it does not exceed, in (bound desc, doc asc) order.
   EncryptedResult result;
   auto c7 = p.keys->public_key().Encrypt(7, &rng);
   auto c0 = p.keys->public_key().Encrypt(0, &rng);
-  result.candidates.push_back({0, *c7});
-  result.candidates.push_back({1, *c0});
+  result.candidates.push_back({0, 9, *c7});
+  result.candidates.push_back({1, 4, *c0});
   RetrievalCosts costs;
   auto ranked = p.client->PostFilter(result, 10, &costs);
   ASSERT_TRUE(ranked.ok());
@@ -249,10 +252,12 @@ TEST(PrivateRetrievalClientTest, PostFilterDropsZeroScores) {
 TEST(PrivateRetrievalClientTest, PostFilterRespectsK) {
   Pipeline p(4, 78);
   Rng rng(105);
+  // Doc i scores 10 + i under the bound 19 for all: no candidate can be
+  // passed over, so all ten are decrypted.
   EncryptedResult result;
   for (uint64_t i = 0; i < 10; ++i) {
     auto c = p.keys->public_key().Encrypt(10 + i, &rng);
-    result.candidates.push_back({static_cast<corpus::DocId>(i), *c});
+    result.candidates.push_back({static_cast<corpus::DocId>(i), 19, *c});
   }
   RetrievalCosts costs;
   auto ranked = p.client->PostFilter(result, 3, &costs);
@@ -260,6 +265,7 @@ TEST(PrivateRetrievalClientTest, PostFilterRespectsK) {
   ASSERT_EQ(ranked->size(), 3u);
   EXPECT_EQ((*ranked)[0].score, 19u);  // highest first
   EXPECT_EQ((*ranked)[2].score, 17u);
+  EXPECT_EQ(costs.decryptions, 10u);
 }
 
 TEST(PrivateRetrievalClientTest, TamperedScoreSurfacesAsError) {
@@ -267,9 +273,143 @@ TEST(PrivateRetrievalClientTest, TamperedScoreSurfacesAsError) {
   EncryptedResult result;
   // A ciphertext outside Z*_n.
   result.candidates.push_back(
-      {0, crypto::BenalohCiphertext{p.keys->public_key().n()}});
+      {0, 1, crypto::BenalohCiphertext{p.keys->public_key().n()}});
   RetrievalCosts costs;
   EXPECT_FALSE(p.client->PostFilter(result, 10, &costs).ok());
+}
+
+TEST(PrivateRetrievalClientTest, ScoreAboveItsBoundIsCorruption) {
+  // A bound below the true score is undetectable when the threshold stops
+  // before that candidate; a decrypted score above its own bound is not.
+  Pipeline p(4, 82);
+  Rng rng(108);
+  EncryptedResult result;
+  result.candidates.push_back({3, 6, *p.keys->public_key().Encrypt(7, &rng)});
+  auto ranked = p.client->PostFilter(result, 10, nullptr);
+  ASSERT_FALSE(ranked.ok());
+  EXPECT_TRUE(ranked.status().IsCorruption());
+  EXPECT_EQ(ranked.status().message(),
+            "PR candidate 3 decrypts to score 7 above its bound 6");
+}
+
+TEST(PrivateRetrievalClientTest, CandidatesOutOfOrderAreCorruption) {
+  Pipeline p(4, 83);
+  Rng rng(109);
+  const crypto::BenalohCiphertext c = *p.keys->public_key().Encrypt(1, &rng);
+  // A bound that rises, a doc that falls within a bound run, a repeat.
+  const std::vector<std::vector<EncryptedCandidate>> refused = {
+      {{0, 3, c}, {1, 5, c}}, {{1, 5, c}, {0, 5, c}}, {{1, 5, c}, {1, 5, c}}};
+  for (const auto& candidates : refused) {
+    auto ranked =
+        p.client->PostFilter(EncryptedResult{candidates}, 10, nullptr);
+    ASSERT_FALSE(ranked.ok());
+    EXPECT_EQ(ranked.status().message(),
+              "PR candidates leave (bound desc, doc asc) order at 1");
+  }
+}
+
+// Algorithm 5 as the paper states it: decrypt every candidate, drop zero
+// scores, rank, keep the top k.
+std::vector<index::ScoredDoc> FullDecryptionTopK(
+    const EncryptedResult& result, const crypto::BenalohPrivateKey& key,
+    size_t k) {
+  std::vector<index::ScoredDoc> scored;
+  for (const EncryptedCandidate& cand : result.candidates) {
+    const uint64_t score = key.Decrypt(cand.score).value();
+    if (score > 0) scored.push_back({cand.doc, score});
+  }
+  index::SortByScore(&scored);
+  if (scored.size() > k) scored.resize(k);
+  return scored;
+}
+
+TEST(PrivateRetrievalClientTest, ThresholdPostFilterEqualsFullDecryption) {
+  // Random queries of 1 to 6 terms, k from 0 past the candidate count: the
+  // threshold's top k is full decryption's, and at k = 10 it decrypts well
+  // under half of the candidates.
+  Pipeline p(4, 84);
+  Rng rng(110);
+  uint64_t candidates_at_10 = 0;
+  uint64_t decrypted_at_10 = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    auto query = p.RandomIndexedQuery(1 + trial % 6, &rng);
+    auto formulated = p.client->FormulateQuery(query, &rng, nullptr);
+    ASSERT_TRUE(formulated.ok());
+    auto result = p.server->Process(*formulated, p.keys->public_key(), nullptr);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(std::is_sorted(result->candidates.begin(),
+                               result->candidates.end(), CandidateOrder));
+    const size_t n = result->candidates.size();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{10}, size_t{50},
+                     n, n + 5}) {
+      RetrievalCosts costs;
+      auto ranked = p.client->PostFilter(*result, k, &costs);
+      ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+      EXPECT_EQ(*ranked, FullDecryptionTopK(*result, p.keys->private_key(), k))
+          << "trial " << trial << " k " << k;
+      EXPECT_LE(costs.decryptions, n);
+      if (k == 0) EXPECT_EQ(costs.decryptions, 0u);
+      if (k == 10) {
+        candidates_at_10 += n;
+        decrypted_at_10 += costs.decryptions;
+      }
+    }
+  }
+  EXPECT_LT(2 * decrypted_at_10, candidates_at_10);
+}
+
+TEST(PrivateRetrievalClientTest, ThresholdPostFilterBreaksTiesByDocId) {
+  // (bound, doc, score) in CandidateOrder. At k = 2 the k-th after two
+  // decryptions is (score 5, doc 10). The next candidate has a lower bound,
+  // 5, but a smaller doc id, 2, so it may tie and rank first: it is
+  // decrypted. Then (bound 5, doc 20) cannot beat (5, doc 2), and the
+  // threshold stops after 3 of the 5 decryptions.
+  Pipeline p(4, 85);
+  Rng rng(111);
+  struct Row {
+    uint32_t bound;
+    corpus::DocId doc;
+    uint64_t score;
+  };
+  const Row rows[] = {{9, 4, 9}, {9, 10, 5}, {5, 2, 5}, {5, 20, 5}, {4, 1, 4}};
+  EncryptedResult result;
+  for (const Row& row : rows) {
+    result.candidates.push_back(
+        {row.doc, row.bound, *p.keys->public_key().Encrypt(row.score, &rng)});
+  }
+  const struct {
+    size_t k;
+    uint64_t decryptions;
+  } cases[] = {{1, 1}, {2, 3}, {3, 3}, {4, 4}, {5, 5}, {6, 5}};
+  for (const auto& c : cases) {
+    RetrievalCosts costs;
+    auto ranked = p.client->PostFilter(result, c.k, &costs);
+    ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+    EXPECT_EQ(*ranked, FullDecryptionTopK(result, p.keys->private_key(), c.k))
+        << "k " << c.k;
+    EXPECT_EQ(costs.decryptions, c.decryptions) << "k " << c.k;
+  }
+  auto top2 = p.client->PostFilter(result, 2, nullptr);
+  ASSERT_TRUE(top2.ok());
+  EXPECT_EQ(*top2, (std::vector<index::ScoredDoc>{{4, 9}, {2, 5}}));
+}
+
+TEST(PrivateRetrievalClientTest, FewerPositiveScoresThanKDecryptsEverything) {
+  // With fewer than k positive scores the top k never fills, so every
+  // candidate is decrypted and the positive ones come back.
+  Pipeline p(4, 86);
+  Rng rng(112);
+  EncryptedResult result;
+  const uint64_t scores[] = {0, 3, 0, 0, 1};
+  for (uint32_t i = 0; i < 5; ++i) {
+    result.candidates.push_back(
+        {i, 3, *p.keys->public_key().Encrypt(scores[i], &rng)});
+  }
+  RetrievalCosts costs;
+  auto ranked = p.client->PostFilter(result, 3, &costs);
+  ASSERT_TRUE(ranked.ok());
+  EXPECT_EQ(*ranked, (std::vector<index::ScoredDoc>{{1, 3}, {4, 1}}));
+  EXPECT_EQ(costs.decryptions, 5u);
 }
 
 // --- Cost accounting ---------------------------------------------------------
@@ -281,6 +421,7 @@ TEST(RetrievalCostsTest, AddAccumulates) {
   a.uplink_bytes = 3;
   a.downlink_bytes = 4;
   a.user_cpu_ms = 5;
+  a.decryptions = 6;
   RetrievalCosts b = a;
   b.Add(a);
   EXPECT_DOUBLE_EQ(b.server_io_ms, 2);
@@ -288,6 +429,7 @@ TEST(RetrievalCostsTest, AddAccumulates) {
   EXPECT_EQ(b.uplink_bytes, 6u);
   EXPECT_EQ(b.downlink_bytes, 8u);
   EXPECT_DOUBLE_EQ(b.user_cpu_ms, 10);
+  EXPECT_EQ(b.decryptions, 12u);
 }
 
 TEST(PrivateRetrievalCostsTest, WireAccountingConsistent) {

@@ -187,6 +187,58 @@ TEST_F(IndexEpochTest, DeltaShardsStayConsistentWithTheirMonolith) {
   }
 }
 
+TEST_F(IndexEpochTest, ApplyDeltaRefusesTokensOutsideTheBucketOrganization) {
+  // A stray token id would grow the monolith's and the receiving shard's
+  // dense term tables to id + 1 slots (30.5 MiB each at id 2,000,000) for
+  // every later epoch. The catalog refuses it before scoring or copying.
+  auto catalog = MakeCatalog(4);
+  auto base = catalog->Acquire();
+  const size_t last = base->shard_count() - 1;
+  const size_t mono_slots = base->index().lists()->table_size();
+  const size_t shard_slots = base->sharded()->shard(last).lists()->table_size();
+  for (wordnet::TermId stray :
+       {wordnet::TermId{2000000}, wordnet::TermId{UINT32_MAX}}) {
+    SCOPED_TRACE(stray);
+    ASSERT_FALSE(org_->Contains(stray));
+    std::vector<corpus::Document> docs = SomeDeltaDocs(2, 7);
+    docs[1].tokens.push_back(stray);
+    auto next = catalog->ApplyDelta(std::move(docs));
+    ASSERT_FALSE(next.ok());
+    EXPECT_TRUE(next.status().IsInvalidArgument());
+    EXPECT_EQ(next.status().message(),
+              "delta document 1 token " + std::to_string(stray) +
+                  " is not in the bucket organization");
+    auto after = catalog->Acquire();
+    EXPECT_EQ(after->epoch(), 1u);
+    EXPECT_EQ(after->index().lists()->table_size(), mono_slots);
+    EXPECT_EQ(after->sharded()->shard(last).lists()->table_size(),
+              shard_slots);
+  }
+  catalog->ApplyDeltaAsync({corpus::Document{0, {wordnet::TermId{2000000}}}});
+  catalog->WaitForBuilds();
+  EXPECT_TRUE(catalog->last_async_status().IsInvalidArgument());
+  EXPECT_EQ(catalog->Acquire()->epoch(), 1u);
+
+  // A dictionary term that no document uses still ingests.
+  const std::vector<wordnet::TermId> used = corp_.DistinctTerms();
+  const std::set<wordnet::TermId> used_set(used.begin(), used.end());
+  wordnet::TermId unused = wordnet::kInvalidTermId;
+  for (const std::vector<wordnet::TermId>& bucket : org_->buckets()) {
+    for (wordnet::TermId t : bucket) {
+      if (unused == wordnet::kInvalidTermId && used_set.count(t) == 0) {
+        unused = t;
+      }
+    }
+  }
+  ASSERT_NE(unused, wordnet::kInvalidTermId);
+  ASSERT_EQ(base->index().postings(unused), nullptr);
+  auto next = catalog->ApplyDelta({corpus::Document{0, {unused, unused}}});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)->epoch(), 2u);
+  ASSERT_NE((*next)->index().postings(unused), nullptr);
+  EXPECT_EQ((*next)->index().postings(unused)->size(), 1u);
+}
+
 TEST_F(IndexEpochTest, ApplyDeltaSharesUntouchedListsCopyOnWrite) {
   // Under the default kDocRange partition every delta document lands in the
   // last shard, so the other shards receive no delta postings at all.

@@ -124,10 +124,13 @@ TEST(FramingTest, ChecksumIsPositionSensitive) {
 TEST(FramingTest, RejectsEarlierProtocolVersions) {
   // Version 1 carried PIR columns as [u32 byte length][5-byte postings], and
   // version 2 bit-packed them behind a doc-id width and an impact width; a
-  // version-2 peer would read a version-3 column's top impact and Rice
-  // parameter as those widths. A well-formed, correctly checksummed frame
-  // of either version must be refused by version, not decoded.
-  for (uint8_t version : {1, 2}) {
+  // version-2 peer would read a Rice-coded column's top impact and Rice
+  // parameter as those widths. Version 3 carried PR results as [u32 doc
+  // id][ciphertext] per candidate in doc order, and would read a version-4
+  // result's top bound and (bound, doc) stream as doc ids and ciphertexts.
+  // A well-formed, correctly checksummed frame of any earlier version must
+  // be refused by version, not decoded.
+  for (uint8_t version : {1, 2, 3}) {
     auto bytes = EncodeFrame(FrameKind::kPirResult, 3, SomePayload(40, 6));
     bytes[4] = version;
     uint32_t checksum = Fnv1a32(bytes.data(), 20);
