@@ -1,12 +1,12 @@
 // Remote-shard coordinator throughput: the same framed request stream
-// answered by (a) the monolithic EmbellishServer, (b) the in-process
-// sharded EmbellishServer, and (c) a ShardCoordinator fanning out to slice
-// servers over InProcessTransports, at 1/2/4/8 shards.
+// answered by the monolithic EmbellishServer and by a ShardCoordinator
+// fanning out to slice servers over InProcessTransports, at 1/2/4/8 shards.
 //
-// Bit-identity is asserted every run (like fig_shard_scaling): every
-// response frame from (b) and (c) must equal (a)'s bytes for the PR,
-// PIR and plaintext top-k paths — the coordinator is allowed to change
-// only the clock. Emits BENCH_coordinator.json.
+// Bit-identity is asserted every run: every PR and plaintext top-k
+// response frame from the coordinator must equal the monolithic server's
+// bytes, the hello-ok must advertise the slice count, and the PIR frame
+// (addressed to shard 0) must equal slice 0's own answer — the coordinator
+// is allowed to change only the clock. Emits BENCH_coordinator.json.
 //
 // The in-process coordinator submits each request's shard round trips
 // through InProcessTransport, which completes them inline: the shards of
@@ -45,7 +45,6 @@ using namespace embellish;
 
 struct ConfigResult {
   size_t shards = 1;
-  std::string mode;  // "sharded" (in-process) or "coordinator"
   double ms = 0;
   double qps = 0;
 };
@@ -142,73 +141,65 @@ int main() {
   std::vector<ConfigResult> results;
   bool identical = true;
 
-  // The PIR request addresses (shard 0, bucket): its answer is shard 0's
-  // fragment, which legitimately depends on the shard count — so the PIR
-  // frame is compared coordinator-vs-sharded per configuration, while the
-  // PR and top-k frames must match the monolithic bytes everywhere.
-  const size_t pir_index = requests.size() - 1;
+  // The bytes the coordinator must answer the requests with at `shards`
+  // slices: the monolithic server's, except the hello-ok, which advertises
+  // the slice count, and the PIR request, whose shard-0 field is the plain
+  // bucket, so its answer is slice 0's own.
+  auto expected = [&](size_t shards, server::EmbellishServer& slice0) {
+    std::vector<std::vector<uint8_t>> out = reference;
+    out.front() = server::EncodeFrame(
+        server::FrameKind::kHelloOk, 1,
+        server::EncodeHelloOk(shards, org.bucket_count()));
+    out.back() = slice0.HandleFrame(requests.back());
+    return out;
+  };
+
+  // Slice servers of an n-way partition of the fixture's index, each
+  // behind its endpoint.
+  struct Slices {
+    std::vector<std::unique_ptr<server::EmbellishServer>> servers;
+    std::vector<std::unique_ptr<server::ShardEndpoint>> endpoints;
+  };
+  auto make_slices = [&](size_t n) {
+    Slices out;
+    for (size_t s = 0; s < n; ++s) {
+      server::EmbellishServerOptions options;
+      options.shard_slice = s;
+      options.shard_slice_count = n;
+      out.servers.push_back(std::make_unique<server::EmbellishServer>(
+          &fixture.built.index, &org, nullptr, options));
+      out.endpoints.push_back(std::make_unique<server::ShardEndpoint>(
+          out.servers.back().get(), s));
+    }
+    return out;
+  };
 
   for (size_t shards : {1u, 2u, 4u, 8u}) {
-    // (b) In-process sharded server: the per-configuration reference.
-    std::vector<std::vector<uint8_t>> shard_reference(requests.size());
-    {
-      server::EmbellishServerOptions options;
-      options.shard_count = shards;
-      server::EmbellishServer sharded(&fixture.built.index, &org, nullptr,
-                                      options);
-      ConfigResult r{shards, "sharded", 0, 0};
-      Stopwatch sw;
-      for (size_t i = 0; i < requests.size(); ++i) {
-        shard_reference[i] = sharded.HandleFrame(requests[i]);
-        // The hello-ok advertises the configuration's own topology; every
-        // other frame except the shard-scoped PIR answer must match the
-        // monolithic bytes.
-        if (i > 0 && i != pir_index && shard_reference[i] != reference[i]) {
-          identical = false;
-        }
-      }
-      r.ms = sw.ElapsedMillis();
-      r.qps = 1000.0 * static_cast<double>(requests.size() - 1) / r.ms;
-      results.push_back(std::move(r));
+    // Coordinator over slice servers behind in-process transports.
+    Slices slices = make_slices(shards);
+    std::vector<std::unique_ptr<server::InProcessTransport>> transports;
+    std::vector<server::ShardTransport*> raw;
+    for (auto& endpoint : slices.endpoints) {
+      transports.push_back(
+          std::make_unique<server::InProcessTransport>(endpoint.get()));
+      raw.push_back(transports.back().get());
     }
-
-    // (c) Coordinator over slice servers behind in-process transports.
-    {
-      std::vector<std::unique_ptr<server::EmbellishServer>> slices;
-      std::vector<std::unique_ptr<server::ShardEndpoint>> endpoints;
-      std::vector<std::unique_ptr<server::InProcessTransport>> transports;
-      std::vector<server::ShardTransport*> raw;
-      for (size_t s = 0; s < shards; ++s) {
-        server::EmbellishServerOptions options;
-        options.shard_slice = s;
-        options.shard_slice_count = shards;
-        slices.push_back(std::make_unique<server::EmbellishServer>(
-            &fixture.built.index, &org, nullptr, options));
-        endpoints.push_back(std::make_unique<server::ShardEndpoint>(
-            slices.back().get(), s));
-        transports.push_back(std::make_unique<server::InProcessTransport>(
-            endpoints.back().get()));
-        raw.push_back(transports.back().get());
-      }
-      ThreadPool pool(threads);
-      server::ShardCoordinator coordinator(raw, {}, &pool);
-      if (!coordinator.Handshake().ok()) {
-        std::fprintf(stderr, "handshake failed at %zu shards\n", shards);
-        return 1;
-      }
-      ConfigResult r{shards, "coordinator", 0, 0};
-      Stopwatch sw;
-      for (size_t i = 0; i < requests.size(); ++i) {
-        auto response = coordinator.HandleFrame(requests[i]);
-        // Including the hello-ok and the PIR frame: the coordinator must be
-        // byte-for-byte indistinguishable from the in-process sharded
-        // server at the same shard count.
-        if (response != shard_reference[i]) identical = false;
-      }
-      r.ms = sw.ElapsedMillis();
-      r.qps = 1000.0 * static_cast<double>(requests.size() - 1) / r.ms;
-      results.push_back(std::move(r));
+    ThreadPool pool(threads);
+    server::ShardCoordinator coordinator(raw, {}, &pool);
+    if (!coordinator.Handshake().ok()) {
+      std::fprintf(stderr, "handshake failed at %zu shards\n", shards);
+      return 1;
     }
+    std::vector<std::vector<uint8_t>> responses(requests.size());
+    ConfigResult r{shards, 0, 0};
+    Stopwatch sw;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      responses[i] = coordinator.HandleFrame(requests[i]);
+    }
+    r.ms = sw.ElapsedMillis();
+    r.qps = 1000.0 * static_cast<double>(requests.size() - 1) / r.ms;
+    if (responses != expected(shards, *slices.servers[0])) identical = false;
+    results.push_back(std::move(r));
   }
 
   // --- One multiplexed connection per shard, at 8 shards over real
@@ -219,30 +210,11 @@ int main() {
   ModeResult mux;
   mux.mode = "tcp-multiplexed";
   {
-    // Per-configuration reference at 8 shards (the hello-ok and the PIR
-    // frame legitimately differ from the monolithic bytes).
-    std::vector<std::vector<uint8_t>> shard_reference(requests.size());
-    server::EmbellishServerOptions ref_options;
-    ref_options.shard_count = mode_shards;
-    server::EmbellishServer sharded(&fixture.built.index, &org, nullptr,
-                                    ref_options);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      shard_reference[i] = sharded.HandleFrame(requests[i]);
-    }
-
-    std::vector<std::unique_ptr<server::EmbellishServer>> slices;
-    std::vector<std::unique_ptr<server::ShardEndpoint>> endpoints;
+    Slices slices = make_slices(mode_shards);
     std::vector<int> listen_fds;
     std::vector<uint16_t> ports;
     std::vector<std::thread> serve_threads;
     for (size_t s = 0; s < mode_shards; ++s) {
-      server::EmbellishServerOptions options;
-      options.shard_slice = s;
-      options.shard_slice_count = mode_shards;
-      slices.push_back(std::make_unique<server::EmbellishServer>(
-          &fixture.built.index, &org, nullptr, options));
-      endpoints.push_back(std::make_unique<server::ShardEndpoint>(
-          slices.back().get(), s));
       uint16_t port = 0;
       auto listen_fd = server::ListenOnLoopback(&port);
       if (!listen_fd.ok()) {
@@ -253,7 +225,7 @@ int main() {
       listen_fds.push_back(*listen_fd);
       ports.push_back(port);
       serve_threads.emplace_back([fd = *listen_fd,
-                                  endpoint = endpoints.back().get()] {
+                                  endpoint = slices.endpoints[s].get()] {
         (void)server::ServeShardConnections(fd, endpoint);
       });
     }
@@ -283,6 +255,8 @@ int main() {
         std::fprintf(stderr, "handshake failed (tcp-multiplexed)\n");
         return 1;
       }
+      const std::vector<std::vector<uint8_t>> want =
+          expected(mode_shards, *slices.servers[0]);
       const server::CoordinatorStats before = coordinator.stats();
       std::vector<double> latencies;
       Stopwatch total;
@@ -290,7 +264,7 @@ int main() {
         Stopwatch one;
         auto response = coordinator.HandleFrame(requests[i]);
         latencies.push_back(one.ElapsedMillis());
-        if (response != shard_reference[i]) identical = false;
+        if (response != want[i]) identical = false;
       }
       mux.ms = total.ElapsedMillis();
       mux.p50_ms = Percentile(latencies, 0.50);
@@ -318,13 +292,11 @@ int main() {
 
   std::vector<std::vector<std::string>> table;
   for (const ConfigResult& r : results) {
-    table.push_back({std::to_string(r.shards), r.mode,
-                     StringPrintf("%.1f", r.ms),
+    table.push_back({std::to_string(r.shards), StringPrintf("%.1f", r.ms),
                      StringPrintf("%.1f", r.qps),
                      StringPrintf("%.2fx", mono_ms / r.ms)});
   }
-  bench::PrintTable({"shards", "mode", "total ms", "frames/s", "vs mono"},
-                    table);
+  bench::PrintTable({"shards", "total ms", "frames/s", "vs mono"}, table);
   std::printf("\nmonolithic server: %.1f ms (%zu frames)\n", mono_ms,
               requests.size());
 
@@ -341,9 +313,9 @@ int main() {
                       std::to_string(mux.async_io_trips)}});
 
   bench::ShapeCheck(identical,
-                    "every sharded and coordinator response frame is "
-                    "bit-identical to the monolithic server's (PR, PIR and "
-                    "top-k paths) — including over multiplexed TCP");
+                    "every coordinator PR and top-k frame is bit-identical "
+                    "to the monolithic server's, and its PIR frame to the "
+                    "addressed slice's — including over multiplexed TCP");
   bench::ShapeCheck(mux_unblocked,
                     "the multiplexed mode parked zero executor workers on "
                     "transport I/O (blocking_io_trips == 0)");
@@ -368,10 +340,9 @@ int main() {
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     std::fprintf(f,
-                 "    {\"shards\": %zu, \"mode\": \"%s\", \"ms\": %.2f, "
-                 "\"fps\": %.2f}%s\n",
-                 r.shards, r.mode.c_str(), r.ms, r.qps,
-                 i + 1 < results.size() ? "," : "");
+                 "    {\"shards\": %zu, \"mode\": \"coordinator\", "
+                 "\"ms\": %.2f, \"fps\": %.2f}%s\n",
+                 r.shards, r.ms, r.qps, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"fanout_modes\": [\n"

@@ -82,9 +82,10 @@ int main() {
     return 1;
   }
 
-  // The serving thread deliberately gets NO pool: shard fan-out runs
-  // serially, so the builds' pool usage cannot contend with the latency
-  // probe and the measurement isolates the snapshot/cutover overhead.
+  // The server answers over each epoch's whole index, whatever its
+  // sharding. The serving thread deliberately gets NO pool, so the builds'
+  // pool usage cannot contend with the latency probe and the measurement
+  // isolates the snapshot/cutover overhead.
   server::EmbellishServer srv(catalog->get());
 
   // A replayable pool of plaintext top-k requests (no crypto in the probe:
@@ -181,10 +182,6 @@ int main() {
               static_cast<unsigned long long>(stats.epoch_swaps),
               static_cast<unsigned long long>(stats.delta_docs_ingested),
               static_cast<double>(stats.reshard_micros) / 1000.0);
-  std::printf("top-k shard trips: %llu visited, %llu skipped by impact "
-              "bounds\n",
-              static_cast<unsigned long long>(stats.topk_shards_visited),
-              static_cast<unsigned long long>(stats.topk_shards_skipped));
 
   bench::ShapeCheck(decode_ok.load(),
                     "every probe response (steady and mid-reshard) decoded "

@@ -1,7 +1,8 @@
 // Live ingestion walkthrough: serving queries while the index changes.
 //
 //   1. build a lexicon, bucket organization and corpus, then stand up an
-//      IndexCatalog (epoch 1, two shards) and a catalog-backed server;
+//      IndexCatalog (epoch 1, two shards) and a catalog-backed server,
+//      which answers over each epoch's whole index;
 //   2. register sessions and pre-encode a replayable query mix (private
 //      retrieval + plaintext top-k);
 //   3. run a query storm on worker threads WHILE the main thread ingests
@@ -12,8 +13,8 @@
 //      live while that request was in flight;
 //   5. prove the non-blocking invariant: the counted answer-path gauge
 //      must show zero index/layout builds on serving threads;
-//   6. print the lifecycle accounting (swaps, ingested docs, reshard time,
-//      shard visits skipped by impact bounds).
+//   6. print the lifecycle accounting (swaps, ingested docs, reshard
+//      time).
 //
 // Exit code is the assertion: 0 only if every answer matched a pinned
 // epoch AND no serving thread ever ran a build.
@@ -201,10 +202,6 @@ int main() {
               static_cast<unsigned long long>(stats.delta_docs_ingested),
               static_cast<double>(stats.reshard_micros) / 1000.0,
               static_cast<long long>(stats.pinned_epochs));
-  std::printf("top-k shard trips: %llu visited, %llu skipped by impact "
-              "bounds\n",
-              static_cast<unsigned long long>(stats.topk_shards_visited),
-              static_cast<unsigned long long>(stats.topk_shards_skipped));
   std::printf("answer-path builds observed on serving threads: %llu\n",
               static_cast<unsigned long long>(stats.answer_path_builds));
 

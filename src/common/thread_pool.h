@@ -1,12 +1,10 @@
 // Multi-region work-stealing executor behind the codebase's ParallelFor.
 //
 // PR 1's pool ran exactly one ParallelFor region at a time, which was fine
-// while tasks never spawned subtasks. The moment batched serving (PR 2) and
-// sharded retrieval (PR 3) composed — N batch workers each fanning their
-// query out over M shards — the one-job limit meant every concurrent caller
-// but one degraded to inline execution, and the server needed dedicated
-// sub-pools (`shard_threads`) just to keep regions from colliding. This
-// executor removes the limit:
+// while tasks never spawned subtasks. Once batched serving composed with
+// nested work — N batch workers each running a PIR sweep or a catalog
+// build's chunks — the one-job limit meant every concurrent caller but one
+// degraded to inline execution. This executor removes the limit:
 //
 //   - Each ParallelFor caller reserves the first chunk of a *region* (an
 //     atomic chunk cursor over [begin, end) plus a grain), enqueues the
@@ -29,8 +27,8 @@
 //
 // Wake-up discipline: registration wakes at most min(idle workers, chunks
 // beyond the caller's first, spare hardware threads) sleepers — zero on a
-// one-core box, where parallel workers only buy context switches (the
-// PR 3 `BENCH_shards.json` pooled-mode collapse). Committing workers
+// one-core box, where parallel workers only buy context switches.
+// Committing workers
 // chain further wake-ups while claimable work remains, and parked workers
 // rescan the region list on a short timer as the liveness backstop, so
 // under-waking never strands a region. After ~160 ms of sustained

@@ -133,7 +133,7 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
     return Status::OutOfRange(StringPrintf("bucket %zu out of range", bucket));
   }
   {
-    std::lock_guard<std::mutex> lock(*matrix_mu_);
+    std::lock_guard<std::mutex> lock(matrix_mu_);
     auto it = matrix_cache_.find(bucket);
     if (it != matrix_cache_.end()) return it->second.get();
   }
@@ -161,7 +161,7 @@ Result<const crypto::PirDatabase*> PirRetrievalServer::BucketMatrix(
   for (size_t col = 0; col < members.size(); ++col) {
     matrix->SetColumnFromBytes(col, columns[col]);
   }
-  std::lock_guard<std::mutex> lock(*matrix_mu_);
+  std::lock_guard<std::mutex> lock(matrix_mu_);
   return matrix_cache_.try_emplace(bucket, std::move(matrix))
       .first->second.get();
 }

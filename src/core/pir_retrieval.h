@@ -104,10 +104,7 @@ class PirRetrievalServer {
   // Guards matrix_cache_'s lookups and inserts (matrices are built outside
   // it); matrices themselves are immutable after insertion and entries are
   // never evicted, so pointers handed out remain valid without the lock.
-  // Heap-allocated so the server stays movable (the sharded engine keeps
-  // one server per shard in a vector).
-  mutable std::unique_ptr<std::mutex> matrix_mu_ =
-      std::make_unique<std::mutex>();
+  mutable std::mutex matrix_mu_;
   mutable std::unordered_map<size_t, std::unique_ptr<crypto::PirDatabase>>
       matrix_cache_;
 };

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -72,6 +73,23 @@ void SortCandidates(std::vector<EncryptedCandidate>* candidates) {
   sorted.reserve(order.size());
   for (const auto& [key, c] : order) sorted.push_back(std::move(*c));
   *candidates = std::move(sorted);
+}
+
+EncryptedResult MergeShardResults(std::vector<EncryptedResult> per_shard) {
+  EncryptedResult merged;
+  size_t total = 0;
+  for (const EncryptedResult& p : per_shard) total += p.candidates.size();
+  merged.candidates.reserve(total);
+  for (EncryptedResult& p : per_shard) {
+    merged.candidates.insert(merged.candidates.end(),
+                             std::make_move_iterator(p.candidates.begin()),
+                             std::make_move_iterator(p.candidates.end()));
+  }
+  // Documents are slice-disjoint and each slice sums a document's whole
+  // bound, so re-sorting by (bound, doc) restores exactly the order the
+  // whole index's evaluation emits.
+  SortCandidates(&merged.candidates);
+  return merged;
 }
 
 PrivateRetrievalServer::PrivateRetrievalServer(

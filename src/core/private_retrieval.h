@@ -76,6 +76,13 @@ struct EncryptedResult {
   size_t WireBytes(const crypto::BenalohPublicKey& pk) const;
 };
 
+/// \brief Merges per-slice Algorithm 4 results over a document partition
+///        into the whole index's result: concatenate and SortCandidates.
+///        Documents are slice-disjoint and each slice sums a document's
+///        whole bound, so the merged candidate set is bit-identical to the
+///        evaluation over the whole index. The coordinator's PR merge.
+EncryptedResult MergeShardResults(std::vector<EncryptedResult> per_shard);
+
 /// \brief Algorithm 4 execution options.
 struct PrivateRetrievalServerOptions {
   /// When true (default), E(u)^p is computed via a per-term power table so

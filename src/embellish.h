@@ -82,7 +82,6 @@
 #include "core/risk.h"               // IWYU pragma: export
 #include "core/semantic_distance.h"  // IWYU pragma: export
 #include "core/sequencer.h"          // IWYU pragma: export
-#include "core/sharded_retrieval.h"  // IWYU pragma: export
 #include "core/session.h"            // IWYU pragma: export
 #include "core/specificity.h"        // IWYU pragma: export
 #include "core/wire_format.h"        // IWYU pragma: export

@@ -6,7 +6,6 @@
 
 #include "common/answer_path.h"
 #include "common/strings.h"
-#include "core/sharded_retrieval.h"
 #include "index/topk.h"
 
 namespace embellish::index {
@@ -26,6 +25,20 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
 template <typename T>
 std::shared_ptr<const T> NonOwning(const T* ptr) {
   return std::shared_ptr<const T>(std::shared_ptr<const T>(), ptr);
+}
+
+// One StorageLayout per shard: the shard's sub-index laid out over the same
+// bucket groups (each shard owns its own disk).
+std::vector<storage::StorageLayout> BuildShardLayouts(
+    const ShardedIndex& sharded, const core::BucketOrganization& buckets,
+    storage::LayoutPolicy policy, const storage::DiskModelOptions& disk) {
+  std::vector<storage::StorageLayout> layouts;
+  layouts.reserve(sharded.shard_count());
+  for (size_t s = 0; s < sharded.shard_count(); ++s) {
+    layouts.push_back(storage::StorageLayout::Build(
+        sharded.shard(s), buckets.buckets(), policy, disk));
+  }
+  return layouts;
 }
 
 }  // namespace
@@ -134,8 +147,8 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Freeze(
   if (init.sharded && options.build_layouts) {
     init.shard_layouts =
         std::make_shared<const std::vector<storage::StorageLayout>>(
-            core::BuildShardLayouts(*init.sharded, *buckets,
-                                    options.layout_policy, options.disk));
+            BuildShardLayouts(*init.sharded, *buckets, options.layout_policy,
+                              options.disk));
   }
   {
     std::lock_guard<std::mutex> lock(catalog->state_mu_);
@@ -202,8 +215,8 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::AssembleEpoch(
     if (init.sharded) {
       init.shard_layouts =
           std::make_shared<const std::vector<storage::StorageLayout>>(
-              core::BuildShardLayouts(*init.sharded, *buckets_,
-                                      options_.layout_policy, options_.disk));
+              BuildShardLayouts(*init.sharded, *buckets_,
+                                options_.layout_policy, options_.disk));
     }
   }
   return std::make_shared<const IndexEpoch>(std::move(init));
@@ -367,7 +380,7 @@ IndexCatalogStats IndexCatalog::stats() const {
 
 std::vector<ScoredDoc> EvaluateTopKEpoch(
     const IndexEpoch& epoch, const std::vector<wordnet::TermId>& query,
-    size_t k, ThreadPool* pool, EvalStats* stats, size_t max_parallel) {
+    size_t k, ThreadPool* pool, EvalStats* stats) {
   if (k == 0) return {};
   const ShardedIndex* sharded = epoch.sharded();
   if (sharded == nullptr) {
@@ -404,11 +417,8 @@ std::vector<ScoredDoc> EvaluateTopKEpoch(
               return a.shard < b.shard;
             });
 
-  size_t wave = 1;
-  if (pool != nullptr) {
-    wave = max_parallel > 0 ? max_parallel : pool->num_threads();
-    if (wave == 0) wave = 1;
-  }
+  const size_t wave =
+      pool != nullptr ? std::max<size_t>(1, pool->num_threads()) : 1;
 
   std::vector<ScoredDoc> merged;
   uint64_t visited = 0;
@@ -431,7 +441,7 @@ std::vector<ScoredDoc> EvaluateTopKEpoch(
     auto eval_one = [&](size_t i) {
       // Full per-shard accumulation: scores are final (documents are
       // shard-disjoint), so the truncated prefix is the shard's exact
-      // top k and the merged result matches EvaluateTopKSharded.
+      // top k and the merged result matches the monolithic evaluation.
       partial[i] =
           EvaluateFull(sharded->shard(order[idx + i].shard), query,
                        &wave_stats[i]);

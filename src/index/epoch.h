@@ -299,17 +299,15 @@ class IndexCatalog {
 };
 
 /// \brief Epoch-aware plaintext top-k: evaluates shards in descending
-///        impact-bound order and skips every shard whose bound proves it
-///        cannot displace the current k-th result (strictly below — a tied
-///        bound could still win the doc-id tiebreak). Bit-identical to
-///        EvaluateTopKSharded / monolithic EvaluateFull-truncated on the
-///        same snapshot; `stats` counts shards_visited / shards_skipped.
-///        `max_parallel` caps concurrent shard evaluations per wave
-///        (0 = pool width).
+///        impact-bound order, in waves of the pool's width, and skips every
+///        shard whose bound proves it cannot displace the current k-th
+///        result (strictly below — a tied bound could still win the doc-id
+///        tiebreak). Bit-identical to monolithic EvaluateFull truncated to
+///        `k` on the same snapshot; `stats` counts shards_visited /
+///        shards_skipped.
 std::vector<ScoredDoc> EvaluateTopKEpoch(
     const IndexEpoch& epoch, const std::vector<wordnet::TermId>& query,
-    size_t k, ThreadPool* pool = nullptr, EvalStats* stats = nullptr,
-    size_t max_parallel = 0);
+    size_t k, ThreadPool* pool = nullptr, EvalStats* stats = nullptr);
 
 }  // namespace embellish::index
 

@@ -20,22 +20,15 @@ uint64_t Mix64(uint64_t x) {
 }  // namespace
 
 void ForEachShard(ThreadPool* pool, size_t shard_count,
-                  const std::function<void(size_t)>& fn,
-                  size_t max_parallel) {
+                  const std::function<void(size_t)>& fn) {
   auto range = [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) fn(s);
   };
-  if (pool == nullptr || shard_count <= 1 || max_parallel == 1) {
+  if (pool == nullptr || shard_count <= 1) {
     range(0, shard_count);
     return;
   }
-  // The cap rides on the grain: chunks of ceil(count/cap) shards admit at
-  // most `max_parallel` concurrent participants into the region.
-  size_t grain = 1;
-  if (max_parallel != 0 && max_parallel < shard_count) {
-    grain = (shard_count + max_parallel - 1) / max_parallel;
-  }
-  pool->ParallelFor(0, shard_count, grain, range);
+  pool->ParallelFor(0, shard_count, /*min_grain=*/1, range);
 }
 
 Status ShardingOptions::Validate() const {
@@ -138,32 +131,6 @@ std::vector<ScoredDoc> MergeShardTopK(
   }
   SortByScore(&merged);
   if (merged.size() > k) merged.resize(k);
-  return merged;
-}
-
-std::vector<ScoredDoc> EvaluateTopKSharded(
-    const ShardedIndex& sharded, const std::vector<wordnet::TermId>& query,
-    size_t k, ThreadPool* pool, EvalStats* stats, size_t max_parallel) {
-  const size_t shards = sharded.shard_count();
-  std::vector<std::vector<ScoredDoc>> partial(shards);
-  std::vector<EvalStats> shard_stats(shards);
-
-  ForEachShard(pool, shards, [&](size_t s) {
-    // Full per-shard accumulation: a shard owns every posting of its
-    // documents, so its scores are final and the truncated prefix is the
-    // shard's exact top k.
-    partial[s] = EvaluateFull(sharded.shard(s), query, &shard_stats[s]);
-    if (partial[s].size() > k) partial[s].resize(k);
-  }, max_parallel);
-
-  std::vector<ScoredDoc> merged = MergeShardTopK(partial, k);
-
-  if (stats != nullptr) {
-    for (const EvalStats& s : shard_stats) {
-      stats->postings_scanned += s.postings_scanned;
-      stats->early_terminated |= s.early_terminated;
-    }
-  }
   return merged;
 }
 

@@ -1,13 +1,14 @@
 // Document-partitioned sharding of the inverted index.
 //
-// The ROADMAP's scale axis after fast kernels (PR 1) and batched serving
-// (PR 2): split the corpus into N disjoint document shards so one query can
-// be evaluated on all shards concurrently (one thread-pool task per shard)
-// and the per-shard partial results merged. Because every posting of a
-// document lands in exactly one shard, plaintext scores, Algorithm 4
-// ciphertext accumulators, and PIR-retrieved inverted lists all merge
-// losslessly: the sharded engine is bit-identical to the monolithic one,
-// which the shard equivalence tests assert.
+// An IndexCatalog (index/epoch.h) splits the corpus into N disjoint
+// document shards. Each shard is served as a slice: its own EmbellishServer
+// (EmbellishServerOptions::shard_slice) behind a ShardCoordinator
+// (server/shard_coordinator.h), which fans a request out to every slice and
+// merges the answers. Because every posting of a document lands in exactly
+// one shard, plaintext scores, Algorithm 4 ciphertext accumulators, and
+// PIR-retrieved inverted lists all merge losslessly: the coordinator's
+// answers are bit-identical to one server over the whole index, which the
+// coordinator equivalence tests assert.
 //
 // Partitioning is by document id — contiguous ranges (locality: a shard is
 // a corpus segment) or a splitmix64 hash (balance under skewed id
@@ -28,21 +29,14 @@
 
 namespace embellish::index {
 
-/// \brief Runs `fn(shard)` for every shard in [0, shard_count) — fanned out
-///        over `pool` when one is supplied and more than one shard exists,
-///        inline on the calling thread otherwise. The single dispatch point
-///        every shard fan-out in the codebase goes through; since the pool
-///        became a multi-region executor this may be called from inside
-///        another ParallelFor region (batch workers fan their own query's
-///        shards out over the same shared pool). `max_parallel` caps the
-///        number of shards evaluated concurrently (expressed through the
-///        region's grain, so the cap bounds pool draw per request without a
-///        dedicated sub-pool): 0 means one task per shard, 1 forces the
-///        serial inline loop. Blocks until all shards complete; `fn` must
-///        be safe to invoke concurrently for distinct shards.
+/// \brief Runs `fn(shard)` for every shard in [0, shard_count): one task
+///        per shard over `pool` when one is supplied and more than one shard
+///        exists, inline on the calling thread otherwise. The pool is a
+///        multi-region executor, so this may be called from inside another
+///        ParallelFor region. Blocks until all shards complete; `fn` must be
+///        safe to invoke concurrently for distinct shards.
 void ForEachShard(ThreadPool* pool, size_t shard_count,
-                  const std::function<void(size_t)>& fn,
-                  size_t max_parallel = 0);
+                  const std::function<void(size_t)>& fn);
 
 /// \brief How documents map to shards.
 enum class ShardPartition {
@@ -107,24 +101,11 @@ class ShardedIndex {
 /// \brief Merges per-shard top-k lists (each the shard's exact, final-score
 ///        top k — documents are shard-disjoint so per-shard scores are
 ///        final) into the exact global prefix: concatenate, sort
-///        canonically, truncate to `k`. Shared by EvaluateTopKSharded and
-///        the remote-shard coordinator, whose merged response must be
-///        bit-identical to the in-process evaluation.
+///        canonically, truncate to `k`. Shared by EvaluateTopKEpoch and the
+///        remote-shard coordinator, whose merged response must be
+///        bit-identical to the monolithic evaluation.
 std::vector<ScoredDoc> MergeShardTopK(
     const std::vector<std::vector<ScoredDoc>>& per_shard, size_t k);
-
-/// \brief Cross-shard top-k: evaluates the query on every shard (fanned out
-///        over `pool` when supplied, one task per shard) and merges the
-///        per-shard top-k lists. Documents are disjoint across shards, so
-///        per-shard scores are final and the merged prefix is bit-identical
-///        to EvaluateFull on the monolithic index truncated to `k`.
-///        `stats`, if non-null, accumulates postings scanned across shards.
-///        `max_parallel` caps the concurrent shard evaluations per call
-///        (see ForEachShard); 0 = one task per shard.
-std::vector<ScoredDoc> EvaluateTopKSharded(
-    const ShardedIndex& sharded, const std::vector<wordnet::TermId>& query,
-    size_t k, ThreadPool* pool = nullptr, EvalStats* stats = nullptr,
-    size_t max_parallel = 0);
 
 }  // namespace embellish::index
 

@@ -5,6 +5,7 @@
 
 #include "common/answer_path.h"
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "core/wire_format.h"
 #include "index/topk.h"
 #include "server/async_frontend.h"
@@ -15,21 +16,13 @@ std::unique_ptr<index::IndexCatalog> EmbellishServer::MakeShimCatalog(
     const index::InvertedIndex* index, const core::BucketOrganization* buckets,
     const storage::StorageLayout* layout,
     const EmbellishServerOptions& options) {
-  // Replicates the pre-catalog ctor's topology decisions. Slice mode
-  // composes with a ShardCoordinator, not with in-process sharding; an
-  // invalid slice configuration falls back (and is reported by
-  // slice_config_invalid(), resolved per epoch in BuildEngines).
+  // A slice server gets the partition its slice addresses; invalid slice
+  // parameters are refused per request (BuildEngines), so their catalog's
+  // sharding does not matter.
   index::IndexCatalogOptions catalog_options;
-  const bool slice_valid =
-      options.shard_slice != SIZE_MAX && options.shard_count <= 1 &&
-      options.shard_slice_count > 0 &&
-      options.shard_slice < options.shard_slice_count;
-  if (slice_valid) {
+  if (options.shard_slice != SIZE_MAX &&
+      options.shard_slice < options.shard_slice_count) {
     catalog_options.sharding.shard_count = options.shard_slice_count;
-    catalog_options.sharding.partition = options.shard_partition;
-  } else if (options.shard_count > 1) {
-    catalog_options.sharding.shard_count = options.shard_count;
-    catalog_options.sharding.partition = options.shard_partition;
   }
   catalog_options.build_layouts = layout != nullptr;
   catalog_options.layout_policy =
@@ -38,8 +31,7 @@ std::unique_ptr<index::IndexCatalog> EmbellishServer::MakeShimCatalog(
   catalog_options.disk = options.disk;
   auto catalog =
       index::IndexCatalog::Freeze(index, buckets, layout, catalog_options);
-  // Freeze fails only on null inputs or invalid sharding, both of which
-  // were construction-order bugs under the old ctor too.
+  // Freeze fails only on null inputs, a construction-order bug.
   return catalog.ok() ? std::move(catalog).value() : nullptr;
 }
 
@@ -61,16 +53,7 @@ EmbellishServer::EmbellishServer(
     index::IndexCatalog* catalog, const EmbellishServerOptions& options,
     ThreadPool* pool)
     : options_(options),
-      // No caller pool, but intra-query shard parallelism requested: spawn
-      // an owned executor of the requested width and serve everything from
-      // it — the pre-executor dedicated-shard-pool behavior, minus the old
-      // one-region-at-a-time collision.
-      owned_pool_(pool == nullptr && options.shard_threads > 1 &&
-                          options.shard_count > 1 &&
-                          options.shard_slice == SIZE_MAX
-                      ? std::make_unique<ThreadPool>(options.shard_threads)
-                      : nullptr),
-      pool_(pool != nullptr ? pool : owned_pool_.get()),
+      pool_(pool),
       owned_catalog_(std::move(owned_catalog)),
       catalog_(catalog != nullptr ? catalog : owned_catalog_.get()),
       bucket_count_(catalog_->Acquire()->buckets().bucket_count()),
@@ -86,58 +69,33 @@ EmbellishServer::BuildEngines(
   auto engines = std::make_shared<EpochEngines>();
   const index::IndexEpoch& epoch = *snapshot;
   engines->epoch = std::move(snapshot);
+  engines->serve_index = &epoch.index();
+  engines->serve_layout = epoch.layout();
 
-  // Slice resolution against THIS epoch. Params must be valid, and the
-  // epoch's partition must actually be the slice topology (after a
-  // background Reshard to a different shard count it no longer is; the
-  // server then serves the full index and flags the mismatch).
-  const bool slice_requested = options_.shard_slice != SIZE_MAX;
-  const bool slice_params_valid =
-      slice_requested && options_.shard_count <= 1 &&
-      options_.shard_slice_count > 0 &&
-      options_.shard_slice < options_.shard_slice_count;
-  if (slice_params_valid) {
-    if (options_.shard_slice_count == 1) {
-      // A 1-way partition's only slice IS the full index.
-      engines->slice_active = true;
-      engines->serve_index = &epoch.index();
-      engines->serve_layout = epoch.layout();
-    } else if (epoch.sharded() != nullptr &&
-               epoch.shard_count() == options_.shard_slice_count &&
-               epoch.sharding().partition == options_.shard_partition) {
-      engines->slice_active = true;
-      engines->serve_index = &epoch.sharded()->shard(options_.shard_slice);
-      engines->serve_layout =
-          epoch.shard_layouts() != nullptr
-              ? &(*epoch.shard_layouts())[options_.shard_slice]
-              : nullptr;
-    } else {
-      engines->slice_invalid = true;  // epoch/slice topology mismatch
-    }
-  } else if (slice_requested) {
-    engines->slice_invalid = true;  // bad params (old-ctor fallback rules)
-  }
-
-  if (!engines->slice_active && epoch.sharded() != nullptr) {
-    // Sharded serving: fan-outs run on the shared executor, capped by
-    // shard_threads; every pointer handed to the engines lives inside the
-    // pinned snapshot.
-    engines->sharded_pr = std::make_unique<core::ShardedPrivateRetrievalServer>(
-        epoch.sharded(), &epoch.buckets(), epoch.shard_layouts(),
-        options_.disk, options_.pr, pool_, options_.shard_threads);
-    engines->sharded_pir = std::make_unique<core::ShardedPirRetrievalServer>(
-        epoch.sharded(), &epoch.buckets(), epoch.shard_layouts(),
-        options_.disk, pool_, options_.shard_threads);
-    engines->serve_index = &epoch.index();
-    engines->serve_layout = epoch.layout();
-    engines->advertised_shards = epoch.shard_count();
+  // Slice resolution against THIS epoch, so the answer and the decision
+  // that it may be given come from one pin. A slice of a partition the
+  // epoch does not have is refused, never answered from the whole index:
+  // behind a coordinator that would merge every other slice's documents
+  // twice.
+  const size_t slice = options_.shard_slice;
+  const size_t slices = options_.shard_slice_count;
+  if (slice_config_invalid()) {
+    engines->refusal = Status::FailedPrecondition(StringPrintf(
+        "invalid slice configuration: slice %zu of %zu", slice, slices));
     return engines;
   }
-
-  // Monolithic serving (full index, a slice, or the mismatch fallback).
-  if (engines->serve_index == nullptr) {
-    engines->serve_index = &epoch.index();
-    engines->serve_layout = epoch.layout();
+  if (serves_slice() && slices > 1) {
+    if (epoch.shard_count() != slices) {
+      engines->refusal = Status::Unavailable(StringPrintf(
+          "slice %zu of %zu cannot answer epoch %llu, which has %zu shards",
+          slice, slices, static_cast<unsigned long long>(epoch.epoch()),
+          epoch.shard_count()));
+      return engines;
+    }
+    engines->serve_index = &epoch.sharded()->shard(slice);
+    engines->serve_layout = epoch.shard_layouts() != nullptr
+                                ? &(*epoch.shard_layouts())[slice]
+                                : nullptr;
   }
   engines->pr = std::make_unique<core::PrivateRetrievalServer>(
       engines->serve_index, &epoch.buckets(), engines->serve_layout,
@@ -145,7 +103,6 @@ EmbellishServer::BuildEngines(
   engines->pir = std::make_unique<core::PirRetrievalServer>(
       engines->serve_index, &epoch.buckets(), engines->serve_layout,
       options_.disk, pool_);
-  engines->advertised_shards = 1;
   return engines;
 }
 
@@ -171,16 +128,21 @@ EmbellishServer::ResolveEngines() const {
   return engines_;
 }
 
-size_t EmbellishServer::shard_count() const {
-  return ResolveEngines()->advertised_shards;
-}
-
 bool EmbellishServer::serves_slice() const {
-  return ResolveEngines()->slice_active;
+  return options_.shard_slice != SIZE_MAX && !slice_config_invalid();
 }
 
 bool EmbellishServer::slice_config_invalid() const {
-  return ResolveEngines()->slice_invalid;
+  return options_.shard_slice != SIZE_MAX &&
+         options_.shard_slice >= options_.shard_slice_count;
+}
+
+std::vector<uint8_t> EmbellishServer::HandlePing() const {
+  std::shared_ptr<const EpochEngines> engines = ResolveEngines();
+  if (!engines->refusal.ok()) {
+    return EncodeFrame(FrameKind::kError, 0, EncodeError(engines->refusal));
+  }
+  return EncodeFrame(FrameKind::kHelloOk, 0, EncodeHelloOk(1, bucket_count_));
 }
 
 void EmbellishServer::MergeDelta(const ServerStats& d) {
@@ -197,8 +159,6 @@ void EmbellishServer::MergeDelta(const ServerStats& d) {
   t.downlink_bytes += d.downlink_bytes;
   t.server_cpu_ms += d.server_cpu_ms;
   t.server_io_ms += d.server_io_ms;
-  t.topk_shards_visited += d.topk_shards_visited;
-  t.topk_shards_skipped += d.topk_shards_skipped;
 }
 
 size_t EmbellishServer::AcquireInflight(size_t want) {
@@ -335,6 +295,9 @@ EmbellishServer::RequestOutcome EmbellishServer::ProcessOne(
   auto frame = DecodeFrame(request);
   if (!frame.ok()) {
     outcome = ErrorOutcome(0, frame.status());
+  } else if (!engines.refusal.ok()) {
+    // The pinned epoch refuses every request (see BuildEngines).
+    outcome = ErrorOutcome(frame->session_id, engines.refusal);
   } else {
     // Any decodable frame naming a registered session counts as activity
     // for the idle-expiry sweep, whatever its kind: PIR- or top-k-only
@@ -343,7 +306,7 @@ EmbellishServer::RequestOutcome EmbellishServer::ProcessOne(
                     frame_clock_.load(std::memory_order_relaxed));
     switch (frame->kind) {
       case FrameKind::kHello:
-        outcome = HandleHello(engines, *frame);
+        outcome = HandleHello(*frame);
         break;
       case FrameKind::kQuery:
         outcome = HandleQuery(engines, *frame);
@@ -368,7 +331,7 @@ EmbellishServer::RequestOutcome EmbellishServer::ProcessOne(
 }
 
 EmbellishServer::RequestOutcome EmbellishServer::HandleHello(
-    const EpochEngines& engines, const Frame& frame) {
+    const Frame& frame) {
   auto pk = DecodeHello(frame.payload);
   if (!pk.ok()) return ErrorOutcome(frame.session_id, pk.status());
   if (!sessions_.Register(
@@ -380,12 +343,11 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleHello(
                             "session table full; hello refused"));
   }
   RequestOutcome outcome;
-  // The hello-ok advertises the retrieval topology: a client on a sharded
-  // server must know shard_count and bucket_count to address PIR
-  // executions (and to know it has to query every shard).
-  outcome.response =
-      EncodeFrame(FrameKind::kHelloOk, frame.session_id,
-                  EncodeHelloOk(engines.advertised_shards, bucket_count_));
+  // The hello-ok advertises the retrieval topology: one shard (a slice is
+  // monolithic over its slice; the coordinator advertises the slice count)
+  // and the bucket count a client addresses PIR executions with.
+  outcome.response = EncodeFrame(FrameKind::kHelloOk, frame.session_id,
+                                 EncodeHelloOk(1, bucket_count_));
   outcome.delta.hellos = 1;
   return outcome;
 }
@@ -403,12 +365,7 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleQuery(
   if (!query.ok()) return ErrorOutcome(frame.session_id, query.status());
 
   core::RetrievalCosts costs;
-  // The sharded engine's merged candidate set is bit-identical to the
-  // monolithic server's, so the encoded response frame does not depend on
-  // the shard configuration.
-  auto result = engines.sharded_pr != nullptr
-                    ? engines.sharded_pr->Process(*query, pk, &costs)
-                    : engines.pr->Process(*query, pk, &costs);
+  auto result = engines.pr->Process(*query, pk, &costs);
   if (!result.ok()) return ErrorOutcome(frame.session_id, result.status());
 
   RequestOutcome outcome;
@@ -425,37 +382,11 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
   auto payload = DecodePirQuery(frame.payload);
   if (!payload.ok()) return ErrorOutcome(frame.session_id, payload.status());
 
-  // When sharded, the frame's bucket field is shard-qualified:
-  // shard * bucket_count + bucket (see PirBucketField).
-  const bool sharded = engines.sharded_pir != nullptr;
-  if (sharded && bucket_count_ == 0) {
-    return ErrorOutcome(frame.session_id,
-                        Status::OutOfRange("server has no buckets"));
-  }
-  // UINT32_MAX is the encoder's saturation sentinel for a shard-qualified
-  // field that overflowed the u32 wire width; reject it even when it would
-  // decode to an in-range pair, so an overflowed address can never alias.
-  if (sharded && payload->bucket == UINT32_MAX) {
-    return ErrorOutcome(
-        frame.session_id,
-        Status::OutOfRange("shard-qualified bucket field saturated"));
-  }
-  const size_t shard = sharded ? payload->bucket / bucket_count_ : 0;
-  const size_t bucket = sharded ? payload->bucket % bucket_count_
-                                : payload->bucket;
-  if (sharded && shard >= engines.sharded_pir->shard_count()) {
-    return ErrorOutcome(
-        frame.session_id,
-        Status::OutOfRange("shard-qualified bucket out of range"));
-  }
-
   core::RetrievalCosts costs;
-  // The engines' lazy bucket-matrix caches are internally synchronized, so
+  // The engine's lazy bucket-matrix cache is internally synchronized, so
   // concurrent frames compute without any external lock.
   Result<crypto::PirResponse> response =
-      sharded ? engines.sharded_pir->Answer(shard, bucket, payload->query,
-                                            &costs)
-              : engines.pir->Answer(bucket, payload->query, &costs);
+      engines.pir->Answer(payload->bucket, payload->query, &costs);
   if (!response.ok()) return ErrorOutcome(frame.session_id, response.status());
 
   RequestOutcome outcome;
@@ -473,27 +404,13 @@ EmbellishServer::RequestOutcome EmbellishServer::HandleTopK(
 
   RequestOutcome outcome;
   CpuStopwatch cpu;
-  std::vector<index::ScoredDoc> top;
-  if (engines.sharded_pr != nullptr) {
-    // Epoch-aware fan-out with impact-bound shard skipping: shards whose
-    // stored bound proves them outside the top k are never visited, and
-    // the result bytes are still bit-identical to the monolithic
-    // evaluation (the skip guard is strict; see EvaluateTopKEpoch).
-    index::EvalStats eval_stats;
-    top = index::EvaluateTopKEpoch(*engines.epoch, query->terms, query->k,
-                                   pool_, &eval_stats,
-                                   options_.shard_threads);
-    outcome.delta.topk_shards_visited = eval_stats.shards_visited;
-    outcome.delta.topk_shards_skipped = eval_stats.shards_skipped;
-  } else {
-    // Full accumulation, not Figure 10 early termination: wire responses
-    // must be configuration-independent so a coordinator merge over slice
-    // servers is bit-identical to any monolithic answer, and the
-    // early-terminated scores are order-dependent lower bounds.
-    top = index::EvaluateFull(*engines.serve_index, query->terms);
-    if (top.size() > query->k) top.resize(query->k);
-    outcome.delta.topk_shards_visited = 1;
-  }
+  // Full accumulation, not Figure 10 early termination: wire responses
+  // must be partition-independent so a coordinator merge over slice
+  // servers is bit-identical to any monolithic answer, and the
+  // early-terminated scores are order-dependent lower bounds.
+  std::vector<index::ScoredDoc> top =
+      index::EvaluateFull(*engines.serve_index, query->terms);
+  if (top.size() > query->k) top.resize(query->k);
   outcome.response = EncodeFrame(FrameKind::kTopKResult, frame.session_id,
                                  EncodeTopKResult(top));
   outcome.delta.topk_queries = 1;

@@ -10,15 +10,15 @@
 //   kQuery      runs Algorithm 4 over the inverted index (PR scheme),
 //   kPirQuery   runs one Kushilevitz–Ostrovsky execution against one bucket,
 //   kTopKQuery  runs a plaintext top-k evaluation (the full-accumulation
-//               prefix, so the answer bytes are sharding-independent).
+//               prefix, so the answer bytes are partition-independent).
 //
 // HandleBatch fans a batch of request frames out over the shared ThreadPool.
 // The pool is a multi-region work-stealing executor (common/thread_pool.h),
 // so the per-request answer engines run on the SAME pool: a batch worker's
-// query fans its shards (and the PIR answer kernel its rows) out as nested
-// regions, and idle workers steal across regions instead of leaving the
-// losers inline. Batches of one or two requests skip the fan-out entirely —
-// region bookkeeping costs more than it buys at that size.
+// PIR answer kernel fans its rows out as a nested region, and idle workers
+// steal across regions instead of leaving the losers inline. Batches of one
+// or two requests skip the fan-out entirely — region bookkeeping costs more
+// than it buys at that size.
 //
 // No answer is cached: every request is answered by its engine. A
 // SessionClient encrypts each query afresh (server/session_client.h), so no
@@ -27,25 +27,20 @@
 // shared top-k cache would also let one session time whether another had
 // recently sent the same query.
 //
-// Sharding (options.shard_count > 1): the index is document-partitioned
-// into N shards (index/sharding.h) and queries are answered by the sharded
-// engines (core/sharded_retrieval.h). PR queries fan out across all shards
-// on the shared executor — options.shard_threads caps one query's draw on
-// the pool — and the merged response frame is bit-identical to the
-// monolithic server's. PIR requests address one (shard, bucket) pair: the
-// frame's bucket field carries shard * bucket_count + bucket, shards answer
-// independently (and concurrently — the engines' lazy matrix caches are
-// internally synchronized).
-//
 // PIR frames are answered where they are decoded: HandleBatch runs each
 // decoded kPirQuery through the same Answer call HandleFrame does, against
 // the batch's pinned epoch.
 //
-// Slice mode (options.shard_slice set): the server owns one slice of an
-// N-way document partition and behaves as a monolithic server over it —
-// the remote-shard deployment, one process per slice behind a
-// ShardCoordinator (server/shard_coordinator.h) that merges the slices'
-// answers back into the monolithic bytes.
+// Sharding is slices behind a coordinator. A server without a slice serves
+// the whole index, whatever the catalog's sharding. A slice server
+// (options.shard_slice set) serves one shard of the catalog's document
+// partition (IndexCatalogOptions::sharding) and behaves as a monolithic
+// server over it: one server per slice behind a ShardCoordinator
+// (server/shard_coordinator.h) that merges the slices' answers back into
+// the whole index's bytes. Slice validity is decided on the epoch each
+// request pins: when that epoch's shard count is not shard_slice_count (a
+// Reshard installed before the coordinator cut over to a new slice set),
+// the request gets a typed kUnavailable error, never the whole index.
 //
 // Live index (PR 8): the server serves from an index::IndexCatalog instead
 // of raw index pointers. Each HandleFrame/HandleBatch call pins the
@@ -76,9 +71,7 @@
 #include "common/thread_pool.h"
 #include "core/pir_retrieval.h"
 #include "core/private_retrieval.h"
-#include "core/sharded_retrieval.h"
 #include "index/epoch.h"
-#include "index/sharding.h"
 #include "server/framing.h"
 #include "server/session_table.h"
 
@@ -115,40 +108,18 @@ struct EmbellishServerOptions {
   /// Algorithm 4 execution options.
   core::PrivateRetrievalServerOptions pr;
 
-  /// Document shards. 1 (default) serves the monolithic index unchanged;
-  /// N > 1 partitions it per `shard_partition` and answers every query
-  /// through the sharded engines. Results stay bit-identical either way.
-  size_t shard_count = 1;
-
-  /// How documents map to shards when shard_count > 1.
-  index::ShardPartition shard_partition = index::ShardPartition::kDocRange;
-
-  /// Cap on how many of one query's shards are evaluated concurrently on
-  /// the shared executor (there is no dedicated shard pool any more: shard
-  /// fan-out regions nest inside batch regions on one pool, and idle
-  /// workers steal across them). 0 — the default — runs one task per
-  /// shard; 1 evaluates a query's shards serially within the handling
-  /// thread (batch-level parallelism still touches different shards
-  /// concurrently); N caps a single query's draw on the pool so heavy
-  /// batch traffic keeps worker headroom. A sharded server constructed
-  /// WITHOUT a pool but with shard_threads > 1 spawns an owned executor of
-  /// that width and serves everything from it — the pre-executor behavior
-  /// (a dedicated shard pool) without the old one-region-at-a-time
-  /// collision. Results are bit-identical at any setting.
-  size_t shard_threads = 0;
-
-  /// Slice mode: serve exactly shard `shard_slice` of a
-  /// `shard_slice_count`-way document partition of the index — the
-  /// remote-shard deployment, one process per slice behind a
-  /// ShardCoordinator (server/shard_coordinator.h). The server behaves as a
-  /// monolithic server over the slice's sub-index: PR queries answer only
-  /// the slice's documents, kPirQuery bucket fields are slice-local, and
-  /// the hello-ok advertises shard_count 1 (the *coordinator* owns the
-  /// global topology). SIZE_MAX (the default) disables slice mode. Mutually
-  /// exclusive with shard_count > 1; an invalid slice configuration
-  /// (slice >= count, or combined with in-process sharding) falls back to
-  /// serving the full index and is flagged by slice_config_invalid() — a
-  /// ShardEndpoint refuses to serve such a server.
+  /// Slice mode: serve exactly shard `shard_slice` of the catalog's
+  /// `shard_slice_count`-way document partition — one server per slice
+  /// behind a ShardCoordinator (server/shard_coordinator.h). The server
+  /// behaves as a monolithic server over the slice's sub-index: PR queries
+  /// answer only the slice's documents, kPirQuery bucket fields are
+  /// slice-local, and the hello-ok advertises shard_count 1 (the
+  /// *coordinator* owns the global topology). SIZE_MAX (the default)
+  /// disables slice mode. A request whose pinned epoch is not partitioned
+  /// `shard_slice_count` ways is refused with a typed kUnavailable error.
+  /// Invalid parameters (slice >= count, zero count) are flagged by
+  /// slice_config_invalid(): every request is refused with
+  /// FailedPrecondition, and a ShardEndpoint refuses to serve such a server.
   size_t shard_slice = SIZE_MAX;
 
   /// Total slices of the partition `shard_slice` addresses.
@@ -189,24 +160,16 @@ struct ServerStats {
   uint64_t reshard_micros = 0;       ///< background reshard build time
   uint64_t pinned_epochs = 0;        ///< snapshots currently alive
   uint64_t answer_path_builds = 0;   ///< heavy builds on answer threads (0!)
-
-  // Impact-bound shard skipping on the plaintext top-k path.
-  uint64_t topk_shards_visited = 0;
-  uint64_t topk_shards_skipped = 0;
 };
 
 /// \brief Multi-session batched answer server.
 class EmbellishServer {
  public:
   /// \brief Serve from a live catalog (not owned; must outlive the server).
-  ///        The serving topology — monolithic, sharded, slice — follows
-  ///        each pinned epoch: options.shard_count/shard_partition are
-  ///        ignored in favor of the catalog's sharding, while
-  ///        options.shard_slice selects the slice of the epoch's partition
-  ///        to serve (valid while the epoch's shard count matches
-  ///        shard_slice_count; a mismatched epoch serves the full index and
-  ///        reports slice_config_invalid()). `pool` may be null (HandleBatch
-  ///        degrades to a serial loop).
+  ///        Without options.shard_slice the server answers over each pinned
+  ///        epoch's whole index; with it, over that slice of the epoch's
+  ///        partition (see EmbellishServerOptions::shard_slice). `pool` may
+  ///        be null (HandleBatch degrades to a serial loop).
   EmbellishServer(index::IndexCatalog* catalog,
                   const EmbellishServerOptions& options = {},
                   ThreadPool* pool = nullptr);
@@ -215,9 +178,9 @@ class EmbellishServer {
   ///        owned single-frozen-epoch IndexCatalog (IndexCatalog::Freeze)
   ///        and serves from that. `layout` may be null (skips I/O
   ///        accounting); `pool` may be null (HandleBatch degrades to a
-  ///        serial loop). All pointers must outlive the server. Behavior —
-  ///        including sharding via options.shard_count and slice mode — is
-  ///        unchanged from the pre-catalog server.
+  ///        serial loop). All pointers must outlive the server. A slice
+  ///        server gets a shard_slice_count-way kDocRange partition of
+  ///        `index`.
   EmbellishServer(const index::InvertedIndex* index,
                   const core::BucketOrganization* buckets,
                   const storage::StorageLayout* layout,
@@ -244,45 +207,31 @@ class EmbellishServer {
   Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(
       int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options);
 
+  /// \brief The answer to a ShardEndpoint ping, decided on one pinned
+  ///        epoch: kHelloOk advertising (1, bucket_count()), or the typed
+  ///        kError every request pinning that epoch gets (see
+  ///        EmbellishServerOptions::shard_slice).
+  std::vector<uint8_t> HandlePing() const;
+
   /// \brief Number of registered sessions.
   size_t session_count() const;
-
-  /// \brief Shard count of the current epoch's serving topology (1 =
-  ///        monolithic; a slice server is monolithic over its slice).
-  size_t shard_count() const;
 
   /// \brief Buckets in the organization this server answers against.
   size_t bucket_count() const { return bucket_count_; }
 
   /// \brief True when this server serves one slice of a document partition
-  ///        (see EmbellishServerOptions::shard_slice) under the current
-  ///        epoch.
+  ///        (valid EmbellishServerOptions::shard_slice parameters).
   bool serves_slice() const;
 
-  /// \brief True when slice mode was requested but the configuration was
-  ///        invalid (slice >= count, zero count, combined with in-process
-  ///        sharding, or — catalog-backed — an epoch whose partition does
-  ///        not match the slice topology), so the server fell back. A
-  ///        ShardEndpoint refuses to serve such a server: a misconfigured
-  ///        slice behind a coordinator would merge overlapping document
-  ///        sets and silently diverge from the monolithic answer, which
-  ///        must fail loudly instead.
+  /// \brief True when slice mode was requested with invalid parameters
+  ///        (slice >= count, zero count). Such a server refuses every
+  ///        request, and a ShardEndpoint refuses to serve it: a
+  ///        misconfigured slice behind a coordinator must fail loudly.
   bool slice_config_invalid() const;
 
   /// \brief The catalog this server serves from (the owned shim catalog for
   ///        legacy-constructed servers).
   const index::IndexCatalog& catalog() const { return *catalog_; }
-
-  /// \brief The shard-qualified bucket field a kPirQuery frame must carry
-  ///        to address `bucket` on `shard` of this server. The wire field
-  ///        is 32 bits; EncodePirQuery saturates larger values to
-  ///        UINT32_MAX, which a sharded server rejects as a reserved
-  ///        sentinel — an overflowed address errors instead of aliasing
-  ///        another pair (relevant only past 2^32 shard*bucket
-  ///        combinations).
-  size_t PirBucketField(size_t shard, size_t bucket) const {
-    return shard * bucket_count_ + bucket;
-  }
 
   ServerStats stats() const;
 
@@ -305,23 +254,19 @@ class EmbellishServer {
   struct EpochEngines {
     std::shared_ptr<const index::IndexEpoch> epoch;
 
+    // Not OK when this server cannot answer from the epoch (a slice server
+    // over a mismatched partition, or invalid slice parameters): every
+    // request gets this status as a typed error, and the engines are null.
+    Status refusal;
+
     const index::InvertedIndex* serve_index = nullptr;    // slice or full
     const storage::StorageLayout* serve_layout = nullptr; // may be null
-    bool slice_active = false;
-    bool slice_invalid = false;
-    size_t advertised_shards = 1;  // hello-ok topology (slice advertises 1)
 
-    // Monolithic engines (null when serving sharded). The PIR engines are
-    // internally thread-safe (their lazy matrix caches serialize only their
-    // builds), so no external answer-compute mutex exists any more — the
-    // per-shard lock convoy that serialized concurrent PIR answers died
-    // with it.
+    // The PIR engine is internally thread-safe (its lazy matrix cache
+    // serializes only its builds), so no external answer-compute mutex
+    // exists.
     std::unique_ptr<core::PrivateRetrievalServer> pr;
     std::unique_ptr<core::PirRetrievalServer> pir;
-
-    // Sharded engines (null when serving monolithic/slice).
-    std::unique_ptr<core::ShardedPrivateRetrievalServer> sharded_pr;
-    std::unique_ptr<core::ShardedPirRetrievalServer> sharded_pir;
   };
 
   // Pins the catalog's current epoch and returns the (possibly cached)
@@ -345,7 +290,7 @@ class EmbellishServer {
   // Folds one request's counters into totals_ under stats_mu_.
   void MergeDelta(const ServerStats& delta);
 
-  RequestOutcome HandleHello(const EpochEngines& engines, const Frame& frame);
+  RequestOutcome HandleHello(const Frame& frame);
   RequestOutcome HandleQuery(const EpochEngines& engines, const Frame& frame);
   RequestOutcome HandlePirQuery(const EpochEngines& engines,
                                 const Frame& frame);
@@ -354,8 +299,8 @@ class EmbellishServer {
                                      const Status& status);
 
   // The legacy-ctor shim: wraps the raw pointers in a frozen single-epoch
-  // catalog replicating the old in-ctor topology decisions (slice config →
-  // slice_count-way partition, shard_count → sharding, else monolithic).
+  // catalog, partitioned slice_count ways when valid slice parameters ask
+  // for a slice, else monolithic.
   static std::unique_ptr<index::IndexCatalog> MakeShimCatalog(
       const index::InvertedIndex* index, const core::BucketOrganization* buckets,
       const storage::StorageLayout* layout,
@@ -367,11 +312,7 @@ class EmbellishServer {
                   const EmbellishServerOptions& options, ThreadPool* pool);
 
   const EmbellishServerOptions options_;
-  // Spawned only when the caller passed no pool but asked for intra-query
-  // shard parallelism (shard_threads > 1 on a sharded server); pool_ then
-  // points at it and the whole server shares it.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;  // caller's pool or owned_pool_; null => all serial
+  ThreadPool* pool_;  // not owned; null => all serial
 
   // The live catalog; owned_catalog_ holds the legacy shim when the server
   // was constructed from raw pointers.

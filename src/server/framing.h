@@ -103,10 +103,10 @@ Result<crypto::BenalohPublicKey> DecodeHello(
 
 /// \brief HelloOk payload: the server's retrieval topology
 ///        ([u32 shard_count][u32 bucket_count], big-endian). A client needs
-///        both to address PIR executions on a sharded server (the bucket
-///        field of kPirQuery carries shard * bucket_count + bucket) — and a
-///        client that skips this discovery would otherwise silently score
-///        only shard 0's fragment of every list. A legacy empty payload
+///        both to address PIR executions behind a ShardCoordinator (the
+///        bucket field of kPirQuery carries shard * bucket_count + bucket)
+///        — and a client that skips this discovery would otherwise silently
+///        score only shard 0's fragment of every list. A legacy empty payload
 ///        decodes as a monolithic server (shard_count 1, bucket_count 0 =
 ///        unknown).
 std::vector<uint8_t> EncodeHelloOk(size_t shard_count, size_t bucket_count);

@@ -8,11 +8,11 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "core/sharded_retrieval.h"
-#include "server/async_frontend.h"
-#include "server/io_util.h"
+#include "core/private_retrieval.h"
 #include "core/wire_format.h"
 #include "index/sharding.h"
+#include "server/async_frontend.h"
+#include "server/io_util.h"
 
 namespace embellish::server {
 
@@ -38,24 +38,22 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardTransport*> transports,
     : ShardCoordinator(SingleReplicaGroups(std::move(transports)), options,
                        pool) {}
 
+ShardCoordinator::SliceSet::SliceSet(
+    std::vector<std::vector<ShardTransport*>> groups)
+    : replicas(std::move(groups)) {
+  failures.reserve(replicas.size());
+  for (const auto& group : replicas) failures.emplace_back(group.size());
+}
+
 ShardCoordinator::ShardCoordinator(
     std::vector<std::vector<ShardTransport*>> replica_groups,
     const ShardCoordinatorOptions& options, ThreadPool* pool)
-    : replicas_(std::move(replica_groups)),
-      options_(options),
+    : options_(options),
       pool_(pool),
+      slices_(std::make_shared<SliceSet>(std::move(replica_groups))),
       probe_rng_(options.probe_seed),
       epoch_(options.epoch),
-      sessions_(options.max_sessions, options.session_idle_frames) {
-  replica_failures_.reserve(replicas_.size());
-  for (const auto& group : replicas_) {
-    replica_failures_.emplace_back();
-    for (size_t r = 0; r < group.size(); ++r) {
-      replica_failures_.back().push_back(
-          std::make_unique<std::atomic<uint32_t>>(0));
-    }
-  }
-}
+      sessions_(options.max_sessions, options.session_idle_frames) {}
 
 ShardCoordinator::~ShardCoordinator() {
   // Attempts orphaned by an answered trip (late hedge losers, abandoned
@@ -63,6 +61,23 @@ ShardCoordinator::~ShardCoordinator() {
   // breakers/counters; they must all land before members die.
   std::unique_lock<std::mutex> lock(drain_mu_);
   drain_cv_.wait(lock, [this] { return outstanding_ == 0; });
+}
+
+ShardCoordinator::SliceSetPtr ShardCoordinator::CurrentSlices() const {
+  std::lock_guard<std::mutex> lock(slices_mu_);
+  return slices_;
+}
+
+size_t ShardCoordinator::shard_count() const {
+  return CurrentSlices()->replicas.size();
+}
+
+size_t ShardCoordinator::replica_count(size_t shard) const {
+  return CurrentSlices()->replicas[shard].size();
+}
+
+size_t ShardCoordinator::bucket_count() const {
+  return CurrentSlices()->bucket_count.load(std::memory_order_acquire);
 }
 
 size_t ShardCoordinator::session_count() const { return sessions_.size(); }
@@ -123,9 +138,9 @@ std::vector<uint8_t> ShardCoordinator::BuildShardRequest(
 }
 
 Result<Frame> ShardCoordinator::SettleReplicaTrip(
-    size_t shard, size_t replica, uint64_t seq,
+    SliceSet& set, size_t shard, size_t replica, uint64_t seq,
     Result<std::vector<uint8_t>> response) {
-  std::atomic<uint32_t>& breaker = *replica_failures_[shard][replica];
+  std::atomic<uint32_t>& breaker = set.failures[shard][replica];
   auto fail = [&](Status status) -> Result<Frame> {
     Count(&AtomicStats::shard_failures);
     breaker.fetch_add(1, std::memory_order_relaxed);
@@ -194,14 +209,15 @@ Result<Frame> ShardCoordinator::SettleReplicaTrip(
   return inner_frame;
 }
 
-std::vector<size_t> ShardCoordinator::ReplicaOrder(size_t shard) {
-  const size_t n = replicas_[shard].size();
+std::vector<size_t> ShardCoordinator::ReplicaOrder(const SliceSet& set,
+                                                   size_t shard) {
+  const size_t n = set.replicas[shard].size();
   std::vector<size_t> closed;
   std::vector<size_t> open;
   for (size_t r = 0; r < n; ++r) {
     const bool broken =
         options_.breaker_threshold > 0 &&
-        replica_failures_[shard][r]->load(std::memory_order_relaxed) >=
+        set.failures[shard][r].load(std::memory_order_relaxed) >=
             options_.breaker_threshold;
     (broken ? open : closed).push_back(r);
   }
@@ -223,12 +239,13 @@ std::vector<size_t> ShardCoordinator::ReplicaOrder(size_t shard) {
   return closed;
 }
 
-void ShardCoordinator::ReplicaTrip(size_t shard, size_t replica,
+void ShardCoordinator::ReplicaTrip(const SliceSetPtr& set, size_t shard,
+                                   size_t replica,
                                    const std::vector<uint8_t>& inner,
                                    std::function<void(Result<Frame>)> done) {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   std::vector<uint8_t> request = BuildShardRequest(shard, seq, inner);
-  ShardTransport* transport = replicas_[shard][replica];
+  ShardTransport* transport = set->replicas[shard][replica];
   Count(&AtomicStats::shard_trips);
   // A transport without a native submit completes the attempt inline, on
   // this thread, through its blocking RoundTrip.
@@ -240,14 +257,15 @@ void ShardCoordinator::ReplicaTrip(size_t shard, size_t replica,
   }
   const auto start = std::chrono::steady_clock::now();
   transport->SubmitRoundTrip(
-      request, [this, shard, replica, seq, start, done = std::move(done)](
+      request, [this, set, shard, replica, seq, start, done = std::move(done)](
                    Result<std::vector<uint8_t>> response) {
         counters_.trip_micros.fetch_add(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - start)
                 .count(),
             std::memory_order_relaxed);
-        done(SettleReplicaTrip(shard, replica, seq, std::move(response)));
+        done(SettleReplicaTrip(*set, shard, replica, seq,
+                               std::move(response)));
         std::lock_guard<std::mutex> lock(drain_mu_);
         if (--outstanding_ == 0) drain_cv_.notify_all();
       });
@@ -263,7 +281,8 @@ enum AttemptKind : int {
 }  // namespace
 
 std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
-    const std::vector<size_t>& shards, const std::vector<uint8_t>& inner) {
+    const SliceSetPtr& set, const std::vector<size_t>& shards,
+    const std::vector<uint8_t>& inner) {
   // One logical trip per slice, all primaries submitted before anything is
   // awaited: over multiplexed transports N round trips are in flight and
   // zero threads are parked on sockets. Every attempt has its own seq, so
@@ -296,7 +315,7 @@ std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
   for (size_t i = 0; i < shards.size(); ++i) {
     Trip& trip = fan->trips[i];
     trip.shard = shards[i];
-    trip.order = ReplicaOrder(trip.shard);
+    trip.order = ReplicaOrder(*set, trip.shard);
     if (trip.order.empty()) {
       Count(&AtomicStats::shard_failures);
       trip.done = true;
@@ -329,9 +348,9 @@ std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
   std::weak_ptr<std::function<void(size_t, int, size_t)>> weak_submit =
       submit;
 
-  *submit = [this, fan, on_result, &inner](size_t t, int kind,
-                                           size_t replica) {
-    ReplicaTrip(fan->trips[t].shard, replica, inner,
+  *submit = [this, set, fan, on_result, &inner](size_t t, int kind,
+                                                size_t replica) {
+    ReplicaTrip(set, fan->trips[t].shard, replica, inner,
                 [on_result, t, kind](Result<Frame> r) {
                   (*on_result)(t, kind, std::move(r));
                 });
@@ -439,14 +458,14 @@ std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
 }
 
 std::vector<Result<Frame>> ShardCoordinator::FanOut(
-    const std::vector<uint8_t>& inner) {
-  std::vector<size_t> all(replicas_.size());
+    const SliceSetPtr& set, const std::vector<uint8_t>& inner) {
+  std::vector<size_t> all(set->replicas.size());
   for (size_t s = 0; s < all.size(); ++s) all[s] = s;
-  return FanOutShards(all, inner);
+  return FanOutShards(set, all, inner);
 }
 
 std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
-    const std::vector<uint8_t>& inner) {
+    const SliceSetPtr& set, const std::vector<uint8_t>& inner) {
   // Registration and pings want an answer from EVERY replica, so there is
   // no failover or hedging — just every (slice, replica) attempt in flight
   // at once and one awaiting thread.
@@ -456,18 +475,19 @@ std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
     size_t open = 0;
     std::vector<std::vector<Result<Frame>>> out;
   };
+  const auto& replicas = set->replicas;
   auto fan = std::make_shared<Fan>();
-  fan->out.resize(replicas_.size());
+  fan->out.resize(replicas.size());
   size_t total = 0;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    fan->out[s].assign(replicas_[s].size(),
+  for (size_t s = 0; s < replicas.size(); ++s) {
+    fan->out[s].assign(replicas[s].size(),
                        Result<Frame>(Status::Internal("replica not contacted")));
-    total += replicas_[s].size();
+    total += replicas[s].size();
   }
   fan->open = total;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    for (size_t r = 0; r < replicas_[s].size(); ++r) {
-      ReplicaTrip(s, r, inner, [fan, s, r](Result<Frame> result) {
+  for (size_t s = 0; s < replicas.size(); ++s) {
+    for (size_t r = 0; r < replicas[s].size(); ++r) {
+      ReplicaTrip(set, s, r, inner, [fan, s, r](Result<Frame> result) {
         std::lock_guard<std::mutex> lock(fan->mu);
         fan->out[s][r] = std::move(result);
         if (--fan->open == 0) fan->cv.notify_all();
@@ -479,13 +499,15 @@ std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
   return std::move(fan->out);
 }
 
-Status ShardCoordinator::Handshake() {
+Status ShardCoordinator::Handshake() { return HandshakeSet(CurrentSlices()); }
+
+Status ShardCoordinator::HandshakeSet(const SliceSetPtr& set) {
   // Lock-free fast path: once handshaken, per-request checks cost one
   // acquire load instead of contending a mutex across batch workers.
-  if (handshaken_.load(std::memory_order_acquire)) return Status::OK();
+  if (set->handshaken.load(std::memory_order_acquire)) return Status::OK();
   std::lock_guard<std::mutex> lock(handshake_mu_);
-  if (handshaken_.load(std::memory_order_relaxed)) return Status::OK();
-  if (replicas_.empty()) {
+  if (set->handshaken.load(std::memory_order_relaxed)) return Status::OK();
+  if (set->replicas.empty()) {
     return Status::InvalidArgument("coordinator has no shard transports");
   }
   // Ping every replica (an empty inner frame): a slice is usable if at
@@ -493,7 +515,7 @@ Status ShardCoordinator::Handshake() {
   // the same topology. A misconfigured replica (wrong shard count,
   // divergent buckets) is a deployment error worth failing loudly on, not
   // failing over past.
-  std::vector<std::vector<Result<Frame>>> pongs = FanOutAllReplicas({});
+  std::vector<std::vector<Result<Frame>>> pongs = FanOutAllReplicas(set, {});
   size_t bucket_count = 0;
   bool bucket_known = false;
   for (size_t s = 0; s < pongs.size(); ++s) {
@@ -516,8 +538,8 @@ Status ShardCoordinator::Handshake() {
       EMB_ASSIGN_OR_RETURN(HelloOkPayload topology,
                            DecodeHelloOk(pong->payload));
       // A coordinator shard must serve exactly one slice: PIR bucket fields
-      // are rewritten to shard-local addresses, which an internally-sharded
-      // server would misinterpret as shard-qualified.
+      // are rewritten to shard-local addresses, which a server advertising
+      // more shards would read as shard-qualified.
       if (topology.shard_count != 1) {
         return Status::FailedPrecondition(StringPrintf(
             "shard %zu serves %zu shards; coordinator shards must each serve "
@@ -541,45 +563,60 @@ Status ShardCoordinator::Handshake() {
                  : first_failure;
     }
   }
-  bucket_count_.store(bucket_count, std::memory_order_release);
-  handshaken_.store(true, std::memory_order_release);
+  set->bucket_count.store(bucket_count, std::memory_order_release);
+  set->handshaken.store(true, std::memory_order_release);
   return Status::OK();
 }
 
 Status ShardCoordinator::AdvanceEpoch() {
   std::lock_guard<std::mutex> cutover(cutover_mu_);
+  return CutOver(CurrentSlices());
+}
+
+Status ShardCoordinator::AdvanceEpoch(
+    std::vector<std::vector<ShardTransport*>> replica_groups) {
+  std::lock_guard<std::mutex> cutover(cutover_mu_);
+  return CutOver(std::make_shared<SliceSet>(std::move(replica_groups)));
+}
+
+Status ShardCoordinator::CutOver(const SliceSetPtr& set) {
   // Bump first: from this instant every in-flight response stamped with
   // the superseded epoch fails its envelope echo in SettleReplicaTrip and
   // can never be merged. Requests racing the bump see a typed
   // kUnavailable and retry — fencing trades a transient error for the
   // impossibility of merging pre-cutover bytes.
   epoch_.fetch_add(1, std::memory_order_acq_rel);
-  handshaken_.store(false, std::memory_order_release);
+  set->handshaken.store(false, std::memory_order_release);
   counters_.epoch_swaps.fetch_add(1, std::memory_order_relaxed);
-  // Re-verify the (possibly restarted or re-sharded) slice topology under
-  // the new epoch before any request traffic relies on it. A topology error
-  // fails the cutover. A slice that refuses the ping right now (shed under
-  // overload, a dropped trip) does not: the epoch is already bumped, and
-  // handshaken_ stays false, so the next request's Handshake() pings again.
-  Status handshake = Handshake();
+  // Verify the (possibly restarted or re-sharded) slice topology under the
+  // new epoch before any request traffic relies on it. A topology error
+  // fails the cutover, and a new set is then never installed. A slice that
+  // refuses the ping right now (shed under overload, a dropped trip, a
+  // slice whose partition the catalog does not have yet) does not: the
+  // epoch is already bumped, and the set stays unhandshaken, so the next
+  // request's Handshake() pings again.
+  Status handshake = HandshakeSet(set);
   if (handshake.IsFailedPrecondition() || handshake.IsInvalidArgument()) {
     return handshake;
   }
   if (!handshake.ok()) {
     Count(&AtomicStats::deferred_repairs);
-    return Status::OK();
-  }
-  // Re-push slice state: a cutover that restarted a slice server (or swapped
-  // in a resharded deployment) wiped its session table; re-offering every
-  // registered key keeps established sessions working without a
-  // client-visible re-hello. The eager push keeps the cutover's cost off the
-  // first post-cutover query of every session; a session whose re-hello is
-  // refused is left to the query path's ReRegisterOnShards.
-  for (const auto& [session_id, pk] : sessions_.Snapshot()) {
-    if (!ReRegisterOnShards(session_id, *pk)) {
-      Count(&AtomicStats::deferred_repairs);
+  } else {
+    // Re-push slice state: a cutover that restarted a slice server (or
+    // swapped in a resharded deployment) wiped its session table;
+    // re-offering every registered key keeps established sessions working
+    // without a client-visible re-hello. The eager push, before the set is
+    // installed, keeps the cutover's cost off the first post-cutover query
+    // of every session; a session whose re-hello is refused is left to the
+    // query path's ReRegisterOnShards.
+    for (const auto& [session_id, pk] : sessions_.Snapshot()) {
+      if (!ReRegisterOnShards(set, session_id, *pk)) {
+        Count(&AtomicStats::deferred_repairs);
+      }
     }
   }
+  std::lock_guard<std::mutex> lock(slices_mu_);
+  slices_ = set;
   return Status::OK();
 }
 
@@ -679,19 +716,22 @@ std::vector<uint8_t> ShardCoordinator::ProcessOne(
   // the idle-expiry sweep, whatever its kind.
   sessions_.Touch(frame->session_id,
                   frame_clock_.load(std::memory_order_relaxed));
+  // One pin per request: the whole fan-out, its merge and its hello-ok
+  // topology come from one slice set, whatever a cutover installs meanwhile.
+  const SliceSetPtr set = CurrentSlices();
   // Lazy handshake: a coordinator that cannot reach its shards answers
   // every request with a typed error rather than wedging.
-  Status handshake = Handshake();
+  Status handshake = HandshakeSet(set);
   if (!handshake.ok()) return ErrorFrame(frame->session_id, handshake);
   switch (frame->kind) {
     case FrameKind::kHello:
-      return HandleHello(*frame, request);
+      return HandleHello(set, *frame, request);
     case FrameKind::kQuery:
-      return HandleQuery(*frame, request);
+      return HandleQuery(set, *frame, request);
     case FrameKind::kPirQuery:
-      return HandlePirQuery(*frame);
+      return HandlePirQuery(set, *frame);
     case FrameKind::kTopKQuery:
-      return HandleTopK(*frame, request);
+      return HandleTopK(set, *frame, request);
     default:
       return ErrorFrame(frame->session_id,
                         Status::InvalidArgument(
@@ -721,7 +761,8 @@ const Frame* FirstInnerError(const std::vector<Result<Frame>>& responses) {
 }  // namespace
 
 std::vector<uint8_t> ShardCoordinator::HandleHello(
-    const Frame& frame, const std::vector<uint8_t>& request) {
+    const SliceSetPtr& set, const Frame& frame,
+    const std::vector<uint8_t>& request) {
   auto pk = DecodeHello(frame.payload);
   if (!pk.ok()) return ErrorFrame(frame.session_id, pk.status());
   // Register at the coordinator first (bounded + idle-expiring, same
@@ -742,7 +783,8 @@ std::vector<uint8_t> ShardCoordinator::HandleHello(
   // differ). A slice counts as registered when at least one replica acks —
   // a replica that was down re-learns the session through the self-healing
   // re-registration when it next serves a query for it.
-  std::vector<std::vector<Result<Frame>>> groups = FanOutAllReplicas(request);
+  std::vector<std::vector<Result<Frame>>> groups =
+      FanOutAllReplicas(set, request);
   const Status* first_failure = nullptr;
   const Frame* first_inner_error = nullptr;
   size_t first_unexpected = 0;
@@ -793,14 +835,16 @@ std::vector<uint8_t> ShardCoordinator::HandleHello(
   }
   Count(&AtomicStats::hellos);
   // Advertise the *global* topology: the client addresses PIR executions
-  // via shard-qualified bucket fields exactly as against the in-process
-  // sharded server, and these bytes match that server's hello-ok.
-  return EncodeFrame(FrameKind::kHelloOk, frame.session_id,
-                     EncodeHelloOk(shard_count(), bucket_count()));
+  // via shard-qualified bucket fields (PirBucketField).
+  return EncodeFrame(
+      FrameKind::kHelloOk, frame.session_id,
+      EncodeHelloOk(set->replicas.size(),
+                    set->bucket_count.load(std::memory_order_acquire)));
 }
 
 bool ShardCoordinator::ReRegisterOnShards(
-    uint64_t session_id, const crypto::BenalohPublicKey& pk) {
+    const SliceSetPtr& set, uint64_t session_id,
+    const crypto::BenalohPublicKey& pk) {
   // EncodeHello reproduces the registration payload deterministically from
   // the coordinator's copy of the key, so a shard that lost the session —
   // restart, idle expiry on its side, or a raced re-hello that left it
@@ -810,7 +854,8 @@ bool ShardCoordinator::ReRegisterOnShards(
   // Offer the key to every replica (a replica that lost it may not be the
   // one the next trip lands on); the repair succeeds if every slice has at
   // least one replica holding the registration again.
-  std::vector<std::vector<Result<Frame>>> groups = FanOutAllReplicas(hello);
+  std::vector<std::vector<Result<Frame>>> groups =
+      FanOutAllReplicas(set, hello);
   for (size_t s = 0; s < groups.size(); ++s) {
     bool acked = false;
     for (const Result<Frame>& r : groups[s]) {
@@ -826,7 +871,8 @@ bool ShardCoordinator::ReRegisterOnShards(
 }
 
 std::vector<uint8_t> ShardCoordinator::HandleQuery(
-    const Frame& frame, const std::vector<uint8_t>& request) {
+    const SliceSetPtr& set, const Frame& frame,
+    const std::vector<uint8_t>& request) {
   const std::shared_ptr<const crypto::BenalohPublicKey> pk =
       sessions_.Find(frame.session_id).pk;
   if (pk == nullptr) {
@@ -843,7 +889,7 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
   // not fail the session's queries forever.
   for (int attempt = 0; attempt < 2; ++attempt) {
     const bool can_repair = attempt == 0;
-    std::vector<Result<Frame>> responses = FanOut(request);
+    std::vector<Result<Frame>> responses = FanOut(set, request);
     // Transport-level failures (after each slice's failover walk): strict
     // mode fails the request on any one; partial mode records the slice as
     // missing and answers from the survivors — unless nothing survived.
@@ -861,7 +907,7 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
           DecodeError(inner_error->payload, &transported).ok() &&
           transported.IsFailedPrecondition();
       if (lost_session && can_repair &&
-          ReRegisterOnShards(frame.session_id, *pk)) {
+          ReRegisterOnShards(set, frame.session_id, *pk)) {
         continue;
       }
       return PassThroughError(frame.session_id, inner_error->payload);
@@ -889,12 +935,14 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
       partial.push_back(std::move(*result));
     }
     if (!decode_failure.ok()) {
-      if (can_repair && ReRegisterOnShards(frame.session_id, *pk)) continue;
+      if (can_repair && ReRegisterOnShards(set, frame.session_id, *pk)) {
+        continue;
+      }
       return ErrorFrame(frame.session_id, decode_failure);
     }
 
     // The shard merge: shard-disjoint documents re-sorted into canonical
-    // (bound, doc) order, bit-identical to the in-process sharded server's
+    // (bound, doc) order, bit-identical to the monolithic server's
     // response. With missing slices the same merge over the survivors is
     // still exact over the surviving documents — disjointness means a dead
     // slice removes documents, it cannot corrupt the rest.
@@ -914,18 +962,20 @@ std::vector<uint8_t> ShardCoordinator::HandleQuery(
                     Status::Internal("unreachable query retry exit"));
 }
 
-std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
+std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const SliceSetPtr& set,
+                                                      const Frame& frame) {
   auto payload = DecodePirQuery(frame.payload);
   if (!payload.ok()) return ErrorFrame(frame.session_id, payload.status());
 
-  const size_t buckets = bucket_count();
+  const size_t buckets = set->bucket_count.load(std::memory_order_acquire);
   if (buckets == 0) {
     return ErrorFrame(frame.session_id,
                       Status::OutOfRange("server has no buckets"));
   }
-  // Identical address validation (and messages) to the sharded
-  // EmbellishServer: the saturation sentinel is rejected, oversized shard
-  // indexes are rejected.
+  // The bucket field is shard-qualified (PirBucketField): the saturation
+  // sentinel is rejected even when it would decode to an in-range pair, so
+  // an overflowed address can never alias, and so are shard indexes past
+  // the set's slices.
   if (payload->bucket == UINT32_MAX) {
     return ErrorFrame(
         frame.session_id,
@@ -933,7 +983,7 @@ std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
   }
   const size_t shard = payload->bucket / buckets;
   const size_t bucket = payload->bucket % buckets;
-  if (shard >= shard_count()) {
+  if (shard >= set->replicas.size()) {
     return ErrorFrame(frame.session_id,
                       Status::OutOfRange(
                           "shard-qualified bucket out of range"));
@@ -945,7 +995,7 @@ std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
       FrameKind::kPirQuery, frame.session_id,
       EncodePirQuery(bucket, payload->query));
   Result<Frame> response =
-      std::move(FanOutShards(std::vector<size_t>{shard}, inner).front());
+      std::move(FanOutShards(set, std::vector<size_t>{shard}, inner).front());
   if (!response.ok()) {
     return ErrorFrame(frame.session_id, response.status());
   }
@@ -960,18 +1010,19 @@ std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
                           "unexpected frame", shard)));
   }
   Count(&AtomicStats::pir_queries);
-  // The shard's response payload is already exactly what the in-process
-  // sharded server would emit; re-frame it under the client's session id.
+  // The slice's answer is the client's answer (PIR fragments merge on the
+  // client); re-frame it under the client's session id.
   return EncodeFrame(FrameKind::kPirResult, frame.session_id,
                      response->payload);
 }
 
 std::vector<uint8_t> ShardCoordinator::HandleTopK(
-    const Frame& frame, const std::vector<uint8_t>& request) {
+    const SliceSetPtr& set, const Frame& frame,
+    const std::vector<uint8_t>& request) {
   auto query = DecodeTopKQuery(frame.payload);
   if (!query.ok()) return ErrorFrame(frame.session_id, query.status());
 
-  std::vector<Result<Frame>> responses = FanOut(request);
+  std::vector<Result<Frame>> responses = FanOut(set, request);
   std::vector<uint32_t> missing;
   for (size_t s = 0; s < responses.size(); ++s) {
     if (!responses[s].ok()) missing.push_back(static_cast<uint32_t>(s));

@@ -1,9 +1,8 @@
-// The coordinator that lifts document-partitioned shards out of the server
-// process: it speaks the same client-facing framed protocol as an
-// EmbellishServer, but answers by fanning requests out to remote shard
-// servers over ShardTransports and merging with the exact PR 3 merge logic,
-// so its response frames are byte-identical to both the in-process sharded
-// server and the monolithic server.
+// The coordinator that serves a document-partitioned index: it speaks the
+// same client-facing framed protocol as an EmbellishServer, but answers by
+// fanning requests out to slice servers (one per shard of the catalog's
+// partition) over ShardTransports and merging their answers losslessly, so
+// its response frames are byte-identical to the monolithic server's.
 //
 // Downstream protocol (per shard):
 //   - every request is wrapped in a kShardRequest envelope carrying the
@@ -17,7 +16,8 @@
 //     session key under its own table).
 //
 // Request routing:
-//   kQuery      fan out to all shards; merge with core::MergeShardResults.
+//   kQuery      fan out to all shards; merge with core::MergeShardResults
+//               (core/private_retrieval.h).
 //   kTopKQuery  fan out to all shards; merge with index::MergeShardTopK.
 //   kPirQuery   route to the one shard the shard-qualified bucket field
 //               addresses (shard * bucket_count + bucket), rewriting the
@@ -46,6 +46,14 @@
 // carries its own envelope seq under the coordinator's fencing epoch, so a
 // duplicate, late, or stale response can never be merged twice or merged
 // wrongly — each logical trip accepts exactly one response, matched by seq.
+//
+// Slice sets: the transports and their per-replica breakers form one slice
+// set, which every request pins for its whole fan-out. AdvanceEpoch(groups)
+// cuts over to a new set — after IndexCatalog::Reshard, the slice servers
+// of the new partition — and AdvanceEpoch() re-handshakes the current one
+// after a delta. A request racing a cutover is fenced by the epoch bump or
+// refused by an old slice whose partition the catalog no longer has; both
+// reach the client as a typed kUnavailable it can resend.
 //
 // Failure semantics: any transport failure, corrupt frame, or envelope
 // mismatch on a shard round trip (after failover/retry exhausts the
@@ -194,17 +202,18 @@ struct CoordinatorStats {
 /// \brief Client-facing frame loop over remote shards.
 class ShardCoordinator {
  public:
-  /// \brief `transports[s]` carries shard `s`'s traffic and must outlive the
-  ///        coordinator, as must `pool` (may be null: serial batches).
-  ///        Equivalent to one single-replica group per slice.
+  /// \brief `transports[s]` carries shard `s`'s traffic. Every transport
+  ///        ever passed to the coordinator — here or to
+  ///        AdvanceEpoch(groups) — must outlive it, as must `pool` (may be
+  ///        null: serial batches). Equivalent to one single-replica group
+  ///        per slice.
   ShardCoordinator(std::vector<ShardTransport*> transports,
                    const ShardCoordinatorOptions& options = {},
                    ThreadPool* pool = nullptr);
 
   /// \brief Replicated construction: `replica_groups[s]` holds slice `s`'s
   ///        R transports, every replica serving byte-identical answers for
-  ///        the slice. All transports (and `pool`) must outlive the
-  ///        coordinator.
+  ///        the slice. Same lifetime rule as above.
   ShardCoordinator(std::vector<std::vector<ShardTransport*>> replica_groups,
                    const ShardCoordinatorOptions& options = {},
                    ThreadPool* pool = nullptr);
@@ -214,12 +223,12 @@ class ShardCoordinator {
   ///        coordinator state from their completions).
   ~ShardCoordinator();
 
-  /// \brief Pings every replica of every slice at once: verifies at least
-  ///        one replica per slice answers, fences the epoch, checks each
-  ///        slice serves exactly one shard, and learns the shared
-  ///        bucket_count (every answering replica must agree). Runs lazily on
-  ///        the first request if not called; idempotent once it has
-  ///        succeeded.
+  /// \brief Pings every replica of every slice of the current set at once:
+  ///        verifies at least one replica per slice answers, fences the
+  ///        epoch, checks each slice serves exactly one shard, and learns the
+  ///        shared bucket_count (every answering replica must agree). Runs
+  ///        lazily on the first request if not called; idempotent once it
+  ///        has succeeded on the set.
   Status Handshake();
 
   /// \brief Drives an index cutover from the coordinator's side: bumps the
@@ -238,6 +247,18 @@ class ShardCoordinator {
   ///        the next request re-handshakes, and a query that finds its
   ///        session lost re-registers it (ReRegisterOnShards).
   Status AdvanceEpoch();
+
+  /// \brief Cuts over to a new slice set, which replaces the current one:
+  ///        the steps of AdvanceEpoch() — bump the fencing epoch, handshake
+  ///        (learning the shard count from the set's size and checking the
+  ///        slices agree on the bucket count), re-push every registered
+  ///        session — against `replica_groups`. A topology error from the
+  ///        new set (an empty set is InvalidArgument; a slice that serves
+  ///        more than one shard or advertises a different bucket count is
+  ///        FailedPrecondition) fails the cutover and leaves the current
+  ///        set serving. Requests pinned to the old set finish on it; those
+  ///        racing the cutover get a typed kUnavailable and resend.
+  Status AdvanceEpoch(std::vector<std::vector<ShardTransport*>> replica_groups);
 
   /// \brief The current fencing epoch stamped into downstream envelopes.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -263,18 +284,20 @@ class ShardCoordinator {
   Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(
       int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options);
 
-  size_t shard_count() const { return replicas_.size(); }
+  /// \brief Slices of the current set.
+  size_t shard_count() const;
 
-  /// \brief Replicas serving slice `shard`.
-  size_t replica_count(size_t shard) const { return replicas_[shard].size(); }
+  /// \brief Replicas serving slice `shard` of the current set.
+  size_t replica_count(size_t shard) const;
 
-  /// \brief Shared bucket count learned from the handshake (0 before).
-  size_t bucket_count() const {
-    return bucket_count_.load(std::memory_order_acquire);
-  }
+  /// \brief Shared bucket count the current set's handshake learned (0
+  ///        before).
+  size_t bucket_count() const;
 
-  /// \brief The shard-qualified bucket field addressing (shard, bucket),
-  ///        mirroring EmbellishServer::PirBucketField.
+  /// \brief The shard-qualified bucket field addressing (shard, bucket). The
+  ///        wire field is 32 bits; EncodePirQuery saturates larger values to
+  ///        UINT32_MAX, which the coordinator rejects as a reserved sentinel
+  ///        — an overflowed address errors instead of aliasing another pair.
   size_t PirBucketField(size_t shard, size_t bucket) const {
     return shard * bucket_count() + bucket;
   }
@@ -283,6 +306,34 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
+  // One slice set: replicas[s][r] is replica r of slice s (not owned),
+  // failures[s][r] its circuit breaker (consecutive transport-level
+  // failures), and the rest what the set's handshake learned. Each request
+  // pins the current set for its whole fan-out, and every replica
+  // completion holds the set it was sent on, so a late hedge loser settles
+  // the breaker it belongs to even after a cutover swapped the set out.
+  struct SliceSet {
+    explicit SliceSet(std::vector<std::vector<ShardTransport*>> groups);
+
+    const std::vector<std::vector<ShardTransport*>> replicas;
+    std::vector<std::vector<std::atomic<uint32_t>>> failures;
+    // Lock-free fast path for the per-request handshake check.
+    std::atomic<bool> handshaken{false};
+    std::atomic<size_t> bucket_count{0};
+  };
+  using SliceSetPtr = std::shared_ptr<SliceSet>;
+
+  // Pins the current slice set.
+  SliceSetPtr CurrentSlices() const;
+
+  // Handshake() against `set` (see there).
+  Status HandshakeSet(const SliceSetPtr& set);
+
+  // The cutover both AdvanceEpoch overloads run, under cutover_mu_: bump
+  // the epoch, handshake `set`, re-push every session to it, and install
+  // it as the current set unless the handshake found a topology error.
+  Status CutOver(const SliceSetPtr& set);
+
   // The envelope for one physical attempt: seq is the per-attempt fencing
   // token SettleReplicaTrip validates against the response echo.
   std::vector<uint8_t> BuildShardRequest(size_t shard, uint64_t seq,
@@ -292,7 +343,8 @@ class ShardCoordinator {
   // (shard, epoch, seq) echo, decode the inner frame, and settle the
   // replica's circuit breaker (success closes it, failure counts toward
   // breaker_threshold).
-  Result<Frame> SettleReplicaTrip(size_t shard, size_t replica, uint64_t seq,
+  Result<Frame> SettleReplicaTrip(SliceSet& set, size_t shard,
+                                  size_t replica, uint64_t seq,
                                   Result<std::vector<uint8_t>> response);
 
   // One physical round trip to one replica: wrap `inner` for `shard`,
@@ -303,7 +355,7 @@ class ShardCoordinator {
   // thread completes the trip (the multiplexer's loop thread, or this one
   // for a transport that completes inline) and must not block. Tracked in
   // outstanding_ so the destructor can drain.
-  void ReplicaTrip(size_t shard, size_t replica,
+  void ReplicaTrip(const SliceSetPtr& set, size_t shard, size_t replica,
                    const std::vector<uint8_t>& inner,
                    std::function<void(Result<Frame>)> done);
 
@@ -313,23 +365,25 @@ class ShardCoordinator {
   // a replica answers or the attempt budget is spent — and may hedge onto
   // a second replica, fired from the awaiting caller at its deadline. The
   // caller is the only thread the fan-out blocks. out[i] answers shards[i].
-  std::vector<Result<Frame>> FanOutShards(const std::vector<size_t>& shards,
+  std::vector<Result<Frame>> FanOutShards(const SliceSetPtr& set,
+                                          const std::vector<size_t>& shards,
                                           const std::vector<uint8_t>& inner);
 
   // FanOutShards over every slice, in shard order.
-  std::vector<Result<Frame>> FanOut(const std::vector<uint8_t>& inner);
+  std::vector<Result<Frame>> FanOut(const SliceSetPtr& set,
+                                    const std::vector<uint8_t>& inner);
 
   // Registration and ping traffic: one attempt per replica of every slice
   // (every replica needs the session key), all in flight at once, no
   // failover or hedging. out[s][r] is replica r's result.
   std::vector<std::vector<Result<Frame>>> FanOutAllReplicas(
-      const std::vector<uint8_t>& inner);
+      const SliceSetPtr& set, const std::vector<uint8_t>& inner);
 
   // Replica indices of `shard` in send order: circuit-closed replicas
   // first (ascending, for determinism), circuit-open ones after; with
   // probe_probability, one open replica may be promoted to the front as a
   // re-admission probe.
-  std::vector<size_t> ReplicaOrder(size_t shard);
+  std::vector<size_t> ReplicaOrder(const SliceSet& set, size_t shard);
 
   // Admission control: grants up to `want` in-flight slots (all of them
   // when max_inflight is 0). ReleaseInflight returns what was granted.
@@ -344,16 +398,17 @@ class ShardCoordinator {
   // acknowledged. Used when a shard turns out to have lost the session —
   // restart, idle expiry on the shard, or a raced re-hello — so one stale
   // shard does not fail the session's queries forever.
-  bool ReRegisterOnShards(uint64_t session_id,
+  bool ReRegisterOnShards(const SliceSetPtr& set, uint64_t session_id,
                           const crypto::BenalohPublicKey& pk);
 
   std::vector<uint8_t> ProcessOne(const std::vector<uint8_t>& request);
-  std::vector<uint8_t> HandleHello(const Frame& frame,
+  std::vector<uint8_t> HandleHello(const SliceSetPtr& set, const Frame& frame,
                                    const std::vector<uint8_t>& request);
-  std::vector<uint8_t> HandleQuery(const Frame& frame,
+  std::vector<uint8_t> HandleQuery(const SliceSetPtr& set, const Frame& frame,
                                    const std::vector<uint8_t>& request);
-  std::vector<uint8_t> HandlePirQuery(const Frame& frame);
-  std::vector<uint8_t> HandleTopK(const Frame& frame,
+  std::vector<uint8_t> HandlePirQuery(const SliceSetPtr& set,
+                                      const Frame& frame);
+  std::vector<uint8_t> HandleTopK(const SliceSetPtr& set, const Frame& frame,
                                   const std::vector<uint8_t>& request);
   std::vector<uint8_t> ErrorFrame(uint64_t session_id, const Status& status);
 
@@ -391,15 +446,13 @@ class ShardCoordinator {
     (counters_.*field).fetch_add(1, std::memory_order_relaxed);
   }
 
-  // replicas_[s][r]: replica r of slice s. Elements not owned.
-  const std::vector<std::vector<ShardTransport*>> replicas_;
   const ShardCoordinatorOptions options_;
   // Spreads HandleBatch's requests; null => serial batches.
   ThreadPool* pool_;
 
-  // Circuit breakers: consecutive transport-level failures per replica.
-  std::vector<std::vector<std::unique_ptr<std::atomic<uint32_t>>>>
-      replica_failures_;
+  // The current slice set; replaced (never mutated) by a cutover.
+  mutable std::mutex slices_mu_;
+  SliceSetPtr slices_;
 
   // Probe draws for breaker re-admission (seeded; serialized — the draw is
   // a few ns against a round trip).
@@ -428,11 +481,8 @@ class ShardCoordinator {
   // against them — the epoch bump IS the fence).
   std::mutex cutover_mu_;
 
+  // Serializes the (rare) actual handshake attempts.
   std::mutex handshake_mu_;
-  // Lock-free fast path for the per-request handshake check; the mutex
-  // serializes only the (rare) actual handshake attempts.
-  std::atomic<bool> handshaken_{false};
-  std::atomic<size_t> bucket_count_{0};
 
   // Logical clock for session idle tracking: handled frames.
   std::atomic<uint64_t> frame_clock_{0};

@@ -29,10 +29,10 @@ std::vector<uint8_t> ShardEndpoint::HandleFrame(
     return EncodeFrame(FrameKind::kError, 0, EncodeError(status));
   };
 
-  // A slice misconfiguration (slice >= count, or combined with in-process
-  // sharding) falls back to serving the full index; behind a coordinator
-  // that would merge overlapping document sets into silently wrong
-  // answers. Refuse every request instead so the handshake fails loudly.
+  // Invalid slice parameters never change: refuse every envelope so the
+  // coordinator's handshake fails loudly. Whether a valid slice can answer
+  // is decided by the server on the epoch it pins for the answer (a
+  // mismatch is a typed kUnavailable inner error frame).
   if (server_->slice_config_invalid()) {
     return error(Status::FailedPrecondition(StringPrintf(
         "shard %zu's server has an invalid slice configuration", shard_id_)));
@@ -64,17 +64,10 @@ std::vector<uint8_t> ShardEndpoint::HandleFrame(
     last_epoch_ = envelope->epoch;
   }
 
-  std::vector<uint8_t> inner_response;
-  if (envelope->inner.empty()) {
-    // Ping: liveness + topology discovery. A slice server reports itself
-    // monolithic (shard_count 1) — the coordinator owns the global fan-out.
-    inner_response =
-        EncodeFrame(FrameKind::kHelloOk, 0,
-                    EncodeHelloOk(server_->shard_count(),
-                                  server_->bucket_count()));
-  } else {
-    inner_response = server_->HandleFrame(envelope->inner);
-  }
+  // An empty inner frame is a ping: liveness + topology discovery.
+  std::vector<uint8_t> inner_response =
+      envelope->inner.empty() ? server_->HandlePing()
+                              : server_->HandleFrame(envelope->inner);
   return EncodeFrame(FrameKind::kShardResponse, frame->session_id,
                      EncodeShardEnvelope(shard_id_, envelope->epoch,
                                          envelope->seq, inner_response));

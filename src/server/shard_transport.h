@@ -9,10 +9,10 @@
 //   InProcessTransport  wraps a ShardEndpoint directly — zero copies beyond
 //                       the frames themselves; used by tests, benches and
 //                       single-box deployments, and the configuration whose
-//                       responses the bit-identity suite pins against the
-//                       in-process sharded server. It has no native async
-//                       submit: each round trip completes inline on the
-//                       submitting thread.
+//                       responses the bit-identity suites pin against the
+//                       monolithic server. It has no native async submit:
+//                       each round trip completes inline on the submitting
+//                       thread, in submission order.
 //   FaultyTransport     a decorator injecting deterministic transport
 //                       faults (drop / truncate / bit-flip / reorder /
 //                       delay) for the coordinator fault-injection suite.
@@ -23,7 +23,9 @@
 // EmbellishServerOptions::shard_slice) — and wraps the response in a
 // kShardResponse envelope echoing shard id / epoch / seq so the coordinator
 // can detect misrouted, stale or reordered responses. An empty inner frame
-// is a ping answered with the shard's topology (kHelloOk).
+// is a ping answered with the shard's topology (kHelloOk), or with the
+// typed error a slice whose partition the current epoch lacks answers
+// every request with (EmbellishServer::HandlePing).
 
 #ifndef EMBELLISH_SERVER_SHARD_TRANSPORT_H_
 #define EMBELLISH_SERVER_SHARD_TRANSPORT_H_

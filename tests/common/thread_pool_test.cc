@@ -106,10 +106,10 @@ TEST(ThreadPoolTest, ReportsCpuTime) {
 }
 
 TEST(ThreadPoolTest, ConcurrentCallersFromDistinctThreadsAllComplete) {
-  // The sharded server lets several batch workers fan their own query's
-  // shards out over one shared shard pool. Concurrent ParallelFor calls may
-  // degrade to caller-thread execution when the single job slot is taken,
-  // but every caller must still complete its full index range exactly once.
+  // Several threads (batch workers, catalog builders) call ParallelFor on
+  // one shared pool at once. A call may degrade to caller-thread execution
+  // when the workers are busy, but every caller must still complete its
+  // full index range exactly once.
   ThreadPool pool(3);
   constexpr size_t kCallers = 6;
   constexpr size_t kRange = 512;

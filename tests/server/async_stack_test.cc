@@ -2,9 +2,10 @@
 // MultiplexedTransports (one non-blocking socket per shard, all on one
 // EventLoop) and serving clients through the AsyncFrontEnd. Three claims:
 //
-//   1. Every PR / PIR / top-k response is byte-identical to the monolithic
-//      and in-process sharded servers at 1/2/4/8 shards — through the
-//      multiplexed fan-out AND through the async front end on top.
+//   1. Every PR and top-k response is byte-identical to the monolithic
+//      server's, and every PIR response to the addressed slice's own
+//      answer, at 1/2/4/8 shards — through the multiplexed fan-out AND
+//      through the async front end on top.
 //   2. With multiplexed transports, no executor worker ever parks on
 //      transport I/O: stats().blocking_io_trips stays 0.
 //   3. The PR 4 fault storm and the PR 6 replicated kill storm hold
@@ -26,6 +27,7 @@
 #include "server/multiplexed_transport.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
+#include "slice_rig.h"
 #include "testutil.h"
 
 namespace embellish::server {
@@ -240,9 +242,8 @@ TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
 
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions shard_options;
-    shard_options.shard_count = shards;
-    EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+    const std::vector<uint8_t> hello_ok = EncodeFrame(
+        FrameKind::kHelloOk, 1, EncodeHelloOk(shards, org_.bucket_count()));
 
     std::vector<std::unique_ptr<EmbellishServer>> slices;
     std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
@@ -265,8 +266,7 @@ TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
 
       // Direct HandleFrame through the multiplexed fan-out.
       mono.HandleFrame(client.HelloFrame());
-      EXPECT_EQ(coordinator.HandleFrame(client.HelloFrame()),
-                sharded.HandleFrame(client.HelloFrame()));
+      EXPECT_EQ(coordinator.HandleFrame(client.HelloFrame()), hello_ok);
       EXPECT_EQ(coordinator.HandleFrame(*request), mono.HandleFrame(*request));
       EXPECT_EQ(coordinator.HandleFrame(topk), mono.HandleFrame(topk));
       for (size_t shard = 0; shard < shards; ++shard) {
@@ -274,8 +274,11 @@ TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
             FrameKind::kPirQuery, 1,
             EncodePirQuery(coordinator.PirBucketField(shard, slot->bucket),
                            *pir_query));
+        // The slice's own answer to the slice-local address.
         EXPECT_EQ(coordinator.HandleFrame(pir_request),
-                  sharded.HandleFrame(pir_request))
+                  slices[shard]->HandleFrame(EncodeFrame(
+                      FrameKind::kPirQuery, 1,
+                      EncodePirQuery(slot->bucket, *pir_query))))
             << "shard " << shard;
       }
 
@@ -288,10 +291,9 @@ TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
       ASSERT_TRUE(front_end.ok()) << front_end.status().ToString();
       {
         WireClient wire(front_port);
-        // The hello advertises the topology, so it matches the sharded
-        // server (not the monolithic one); query bytes match both.
-        EXPECT_EQ(wire.RoundTrip(client.HelloFrame()),
-                  sharded.HandleFrame(client.HelloFrame()));
+        // The hello advertises the slice count (the monolithic server's
+        // advertises 1); query bytes match the monolithic server's.
+        EXPECT_EQ(wire.RoundTrip(client.HelloFrame()), hello_ok);
         EXPECT_EQ(wire.RoundTrip(*request), mono.HandleFrame(*request));
         EXPECT_EQ(wire.RoundTrip(topk), mono.HandleFrame(topk));
       }
@@ -316,9 +318,9 @@ TEST_F(AsyncStackTest, FaultStormOverMultiplexedTransportsStaysSound) {
   // response must be bit-identical to the in-process reference or a typed
   // error — the mux must never let a fault turn into a wrong merge.
   constexpr size_t kShards = 3;
-  EmbellishServerOptions ref_options;
-  ref_options.shard_count = kShards;
-  EmbellishServer reference(&built_.index, &org_, nullptr, ref_options);
+  testutil::SliceRig rig =
+      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  ShardCoordinator& reference = *rig.coordinator;
 
   std::vector<std::unique_ptr<EmbellishServer>> slices;
   std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
@@ -406,9 +408,9 @@ TEST_F(AsyncStackTest, ReplicatedKillStormOverMultiplexedTransportsStaysSound) {
   // every slice is killed. Every answer must be clean bytes, a well-formed
   // degraded partial, or a typed error.
   constexpr size_t kShards = 3;
-  EmbellishServerOptions ref_options;
-  ref_options.shard_count = kShards;
-  EmbellishServer reference(&built_.index, &org_, nullptr, ref_options);
+  testutil::SliceRig rig =
+      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  ShardCoordinator& reference = *rig.coordinator;
 
   std::vector<std::unique_ptr<EmbellishServer>> slices1, slices2;
   std::vector<std::unique_ptr<ShardEndpoint>> endpoints1, endpoints2;

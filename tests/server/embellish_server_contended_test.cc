@@ -1,10 +1,10 @@
 // Batch×shard composition under contention: many concurrent sessions
-// batching queries into a sharded EmbellishServer whose batch fan-out,
-// per-query shard fan-out and PIR row loops all share ONE work-stealing
+// batching queries into a coordinator over slice servers whose batch
+// fan-out, answer engines and PIR row loops all share ONE work-stealing
 // executor. Every response frame must be bit-identical to a serial
-// monolithic server's — nested parallelism is allowed to change only the
-// clock — at 1/2/4/8 shards, with concurrent HandleBatch callers hammering
-// the same server. Runs under TSan in CI (the test name matches the
+// reference — nested parallelism is allowed to change only the clock — at
+// 1/2/4/8 slices, with concurrent HandleBatch callers hammering the same
+// coordinator. Runs under TSan in CI (the test name matches the
 // thread-sanitize job's filter).
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "index/builder.h"
 #include "server/embellish_server.h"
 #include "server/session_client.h"
+#include "slice_rig.h"
 #include "testutil.h"
 
 namespace embellish::server {
@@ -82,20 +83,19 @@ TEST_F(EmbellishServerContendedTest,
   ThreadPool pool(4);
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions options;
-    options.shard_count = shards;
-    options.shard_threads = 2;  // capped nested fan-out, still parallel
-    EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
-    for (const auto& hello : hellos) server.HandleFrame(hello);
+    testutil::SliceRig rig =
+        testutil::MakeSliceRig(&built_.index, &org_, shards, {}, {}, &pool);
+    ShardCoordinator& coordinator = *rig.coordinator;
+    for (const auto& hello : hellos) coordinator.HandleFrame(hello);
 
-    // Several HandleBatch callers pound the server concurrently, each with
-    // the full request stream: batch regions, nested shard regions and the
-    // engines' own regions all contend for the one pool.
+    // Several HandleBatch callers pound the coordinator concurrently, each
+    // with the full request stream: batch regions and the slices' engine
+    // regions all contend for the one pool.
     std::vector<std::vector<std::vector<uint8_t>>> responses(kBatchCallers);
     std::vector<std::thread> callers;
     for (size_t c = 0; c < kBatchCallers; ++c) {
       callers.emplace_back(
-          [&, c] { responses[c] = server.HandleBatch(requests); });
+          [&, c] { responses[c] = coordinator.HandleBatch(requests); });
     }
     for (auto& t : callers) t.join();
 
@@ -112,10 +112,10 @@ TEST_F(EmbellishServerContendedTest,
 TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
   // No server-level lock serializes PIR answers: the frames of one batch
   // are answered on the batch's workers as they are decoded, and requests
-  // addressing different shards (and different callers' batches) compute
+  // addressing different slices (and different callers' batches) compute
   // concurrently. Under three concurrent HandleBatch callers the bytes must
   // still match the serial HandleFrame path of an identically configured
-  // server, at 1/2/4/8 shards. Runs under TSan in CI.
+  // pool-less deployment, at 1/2/4/8 slices. Runs under TSan in CI.
   constexpr size_t kBatchCallers = 3;
   constexpr size_t kPirClients = 3;
 
@@ -132,14 +132,15 @@ TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
   ThreadPool pool(4);
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions options;
-    options.shard_count = shards;
-    options.shard_threads = 2;
-    EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
-    EmbellishServer serial(&built_.index, &org_, nullptr, options);
+    testutil::SliceRig rig =
+        testutil::MakeSliceRig(&built_.index, &org_, shards, {}, {}, &pool);
+    testutil::SliceRig serial =
+        testutil::MakeSliceRig(&built_.index, &org_, shards);
+    ShardCoordinator& server = *rig.coordinator;
+    ASSERT_TRUE(server.Handshake().ok());
 
-    // Each client asks for a couple of terms; on a sharded server every
-    // (shard, bucket) pair is addressed so one batch mixes all shards.
+    // Each client asks for a couple of terms, and every (shard, bucket)
+    // pair is addressed, so one batch mixes all slices.
     std::vector<std::vector<uint8_t>> requests;
     for (size_t c = 0; c < kPirClients; ++c) {
       for (size_t q = 0; q < 2; ++q) {
@@ -148,17 +149,11 @@ TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
         auto query = pir_clients[c].BuildQuery(
             slot->slot, org_.bucket(slot->bucket).size(), &rng);
         ASSERT_TRUE(query.ok());
-        if (server.shard_count() > 1) {
-          for (size_t shard = 0; shard < server.shard_count(); ++shard) {
-            requests.push_back(EncodeFrame(
-                FrameKind::kPirQuery, 100 + c,
-                EncodePirQuery(server.PirBucketField(shard, slot->bucket),
-                               *query)));
-          }
-        } else {
-          requests.push_back(EncodeFrame(FrameKind::kPirQuery, 100 + c,
-                                         EncodePirQuery(slot->bucket,
-                                                        *query)));
+        for (size_t shard = 0; shard < shards; ++shard) {
+          requests.push_back(EncodeFrame(
+              FrameKind::kPirQuery, 100 + c,
+              EncodePirQuery(server.PirBucketField(shard, slot->bucket),
+                             *query)));
         }
       }
     }
@@ -166,7 +161,7 @@ TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
     std::vector<std::vector<uint8_t>> reference;
     reference.reserve(requests.size());
     for (const auto& request : requests) {
-      reference.push_back(serial.HandleFrame(request));
+      reference.push_back(serial.coordinator->HandleFrame(request));
       auto ref_frame = DecodeFrame(reference.back());
       ASSERT_TRUE(ref_frame.ok());
       ASSERT_EQ(ref_frame->kind, FrameKind::kPirResult);
@@ -190,6 +185,11 @@ TEST_F(EmbellishServerContendedTest, BatchedPirBitIdenticalUnderContention) {
 
     // Every PIR frame of every caller's batch was answered once.
     EXPECT_EQ(server.stats().pir_queries, kBatchCallers * requests.size());
+    uint64_t slice_answers = 0;
+    for (const auto& slice : rig.slices) {
+      slice_answers += slice->stats().pir_queries;
+    }
+    EXPECT_EQ(slice_answers, kBatchCallers * requests.size());
   }
 }
 

@@ -12,6 +12,7 @@
 #include "core/wire_format.h"
 #include "index/builder.h"
 #include "server/session_client.h"
+#include "slice_rig.h"
 #include "testutil.h"
 #include "transcript.h"
 
@@ -496,7 +497,8 @@ TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
   // even. Both bad frames address a valid bucket and fail inside the PIR
   // engine. Each frame is answered on its own, so every response equals
   // HandleFrame's for the same frame: an error frame for each bad one and
-  // the same answer bytes for each good one, monolithic and on 2 shards.
+  // the same answer bytes for each good one, on the monolithic server and
+  // on each slice of a 2-way partition.
   auto terms = built_.index.IndexedTerms();
   auto first = org_.Locate(terms[23]);
   auto second = org_.Locate(terms[41]);
@@ -514,30 +516,23 @@ TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
   even.n = even.n + bignum::BigInt(1);
 
   ThreadPool pool(4);
-  for (size_t shards : {1u, 2u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  const std::vector<std::vector<uint8_t>> requests = {
+      EncodeFrame(FrameKind::kPirQuery, 31,
+                  EncodePirQuery(first->bucket, *good)),
+      EncodeFrame(FrameKind::kPirQuery, 32,
+                  EncodePirQuery(first->bucket, *wide)),
+      EncodeFrame(FrameKind::kPirQuery, 33,
+                  EncodePirQuery(second->bucket, *good2)),
+      EncodeFrame(FrameKind::kPirQuery, 34,
+                  EncodePirQuery(second->bucket, even)),
+  };
+  for (size_t slice : {SIZE_MAX, size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("slice=" + std::to_string(slice));
     EmbellishServerOptions options;
-    options.shard_count = shards;
+    options.shard_slice = slice;
+    options.shard_slice_count = 2;
     EmbellishServer batched(&built_.index, &org_, nullptr, options, &pool);
     EmbellishServer serial(&built_.index, &org_, nullptr, options);
-    // On 2 shards each shard gets one good and one bad frame.
-    const size_t last_shard = shards - 1;
-    std::vector<std::vector<uint8_t>> requests = {
-        EncodeFrame(FrameKind::kPirQuery, 31,
-                    EncodePirQuery(batched.PirBucketField(0, first->bucket),
-                                   *good)),
-        EncodeFrame(FrameKind::kPirQuery, 32,
-                    EncodePirQuery(batched.PirBucketField(0, first->bucket),
-                                   *wide)),
-        EncodeFrame(FrameKind::kPirQuery, 33,
-                    EncodePirQuery(
-                        batched.PirBucketField(last_shard, second->bucket),
-                        *good2)),
-        EncodeFrame(FrameKind::kPirQuery, 34,
-                    EncodePirQuery(
-                        batched.PirBucketField(last_shard, second->bucket),
-                        even)),
-    };
     auto responses = batched.HandleBatch(requests);
     ASSERT_EQ(responses.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -561,138 +556,11 @@ TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
   }
 }
 
-TEST_F(EmbellishServerTest, ShardedServerAnswersBitIdenticalToMonolithic) {
-  // The shard configuration is a server-side implementation detail: the
-  // same request frames must produce byte-identical response frames
-  // whether the index is monolithic or document-partitioned, serial or
-  // shard-pooled.
-  EmbellishServerOptions mono_options;
-  EmbellishServer mono(&built_.index, &org_, nullptr, mono_options);
-
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 3;
-  shard_options.shard_threads = 2;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
-  EXPECT_EQ(sharded.shard_count(), 3u);
-
-  std::vector<SessionClient> clients;
-  std::vector<std::vector<uint8_t>> requests;
-  for (size_t s = 0; s < 4; ++s) {
-    clients.push_back(MakeClient(500 + s, 600 + s));
-    mono.HandleFrame(clients.back().HelloFrame());
-    auto hello_resp = sharded.HandleFrame(clients.back().HelloFrame());
-    // A sharded server advertises its topology so clients can address
-    // (shard, bucket) pairs and know to query every shard.
-    auto hello_frame = DecodeFrame(hello_resp);
-    ASSERT_TRUE(hello_frame.ok());
-    auto topology = DecodeHelloOk(hello_frame->payload);
-    ASSERT_TRUE(topology.ok());
-    EXPECT_EQ(topology->shard_count, 3u);
-    EXPECT_EQ(topology->bucket_count, org_.bucket_count());
-    auto req = clients.back().QueryFrame(SomeTerms(2 * s + 1, 5 * s + 3));
-    ASSERT_TRUE(req.ok());
-    requests.push_back(std::move(*req));
-  }
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    auto mono_resp = mono.HandleFrame(requests[i]);
-    auto shard_resp = sharded.HandleFrame(requests[i]);
-    EXPECT_EQ(mono_resp, shard_resp) << "request " << i;
-    EXPECT_TRUE(clients[i].DecodeResultFrame(shard_resp, 10).ok());
-  }
-}
-
-TEST_F(EmbellishServerTest, ShardedBatchMatchesMonolithicSerial) {
-  // Batched sessions hit shards concurrently: batch fan-out runs on the
-  // caller-supplied pool while each query's shards run on the server's own
-  // shard pool — and the bytes still cannot differ.
-  ThreadPool batch_pool(4);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 4;
-  shard_options.shard_threads = 2;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options,
-                          &batch_pool);
-  EmbellishServer mono(&built_.index, &org_, nullptr);
-
-  std::vector<SessionClient> clients;
-  std::vector<std::vector<uint8_t>> requests;
-  for (size_t s = 0; s < 6; ++s) {
-    clients.push_back(MakeClient(700 + s, 800 + s));
-    sharded.HandleFrame(clients.back().HelloFrame());
-    mono.HandleFrame(clients.back().HelloFrame());
-    auto req = clients.back().QueryFrame(SomeTerms(s + 2, 7 * s + 1));
-    ASSERT_TRUE(req.ok());
-    requests.push_back(std::move(*req));
-  }
-
-  auto batched = sharded.HandleBatch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(batched[i], mono.HandleFrame(requests[i])) << "request " << i;
-  }
-}
-
-TEST_F(EmbellishServerTest, ShardedPirThroughTheLoopReassemblesTheList) {
-  // A sharded server's kPirQuery addresses one (shard, bucket) pair via the
-  // shard-qualified bucket field; decoding every shard's kPirResult and
-  // merging the fragments must reproduce the term's monolithic list.
-  EmbellishServerOptions options;
-  options.shard_count = 3;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
-
-  auto terms = built_.index.IndexedTerms();
-  wordnet::TermId term = terms[29];
-  auto slot = org_.Locate(term);
-  ASSERT_TRUE(slot.ok());
-  const size_t cols = org_.bucket(slot->bucket).size();
-
-  Rng rng(911);
-  crypto::PirClient pir_client =
-      std::move(crypto::PirClient::Create(256, &rng)).value();
-  auto query = pir_client.BuildQuery(slot->slot, cols, &rng);
-  ASSERT_TRUE(query.ok());
-
-  std::vector<std::vector<index::Posting>> fragments;
-  for (size_t shard = 0; shard < server.shard_count(); ++shard) {
-    auto request = EncodeFrame(
-        FrameKind::kPirQuery, 12,
-        EncodePirQuery(server.PirBucketField(shard, slot->bucket), *query));
-    auto response = server.HandleFrame(request);
-    auto frame = DecodeFrame(response);
-    ASSERT_TRUE(frame.ok());
-    ASSERT_EQ(frame->kind, FrameKind::kPirResult) << "shard " << shard;
-    auto decoded = DecodePirResponse(frame->payload);
-    ASSERT_TRUE(decoded.ok());
-    auto bits = pir_client.DecodeResponse(*decoded);
-    ASSERT_TRUE(bits.ok());
-    auto fragment = core::PostingsFromColumnBits(*bits);
-    ASSERT_TRUE(fragment.ok());
-    fragments.push_back(std::move(*fragment));
-  }
-  EXPECT_EQ(index::MergeShardPostings(fragments),
-            *built_.index.postings(term));
-  EXPECT_EQ(server.stats().pir_queries, server.shard_count());
-
-  // A shard index beyond the configured count is answered with an error
-  // frame, not a crash.
-  auto bad = EncodeFrame(
-      FrameKind::kPirQuery, 12,
-      EncodePirQuery(server.PirBucketField(9, slot->bucket), *query));
-  auto bad_resp = server.HandleFrame(bad);
-  auto bad_frame = DecodeFrame(bad_resp);
-  ASSERT_TRUE(bad_frame.ok());
-  EXPECT_EQ(bad_frame->kind, FrameKind::kError);
-}
-
 TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
-  // PIR answers are never cached, on any shard: a replayed frame is
-  // answered again from the shard's matrix — byte-identical — and the two
-  // shards' answers still differ (per-shard matrices have different row
+  // PIR answers are never cached, on any slice: a replayed frame is
+  // answered again from the slice's matrix — byte-identical — and the two
+  // slices' answers still differ (per-slice matrices have different row
   // counts).
-  EmbellishServerOptions options;
-  options.shard_count = 2;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
-
   auto terms = built_.index.IndexedTerms();
   auto slot = org_.Locate(terms[7]);
   ASSERT_TRUE(slot.ok());
@@ -703,20 +571,23 @@ TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
       pir_client.BuildQuery(slot->slot, org_.bucket(slot->bucket).size(), &rng);
   ASSERT_TRUE(query.ok());
 
+  const auto request = EncodeFrame(FrameKind::kPirQuery, 13,
+                                  EncodePirQuery(slot->bucket, *query));
   std::vector<std::vector<uint8_t>> responses;
   for (size_t shard = 0; shard < 2; ++shard) {
-    auto request = EncodeFrame(
-        FrameKind::kPirQuery, 13,
-        EncodePirQuery(server.PirBucketField(shard, slot->bucket), *query));
+    EmbellishServerOptions options;
+    options.shard_slice = shard;
+    options.shard_slice_count = 2;
+    EmbellishServer server(&built_.index, &org_, nullptr, options);
     responses.push_back(server.HandleFrame(request));
     const double cpu_before_replay = server.stats().server_cpu_ms;
     EXPECT_EQ(server.HandleFrame(request), responses.back());
     EXPECT_GT(server.stats().server_cpu_ms, cpu_before_replay)
         << "shard " << shard << " replay was not recomputed";
+    EXPECT_EQ(server.stats().pir_queries, 2u);
   }
   EXPECT_EQ(DecodeFrame(responses[0])->kind, FrameKind::kPirResult);
   EXPECT_NE(responses[0], responses[1]);
-  EXPECT_EQ(server.stats().pir_queries, 4u);
 }
 
 TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
@@ -786,19 +657,16 @@ TEST_F(EmbellishServerTest, PrAnswersAreSessionScoped) {
 
 TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
   // The plaintext top-k path answers with the full-accumulation prefix on
-  // every configuration, so monolithic and sharded servers produce
-  // byte-identical frames.
+  // every configuration, so the monolithic server and a coordinator over
+  // slices produce byte-identical frames.
   EmbellishServer mono(&built_.index, &org_, nullptr);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 3;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+  testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
 
   auto genuine = SomeTerms(5, 23);
   auto request = EncodeFrame(FrameKind::kTopKQuery, 6,
                              EncodeTopKQuery(10, genuine));
   auto mono_resp = mono.HandleFrame(request);
-  auto sharded_resp = sharded.HandleFrame(request);
-  EXPECT_EQ(mono_resp, sharded_resp);
+  EXPECT_EQ(rig.coordinator->HandleFrame(request), mono_resp);
 
   auto frame = DecodeFrame(mono_resp);
   ASSERT_TRUE(frame.ok());
@@ -832,7 +700,8 @@ TEST_F(EmbellishServerTest, TermIdsPastTheTermTableReadAsUnindexed) {
   // Clients choose the u32 term ids of PR queries (into Algorithm 4) and of
   // top-k queries. The term table ends at the corpus's largest term id, and
   // an id at or past its end, up to 2^32 - 1, must read as unindexed: the
-  // answer is byte-for-byte the answer without it, monolithic and sharded.
+  // answer is byte-for-byte the answer without it, from the monolithic
+  // server and from a coordinator over slices.
   const wordnet::TermId end =
       static_cast<wordnet::TermId>(built_.index.lists()->table_size());
   const std::vector<wordnet::TermId> hostile = {
@@ -841,9 +710,7 @@ TEST_F(EmbellishServerTest, TermIdsPastTheTermTableReadAsUnindexed) {
     EXPECT_EQ(built_.index.postings(t), nullptr) << t;
   }
   EmbellishServer mono(&built_.index, &org_, nullptr);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 3;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+  testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
   const auto genuine = SomeTerms(5, 23);
   std::vector<wordnet::TermId> widened_terms = genuine;
   widened_terms.insert(widened_terms.end(), hostile.begin(), hostile.end());
@@ -863,33 +730,33 @@ TEST_F(EmbellishServerTest, TermIdsPastTheTermTableReadAsUnindexed) {
       EncodeFrame(FrameKind::kQuery, 1,
                   core::EncodeQuery(widened, client.public_key()));
 
-  for (EmbellishServer* server : {&mono, &sharded}) {
-    EXPECT_EQ(server->HandleFrame(
-                  EncodeFrame(FrameKind::kTopKQuery, 6,
-                              EncodeTopKQuery(10, widened_terms))),
-              server->HandleFrame(EncodeFrame(FrameKind::kTopKQuery, 6,
-                                              EncodeTopKQuery(10, genuine))));
-    server->HandleFrame(client.HelloFrame());
-    const auto answer = server->HandleFrame(*request);
-    EXPECT_EQ(server->HandleFrame(widened_request), answer);
+  auto check = [&](auto& server) {
+    EXPECT_EQ(server.HandleFrame(EncodeFrame(
+                  FrameKind::kTopKQuery, 6, EncodeTopKQuery(10, widened_terms))),
+              server.HandleFrame(EncodeFrame(FrameKind::kTopKQuery, 6,
+                                             EncodeTopKQuery(10, genuine))));
+    server.HandleFrame(client.HelloFrame());
+    const auto answer = server.HandleFrame(*request);
+    EXPECT_EQ(server.HandleFrame(widened_request), answer);
     auto top = client.DecodeResultFrame(answer, 10);
     ASSERT_TRUE(top.ok()) << top.status().ToString();
     EXPECT_FALSE(top->empty());
-  }
+  };
+  check(mono);
+  check(*rig.coordinator);
 }
 
 TEST_F(EmbellishServerTest, ZeroKTopKOnShardedServerMatchesMonolithic) {
-  // k = 0 decodes as a valid request; the sharded server must answer it with
-  // the monolithic server's empty result rather than crash in the fan-out.
+  // k = 0 decodes as a valid request; a coordinator over slices must
+  // answer it with the monolithic server's empty result rather than crash
+  // in the fan-out or the merge.
   EmbellishServer mono(&built_.index, &org_, nullptr);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 3;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
+  testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
 
   auto request = EncodeFrame(FrameKind::kTopKQuery, 6,
                              EncodeTopKQuery(0, SomeTerms(5, 23)));
   auto mono_resp = mono.HandleFrame(request);
-  EXPECT_EQ(sharded.HandleFrame(request), mono_resp);
+  EXPECT_EQ(rig.coordinator->HandleFrame(request), mono_resp);
 
   auto frame = DecodeFrame(mono_resp);
   ASSERT_TRUE(frame.ok());
@@ -998,12 +865,20 @@ TEST_F(EmbellishServerTest, SliceServerServesOneShardsDocuments) {
   EXPECT_EQ(core::EncodeResult(merged, client.public_key()),
             core::EncodeResult(*mono_result, client.public_key()));
 
-  // An invalid slice configuration falls back to serving the full index.
+  // An invalid slice configuration serves nothing: every request is
+  // refused with a typed error, never answered from the whole index.
   EmbellishServerOptions invalid;
   invalid.shard_slice = 9;
   invalid.shard_slice_count = 3;
-  EmbellishServer fallback(&built_.index, &org_, nullptr, invalid);
-  EXPECT_FALSE(fallback.serves_slice());
+  EmbellishServer refusing(&built_.index, &org_, nullptr, invalid);
+  EXPECT_FALSE(refusing.serves_slice());
+  EXPECT_TRUE(refusing.slice_config_invalid());
+  auto refused = DecodeFrame(refusing.HandleFrame(*request));
+  ASSERT_TRUE(refused.ok());
+  ASSERT_EQ(refused->kind, FrameKind::kError);
+  Status carried;
+  ASSERT_TRUE(DecodeError(refused->payload, &carried).ok());
+  EXPECT_TRUE(carried.IsFailedPrecondition()) << carried.ToString();
 }
 
 }  // namespace

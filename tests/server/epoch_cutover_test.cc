@@ -1,16 +1,22 @@
 // Answers across cutovers: after the catalog installs a delta, the server
 // answers against the new epoch; a re-hello's replay is answered under the
-// new key, not with the old bytes; and the coordinator's answer after
-// AdvanceEpoch equals its answer before.
+// new key, not with the old bytes; a slice server refuses, typed, an epoch
+// of another partition; the coordinator's answer after AdvanceEpoch equals
+// its answer before; and AdvanceEpoch(groups) cuts the coordinator over to
+// the slices of a resharded catalog.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "crypto/pir.h"
 #include "index/epoch.h"
 #include "index/topk.h"
 #include "server/embellish_server.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
 #include "server/shard_transport.h"
+#include "slice_rig.h"
 #include "testutil.h"
 
 namespace embellish::server {
@@ -54,6 +60,15 @@ class EpochCutoverTest : public ::testing::Test {
   std::vector<wordnet::TermId> SomeTerms(size_t a, size_t b) {
     auto terms = corp_.DistinctTerms();
     return {terms[a % terms.size()], terms[b % terms.size()]};
+  }
+
+  static Status ErrorOf(const std::vector<uint8_t>& response) {
+    auto frame = DecodeFrame(response);
+    if (!frame.ok()) return frame.status();
+    if (frame->kind != FrameKind::kError) return Status::OK();
+    Status carried;
+    Status decoded = DecodeError(frame->payload, &carried);
+    return decoded.ok() ? carried : decoded;
   }
 
   wordnet::WordNetDatabase lex_;
@@ -138,28 +153,64 @@ TEST_F(EpochCutoverTest, ReHelloReplayIsNotTheOldAnswer) {
   EXPECT_NE(replayed, first);
 }
 
+TEST_F(EpochCutoverTest, SliceServerRefusesAnEpochOfAnotherPartition) {
+  // A slice server decides whether it may answer on the epoch it answers
+  // from. After a 2 -> 4 Reshard, slice 0 of 2 has no slice to serve: its
+  // requests, direct or through its ShardEndpoint, get a typed kUnavailable
+  // — never the whole index, which a coordinator would merge with every
+  // other slice's documents.
+  auto catalog = MakeLiveCatalog(2);
+  EmbellishServerOptions options;
+  options.shard_slice = 0;
+  options.shard_slice_count = 2;
+  EmbellishServer slice(catalog.get(), options);
+  ShardEndpoint endpoint(&slice, 0);
+  EXPECT_TRUE(slice.serves_slice());
+
+  SessionClient client = MakeClient(3, 303);
+  ASSERT_EQ(DecodeFrame(slice.HandleFrame(client.HelloFrame()))->kind,
+            FrameKind::kHelloOk);
+  auto request = client.QueryFrame(SomeTerms(7, 29));
+  ASSERT_TRUE(request.ok());
+  const std::vector<uint8_t> before = slice.HandleFrame(*request);
+  ASSERT_EQ(DecodeFrame(before)->kind, FrameKind::kResult);
+
+  index::ShardingOptions wider;
+  wider.shard_count = 4;
+  ASSERT_TRUE(catalog->Reshard(wider).ok());
+
+  EXPECT_TRUE(ErrorOf(slice.HandleFrame(*request)).IsUnavailable());
+  EXPECT_TRUE(ErrorOf(slice.HandleFrame(client.HelloFrame())).IsUnavailable());
+  EXPECT_FALSE(slice.slice_config_invalid());
+
+  // Through the endpoint the envelope is answered, and its inner frame is
+  // the typed error the coordinator passes through; a ping gets it too.
+  for (const std::vector<uint8_t>& inner :
+       {*request, std::vector<uint8_t>{}}) {
+    auto outer = DecodeFrame(endpoint.HandleFrame(EncodeFrame(
+        FrameKind::kShardRequest, 0, EncodeShardEnvelope(0, 1, 1, inner))));
+    ASSERT_TRUE(outer.ok());
+    ASSERT_EQ(outer->kind, FrameKind::kShardResponse);
+    auto envelope = DecodeShardEnvelope(outer->payload);
+    ASSERT_TRUE(envelope.ok());
+    EXPECT_TRUE(ErrorOf(envelope->inner).IsUnavailable())
+        << (inner.empty() ? "ping" : "query");
+  }
+
+  // Back on a 2-way partition of the same documents, the slice answers
+  // again, with the same bytes.
+  index::ShardingOptions narrower;
+  narrower.shard_count = 2;
+  ASSERT_TRUE(catalog->Reshard(narrower).ok());
+  EXPECT_EQ(slice.HandleFrame(*request), before);
+}
+
 TEST_F(EpochCutoverTest, CoordinatorAnswerSurvivesAdvanceEpoch) {
-  // Rig: two slice servers behind in-process transports and a coordinator.
   auto built = index::BuildIndex(corp_, {});
   ASSERT_TRUE(built.ok());
-  constexpr size_t kSlices = 2;
-  std::vector<std::unique_ptr<EmbellishServer>> slices;
-  std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
-  std::vector<std::unique_ptr<InProcessTransport>> transports;
-  std::vector<ShardTransport*> raw;
-  for (size_t s = 0; s < kSlices; ++s) {
-    EmbellishServerOptions slice_options;
-    slice_options.shard_slice = s;
-    slice_options.shard_slice_count = kSlices;
-    slices.push_back(std::make_unique<EmbellishServer>(
-        &built->index, org_.get(), nullptr, slice_options));
-    endpoints.push_back(
-        std::make_unique<ShardEndpoint>(slices.back().get(), s));
-    transports.push_back(
-        std::make_unique<InProcessTransport>(endpoints.back().get()));
-    raw.push_back(transports.back().get());
-  }
-  ShardCoordinator coordinator(std::move(raw));
+  testutil::SliceRig rig =
+      testutil::MakeSliceRig(&built->index, org_.get(), 2);
+  ShardCoordinator& coordinator = *rig.coordinator;
 
   SessionClient client = MakeClient(9, 409);
   ASSERT_EQ(DecodeFrame(coordinator.HandleFrame(client.HelloFrame()))->kind,
@@ -182,6 +233,123 @@ TEST_F(EpochCutoverTest, CoordinatorAnswerSurvivesAdvanceEpoch) {
   EXPECT_EQ(after, first);
   // The session survived the cutover without a client-visible re-hello.
   EXPECT_TRUE(client.DecodeResultFrame(after, 10).ok());
+}
+
+// Counts the round trips it forwards.
+class CountingTransport : public ShardTransport {
+ public:
+  explicit CountingTransport(ShardTransport* inner) : inner_(inner) {}
+
+  Result<std::vector<uint8_t>> RoundTrip(
+      const std::vector<uint8_t>& request) override {
+    trips.fetch_add(1, std::memory_order_relaxed);
+    return inner_->RoundTrip(request);
+  }
+
+  std::atomic<size_t> trips{0};
+
+ private:
+  ShardTransport* inner_;
+};
+
+TEST_F(EpochCutoverTest, CoordinatorCutsOverToTheSlicesOfAReshard) {
+  auto catalog = MakeLiveCatalog(2);
+  EmbellishServer mono(catalog.get());
+  testutil::SliceRig two = testutil::MakeSliceRig(catalog.get(), 2);
+  CountingTransport count0(two.transports[0].get());
+  CountingTransport count1(two.transports[1].get());
+  ShardCoordinator coordinator(std::vector<ShardTransport*>{&count0, &count1});
+
+  SessionClient client = MakeClient(21, 521);
+  mono.HandleFrame(client.HelloFrame());
+  const std::vector<uint8_t> hello2 =
+      coordinator.HandleFrame(client.HelloFrame());
+  EXPECT_EQ(hello2, EncodeFrame(FrameKind::kHelloOk, 21,
+                                EncodeHelloOk(2, org_->bucket_count())));
+  auto request = client.QueryFrame(SomeTerms(7, 29));
+  ASSERT_TRUE(request.ok());
+  const std::vector<uint8_t> answer = mono.HandleFrame(*request);
+  EXPECT_EQ(coordinator.HandleFrame(*request), answer);
+
+  // A PIR field addressing shard 3 is out of range on two slices.
+  auto where = org_->Locate(SomeTerms(11, 0)[0]);
+  ASSERT_TRUE(where.ok());
+  Rng rng(531);
+  crypto::PirClient pir = std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto query = pir.BuildQuery(where->slot, org_->bucket(where->bucket).size(),
+                              &rng);
+  ASSERT_TRUE(query.ok());
+  const std::vector<uint8_t> pir_request = EncodeFrame(
+      FrameKind::kPirQuery, 21,
+      EncodePirQuery(coordinator.PirBucketField(3, where->bucket), *query));
+  EXPECT_TRUE(ErrorOf(coordinator.HandleFrame(pir_request)).IsOutOfRange());
+
+  // Reshard, four new slices, and the cutover onto them.
+  index::ShardingOptions wider;
+  wider.shard_count = 4;
+  ASSERT_TRUE(catalog->Reshard(wider).ok());
+  testutil::SliceRig four = testutil::MakeSliceRig(catalog.get(), 4);
+  const uint64_t epoch_before = coordinator.epoch();
+  Status cutover = coordinator.AdvanceEpoch(four.groups());
+  ASSERT_TRUE(cutover.ok()) << cutover.ToString();
+  EXPECT_EQ(coordinator.epoch(), epoch_before + 1);
+  EXPECT_EQ(coordinator.shard_count(), 4u);
+  EXPECT_EQ(coordinator.replica_count(3), 1u);
+  const size_t old_trips = count0.trips.load() + count1.trips.load();
+
+  // The session registered before the cutover queries the new set without
+  // a re-hello: the cutover re-pushed its key to every new slice.
+  for (const auto& slice : four.slices) EXPECT_EQ(slice->session_count(), 1u);
+  EXPECT_EQ(coordinator.HandleFrame(*request), answer);
+
+  // Shard 3 now exists: the coordinator's answer is slice 3's local one.
+  auto pir_answer = coordinator.HandleFrame(pir_request);
+  EXPECT_EQ(pir_answer,
+            four.slices[3]->HandleFrame(EncodeFrame(
+                FrameKind::kPirQuery, 21,
+                EncodePirQuery(where->bucket, *query))));
+  ASSERT_EQ(DecodeFrame(pir_answer)->kind, FrameKind::kPirResult);
+
+  // A new hello-ok advertises four shards.
+  SessionClient late = MakeClient(22, 522);
+  EXPECT_EQ(coordinator.HandleFrame(late.HelloFrame()),
+            EncodeFrame(FrameKind::kHelloOk, 22,
+                        EncodeHelloOk(4, org_->bucket_count())));
+
+  // The old set carries no traffic after the swap.
+  EXPECT_EQ(count0.trips.load() + count1.trips.load(), old_trips);
+}
+
+TEST_F(EpochCutoverTest, CutoverToABadSliceSetFailsTypedAndKeepsTheOldSet) {
+  auto catalog = MakeLiveCatalog(2);
+  testutil::SliceRig two = testutil::MakeSliceRig(catalog.get(), 2);
+  ShardCoordinator& coordinator = *two.coordinator;
+  const auto topk = EncodeFrame(FrameKind::kTopKQuery, 4,
+                                EncodeTopKQuery(10, SomeTerms(5, 23)));
+  const std::vector<uint8_t> answer = coordinator.HandleFrame(topk);
+  ASSERT_EQ(DecodeFrame(answer)->kind, FrameKind::kTopKResult);
+
+  // An empty set.
+  EXPECT_TRUE(coordinator.AdvanceEpoch({}).IsInvalidArgument());
+  EXPECT_EQ(coordinator.shard_count(), 2u);
+  EXPECT_EQ(coordinator.HandleFrame(topk), answer);
+
+  // A set whose slice 1 serves another bucket organization.
+  const core::BucketOrganization other = testutil::MakeBuckets(lex_, 5, 64);
+  ASSERT_NE(other.bucket_count(), org_->bucket_count());
+  auto other_built = index::BuildIndex(corp_, {});
+  ASSERT_TRUE(other_built.ok());
+  EmbellishServerOptions options;
+  options.shard_slice = 1;
+  options.shard_slice_count = 2;
+  EmbellishServer stray(&other_built->index, &other, nullptr, options);
+  ShardEndpoint stray_endpoint(&stray, 1);
+  InProcessTransport stray_transport(&stray_endpoint);
+  Status cutover = coordinator.AdvanceEpoch(
+      {{two.transports[0].get()}, {&stray_transport}});
+  EXPECT_TRUE(cutover.IsFailedPrecondition()) << cutover.ToString();
+  EXPECT_EQ(coordinator.shard_count(), 2u);
+  EXPECT_EQ(coordinator.HandleFrame(topk), answer);
 }
 
 }  // namespace

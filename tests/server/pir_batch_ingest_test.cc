@@ -4,9 +4,10 @@
 // can never mix epochs — every response of a batch must be bit-identical
 // to a FreezeEpoch reference of ONE epoch that was live while the batch
 // was in flight (the PR 8 equivalence bar, strengthened to whole batches).
-// Frames address shards {0, 1} only so the same bytes stay valid before
-// and after the reshard. Runs under the `ingest` ctest label (ASan/TSan CI)
-// and matches the TSan job's name filter via "pir".
+// The server answers over each epoch's whole index, whatever its sharding,
+// so the same frames stay valid before and after the reshard. Runs under
+// the `ingest` ctest label (ASan/TSan CI) and matches the TSan job's name
+// filter via "pir".
 
 #include <gtest/gtest.h>
 
@@ -52,14 +53,10 @@ TEST_F(PirBatchIngestTest, BatchesAreBitIdenticalToOnePinnedEpochEach) {
   auto catalog = index::IndexCatalog::Create(corp_, org_, copts, &pool);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
-  EmbellishServerOptions options;
-  options.shard_threads = 2;
-  EmbellishServer server(catalog->get(), options, &pool);
+  EmbellishServer server(catalog->get(), {}, &pool);
 
   // Pre-encode the storm batches: PIR queries from clients with distinct
-  // moduli, addressing shards 0 and 1 only (valid at 2 and at 4 shards —
-  // the bucket organization, and thus the shard-qualified field's layout,
-  // is shared across epochs).
+  // moduli (the bucket organization is shared across epochs).
   constexpr size_t kThreads = 3;
   constexpr size_t kBatchesPerThread = 4;
   auto terms = corp_.DistinctTerms();
@@ -77,10 +74,8 @@ TEST_F(PirBatchIngestTest, BatchesAreBitIdenticalToOnePinnedEpochEach) {
         auto query = pir_client.BuildQuery(
             slot->slot, org_->bucket(slot->bucket).size(), &rng);
         ASSERT_TRUE(query.ok());
-        batch.push_back(EncodeFrame(
-            FrameKind::kPirQuery, 40 + t,
-            EncodePirQuery(server.PirBucketField(q % 2, slot->bucket),
-                           *query)));
+        batch.push_back(EncodeFrame(FrameKind::kPirQuery, 40 + t,
+                                    EncodePirQuery(slot->bucket, *query)));
       }
       batches[t].push_back(std::move(batch));
     }
@@ -140,7 +135,7 @@ TEST_F(PirBatchIngestTest, BatchesAreBitIdenticalToOnePinnedEpochEach) {
   for (const auto& [epoch, snapshot] : snapshots) {
     ref_catalogs[epoch] = index::IndexCatalog::FreezeEpoch(snapshot);
     references[epoch] =
-        std::make_unique<EmbellishServer>(ref_catalogs[epoch].get(), options);
+        std::make_unique<EmbellishServer>(ref_catalogs[epoch].get());
   }
 
   // Whole-batch single-epoch equivalence: some epoch live during the batch

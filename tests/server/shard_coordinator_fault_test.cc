@@ -13,6 +13,7 @@
 #include "index/builder.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
+#include "slice_rig.h"
 #include "testutil.h"
 #include "transcript.h"
 
@@ -229,11 +230,12 @@ TEST_F(CoordinatorFaultTest, ReorderedResponsesNeverMisMerge) {
 TEST_F(CoordinatorFaultTest, SeededFaultStormNeverCorruptsAnswers) {
   // Fuzz mode: every shard's transport injects seeded random faults on ~35%
   // of round trips across a mixed PR / PIR / top-k workload. Every response
-  // must be either bit-identical to the reference answer — an in-process
-  // sharded server fed the same bytes — or a well-formed typed error frame.
-  EmbellishServerOptions ref_options;
-  ref_options.shard_count = kShards;
-  EmbellishServer reference(&built_.index, &org_, nullptr, ref_options);
+  // must be either bit-identical to the reference answer — a fault-free
+  // coordinator over in-process slices fed the same bytes — or a
+  // well-formed typed error frame.
+  testutil::SliceRig rig =
+      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  ShardCoordinator& reference = *rig.coordinator;
 
   SessionClient client = MakeClient(4, 604);
   reference.HandleFrame(client.HelloFrame());
@@ -421,9 +423,9 @@ TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
   // is killed outright. Every answer must be bit-identical to the healthy
   // reference, a well-formed degraded partial naming its missing slices, or
   // a typed error. Never a hang, never a silent wrong merge.
-  EmbellishServerOptions ref_options;
-  ref_options.shard_count = kShards;
-  EmbellishServer reference(&built_.index, &org_, nullptr, ref_options);
+  testutil::SliceRig rig =
+      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  ShardCoordinator& reference = *rig.coordinator;
 
   // Replica 1: a second, independent server per slice.
   std::vector<std::unique_ptr<EmbellishServer>> slices2;

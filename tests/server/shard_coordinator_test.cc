@@ -1,9 +1,10 @@
 // Coordinator-over-transport equivalence: a ShardCoordinator fronting N
-// slice servers must produce response frames byte-identical to both the
-// PR 3 in-process sharded EmbellishServer and the monolithic server, for
-// the PR, PIR and plaintext top-k paths, at 1/2/4/8 shards — plus endpoint
-// protocol checks (ping, misrouting, epoch fencing). Byte-identity across a
-// real socket is async_stack_test's.
+// slice servers must produce PR and plaintext top-k frames byte-identical
+// to the monolithic server's, and PIR frames equal to the addressed slice's
+// own answer whose fragments merge into the monolithic list, at 1/2/4/8
+// shards of a kDocRange and a kDocHash partition — plus endpoint protocol
+// checks (ping, misrouting, epoch fencing). Byte-identity across a real
+// socket is async_stack_test's.
 
 #include "server/shard_coordinator.h"
 
@@ -11,7 +12,9 @@
 
 #include "bignum/modmath.h"
 #include "index/builder.h"
+#include "index/epoch.h"
 #include "server/session_client.h"
+#include "slice_rig.h"
 #include "testutil.h"
 #include "transcript.h"
 
@@ -26,35 +29,13 @@ class ShardCoordinatorTest : public ::testing::Test {
         built_(std::move(index::BuildIndex(corp_, {})).value()),
         org_(testutil::MakeBuckets(lex_, 4, 64)) {}
 
-  // N slice servers, endpoints and in-process transports, plus the
-  // coordinator fronting them.
-  struct Rig {
-    std::vector<std::unique_ptr<EmbellishServer>> slices;
-    std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
-    std::vector<std::unique_ptr<InProcessTransport>> transports;
-    std::unique_ptr<ShardCoordinator> coordinator;
-  };
-
+  // N slice servers of a kDocRange partition, endpoints and in-process
+  // transports, plus the coordinator fronting them.
+  using Rig = testutil::SliceRig;
   Rig MakeRig(size_t shards, const ShardCoordinatorOptions& copts = {},
               const EmbellishServerOptions& slice_base = {}) {
-    Rig rig;
-    std::vector<ShardTransport*> raw;
-    for (size_t s = 0; s < shards; ++s) {
-      EmbellishServerOptions options = slice_base;
-      options.shard_slice = s;
-      options.shard_slice_count = shards;
-      rig.slices.push_back(std::make_unique<EmbellishServer>(
-          &built_.index, &org_, nullptr, options));
-      EXPECT_TRUE(rig.slices.back()->serves_slice());
-      rig.endpoints.push_back(
-          std::make_unique<ShardEndpoint>(rig.slices.back().get(), s));
-      rig.transports.push_back(
-          std::make_unique<InProcessTransport>(rig.endpoints.back().get()));
-      raw.push_back(rig.transports.back().get());
-    }
-    rig.coordinator =
-        std::make_unique<ShardCoordinator>(std::move(raw), copts);
-    return rig;
+    return testutil::MakeSliceRig(&built_.index, &org_, shards, copts,
+                                  slice_base);
   }
 
   SessionClient MakeClient(uint64_t session_id, uint64_t seed) {
@@ -81,7 +62,7 @@ class ShardCoordinatorTest : public ::testing::Test {
   core::BucketOrganization org_;
 };
 
-TEST_F(ShardCoordinatorTest, BitIdenticalToShardedAndMonolithicServers) {
+TEST_F(ShardCoordinatorTest, BitIdenticalToTheMonolithicServer) {
   EmbellishServer mono(&built_.index, &org_, nullptr);
   SessionClient client = MakeClient(1, 501);
   auto request = client.QueryFrame(SomeTerms(3, 71));
@@ -89,38 +70,30 @@ TEST_F(ShardCoordinatorTest, BitIdenticalToShardedAndMonolithicServers) {
 
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions shard_options;
-    shard_options.shard_count = shards;
-    EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
     Rig rig = MakeRig(shards);
 
-    // Hello: the coordinator advertises the same global topology bytes as
-    // the in-process sharded server.
+    // Hello: the coordinator advertises the global topology.
     mono.HandleFrame(client.HelloFrame());
-    auto sharded_hello = sharded.HandleFrame(client.HelloFrame());
     auto coord_hello = rig.coordinator->HandleFrame(client.HelloFrame());
-    EXPECT_EQ(coord_hello, sharded_hello);
-    ASSERT_EQ(KindOf(coord_hello), FrameKind::kHelloOk);
+    EXPECT_EQ(coord_hello,
+              EncodeFrame(FrameKind::kHelloOk, 1,
+                          EncodeHelloOk(shards, org_.bucket_count())));
     EXPECT_EQ(rig.coordinator->bucket_count(), org_.bucket_count());
 
-    // PR path: byte-identical frames from all three configurations.
+    // PR path.
     auto mono_resp = mono.HandleFrame(*request);
-    auto sharded_resp = sharded.HandleFrame(*request);
     auto coord_resp = rig.coordinator->HandleFrame(*request);
     EXPECT_EQ(KindOf(coord_resp), FrameKind::kResult);
     EXPECT_EQ(coord_resp, mono_resp);
-    EXPECT_EQ(coord_resp, sharded_resp);
     EXPECT_TRUE(client.DecodeResultFrame(coord_resp, 10).ok());
 
     // Top-k path.
     auto topk_request = EncodeFrame(FrameKind::kTopKQuery, 1,
                                     EncodeTopKQuery(10, SomeTerms(3, 71)));
     auto mono_topk = mono.HandleFrame(topk_request);
-    auto sharded_topk = sharded.HandleFrame(topk_request);
     auto coord_topk = rig.coordinator->HandleFrame(topk_request);
     EXPECT_EQ(KindOf(coord_topk), FrameKind::kTopKResult);
     EXPECT_EQ(coord_topk, mono_topk);
-    EXPECT_EQ(coord_topk, sharded_topk);
 
     CoordinatorStats stats = rig.coordinator->stats();
     EXPECT_EQ(stats.queries, 1u);
@@ -140,11 +113,10 @@ TEST_F(ShardCoordinatorTest, PirPathBitIdenticalPerShard) {
                                      org_.bucket(slot->bucket).size(), &rng);
   ASSERT_TRUE(query.ok());
 
+  const auto local_request = EncodeFrame(
+      FrameKind::kPirQuery, 12, EncodePirQuery(slot->bucket, *query));
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    EmbellishServerOptions shard_options;
-    shard_options.shard_count = shards;
-    EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
     Rig rig = MakeRig(shards);
     ASSERT_TRUE(rig.coordinator->Handshake().ok());
 
@@ -154,9 +126,10 @@ TEST_F(ShardCoordinatorTest, PirPathBitIdenticalPerShard) {
           FrameKind::kPirQuery, 12,
           EncodePirQuery(rig.coordinator->PirBucketField(shard, slot->bucket),
                          *query));
-      auto sharded_resp = sharded.HandleFrame(request);
       auto coord_resp = rig.coordinator->HandleFrame(request);
-      EXPECT_EQ(coord_resp, sharded_resp) << "shard " << shard;
+      // The addressed slice's own answer to the slice-local address.
+      EXPECT_EQ(coord_resp, rig.slices[shard]->HandleFrame(local_request))
+          << "shard " << shard;
       auto frame = DecodeFrame(coord_resp);
       ASSERT_TRUE(frame.ok());
       ASSERT_EQ(frame->kind, FrameKind::kPirResult) << "shard " << shard;
@@ -172,8 +145,8 @@ TEST_F(ShardCoordinatorTest, PirPathBitIdenticalPerShard) {
     EXPECT_EQ(index::MergeShardPostings(fragments),
               *built_.index.postings(terms[29]));
 
-    // Address validation matches the sharded server: saturated sentinel and
-    // out-of-range shard both answered with typed errors.
+    // Address validation: the saturated sentinel and an out-of-range shard
+    // are both answered with typed errors.
     auto saturated = rig.coordinator->HandleFrame(EncodeFrame(
         FrameKind::kPirQuery, 12, EncodePirQuery(SIZE_MAX, *query)));
     EXPECT_EQ(KindOf(saturated), FrameKind::kError);
@@ -189,9 +162,6 @@ TEST_F(ShardCoordinatorTest, PirPathBitIdenticalPerShard) {
 TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   ThreadPool pool(4);
   EmbellishServer mono(&built_.index, &org_, nullptr);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = 3;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
   Rig rig = MakeRig(3);
   // Batched coordinator dispatch spreads the requests over the caller's
@@ -205,7 +175,6 @@ TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   for (size_t s = 0; s < 5; ++s) {
     clients.push_back(MakeClient(700 + s, 800 + s));
     mono.HandleFrame(clients.back().HelloFrame());
-    sharded.HandleFrame(clients.back().HelloFrame());
     batched.HandleFrame(clients.back().HelloFrame());
     auto req = clients.back().QueryFrame(SomeTerms(s + 2, 7 * s + 1));
     ASSERT_TRUE(req.ok());
@@ -216,20 +185,15 @@ TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(responses[i], mono.HandleFrame(requests[i])) << "request " << i;
-    EXPECT_EQ(responses[i], sharded.HandleFrame(requests[i]))
-        << "request " << i;
   }
 }
 
-TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
+TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerial) {
   // Batched PIR through the coordinator: for a batch mixing shards and
   // moduli, dispatched over the pool, the coordinator's bytes must equal
-  // both the serial coordinator path and the in-process sharded server.
+  // the serial coordinator path and the addressed slices' own answers.
   constexpr size_t kShards = 3;
   ThreadPool pool(4);
-  EmbellishServerOptions shard_options;
-  shard_options.shard_count = kShards;
-  EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
   Rig rig = MakeRig(kShards);
   std::vector<ShardTransport*> shared;
@@ -238,7 +202,9 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
 
   auto terms = built_.index.IndexedTerms();
   Rng rng(933);
+  ASSERT_TRUE(batched.Handshake().ok());
   std::vector<std::vector<uint8_t>> requests;
+  std::vector<std::vector<uint8_t>> slice_answers;
   for (size_t c = 0; c < 2; ++c) {
     crypto::PirClient pir_client =
         std::move(crypto::PirClient::Create(256, &rng)).value();
@@ -253,6 +219,9 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
             FrameKind::kPirQuery, 900 + c,
             EncodePirQuery(batched.PirBucketField(shard, slot->bucket),
                            *query)));
+        slice_answers.push_back(rig.slices[shard]->HandleFrame(EncodeFrame(
+            FrameKind::kPirQuery, 900 + c,
+            EncodePirQuery(slot->bucket, *query))));
       }
     }
   }
@@ -263,8 +232,66 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
     EXPECT_EQ(KindOf(responses[i]), FrameKind::kPirResult) << "request " << i;
     EXPECT_EQ(responses[i], rig.coordinator->HandleFrame(requests[i]))
         << "request " << i;
-    EXPECT_EQ(responses[i], sharded.HandleFrame(requests[i]))
-        << "request " << i;
+    EXPECT_EQ(responses[i], slice_answers[i]) << "request " << i;
+  }
+}
+
+TEST_F(ShardCoordinatorTest, DocHashSlicesMatchTheMonolithicServer) {
+  // The hash partition through the coordinator: PR and top-k bytes equal
+  // the monolithic server's, and each slice's PIR fragment of a term's
+  // list merges (MergeShardPostings) into the monolithic list.
+  EmbellishServer mono(&built_.index, &org_, nullptr);
+  SessionClient client = MakeClient(2, 502);
+  mono.HandleFrame(client.HelloFrame());
+  auto request = client.QueryFrame(SomeTerms(3, 71));
+  ASSERT_TRUE(request.ok());
+  const auto topk = EncodeFrame(FrameKind::kTopKQuery, 2,
+                                EncodeTopKQuery(10, SomeTerms(3, 71)));
+
+  const wordnet::TermId term = built_.index.IndexedTerms()[29];
+  auto slot = org_.Locate(term);
+  ASSERT_TRUE(slot.ok());
+  Rng rng(913);
+  crypto::PirClient pir_client =
+      std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto query = pir_client.BuildQuery(slot->slot,
+                                     org_.bucket(slot->bucket).size(), &rng);
+  ASSERT_TRUE(query.ok());
+
+  for (size_t shards : {2u, 3u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    index::IndexCatalogOptions options;
+    options.sharding.shard_count = shards;
+    options.sharding.partition = index::ShardPartition::kDocHash;
+    auto catalog =
+        index::IndexCatalog::Freeze(&built_.index, &org_, nullptr, options);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    Rig rig = testutil::MakeSliceRig(catalog->get(), shards);
+
+    ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client.HelloFrame())),
+              FrameKind::kHelloOk);
+    EXPECT_EQ(rig.coordinator->HandleFrame(*request),
+              mono.HandleFrame(*request));
+    EXPECT_EQ(rig.coordinator->HandleFrame(topk), mono.HandleFrame(topk));
+
+    std::vector<std::vector<index::Posting>> fragments;
+    for (size_t shard = 0; shard < shards; ++shard) {
+      auto frame = DecodeFrame(rig.coordinator->HandleFrame(EncodeFrame(
+          FrameKind::kPirQuery, 2,
+          EncodePirQuery(rig.coordinator->PirBucketField(shard, slot->bucket),
+                         *query))));
+      ASSERT_TRUE(frame.ok());
+      ASSERT_EQ(frame->kind, FrameKind::kPirResult) << "shard " << shard;
+      auto decoded = DecodePirResponse(frame->payload);
+      ASSERT_TRUE(decoded.ok());
+      auto bits = pir_client.DecodeResponse(*decoded);
+      ASSERT_TRUE(bits.ok());
+      auto fragment = core::PostingsFromColumnBits(*bits);
+      ASSERT_TRUE(fragment.ok());
+      fragments.push_back(std::move(*fragment));
+    }
+    EXPECT_EQ(index::MergeShardPostings(fragments),
+              *built_.index.postings(term));
   }
 }
 

@@ -11,7 +11,7 @@
 #include <atomic>
 #include <memory>
 
-#include "core/sharded_retrieval.h"
+#include "core/private_retrieval.h"
 #include "core/wire_format.h"
 #include "index/builder.h"
 #include "index/sharding.h"
