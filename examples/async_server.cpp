@@ -1,7 +1,8 @@
 // Async deployment walkthrough: the whole client-to-shard path with no
 // thread ever blocked on a socket.
 //
-//   1. build the shared substrate (lexicon, buckets, corpus, index);
+//   1. build the shared substrate (lexicon, buckets, corpus, index) and
+//      freeze the index in a catalog partitioned into the slices;
 //   2. fork one shard-slice process per slice, each serving frames on an
 //      inherited loopback listener (classic blocking serve loop — the
 //      children model remote machines we don't control);
@@ -36,12 +37,11 @@ namespace {
 constexpr size_t kShards = 3;
 
 int RunShardProcess(int listen_fd, size_t shard,
-                    const index::InvertedIndex& index,
-                    const core::BucketOrganization& buckets) {
+                    index::IndexCatalog* catalog) {
   server::EmbellishServerOptions options;
   options.shard_slice = shard;
   options.shard_slice_count = kShards;
-  server::EmbellishServer slice(&index, &buckets, nullptr, options);
+  server::EmbellishServer slice(catalog, options);
   server::ShardEndpoint endpoint(&slice, shard);
   (void)server::ServeShardConnections(listen_fd, &endpoint);
   return 0;
@@ -86,6 +86,14 @@ int main() {
   std::printf("substrate: %zu terms, %zu buckets, %zu docs\n",
               lexicon->term_count(), buckets->bucket_count(),
               corp->document_count());
+  // Frozen before the fork: every child serves its slice of this catalog,
+  // and the parent's monolithic reference serves the whole of it.
+  index::IndexCatalogOptions catalog_options;
+  catalog_options.sharding.shard_count = kShards;
+  catalog_options.build_layouts = false;
+  auto catalog =
+      index::IndexCatalog::Freeze(&built->index, &*buckets, catalog_options);
+  if (!catalog.ok()) return 1;
 
   // ---- 2. One listener + one forked process per slice ----
   std::vector<pid_t> children(kShards, -1);
@@ -101,7 +109,7 @@ int main() {
     pid_t pid = fork();
     if (pid < 0) return 1;
     if (pid == 0) {
-      _exit(RunShardProcess(*listen_fd, s, built->index, *buckets));
+      _exit(RunShardProcess(*listen_fd, s, catalog->get()));
     }
     close(*listen_fd);  // the child owns its listener now
     children[s] = pid;
@@ -161,7 +169,7 @@ int main() {
 
     // ---- 5. A blocking TCP client, checked against a local monolithic
     //         server ----
-    server::EmbellishServer mono(&built->index, &*buckets, nullptr);
+    server::EmbellishServer mono(catalog->get());
     crypto::BenalohKeyOptions ko;
     ko.key_bits = 256;
     auto session = server::SessionClient::Create(7, &*buckets, ko, /*seed=*/9);

@@ -2,7 +2,8 @@
 // replicas each, loopback TCP — the replicated deployment the
 // ShardCoordinator exists for.
 //
-//   1. build the shared substrate (lexicon, buckets, corpus, index);
+//   1. build the shared substrate (lexicon, buckets, corpus, index) and
+//      freeze the index in a catalog partitioned into N slices;
 //   2. bind one loopback listener per (slice, replica), then fork N*R
 //      children; each child stands up an EmbellishServer in slice mode
 //      (shard_slice = s) and serves frames on its inherited listener —
@@ -39,12 +40,11 @@ constexpr size_t kShards = 3;
 constexpr size_t kReplicas = 2;
 
 int RunShardProcess(int listen_fd, size_t shard,
-                    const index::InvertedIndex& index,
-                    const core::BucketOrganization& buckets) {
+                    index::IndexCatalog* catalog) {
   server::EmbellishServerOptions options;
   options.shard_slice = shard;
   options.shard_slice_count = kShards;
-  server::EmbellishServer slice(&index, &buckets, nullptr, options);
+  server::EmbellishServer slice(catalog, options);
   server::ShardEndpoint endpoint(&slice, shard);
   (void)server::ServeShardConnections(listen_fd, &endpoint);
   return 0;
@@ -76,6 +76,14 @@ int main() {
   std::printf("substrate: %zu terms, %zu buckets, %zu docs\n",
               lexicon->term_count(), buckets->bucket_count(),
               corp->document_count());
+  // Frozen before the fork: every child serves its slice of this catalog,
+  // and the parent's monolithic reference serves the whole of it.
+  index::IndexCatalogOptions catalog_options;
+  catalog_options.sharding.shard_count = kShards;
+  catalog_options.build_layouts = false;
+  auto catalog =
+      index::IndexCatalog::Freeze(&built->index, &*buckets, catalog_options);
+  if (!catalog.ok()) return 1;
 
   // ---- 2. One listener + one forked process per (slice, replica) ----
   // children[s * kReplicas + r] serves replica r of slice s.
@@ -94,7 +102,7 @@ int main() {
       if (pid < 0) return 1;
       if (pid == 0) {
         // Child: serve this slice until killed.
-        _exit(RunShardProcess(*listen_fd, s, built->index, *buckets));
+        _exit(RunShardProcess(*listen_fd, s, catalog->get()));
       }
       close(*listen_fd);  // the child owns its listener now
       children[s * kReplicas + r] = pid;
@@ -147,7 +155,7 @@ int main() {
 
   // ---- 4. Queries through the coordinator, checked against a local
   //         monolithic server ----
-  server::EmbellishServer mono(&built->index, &*buckets, nullptr);
+  server::EmbellishServer mono(catalog->get());
   crypto::BenalohKeyOptions ko;
   ko.key_bits = 256;
   auto session = server::SessionClient::Create(7, &*buckets, ko, /*seed=*/9);

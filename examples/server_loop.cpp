@@ -1,7 +1,8 @@
 // Server loop walkthrough: the framed request/response protocol end to end.
 //
 //   1. build a lexicon, bucket organization and impact-ordered index;
-//   2. stand up an EmbellishServer with a thread pool;
+//   2. freeze the index in an IndexCatalog and serve it from an
+//      EmbellishServer with a thread pool;
 //   3. register two sessions via hello frames;
 //   4. issue embellished queries through the wire — including a repeated
 //      one, which goes out as different bytes of the same size, so the
@@ -42,9 +43,15 @@ int main() {
               lexicon->term_count(), buckets->bucket_count(),
               corp->document_count());
 
-  // ---- 2. The server: batched dispatch on a thread pool ----
+  // ---- 2. The server: a catalog over the index, batched dispatch on a
+  //         thread pool ----
+  index::IndexCatalogOptions catalog_options;
+  catalog_options.build_layouts = false;  // no simulated disk in this demo
+  auto catalog =
+      index::IndexCatalog::Freeze(&built->index, &*buckets, catalog_options);
+  if (!catalog.ok()) return 1;
   ThreadPool pool(4);
-  server::EmbellishServer srv(&built->index, &*buckets, nullptr, {}, &pool);
+  server::EmbellishServer srv(catalog->get(), {}, &pool);
 
   // ---- 3. Two sessions say hello (registering their public keys) ----
   crypto::BenalohKeyOptions ko;

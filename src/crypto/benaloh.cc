@@ -37,8 +37,9 @@ Status BenalohKeyOptions::Validate() const {
   if (key_bits < 128) {
     return Status::InvalidArgument("key_bits must be >= 128");
   }
-  if (key_bits > 4096) {
-    return Status::InvalidArgument("key_bits must be <= 4096");
+  if (key_bits > kMaxBenalohModulusBits) {
+    return Status::InvalidArgument(
+        StringPrintf("key_bits must be <= %zu", kMaxBenalohModulusBits));
   }
   if (r < 2) {
     return Status::InvalidArgument("message space r must be >= 2");

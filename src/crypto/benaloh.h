@@ -37,6 +37,12 @@
 
 namespace embellish::crypto {
 
+/// \brief Largest modulus, in bits, BenalohKeyPair::Generate makes and a
+///        server's hello decoder accepts. A session's key sizes the server's
+///        work on every PR query it sends, and the key is the client's
+///        choice.
+inline constexpr size_t kMaxBenalohModulusBits = 4096;
+
 /// \brief A Benaloh ciphertext; a residue modulo the public n.
 struct BenalohCiphertext {
   bignum::BigInt value;
@@ -46,8 +52,9 @@ struct BenalohCiphertext {
 
 /// \brief Key-generation parameters.
 struct BenalohKeyOptions {
-  /// Modulus size in bits (the paper's KeyLen). 512 keeps benches fast while
-  /// exercising multi-limb arithmetic; production would use >= 2048.
+  /// Modulus size in bits (the paper's KeyLen), at most
+  /// kMaxBenalohModulusBits. 512 keeps benches fast while exercising
+  /// multi-limb arithmetic; production would use >= 2048.
   size_t key_bits = 512;
 
   /// Message-space size r. The default 3^10 = 59049 admits the optimized

@@ -20,8 +20,8 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // Wraps a caller-lifetime pointer in a non-owning shared_ptr (aliasing
-// constructor with an empty control block): the Freeze compatibility path,
-// where the legacy ctor's raw-pointer contract already guarantees lifetime.
+// constructor with an empty control block): Freeze's inputs, which its
+// contract requires to outlive the catalog.
 template <typename T>
 std::shared_ptr<const T> NonOwning(const T* ptr) {
   return std::shared_ptr<const T>(std::shared_ptr<const T>(), ptr);
@@ -114,8 +114,7 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Create(
 
 Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Freeze(
     const InvertedIndex* index, const core::BucketOrganization* buckets,
-    const storage::StorageLayout* layout, const IndexCatalogOptions& options,
-    ThreadPool* pool) {
+    const IndexCatalogOptions& options, ThreadPool* pool) {
   if (index == nullptr || buckets == nullptr) {
     return Status::InvalidArgument("Freeze requires an index and buckets");
   }
@@ -125,34 +124,12 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Freeze(
       std::unique_ptr<IndexCatalog>(new IndexCatalog(options, pool, true));
   catalog->buckets_ = NonOwning(buckets);
   catalog->partition_doc_base_ = index->document_count();
-
-  IndexEpoch::Init init;
-  init.epoch = 1;
-  init.sharding = options.sharding;
-  init.index = NonOwning(index);
-  init.buckets = catalog->buckets_;
-  init.pinned_gauge = catalog->pinned_gauge_;
-  if (options.sharding.shard_count > 1) {
-    EMB_ASSIGN_OR_RETURN(ShardedIndex sharded,
-                         ShardedIndex::Build(*index, options.sharding));
-    init.sharded = std::make_shared<const ShardedIndex>(std::move(sharded));
-  }
-  if (layout != nullptr) {
-    init.layout = NonOwning(layout);
-  } else if (options.build_layouts) {
-    init.layout = std::make_shared<const storage::StorageLayout>(
-        storage::StorageLayout::Build(*index, buckets->buckets(),
-                                      options.layout_policy, options.disk));
-  }
-  if (init.sharded && options.build_layouts) {
-    init.shard_layouts =
-        std::make_shared<const std::vector<storage::StorageLayout>>(
-            BuildShardLayouts(*init.sharded, *buckets, options.layout_policy,
-                              options.disk));
-  }
+  EMB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const IndexEpoch> first,
+      catalog->AssembleEpoch(1, NonOwning(index), options.sharding, {}));
   {
     std::lock_guard<std::mutex> lock(catalog->state_mu_);
-    catalog->current_ = std::make_shared<const IndexEpoch>(std::move(init));
+    catalog->current_ = std::move(first);
   }
   return catalog;
 }

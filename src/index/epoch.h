@@ -180,24 +180,26 @@ class IndexCatalog {
       std::shared_ptr<const core::BucketOrganization> buckets,
       const IndexCatalogOptions& options, ThreadPool* pool = nullptr);
 
-  /// \brief Single-frozen-epoch shim wrapping non-owned, caller-lifetime
-  ///        objects — the compatibility path keeping the old raw-pointer
-  ///        constructors alive. When options.sharding asks for more than
-  ///        one shard the catalog builds (and owns) the sharded view and
-  ///        per-shard layouts from `index`. `layout`, when non-null, is
-  ///        reused as the monolithic layout; otherwise one is built if
-  ///        options.build_layouts. No corpus statistics exist here, so
-  ///        ApplyDelta and Reshard refuse with FailedPrecondition.
+  /// \brief A catalog with one frozen epoch over an index built elsewhere:
+  ///        `index` and `buckets` are not owned and must outlive the
+  ///        catalog. The epoch is assembled as Create assembles its first
+  ///        one: the sharded view when options.sharding asks for more than
+  ///        one shard, and the layouts (monolithic and per shard) when
+  ///        options.build_layouts, laid out with options.disk. No corpus
+  ///        statistics exist here, so ApplyDelta and Reshard refuse with
+  ///        FailedPrecondition.
   static Result<std::unique_ptr<IndexCatalog>> Freeze(
       const InvertedIndex* index, const core::BucketOrganization* buckets,
-      const storage::StorageLayout* layout, const IndexCatalogOptions& options,
-      ThreadPool* pool = nullptr);
+      const IndexCatalogOptions& options, ThreadPool* pool = nullptr);
 
   /// \brief Frozen catalog whose single epoch IS `snapshot` — the tool the
   ///        bit-identity suites use to build a reference server at exactly
   ///        the epoch a racing query pinned (PIR answers are
   ///        shard-layout-dependent, so the reference must share the
-  ///        snapshot's exact sharding, not merely its documents).
+  ///        snapshot's exact sharding, not merely its documents). Its options
+  ///        are the defaults apart from the snapshot's sharding, so a server
+  ///        built on it charges I/O with the default disk model, whatever
+  ///        model laid out the snapshot's extents.
   static std::unique_ptr<IndexCatalog> FreezeEpoch(
       std::shared_ptr<const IndexEpoch> snapshot, ThreadPool* pool = nullptr);
 

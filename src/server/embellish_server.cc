@@ -12,50 +12,12 @@
 
 namespace embellish::server {
 
-std::unique_ptr<index::IndexCatalog> EmbellishServer::MakeShimCatalog(
-    const index::InvertedIndex* index, const core::BucketOrganization* buckets,
-    const storage::StorageLayout* layout,
-    const EmbellishServerOptions& options) {
-  // A slice server gets the partition its slice addresses; invalid slice
-  // parameters are refused per request (BuildEngines), so their catalog's
-  // sharding does not matter.
-  index::IndexCatalogOptions catalog_options;
-  if (options.shard_slice != SIZE_MAX &&
-      options.shard_slice < options.shard_slice_count) {
-    catalog_options.sharding.shard_count = options.shard_slice_count;
-  }
-  catalog_options.build_layouts = layout != nullptr;
-  catalog_options.layout_policy =
-      layout != nullptr ? layout->policy()
-                        : storage::LayoutPolicy::kBucketColocated;
-  catalog_options.disk = options.disk;
-  auto catalog =
-      index::IndexCatalog::Freeze(index, buckets, layout, catalog_options);
-  // Freeze fails only on null inputs, a construction-order bug.
-  return catalog.ok() ? std::move(catalog).value() : nullptr;
-}
-
 EmbellishServer::EmbellishServer(index::IndexCatalog* catalog,
                                  const EmbellishServerOptions& options,
                                  ThreadPool* pool)
-    : EmbellishServer(nullptr, catalog, options, pool) {}
-
-EmbellishServer::EmbellishServer(const index::InvertedIndex* index,
-                                 const core::BucketOrganization* buckets,
-                                 const storage::StorageLayout* layout,
-                                 const EmbellishServerOptions& options,
-                                 ThreadPool* pool)
-    : EmbellishServer(MakeShimCatalog(index, buckets, layout, options), nullptr,
-                      options, pool) {}
-
-EmbellishServer::EmbellishServer(
-    std::unique_ptr<index::IndexCatalog> owned_catalog,
-    index::IndexCatalog* catalog, const EmbellishServerOptions& options,
-    ThreadPool* pool)
     : options_(options),
       pool_(pool),
-      owned_catalog_(std::move(owned_catalog)),
-      catalog_(catalog != nullptr ? catalog : owned_catalog_.get()),
+      catalog_(catalog),
       bucket_count_(catalog_->Acquire()->buckets().bucket_count()),
       sessions_(options.max_sessions, options.session_idle_frames) {
   // Resolve the initial epoch eagerly so construction surfaces any
@@ -97,12 +59,14 @@ EmbellishServer::BuildEngines(
                                 ? &(*epoch.shard_layouts())[slice]
                                 : nullptr;
   }
+  // The catalog's disk model: the one its layouts were built with.
+  const storage::DiskModelOptions& disk = catalog_->options().disk;
   engines->pr = std::make_unique<core::PrivateRetrievalServer>(
-      engines->serve_index, &epoch.buckets(), engines->serve_layout,
-      options_.disk, options_.pr, pool_);
+      engines->serve_index, &epoch.buckets(), engines->serve_layout, disk,
+      core::PrivateRetrievalServerOptions{}, pool_);
   engines->pir = std::make_unique<core::PirRetrievalServer>(
-      engines->serve_index, &epoch.buckets(), engines->serve_layout,
-      options_.disk, pool_);
+      engines->serve_index, &epoch.buckets(), engines->serve_layout, disk,
+      pool_);
   return engines;
 }
 
@@ -231,9 +195,8 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
     }
   };
   // Tiny batches run inline: at 1-2 requests the region bookkeeping and
-  // worker wake-ups cost more than the overlap buys (the BENCH_server.json
-  // batched-path regression), and any intra-request parallelism still
-  // arrives through the engines' own nested regions.
+  // worker wake-ups cost more than the overlap buys, and any intra-request
+  // parallelism still arrives through the engines' own nested regions.
   constexpr size_t kInlineBatchMax = 2;
   if (pool_ != nullptr && requests.size() > kInlineBatchMax) {
     pool_->ParallelFor(0, requests.size(), /*min_grain=*/1, handle_range);

@@ -42,16 +42,18 @@
 // Reshard installed before the coordinator cut over to a new slice set),
 // the request gets a typed kUnavailable error, never the whole index.
 //
-// Live index (PR 8): the server serves from an index::IndexCatalog instead
-// of raw index pointers. Each HandleFrame/HandleBatch call pins the
-// catalog's current IndexEpoch (shared_ptr acquire) and answers the whole
-// batch against that immutable snapshot — a background ApplyDelta or
-// Reshard installing a successor mid-batch changes nothing the batch can
-// observe, and the pinned snapshot cannot be torn down under it. The
-// per-epoch answer engines (cheap pointer-bundles) are cached and rebuilt
-// only when the epoch advances. The legacy raw-pointer constructor survives
-// as a shim wrapping its arguments in a single-frozen-epoch catalog. No
-// unpinned index pointer crosses a batch boundary, and no answer-path
+// Live index: the server serves from an index::IndexCatalog, the one place
+// that decides which index, storage layouts and disk model it answers with
+// (IndexCatalog::Create for a live catalog, Freeze for a fixed index). Each
+// HandleFrame/HandleBatch call pins the catalog's current IndexEpoch
+// (shared_ptr acquire) and answers the whole batch against that immutable
+// snapshot — a background ApplyDelta or Reshard installing a successor
+// mid-batch changes nothing the batch can observe, and the pinned snapshot
+// cannot be torn down under it. The per-epoch answer engines (cheap
+// pointer-bundles) are cached and rebuilt only when the epoch advances. I/O
+// is charged with the catalog's disk model (IndexCatalogOptions::disk), the
+// model its layouts were built with; an epoch without layouts charges none.
+// No unpinned index pointer crosses a batch boundary, and no answer-path
 // thread ever performs a heavy build (counted: common/answer_path.h).
 //
 // Every request produces a response frame; malformed or failing requests are
@@ -102,12 +104,6 @@ struct EmbellishServerOptions {
   /// overwritten or the server dies).
   uint64_t session_idle_frames = 1u << 20;
 
-  /// Disk model charged per touched bucket (see storage/block_device.h).
-  storage::DiskModelOptions disk;
-
-  /// Algorithm 4 execution options.
-  core::PrivateRetrievalServerOptions pr;
-
   /// Slice mode: serve exactly shard `shard_slice` of the catalog's
   /// `shard_slice_count`-way document partition — one server per slice
   /// behind a ShardCoordinator (server/shard_coordinator.h). The server
@@ -153,8 +149,8 @@ struct ServerStats {
   double server_cpu_ms = 0;     ///< answer-engine CPU
   double server_io_ms = 0;      ///< simulated disk model
 
-  // Live-index counters (snapshotted from the IndexCatalog; the legacy
-  // frozen-catalog shim reports zeros for the mutation counters).
+  // Live-index counters (snapshotted from the IndexCatalog; a frozen
+  // catalog reports zeros for the mutation counters).
   uint64_t epoch_swaps = 0;          ///< successor snapshots installed
   uint64_t delta_docs_ingested = 0;  ///< documents ingested via ApplyDelta
   uint64_t reshard_micros = 0;       ///< background reshard build time
@@ -165,25 +161,15 @@ struct ServerStats {
 /// \brief Multi-session batched answer server.
 class EmbellishServer {
  public:
-  /// \brief Serve from a live catalog (not owned; must outlive the server).
-  ///        Without options.shard_slice the server answers over each pinned
-  ///        epoch's whole index; with it, over that slice of the epoch's
-  ///        partition (see EmbellishServerOptions::shard_slice). `pool` may
-  ///        be null (HandleBatch degrades to a serial loop).
+  /// \brief Serves `catalog` (not owned; must outlive the server): a live
+  ///        one from IndexCatalog::Create, or a fixed index wrapped by
+  ///        IndexCatalog::Freeze. Without options.shard_slice the server
+  ///        answers over each pinned epoch's whole index; with it, over that
+  ///        slice of the epoch's partition (see
+  ///        EmbellishServerOptions::shard_slice). I/O is charged with
+  ///        catalog->options().disk. `pool` may be null (HandleBatch
+  ///        degrades to a serial loop).
   EmbellishServer(index::IndexCatalog* catalog,
-                  const EmbellishServerOptions& options = {},
-                  ThreadPool* pool = nullptr);
-
-  /// \brief Legacy frozen-index constructor: wraps the raw pointers in an
-  ///        owned single-frozen-epoch IndexCatalog (IndexCatalog::Freeze)
-  ///        and serves from that. `layout` may be null (skips I/O
-  ///        accounting); `pool` may be null (HandleBatch degrades to a
-  ///        serial loop). All pointers must outlive the server. A slice
-  ///        server gets a shard_slice_count-way kDocRange partition of
-  ///        `index`.
-  EmbellishServer(const index::InvertedIndex* index,
-                  const core::BucketOrganization* buckets,
-                  const storage::StorageLayout* layout,
                   const EmbellishServerOptions& options = {},
                   ThreadPool* pool = nullptr);
 
@@ -228,10 +214,6 @@ class EmbellishServer {
   ///        request, and a ShardEndpoint refuses to serve it: a
   ///        misconfigured slice behind a coordinator must fail loudly.
   bool slice_config_invalid() const;
-
-  /// \brief The catalog this server serves from (the owned shim catalog for
-  ///        legacy-constructed servers).
-  const index::IndexCatalog& catalog() const { return *catalog_; }
 
   ServerStats stats() const;
 
@@ -298,26 +280,10 @@ class EmbellishServer {
   static RequestOutcome ErrorOutcome(uint64_t session_id,
                                      const Status& status);
 
-  // The legacy-ctor shim: wraps the raw pointers in a frozen single-epoch
-  // catalog, partitioned slice_count ways when valid slice parameters ask
-  // for a slice, else monolithic.
-  static std::unique_ptr<index::IndexCatalog> MakeShimCatalog(
-      const index::InvertedIndex* index, const core::BucketOrganization* buckets,
-      const storage::StorageLayout* layout,
-      const EmbellishServerOptions& options);
-
-  // Both public constructors delegate here.
-  EmbellishServer(std::unique_ptr<index::IndexCatalog> owned_catalog,
-                  index::IndexCatalog* catalog,
-                  const EmbellishServerOptions& options, ThreadPool* pool);
-
   const EmbellishServerOptions options_;
   ThreadPool* pool_;  // not owned; null => all serial
 
-  // The live catalog; owned_catalog_ holds the legacy shim when the server
-  // was constructed from raw pointers.
-  std::unique_ptr<index::IndexCatalog> owned_catalog_;
-  index::IndexCatalog* catalog_;  // owned_catalog_.get() or caller's
+  index::IndexCatalog* catalog_;  // not owned
 
   const size_t bucket_count_;
 

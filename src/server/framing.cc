@@ -226,7 +226,6 @@ std::vector<uint8_t> EncodeHelloOk(size_t shard_count, size_t bucket_count) {
 
 Result<HelloOkPayload> DecodeHelloOk(const std::vector<uint8_t>& payload) {
   HelloOkPayload topology;
-  if (payload.empty()) return topology;  // legacy monolithic server
   PayloadReader reader(payload);
   EMB_ASSIGN_OR_RETURN(uint32_t shard_count, reader.ReadU32());
   EMB_ASSIGN_OR_RETURN(uint32_t bucket_count, reader.ReadU32());

@@ -47,17 +47,19 @@ inline constexpr uint32_t kFrameMagic = 0x454D4251;  // "EMBQ"
 inline constexpr uint8_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
-/// \brief Upper bound on each big-integer field of a hello payload (64 kbit
-///        moduli — far beyond any real KeyLen). The server keeps every
-///        registered key resident, so a hostile hello must not be able to
-///        pin megabytes per session.
-inline constexpr size_t kMaxHelloValueBytes = 8192;
+/// \brief Upper bound on each big-integer field of a hello payload: the
+///        widest modulus BenalohKeyPair::Generate makes. A session's key
+///        sizes the server's work on each of its PR queries, superlinearly in
+///        its width, and the server keeps every registered key resident, so a
+///        key pins 1 KiB at most.
+inline constexpr size_t kMaxHelloValueBytes =
+    crypto::kMaxBenalohModulusBits / 8;
 
 /// \brief What a frame carries. Requests flow client -> server, responses
 ///        server -> client.
 enum class FrameKind : uint8_t {
   kHello = 1,          ///< request: register the session's Benaloh public key
-  kHelloOk = 2,        ///< response: registration acknowledged (empty payload)
+  kHelloOk = 2,        ///< response: registration acknowledged (topology)
   kQuery = 3,          ///< request: core::EncodeQuery bytes (PR scheme)
   kResult = 4,         ///< response: core::EncodeResult bytes
   kPirQuery = 5,       ///< request: one PIR execution against one bucket
@@ -106,13 +108,13 @@ Result<crypto::BenalohPublicKey> DecodeHello(
 ///        both to address PIR executions behind a ShardCoordinator (the
 ///        bucket field of kPirQuery carries shard * bucket_count + bucket)
 ///        — and a client that skips this discovery would otherwise silently
-///        score only shard 0's fragment of every list. A legacy empty payload
-///        decodes as a monolithic server (shard_count 1, bucket_count 0 =
-///        unknown).
+///        score only shard 0's fragment of every list. Decoding refuses any
+///        other length, the empty payload included, and a zero shard count,
+///        as Corruption.
 std::vector<uint8_t> EncodeHelloOk(size_t shard_count, size_t bucket_count);
 struct HelloOkPayload {
   size_t shard_count = 1;
-  size_t bucket_count = 0;  ///< 0 when the server did not advertise it
+  size_t bucket_count = 0;
 };
 Result<HelloOkPayload> DecodeHelloOk(const std::vector<uint8_t>& payload);
 

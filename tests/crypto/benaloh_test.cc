@@ -23,8 +23,11 @@ TEST(BenalohOptionsTest, Validation) {
   EXPECT_TRUE(o.Validate().ok());
   o.key_bits = 64;
   EXPECT_FALSE(o.Validate().ok());
-  o.key_bits = 8192;
-  EXPECT_FALSE(o.Validate().ok());
+  o.key_bits = kMaxBenalohModulusBits;
+  EXPECT_TRUE(o.Validate().ok());
+  o.key_bits = kMaxBenalohModulusBits + 1;
+  EXPECT_EQ(o.Validate().ToString(),
+            "InvalidArgument: key_bits must be <= 4096");
   o = BenalohKeyOptions{};
   o.r = 1;
   EXPECT_FALSE(o.Validate().ok());

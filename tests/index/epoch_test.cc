@@ -396,8 +396,7 @@ TEST_F(IndexEpochTest, FrozenCatalogsRefuseMutation) {
   ASSERT_TRUE(built.ok());
   IndexCatalogOptions options;
   options.build_layouts = false;
-  auto frozen =
-      IndexCatalog::Freeze(&built->index, org_.get(), nullptr, options);
+  auto frozen = IndexCatalog::Freeze(&built->index, org_.get(), options);
   ASSERT_TRUE(frozen.ok());
   EXPECT_TRUE((*frozen)->frozen());
 

@@ -26,7 +26,7 @@ class ShardingTest : public ::testing::Test {
     IndexCatalogOptions options;
     options.sharding = o;
     options.build_layouts = false;
-    auto catalog = IndexCatalog::Freeze(&built_.index, &org_, nullptr, options);
+    auto catalog = IndexCatalog::Freeze(&built_.index, &org_, options);
     EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
     return (*catalog)->Acquire();
   }

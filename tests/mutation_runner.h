@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,9 +65,11 @@ class MutationRunner {
     }
   }
 
-  /// \brief `field` set to 0, to its maximum and to its true value +-1
-  ///        (wrapping within the field).
-  void FieldValues(const Bytes& input, const WireField& field) {
+  /// \brief `field` set to 0, to its maximum, to its true value +-1
+  ///        (wrapping within the field) and to each of `extra` (a decoder's
+  ///        own bounds, say).
+  void FieldValues(const Bytes& input, const WireField& field,
+                   std::initializer_list<uint64_t> extra = {}) {
     if (field.offset + field.width > input.size()) {
       ADD_FAILURE() << field.name << " lies past the input's end";
       return;
@@ -77,8 +80,10 @@ class MutationRunner {
     for (size_t i = 0; i < field.width; ++i) {
       value = (value << 8) | input[field.offset + i];
     }
-    for (uint64_t v :
-         {uint64_t{0}, max, (value + 1) & max, (value - 1) & max}) {
+    std::vector<uint64_t> values = {uint64_t{0}, max, (value + 1) & max,
+                                    (value - 1) & max};
+    values.insert(values.end(), extra.begin(), extra.end());
+    for (uint64_t v : values) {
       Bytes mutated = input;
       for (size_t i = 0; i < field.width; ++i) {
         mutated[field.offset + i] =

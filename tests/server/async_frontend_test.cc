@@ -396,8 +396,9 @@ TEST_F(AsyncFrontEndTest, EmbellishServerServeAsyncBytesMatchHandleFrame) {
   auto corp = testutil::SmallCorpus(lex, 60, 312);
   auto built = std::move(index::BuildIndex(corp, {})).value();
   auto org = testutil::MakeBuckets(lex, 4, 64);
-  EmbellishServer server(&built.index, &org, nullptr);
-  EmbellishServer reference(&built.index, &org, nullptr);
+  auto catalog = testutil::FreezeCatalog(&built.index, &org);
+  EmbellishServer server(catalog.get());
+  EmbellishServer reference(catalog.get());
 
   uint16_t port = 0;
   auto listen_fd = ListenOnLoopback(&port);

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <map>
 #include <thread>
 
 #include "core/wire_format.h"
@@ -144,6 +145,15 @@ class AsyncStackTest : public ::testing::Test {
 
   void TearDown() override { loop_->Stop(); }
 
+  // The fixture's index frozen `shards` ways by document range, once.
+  index::IndexCatalog* Partition(size_t shards) {
+    std::unique_ptr<index::IndexCatalog>& catalog = partitions_[shards];
+    if (catalog == nullptr) {
+      catalog = testutil::FreezeCatalog(&built_.index, &org_, shards);
+    }
+    return catalog.get();
+  }
+
   // `slices[s]`, `endpoints[s]` for an N-way document partition.
   void MakeSlices(size_t shards,
                   std::vector<std::unique_ptr<EmbellishServer>>* slices,
@@ -152,9 +162,8 @@ class AsyncStackTest : public ::testing::Test {
       EmbellishServerOptions options;
       options.shard_slice = s;
       options.shard_slice_count = shards;
-      slices->push_back(std::make_unique<EmbellishServer>(&built_.index,
-                                                          &org_, nullptr,
-                                                          options));
+      slices->push_back(
+          std::make_unique<EmbellishServer>(Partition(shards), options));
       endpoints->push_back(
           std::make_unique<ShardEndpoint>(slices->back().get(), s));
     }
@@ -188,6 +197,7 @@ class AsyncStackTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  std::map<size_t, std::unique_ptr<index::IndexCatalog>> partitions_;
   std::unique_ptr<EventLoop> loop_;
 };
 
@@ -223,7 +233,7 @@ TEST_F(AsyncStackTest, CoordinatorFrontEndRefusesZeroDispatchers) {
 }
 
 TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(Partition(1));
   SessionClient client = MakeClient(1, 701);
   auto request = client.QueryFrame(SomeTerms(3, 71));
   ASSERT_TRUE(request.ok());
@@ -318,8 +328,7 @@ TEST_F(AsyncStackTest, FaultStormOverMultiplexedTransportsStaysSound) {
   // response must be bit-identical to the in-process reference or a typed
   // error — the mux must never let a fault turn into a wrong merge.
   constexpr size_t kShards = 3;
-  testutil::SliceRig rig =
-      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  testutil::SliceRig rig = testutil::MakeSliceRig(Partition(kShards), kShards);
   ShardCoordinator& reference = *rig.coordinator;
 
   std::vector<std::unique_ptr<EmbellishServer>> slices;
@@ -408,8 +417,7 @@ TEST_F(AsyncStackTest, ReplicatedKillStormOverMultiplexedTransportsStaysSound) {
   // every slice is killed. Every answer must be clean bytes, a well-formed
   // degraded partial, or a typed error.
   constexpr size_t kShards = 3;
-  testutil::SliceRig rig =
-      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  testutil::SliceRig rig = testutil::MakeSliceRig(Partition(kShards), kShards);
   ShardCoordinator& reference = *rig.coordinator;
 
   std::vector<std::unique_ptr<EmbellishServer>> slices1, slices2;

@@ -27,7 +27,8 @@ class EmbellishServerContendedTest : public ::testing::Test {
       : lex_(testutil::SmallSyntheticLexicon(1500, 331)),
         corp_(testutil::SmallCorpus(lex_, 150, 332)),
         built_(std::move(index::BuildIndex(corp_, {})).value()),
-        org_(testutil::MakeBuckets(lex_, 4, 64)) {}
+        org_(testutil::MakeBuckets(lex_, 4, 64)),
+        catalog_(testutil::FreezeCatalog(&built_.index, &org_)) {}
 
   SessionClient MakeClient(uint64_t session_id, uint64_t seed) {
     crypto::BenalohKeyOptions ko;
@@ -46,6 +47,7 @@ class EmbellishServerContendedTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  std::unique_ptr<index::IndexCatalog> catalog_;
 };
 
 TEST_F(EmbellishServerContendedTest,
@@ -72,7 +74,7 @@ TEST_F(EmbellishServerContendedTest,
     }
   }
 
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   for (const auto& hello : hellos) mono.HandleFrame(hello);
   std::vector<std::vector<uint8_t>> reference;
   reference.reserve(requests.size());
@@ -198,8 +200,8 @@ TEST_F(EmbellishServerContendedTest, TinyBatchesRunInlineAndStayIdentical) {
   // can observe "ran inline" directly, so the assertion is behavioral —
   // handling via HandleBatch at sizes 1 and 2 still matches HandleFrame.
   ThreadPool pool(4);
-  EmbellishServer server(&built_.index, &org_, nullptr, {}, &pool);
-  EmbellishServer serial(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get(), {}, &pool);
+  EmbellishServer serial(catalog_.get());
 
   SessionClient client = MakeClient(7, 77);
   server.HandleFrame(client.HelloFrame());

@@ -25,7 +25,8 @@ class EmbellishServerTest : public ::testing::Test {
       : lex_(testutil::SmallSyntheticLexicon(1500, 211)),
         corp_(testutil::SmallCorpus(lex_, 150, 212)),
         built_(std::move(index::BuildIndex(corp_, {})).value()),
-        org_(testutil::MakeBuckets(lex_, 4, 64)) {}
+        org_(testutil::MakeBuckets(lex_, 4, 64)),
+        catalog_(testutil::FreezeCatalog(&built_.index, &org_)) {}
 
   SessionClient MakeClient(uint64_t session_id, uint64_t seed) {
     crypto::BenalohKeyOptions ko;
@@ -44,10 +45,11 @@ class EmbellishServerTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  std::unique_ptr<index::IndexCatalog> catalog_;
 };
 
 TEST_F(EmbellishServerTest, HelloThenQueryMatchesDirectPipeline) {
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
   SessionClient client = MakeClient(1, 301);
 
   auto hello_resp = server.HandleFrame(client.HelloFrame());
@@ -85,7 +87,7 @@ TEST_F(EmbellishServerTest, HelloThenQueryMatchesDirectPipeline) {
 }
 
 TEST_F(EmbellishServerTest, QueryBeforeHelloIsRejectedNotFatal) {
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
   SessionClient client = MakeClient(2, 302);
   auto request = client.QueryFrame(SomeTerms(5, 9));
   ASSERT_TRUE(request.ok());
@@ -100,7 +102,7 @@ TEST_F(EmbellishServerTest, QueryBeforeHelloIsRejectedNotFatal) {
 }
 
 TEST_F(EmbellishServerTest, MalformedFramesGetErrorResponses) {
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
   SessionClient client = MakeClient(3, 303);
   server.HandleFrame(client.HelloFrame());
   auto request = client.QueryFrame(SomeTerms(2, 4));
@@ -130,7 +132,7 @@ TEST_F(EmbellishServerTest, MalformedFramesGetErrorResponses) {
 }
 
 TEST_F(EmbellishServerTest, RepeatedQueryIsEncryptedAfresh) {
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
   SessionClient client = MakeClient(4, 304);
   server.HandleFrame(client.HelloFrame());
 
@@ -172,8 +174,7 @@ TEST_F(EmbellishServerTest, TranscriptHidesWhichQueriesRepeat) {
   ThreadPool pool(4);
   for (bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "HandleBatch" : "HandleFrame");
-    EmbellishServer server(&built_.index, &org_, nullptr, {},
-                           batched ? &pool : nullptr);
+    EmbellishServer server(catalog_.get(), {}, batched ? &pool : nullptr);
     SessionClient a = MakeClient(51, 951);
     SessionClient b = MakeClient(52, 952);
     server.HandleFrame(a.HelloFrame());
@@ -217,8 +218,7 @@ TEST_F(EmbellishServerTest, PirTranscriptHidesWhichColumnsRepeat) {
   ThreadPool pool(4);
   for (bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "HandleBatch" : "HandleFrame");
-    EmbellishServer server(&built_.index, &org_, nullptr, {},
-                           batched ? &pool : nullptr);
+    EmbellishServer server(catalog_.get(), {}, batched ? &pool : nullptr);
     auto [ta, tb] =
         testutil::RepeatedAndDistinctPirQueries(61, a, 62, b, org_, t, &rng);
     if (batched) {
@@ -266,7 +266,7 @@ TEST_F(EmbellishServerTest, ShedTranscriptHidesWhichQueriesRepeat) {
     SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
     EmbellishServerOptions options;
     options.max_inflight = max_inflight;
-    EmbellishServer server(&built_.index, &org_, nullptr, options, &pool);
+    EmbellishServer server(catalog_.get(), options, &pool);
     SessionClient a = MakeClient(71, 971);
     SessionClient b = MakeClient(72, 972);
     SessionClient filler = MakeClient(73, 973);
@@ -295,7 +295,7 @@ TEST_F(EmbellishServerTest, PirModulusPastTheBoundIsRefused) {
   // gets a typed error before any sweep, and the next honest frame is
   // answered.
   ThreadPool pool(4);
-  EmbellishServer server(&built_.index, &org_, nullptr, {}, &pool);
+  EmbellishServer server(catalog_.get(), {}, &pool);
   const wordnet::TermId term = built_.index.IndexedTerms()[7];
   auto where = org_.Locate(term);
   ASSERT_TRUE(where.ok());
@@ -337,11 +337,86 @@ TEST_F(EmbellishServerTest, PirModulusPastTheBoundIsRefused) {
   EXPECT_EQ(server.stats().pir_queries, 1u);
 }
 
+TEST_F(EmbellishServerTest, HelloKeyPastTheBoundIsRefused) {
+  // A session's key sizes the server's work on each of its PR queries. A
+  // modulus one byte wider than any BenalohKeyPair::Generate makes gets a
+  // typed error and registers nothing.
+  EmbellishServer server(catalog_.get());
+  Rng rng(982);
+  auto refused = DecodeFrame(server.HandleFrame(EncodeFrame(
+      FrameKind::kHello, 82,
+      EncodeHello(testutil::OversizedBenalohKey(&rng)))));
+  ASSERT_TRUE(refused.ok());
+  ASSERT_EQ(refused->kind, FrameKind::kError);
+  Status transported;
+  ASSERT_TRUE(DecodeError(refused->payload, &transported).ok());
+  EXPECT_EQ(transported.ToString(),
+            "Corruption: hello modulus size 513 outside (0, 512]");
+  EXPECT_EQ(server.session_count(), 0u);
+  EXPECT_EQ(server.stats().hellos, 0u);
+}
+
+TEST_F(EmbellishServerTest, IoIsChargedWithTheCatalogsDiskModel) {
+  // The catalog lays its extents out with its disk model, and the server
+  // charges reads with the same one: a PR and a PIR query each cost what
+  // the core engines charge on the epoch's layout under that model.
+  index::IndexCatalogOptions options;
+  options.disk.block_bytes = 4096;
+  options.disk.avg_seek_ms = 9.0;
+  auto catalog = std::move(index::IndexCatalog::Freeze(&built_.index, &org_,
+                                                       options))
+                     .value();
+  const auto epoch = catalog->Acquire();
+  ASSERT_NE(epoch->layout(), nullptr);
+  EmbellishServer server(catalog.get());
+
+  SessionClient client = MakeClient(41, 941);
+  server.HandleFrame(client.HelloFrame());
+  auto request = client.QueryFrame(SomeTerms(7, 29));
+  ASSERT_TRUE(request.ok());
+  ASSERT_TRUE(client.DecodeResultFrame(server.HandleFrame(*request), 10).ok());
+  const double pr_io_ms = server.stats().server_io_ms;
+  auto query = core::DecodeQuery(DecodeFrame(*request)->payload,
+                                 client.public_key());
+  ASSERT_TRUE(query.ok());
+  core::RetrievalCosts pr_catalog, pr_default;
+  ASSERT_TRUE(core::PrivateRetrievalServer(&built_.index, &org_,
+                                           epoch->layout(), options.disk)
+                  .Process(*query, client.public_key(), &pr_catalog)
+                  .ok());
+  ASSERT_TRUE(core::PrivateRetrievalServer(&built_.index, &org_,
+                                           epoch->layout())
+                  .Process(*query, client.public_key(), &pr_default)
+                  .ok());
+  ASSERT_NE(pr_catalog.server_io_ms, pr_default.server_io_ms);
+  EXPECT_DOUBLE_EQ(pr_io_ms, pr_catalog.server_io_ms);
+
+  auto slot = org_.Locate(built_.index.IndexedTerms()[17]);
+  ASSERT_TRUE(slot.ok());
+  Rng rng(942);
+  crypto::PirClient pir =
+      std::move(crypto::PirClient::Create(256, &rng)).value();
+  auto pir_query =
+      pir.BuildQuery(slot->slot, org_.bucket(slot->bucket).size(), &rng);
+  ASSERT_TRUE(pir_query.ok());
+  auto answered = DecodeFrame(server.HandleFrame(EncodeFrame(
+      FrameKind::kPirQuery, 41, EncodePirQuery(slot->bucket, *pir_query))));
+  ASSERT_TRUE(answered.ok());
+  ASSERT_EQ(answered->kind, FrameKind::kPirResult);
+  core::RetrievalCosts pir_catalog;
+  ASSERT_TRUE(core::PirRetrievalServer(&built_.index, &org_, epoch->layout(),
+                                       options.disk)
+                  .Answer(slot->bucket, *pir_query, &pir_catalog)
+                  .ok());
+  EXPECT_DOUBLE_EQ(server.stats().server_io_ms - pr_io_ms,
+                   pir_catalog.server_io_ms);
+}
+
 TEST_F(EmbellishServerTest, ReHelloReplayIsNotTheOldAnswer) {
   // A session may re-register with a fresh public key. Replaying the same
   // query bytes afterwards must not return the answer under the superseded
   // key.
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
 
   SessionClient old_client = MakeClient(6, 306);
   server.HandleFrame(old_client.HelloFrame());
@@ -362,7 +437,7 @@ TEST_F(EmbellishServerTest, ReHelloReplayIsNotTheOldAnswer) {
 TEST_F(EmbellishServerTest, SessionTableIsBounded) {
   EmbellishServerOptions options;
   options.max_sessions = 2;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+  EmbellishServer server(catalog_.get(), options);
   SessionClient a = MakeClient(21, 321);
   SessionClient b = MakeClient(22, 322);
   SessionClient c = MakeClient(23, 323);
@@ -382,8 +457,8 @@ TEST_F(EmbellishServerTest, SessionTableIsBounded) {
 
 TEST_F(EmbellishServerTest, BatchedDispatchMatchesSerial) {
   ThreadPool pool(4);
-  EmbellishServer batched(&built_.index, &org_, nullptr, {}, &pool);
-  EmbellishServer serial(&built_.index, &org_, nullptr);
+  EmbellishServer batched(catalog_.get(), {}, &pool);
+  EmbellishServer serial(catalog_.get());
 
   constexpr size_t kSessions = 6;
   std::vector<SessionClient> clients;
@@ -414,10 +489,10 @@ TEST_F(EmbellishServerTest, InflightBudgetShedsBatchSuffixTyped) {
   // exactly the suffix beyond the budget is shed with a typed kBusy error
   // while the admitted prefix answers byte-identically to an unthrottled
   // server.
-  EmbellishServer reference(&built_.index, &org_, nullptr);
+  EmbellishServer reference(catalog_.get());
   EmbellishServerOptions options;
   options.max_inflight = 4;
-  EmbellishServer throttled(&built_.index, &org_, nullptr, options);
+  EmbellishServer throttled(catalog_.get(), options);
 
   constexpr size_t kRequests = 6;
   std::vector<SessionClient> clients;
@@ -455,7 +530,7 @@ TEST_F(EmbellishServerTest, InflightBudgetShedsBatchSuffixTyped) {
 }
 
 TEST_F(EmbellishServerTest, PirQueriesThroughTheLoop) {
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
 
   // Pick an indexed term and retrieve its bucket column through the server
   // loop; compare against the direct PirRetrievalServer answer.
@@ -516,6 +591,7 @@ TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
   even.n = even.n + bignum::BigInt(1);
 
   ThreadPool pool(4);
+  auto halves = testutil::FreezeCatalog(&built_.index, &org_, 2);
   const std::vector<std::vector<uint8_t>> requests = {
       EncodeFrame(FrameKind::kPirQuery, 31,
                   EncodePirQuery(first->bucket, *good)),
@@ -531,8 +607,8 @@ TEST_F(EmbellishServerTest, BatchedPirFailuresMatchHandleFrame) {
     EmbellishServerOptions options;
     options.shard_slice = slice;
     options.shard_slice_count = 2;
-    EmbellishServer batched(&built_.index, &org_, nullptr, options, &pool);
-    EmbellishServer serial(&built_.index, &org_, nullptr, options);
+    EmbellishServer batched(halves.get(), options, &pool);
+    EmbellishServer serial(halves.get(), options);
     auto responses = batched.HandleBatch(requests);
     ASSERT_EQ(responses.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -573,12 +649,13 @@ TEST_F(EmbellishServerTest, ShardedPirReplaysAreRecomputedPerShard) {
 
   const auto request = EncodeFrame(FrameKind::kPirQuery, 13,
                                   EncodePirQuery(slot->bucket, *query));
+  auto halves = testutil::FreezeCatalog(&built_.index, &org_, 2);
   std::vector<std::vector<uint8_t>> responses;
   for (size_t shard = 0; shard < 2; ++shard) {
     EmbellishServerOptions options;
     options.shard_slice = shard;
     options.shard_slice_count = 2;
-    EmbellishServer server(&built_.index, &org_, nullptr, options);
+    EmbellishServer server(halves.get(), options);
     responses.push_back(server.HandleFrame(request));
     const double cpu_before_replay = server.stats().server_cpu_ms;
     EXPECT_EQ(server.HandleFrame(request), responses.back());
@@ -596,7 +673,7 @@ TEST_F(EmbellishServerTest, PirReplaysAcrossSessionsAreRecomputed) {
   // residues, so a stored answer could serve only a byte-exact replay. A
   // second session replaying the same payload is answered again — the same
   // answer bytes, each frame addressed to its own session.
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
 
   auto terms = built_.index.IndexedTerms();
   auto slot = org_.Locate(terms[17]);
@@ -635,7 +712,7 @@ TEST_F(EmbellishServerTest, PrAnswersAreSessionScoped) {
   // answered under the other session's key (and fails — the ciphertexts are
   // not valid under it), while the owning session's replay is answered
   // with its original bytes.
-  EmbellishServer server(&built_.index, &org_, nullptr);
+  EmbellishServer server(catalog_.get());
 
   SessionClient alice = MakeClient(11, 311);
   SessionClient bob = MakeClient(12, 312);
@@ -659,7 +736,7 @@ TEST_F(EmbellishServerTest, TopKThroughTheLoopMatchesEvaluateFull) {
   // The plaintext top-k path answers with the full-accumulation prefix on
   // every configuration, so the monolithic server and a coordinator over
   // slices produce byte-identical frames.
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
 
   auto genuine = SomeTerms(5, 23);
@@ -709,7 +786,7 @@ TEST_F(EmbellishServerTest, TermIdsPastTheTermTableReadAsUnindexed) {
   for (wordnet::TermId t : hostile) {
     EXPECT_EQ(built_.index.postings(t), nullptr) << t;
   }
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
   const auto genuine = SomeTerms(5, 23);
   std::vector<wordnet::TermId> widened_terms = genuine;
@@ -750,7 +827,7 @@ TEST_F(EmbellishServerTest, ZeroKTopKOnShardedServerMatchesMonolithic) {
   // k = 0 decodes as a valid request; a coordinator over slices must
   // answer it with the monolithic server's empty result rather than crash
   // in the fan-out or the merge.
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   testutil::SliceRig rig = testutil::MakeSliceRig(&built_.index, &org_, 3);
 
   auto request = EncodeFrame(FrameKind::kTopKQuery, 6,
@@ -774,7 +851,7 @@ TEST_F(EmbellishServerTest, IdleSessionSweepBoundsKeyMemory) {
   EmbellishServerOptions options;
   options.max_sessions = 4;
   options.session_idle_frames = 8;
-  EmbellishServer server(&built_.index, &org_, nullptr, options);
+  EmbellishServer server(catalog_.get(), options);
 
   std::vector<SessionClient> storm;
   for (size_t s = 0; s < 4; ++s) {
@@ -831,7 +908,7 @@ TEST_F(EmbellishServerTest, SliceServerServesOneShardsDocuments) {
   auto request = client.QueryFrame(SomeTerms(7, 29));
   ASSERT_TRUE(request.ok());
 
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   mono.HandleFrame(client.HelloFrame());
   auto mono_frame = DecodeFrame(mono.HandleFrame(*request));
   ASSERT_TRUE(mono_frame.ok());
@@ -839,12 +916,13 @@ TEST_F(EmbellishServerTest, SliceServerServesOneShardsDocuments) {
                                         client.public_key());
   ASSERT_TRUE(mono_result.ok());
 
+  auto thirds = testutil::FreezeCatalog(&built_.index, &org_, kSlices);
   std::vector<core::EncryptedResult> partial;
   for (size_t s = 0; s < kSlices; ++s) {
     EmbellishServerOptions options;
     options.shard_slice = s;
     options.shard_slice_count = kSlices;
-    EmbellishServer slice(&built_.index, &org_, nullptr, options);
+    EmbellishServer slice(thirds.get(), options);
     ASSERT_TRUE(slice.serves_slice());
     // The slice advertises itself monolithic; the coordinator owns the
     // global topology.
@@ -870,7 +948,7 @@ TEST_F(EmbellishServerTest, SliceServerServesOneShardsDocuments) {
   EmbellishServerOptions invalid;
   invalid.shard_slice = 9;
   invalid.shard_slice_count = 3;
-  EmbellishServer refusing(&built_.index, &org_, nullptr, invalid);
+  EmbellishServer refusing(thirds.get(), invalid);
   EXPECT_FALSE(refusing.serves_slice());
   EXPECT_TRUE(refusing.slice_config_invalid());
   auto refused = DecodeFrame(refusing.HandleFrame(*request));

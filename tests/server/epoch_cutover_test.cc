@@ -342,7 +342,8 @@ TEST_F(EpochCutoverTest, CutoverToABadSliceSetFailsTypedAndKeepsTheOldSet) {
   EmbellishServerOptions options;
   options.shard_slice = 1;
   options.shard_slice_count = 2;
-  EmbellishServer stray(&other_built->index, &other, nullptr, options);
+  auto stray_catalog = testutil::FreezeCatalog(&other_built->index, &other, 2);
+  EmbellishServer stray(stray_catalog.get(), options);
   ShardEndpoint stray_endpoint(&stray, 1);
   InProcessTransport stray_transport(&stray_endpoint);
   Status cutover = coordinator.AdvanceEpoch(

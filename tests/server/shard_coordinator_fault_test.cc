@@ -29,14 +29,14 @@ class CoordinatorFaultTest : public ::testing::Test {
         corp_(testutil::SmallCorpus(lex_, 150, 212)),
         built_(std::move(index::BuildIndex(corp_, {})).value()),
         org_(testutil::MakeBuckets(lex_, 4, 64)),
-        mono_(&built_.index, &org_, nullptr) {
+        catalog_(testutil::FreezeCatalog(&built_.index, &org_, kShards)),
+        mono_(catalog_.get()) {
     for (size_t s = 0; s < kShards; ++s) {
       EmbellishServerOptions options;
       options.shard_slice = s;
       options.shard_slice_count = kShards;
-      slices_.push_back(std::make_unique<EmbellishServer>(&built_.index,
-                                                          &org_, nullptr,
-                                                          options));
+      slices_.push_back(
+          std::make_unique<EmbellishServer>(catalog_.get(), options));
       endpoints_.push_back(
           std::make_unique<ShardEndpoint>(slices_.back().get(), s));
       inner_transports_.push_back(
@@ -108,6 +108,9 @@ class CoordinatorFaultTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  // The index split kShards ways; the monolithic server answers over the
+  // whole of it.
+  std::unique_ptr<index::IndexCatalog> catalog_;
   EmbellishServer mono_;
   std::vector<std::unique_ptr<EmbellishServer>> slices_;
   std::vector<std::unique_ptr<ShardEndpoint>> endpoints_;
@@ -233,8 +236,7 @@ TEST_F(CoordinatorFaultTest, SeededFaultStormNeverCorruptsAnswers) {
   // must be either bit-identical to the reference answer — a fault-free
   // coordinator over in-process slices fed the same bytes — or a
   // well-formed typed error frame.
-  testutil::SliceRig rig =
-      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  testutil::SliceRig rig = testutil::MakeSliceRig(catalog_.get(), kShards);
   ShardCoordinator& reference = *rig.coordinator;
 
   SessionClient client = MakeClient(4, 604);
@@ -384,7 +386,7 @@ TEST_F(CoordinatorFaultTest, CutoverSurvivesASliceRefusingEveryTrip) {
   EmbellishServerOptions options;
   options.shard_slice = 1;
   options.shard_slice_count = kShards;
-  EmbellishServer restarted(&built_.index, &org_, nullptr, options);
+  EmbellishServer restarted(catalog_.get(), options);
   ShardEndpoint endpoint(&restarted, 1);
   InProcessTransport transport(&endpoint);
   flaky.Revive(&transport);
@@ -423,8 +425,7 @@ TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
   // is killed outright. Every answer must be bit-identical to the healthy
   // reference, a well-formed degraded partial naming its missing slices, or
   // a typed error. Never a hang, never a silent wrong merge.
-  testutil::SliceRig rig =
-      testutil::MakeSliceRig(&built_.index, &org_, kShards);
+  testutil::SliceRig rig = testutil::MakeSliceRig(catalog_.get(), kShards);
   ShardCoordinator& reference = *rig.coordinator;
 
   // Replica 1: a second, independent server per slice.
@@ -435,8 +436,8 @@ TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
     EmbellishServerOptions options;
     options.shard_slice = s;
     options.shard_slice_count = kShards;
-    slices2.push_back(std::make_unique<EmbellishServer>(&built_.index, &org_,
-                                                        nullptr, options));
+    slices2.push_back(
+        std::make_unique<EmbellishServer>(catalog_.get(), options));
     endpoints2.push_back(
         std::make_unique<ShardEndpoint>(slices2.back().get(), s));
     transports2.push_back(

@@ -27,7 +27,8 @@ class ShardCoordinatorTest : public ::testing::Test {
       : lex_(testutil::SmallSyntheticLexicon(1500, 211)),
         corp_(testutil::SmallCorpus(lex_, 150, 212)),
         built_(std::move(index::BuildIndex(corp_, {})).value()),
-        org_(testutil::MakeBuckets(lex_, 4, 64)) {}
+        org_(testutil::MakeBuckets(lex_, 4, 64)),
+        catalog_(testutil::FreezeCatalog(&built_.index, &org_)) {}
 
   // N slice servers of a kDocRange partition, endpoints and in-process
   // transports, plus the coordinator fronting them.
@@ -60,10 +61,11 @@ class ShardCoordinatorTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  std::unique_ptr<index::IndexCatalog> catalog_;
 };
 
 TEST_F(ShardCoordinatorTest, BitIdenticalToTheMonolithicServer) {
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   SessionClient client = MakeClient(1, 501);
   auto request = client.QueryFrame(SomeTerms(3, 71));
   ASSERT_TRUE(request.ok());
@@ -161,7 +163,7 @@ TEST_F(ShardCoordinatorTest, PirPathBitIdenticalPerShard) {
 
 TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   ThreadPool pool(4);
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
 
   Rig rig = MakeRig(3);
   // Batched coordinator dispatch spreads the requests over the caller's
@@ -240,7 +242,7 @@ TEST_F(ShardCoordinatorTest, DocHashSlicesMatchTheMonolithicServer) {
   // The hash partition through the coordinator: PR and top-k bytes equal
   // the monolithic server's, and each slice's PIR fragment of a term's
   // list merges (MergeShardPostings) into the monolithic list.
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   SessionClient client = MakeClient(2, 502);
   mono.HandleFrame(client.HelloFrame());
   auto request = client.QueryFrame(SomeTerms(3, 71));
@@ -263,8 +265,7 @@ TEST_F(ShardCoordinatorTest, DocHashSlicesMatchTheMonolithicServer) {
     index::IndexCatalogOptions options;
     options.sharding.shard_count = shards;
     options.sharding.partition = index::ShardPartition::kDocHash;
-    auto catalog =
-        index::IndexCatalog::Freeze(&built_.index, &org_, nullptr, options);
+    auto catalog = index::IndexCatalog::Freeze(&built_.index, &org_, options);
     ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
     Rig rig = testutil::MakeSliceRig(catalog->get(), shards);
 
@@ -398,6 +399,29 @@ TEST_F(ShardCoordinatorTest, PirModulusPastTheBoundIsRefused) {
   EXPECT_EQ(rig.slices[1]->stats().pir_queries, 1u);
 }
 
+TEST_F(ShardCoordinatorTest, HelloKeyPastTheBoundIsRefused) {
+  // The coordinator decodes hellos with the server's decoder, so a modulus
+  // one byte wider than any BenalohKeyPair::Generate makes gets a typed
+  // error, registers nothing, and reaches no slice.
+  Rig rig = MakeRig(2);
+  ASSERT_TRUE(rig.coordinator->Handshake().ok());
+  Rng rng(983);
+  auto refused = DecodeFrame(rig.coordinator->HandleFrame(EncodeFrame(
+      FrameKind::kHello, 83,
+      EncodeHello(testutil::OversizedBenalohKey(&rng)))));
+  ASSERT_TRUE(refused.ok());
+  ASSERT_EQ(refused->kind, FrameKind::kError);
+  Status transported;
+  ASSERT_TRUE(DecodeError(refused->payload, &transported).ok());
+  EXPECT_EQ(transported.ToString(),
+            "Corruption: hello modulus size 513 outside (0, 512]");
+  EXPECT_EQ(rig.coordinator->session_count(), 0u);
+  for (const auto& slice : rig.slices) {
+    EXPECT_EQ(slice->session_count(), 0u);
+    EXPECT_EQ(slice->stats().frames, 0u);
+  }
+}
+
 TEST_F(ShardCoordinatorTest, ReHelloReplayFansOutAgain) {
   // Identical request bytes after a re-hello fan out to every slice again
   // and merge to the same bytes.
@@ -427,7 +451,8 @@ TEST_F(ShardCoordinatorTest, EndpointValidatesEnvelopes) {
   EmbellishServerOptions options;
   options.shard_slice = 0;
   options.shard_slice_count = 2;
-  EmbellishServer slice(&built_.index, &org_, nullptr, options);
+  auto halves = testutil::FreezeCatalog(&built_.index, &org_, 2);
+  EmbellishServer slice(halves.get(), options);
   ShardEndpoint endpoint(&slice, /*shard_id=*/0);
 
   auto error_status = [](const std::vector<uint8_t>& response) {
@@ -580,7 +605,7 @@ TEST_F(ShardCoordinatorTest, SelfHealsAShardThatLostTheSession) {
 
   // Session 60's query still answers — bit-identical to the monolithic
   // server — because the coordinator repaired the registration in-flight.
-  EmbellishServer mono(&built_.index, &org_, nullptr);
+  EmbellishServer mono(catalog_.get());
   mono.HandleFrame(a.HelloFrame());
   auto request = a.QueryFrame(SomeTerms(8, 21));
   ASSERT_TRUE(request.ok());

@@ -59,14 +59,15 @@ class ReplicaTest : public ::testing::Test {
         corp_(testutil::SmallCorpus(lex_, 150, 222)),
         built_(std::move(index::BuildIndex(corp_, {})).value()),
         org_(testutil::MakeBuckets(lex_, 4, 64)),
-        mono_(&built_.index, &org_, nullptr) {
+        catalog_(testutil::FreezeCatalog(&built_.index, &org_, kShards)),
+        mono_(catalog_.get()) {
     for (size_t s = 0; s < kShards; ++s) {
       for (size_t r = 0; r < kReplicas; ++r) {
         EmbellishServerOptions options;
         options.shard_slice = s;
         options.shard_slice_count = kShards;
-        slices_.push_back(std::make_unique<EmbellishServer>(
-            &built_.index, &org_, nullptr, options));
+        slices_.push_back(
+            std::make_unique<EmbellishServer>(catalog_.get(), options));
         endpoints_.push_back(
             std::make_unique<ShardEndpoint>(slices_.back().get(), s));
         inner_transports_.push_back(
@@ -125,6 +126,9 @@ class ReplicaTest : public ::testing::Test {
   corpus::Corpus corp_;
   index::BuildOutput built_;
   core::BucketOrganization org_;
+  // The index split kShards ways; the monolithic server answers over the
+  // whole of it, and every replica of a slice over that slice.
+  std::unique_ptr<index::IndexCatalog> catalog_;
   EmbellishServer mono_;
   std::vector<std::unique_ptr<EmbellishServer>> slices_;
   std::vector<std::unique_ptr<ShardEndpoint>> endpoints_;

@@ -15,10 +15,14 @@
 #include "server/embellish_server.h"
 #include "server/shard_coordinator.h"
 #include "server/shard_transport.h"
+#include "testutil.h"
 
 namespace embellish::testutil {
 
 struct SliceRig {
+  /// The partition the slices serve, when the rig froze it itself; declared
+  /// first so that it outlives the slices.
+  std::unique_ptr<index::IndexCatalog> catalog;
   std::vector<std::unique_ptr<server::EmbellishServer>> slices;
   std::vector<std::unique_ptr<server::ShardEndpoint>> endpoints;
   std::vector<std::unique_ptr<server::InProcessTransport>> transports;
@@ -69,20 +73,26 @@ inline SliceRig MakeSliceRig(index::IndexCatalog* catalog, size_t n) {
       });
 }
 
-/// \brief Slices of an n-way kDocRange partition of `index`; the slices
-///        and the coordinator share `pool`.
+/// \brief Slices of one n-way kDocRange partition of `index`, frozen once
+///        (FreezeCatalog) and owned by the rig; the slices and the
+///        coordinator share `pool`.
 inline SliceRig MakeSliceRig(
     const index::InvertedIndex* index, const core::BucketOrganization* buckets,
     size_t n, const server::ShardCoordinatorOptions& coordinator_options = {},
     const server::EmbellishServerOptions& base = {},
     ThreadPool* pool = nullptr) {
-  return MakeSliceRig(
+  std::unique_ptr<index::IndexCatalog> catalog =
+      FreezeCatalog(index, buckets, n);
+  SliceRig rig = MakeSliceRig(
       n,
-      [index, buckets, pool](const server::EmbellishServerOptions& options) {
-        return std::make_unique<server::EmbellishServer>(
-            index, buckets, nullptr, options, pool);
+      [catalog = catalog.get(),
+       pool](const server::EmbellishServerOptions& options) {
+        return std::make_unique<server::EmbellishServer>(catalog, options,
+                                                         pool);
       },
       coordinator_options, base, pool);
+  rig.catalog = std::move(catalog);
+  return rig;
 }
 
 }  // namespace embellish::testutil

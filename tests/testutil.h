@@ -7,11 +7,14 @@
 #include <memory>
 #include <vector>
 
+#include "bignum/modmath.h"
 #include "core/bucketizer.h"
 #include "core/sequencer.h"
 #include "core/specificity.h"
 #include "corpus/generator.h"
+#include "crypto/benaloh.h"
 #include "index/builder.h"
+#include "index/epoch.h"
 #include "wordnet/builder.h"
 #include "wordnet/generator.h"
 
@@ -100,6 +103,31 @@ inline core::BucketOrganization MakeBuckets(
   options.segment_size = segment_size;
   auto org = core::FormBuckets(seq, spec, options);
   return std::move(org).value();
+}
+
+/// \brief A Benaloh public key one byte wider than any
+///        BenalohKeyPair::Generate makes: a full-width odd modulus of
+///        crypto::kMaxBenalohModulusBits / 8 + 1 bytes and a generator
+///        below it. A hello carrying it must be refused.
+inline crypto::BenalohPublicKey OversizedBenalohKey(Rng* rng) {
+  bignum::BigInt n =
+      (bignum::RandomBits(crypto::kMaxBenalohModulusBits + 7, rng) << 1) +
+      bignum::BigInt(1);
+  bignum::BigInt g = bignum::RandomUnit(n, rng);
+  return crypto::BenalohPublicKey(std::move(n), std::move(g), 59049);
+}
+
+/// \brief A frozen catalog over `index` (not owned), split `shards` ways by
+///        document range, without storage layouts: servers over it charge
+///        no I/O.
+inline std::unique_ptr<index::IndexCatalog> FreezeCatalog(
+    const index::InvertedIndex* index, const core::BucketOrganization* buckets,
+    size_t shards = 1) {
+  index::IndexCatalogOptions options;
+  options.sharding.shard_count = shards;
+  options.build_layouts = false;
+  return std::move(index::IndexCatalog::Freeze(index, buckets, options))
+      .value();
 }
 
 }  // namespace embellish::testutil
