@@ -9,9 +9,9 @@
 //   3. the parent starts ONE EventLoop and connects a MultiplexedTransport
 //      per slice — a single non-blocking socket each, correlated by
 //      (epoch, seq) — then handshakes a ShardCoordinator over them;
-//   4. coordinator.ServeAsync() puts an AsyncFrontEnd on the same loop:
-//      client frames arrive via epoll, dispatch workers run the fan-out,
-//      and every shard trip is submit-and-await on the loop thread;
+//   4. an AsyncFrontEnd over the coordinator's HandleBatch, on the same
+//      loop: client frames arrive via epoll, dispatch workers run the
+//      fan-out, and every shard trip is submit-and-await on the loop thread;
 //   5. a plain blocking TCP client talks to the front end and the response
 //      bytes are compared against a local monolithic server — identical —
 //      and the coordinator must report blocking_io_trips == 0;
@@ -159,9 +159,13 @@ int main() {
     uint16_t front_port = 0;
     auto front_listen = server::ListenOnLoopback(&front_port);
     if (!front_listen.ok()) return 1;
-    auto front_end = coordinator.ServeAsync(*front_listen, loop->get());
+    auto front_end = server::AsyncFrontEnd::Create(
+        *front_listen, loop->get(),
+        [&coordinator](const std::vector<std::vector<uint8_t>>& requests) {
+          return coordinator.HandleBatch(requests);
+        });
     if (!front_end.ok()) {
-      std::fprintf(stderr, "ServeAsync: %s\n",
+      std::fprintf(stderr, "front end: %s\n",
                    front_end.status().ToString().c_str());
       return 1;
     }

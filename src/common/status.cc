@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include <ostream>
+
 namespace embellish {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -38,6 +40,10 @@ std::string Status::ToString() const {
   out += ": ";
   out += message_;
   return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const Status& status) {
+  return os << status.ToString();
 }
 
 }  // namespace embellish

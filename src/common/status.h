@@ -8,6 +8,7 @@
 #define EMBELLISH_COMMON_STATUS_H_
 
 #include <cassert>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -109,6 +110,10 @@ class Status {
   StatusCode code_;
   std::string message_;
 };
+
+/// \brief Writes status.ToString(), so test failures print the code and
+///        message.
+std::ostream& operator<<(std::ostream& os, const Status& status);
 
 /// \brief Result of a fallible operation that produces a T on success.
 ///

@@ -31,12 +31,13 @@ std::shared_ptr<const T> NonOwning(const T* ptr) {
 // bucket groups (each shard owns its own disk).
 std::vector<storage::StorageLayout> BuildShardLayouts(
     const ShardedIndex& sharded, const core::BucketOrganization& buckets,
-    storage::LayoutPolicy policy, const storage::DiskModelOptions& disk) {
+    const storage::DiskModelOptions& disk) {
   std::vector<storage::StorageLayout> layouts;
   layouts.reserve(sharded.shard_count());
   for (size_t s = 0; s < sharded.shard_count(); ++s) {
     layouts.push_back(storage::StorageLayout::Build(
-        sharded.shard(s), buckets.buckets(), policy, disk));
+        sharded.shard(s), buckets.buckets(),
+        storage::LayoutPolicy::kBucketColocated, disk));
   }
   return layouts;
 }
@@ -79,8 +80,6 @@ IndexCatalog::IndexCatalog(IndexCatalogOptions options, ThreadPool* pool,
       pool_(pool),
       frozen_(frozen),
       pinned_gauge_(std::make_shared<std::atomic<int64_t>>(0)) {}
-
-IndexCatalog::~IndexCatalog() { WaitForBuilds(); }
 
 Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Create(
     const corpus::Corpus& corpus,
@@ -188,12 +187,12 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::AssembleEpoch(
   if (options_.build_layouts) {
     init.layout = std::make_shared<const storage::StorageLayout>(
         storage::StorageLayout::Build(*init.index, buckets_->buckets(),
-                                      options_.layout_policy, options_.disk));
+                                      storage::LayoutPolicy::kBucketColocated,
+                                      options_.disk));
     if (init.sharded) {
       init.shard_layouts =
           std::make_shared<const std::vector<storage::StorageLayout>>(
-              BuildShardLayouts(*init.sharded, *buckets_,
-                                options_.layout_policy, options_.disk));
+              BuildShardLayouts(*init.sharded, *buckets_, options_.disk));
     }
   }
   return std::make_shared<const IndexEpoch>(std::move(init));
@@ -238,10 +237,10 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::ApplyDelta(
   std::vector<InvertedIndex> shards;
   if (sharding.shard_count > 1 && base->sharded() != nullptr) {
     // Split the delta lists with the *frozen* partition boundary
-    // (partition_doc_base_): kDocRange placement depends on the document
-    // count, and moving existing documents between shards on every delta
-    // would force a full re-split. New documents therefore land in the
-    // last range shard until the next Reshard rebalances.
+    // (partition_doc_base_): range placement depends on the document count,
+    // and moving existing documents between shards on every delta would
+    // force a full re-split. New documents therefore all land in the last
+    // shard until the next Reshard rebalances.
     const size_t shard_count = sharding.shard_count;
     std::vector<std::unordered_map<wordnet::TermId, std::vector<Posting>>>
         shard_delta(shard_count);
@@ -297,50 +296,6 @@ Result<std::shared_ptr<const IndexEpoch>> IndexCatalog::Reshard(
   reshards_.fetch_add(1, std::memory_order_relaxed);
   reshard_micros_.fetch_add(MicrosSince(t0), std::memory_order_relaxed);
   return next;
-}
-
-void IndexCatalog::ApplyDeltaAsync(std::vector<corpus::Document> docs) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  builders_.emplace_back([this, docs = std::move(docs)]() mutable {
-    Result<std::shared_ptr<const IndexEpoch>> r = ApplyDelta(std::move(docs));
-    if (!r.ok()) {
-      std::lock_guard<std::mutex> status_lock(threads_mu_);
-      async_status_ = r.status();
-    }
-  });
-}
-
-void IndexCatalog::ReshardAsync(ShardingOptions sharding) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  builders_.emplace_back([this, sharding]() {
-    Result<std::shared_ptr<const IndexEpoch>> r = Reshard(sharding);
-    if (!r.ok()) {
-      std::lock_guard<std::mutex> status_lock(threads_mu_);
-      async_status_ = r.status();
-    }
-  });
-}
-
-void IndexCatalog::WaitForBuilds() {
-  // Builders may enqueue while we join (not today, but cheap to tolerate):
-  // drain until the list stays empty. Joins happen outside the lock — the
-  // builder threads take threads_mu_ to record failures.
-  for (;;) {
-    std::vector<std::thread> joinable;
-    {
-      std::lock_guard<std::mutex> lock(threads_mu_);
-      joinable.swap(builders_);
-    }
-    if (joinable.empty()) return;
-    for (std::thread& t : joinable) t.join();
-  }
-}
-
-Status IndexCatalog::last_async_status() {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  Status s = async_status_;
-  async_status_ = Status::OK();
-  return s;
 }
 
 IndexCatalogStats IndexCatalog::stats() const {

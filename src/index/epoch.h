@@ -23,18 +23,18 @@
 //                  snapshot: only the touched terms' lists are rebuilt, and
 //                  a shard the delta misses shares its whole term table.
 //                  Reshard(options) re-partitions the corpus. Both build
-//                  off the answer path (background threads, inner
-//                  parallelism on the shared executor) against the pinned
-//                  base snapshot, then install by pointer swap under a
-//                  mutex held for nanoseconds. Acquire() never waits on a
-//                  build — the counted invariant in common/answer_path.h
-//                  keeps that honest.
+//                  on the calling thread (a writer the caller owns, with
+//                  inner parallelism on the shared executor), off the
+//                  answer path, against the pinned base snapshot, then
+//                  install by pointer swap under a mutex held for
+//                  nanoseconds. Acquire() never waits on a build — the
+//                  counted invariant in common/answer_path.h keeps that
+//                  honest.
 //
-// Delta placement freezes the partition boundary: ShardOfDoc for kDocRange
-// depends on the document count, so deltas are placed with the count at the
-// last (re)shard — new documents grow the last range shard — and the next
-// Reshard rebalances. kDocHash placement is count-independent and needs no
-// such pinning, but uses the same code path for uniformity.
+// Delta placement freezes the partition boundary: ShardOfDoc depends on the
+// document count, so deltas are placed with the count at the last
+// (re)shard, and every document past it lands in the last shard — a delta
+// touches exactly one slice — until the next Reshard rebalances.
 //
 // Per-shard impact bounds, read from the heads of each shard's
 // impact-ordered lists, let the plaintext top-k fan-out (EvaluateTopKEpoch)
@@ -49,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -150,7 +149,6 @@ struct IndexCatalogOptions {
   /// Build StorageLayouts (monolithic + per shard) for each epoch. The
   /// serving tiers want them; index-only tests can skip the cost.
   bool build_layouts = true;
-  storage::LayoutPolicy layout_policy = storage::LayoutPolicy::kBucketColocated;
   storage::DiskModelOptions disk;
 };
 
@@ -203,8 +201,6 @@ class IndexCatalog {
   static std::unique_ptr<IndexCatalog> FreezeEpoch(
       std::shared_ptr<const IndexEpoch> snapshot, ThreadPool* pool = nullptr);
 
-  ~IndexCatalog();
-
   IndexCatalog(const IndexCatalog&) = delete;
   IndexCatalog& operator=(const IndexCatalog&) = delete;
 
@@ -230,18 +226,6 @@ class IndexCatalog {
   ///        current document count. Same blocking rules as ApplyDelta.
   Result<std::shared_ptr<const IndexEpoch>> Reshard(
       const ShardingOptions& sharding);
-
-  /// \brief Background variants: the build runs on a catalog-managed
-  ///        thread; failures are recorded in last_async_status(). Join via
-  ///        WaitForBuilds() (the destructor does).
-  void ApplyDeltaAsync(std::vector<corpus::Document> docs);
-  void ReshardAsync(ShardingOptions sharding);
-
-  /// \brief Joins every outstanding background build.
-  void WaitForBuilds();
-
-  /// \brief OK unless some async build failed; sticky until read.
-  Status last_async_status();
 
   IndexCatalogStats stats() const;
 
@@ -286,10 +270,6 @@ class IndexCatalog {
   std::shared_ptr<const IndexEpoch> current_;
 
   std::mutex build_mu_;  // serializes ApplyDelta/Reshard builders
-
-  std::mutex threads_mu_;  // guards builders_ and async_status_
-  std::vector<std::thread> builders_;
-  Status async_status_ = Status::OK();
 
   std::shared_ptr<std::atomic<int64_t>> pinned_gauge_;
 

@@ -10,10 +10,10 @@
 // answers are bit-identical to one server over the whole index, which the
 // coordinator equivalence tests assert.
 //
-// Partitioning is by document id — contiguous ranges (locality: a shard is
-// a corpus segment) or a splitmix64 hash (balance under skewed id
-// clustering). Both are deterministic, so shard placement is reproducible
-// across server restarts.
+// Partitioning is by contiguous document-id ranges: a shard is a corpus
+// segment, and placement is reproducible across server restarts. Documents
+// past the partition's document count (a live delta's, see index/epoch.h)
+// all land in the last shard, so a delta touches exactly one slice.
 
 #ifndef EMBELLISH_INDEX_SHARDING_H_
 #define EMBELLISH_INDEX_SHARDING_H_
@@ -38,21 +38,17 @@ namespace embellish::index {
 void ForEachShard(ThreadPool* pool, size_t shard_count,
                   const std::function<void(size_t)>& fn);
 
-/// \brief How documents map to shards.
-enum class ShardPartition {
-  kDocRange,  ///< contiguous doc-id ranges of ~num_docs/shards documents
-  kDocHash,   ///< splitmix64(doc) % shards
-};
-
 /// \brief Shard layout knobs.
 struct ShardingOptions {
   size_t shard_count = 1;
-  ShardPartition partition = ShardPartition::kDocRange;
 
   Status Validate() const;
 };
 
-/// \brief The shard owning `doc` under `options` for a `num_docs` corpus.
+/// \brief The shard owning `doc` under `options` for a `num_docs` corpus:
+///        documents below `num_docs` fall in contiguous ranges of
+///        ceil(num_docs / shard_count) ids, and every document at or past
+///        `num_docs` falls in the last shard.
 size_t ShardOfDoc(corpus::DocId doc, size_t num_docs,
                   const ShardingOptions& options);
 

@@ -17,6 +17,12 @@ namespace embellish::server {
 Result<std::unique_ptr<AsyncFrontEnd>> AsyncFrontEnd::Create(
     int listen_fd, EventLoop* loop, BatchHandler handler,
     const AsyncFrontEndOptions& options) {
+  if (options.dispatch_threads == 0) {
+    close(listen_fd);
+    return Status::InvalidArgument(
+        "the front end needs dispatch_threads >= 1: the handler never runs "
+        "on the loop thread");
+  }
   EMB_RETURN_NOT_OK(SetNonBlocking(listen_fd));
   std::unique_ptr<AsyncFrontEnd> front_end(
       new AsyncFrontEnd(listen_fd, loop, std::move(handler), options));
@@ -144,7 +150,7 @@ void AsyncFrontEnd::OnConnEvent(uint64_t conn_id, uint32_t events) {
       if (!*has) break;
       frames_in_.fetch_add(1, std::memory_order_relaxed);
       DispatchFrame(conn_id, std::move(frame));
-      // The handler (sync mode) or a shed may have closed the connection.
+      // A shed delivers inline and may have closed the connection.
       if (conns_.find(conn_id) == conns_.end()) return;
     }
     if (!*open) {
@@ -165,17 +171,6 @@ void AsyncFrontEnd::DispatchFrame(uint64_t conn_id,
                                   std::vector<uint8_t> frame) {
   Conn& conn = conns_.at(conn_id);
   const uint64_t ticket = conn.next_ticket++;
-  if (options_.dispatch_threads == 0) {
-    // Zero-worker synchronous fallback: handle on the loop thread. Correct
-    // only for a handler that never waits on this loop — a ShardCoordinator
-    // awaiting multiplexed completions would wedge it, so its ServeAsync
-    // refuses this mode.
-    std::vector<std::vector<uint8_t>> responses =
-        handler_(std::vector<std::vector<uint8_t>>{std::move(frame)});
-    Deliver(conn_id, ticket,
-            responses.empty() ? std::vector<uint8_t>{} : std::move(responses[0]));
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.size() < options_.max_pending && !stopping_) {
@@ -185,7 +180,8 @@ void AsyncFrontEnd::DispatchFrame(uint64_t conn_id,
     }
   }
   // Queue full: shed with a typed kBusy error the client can retry, through
-  // the same ticketed delivery so response order still holds.
+  // the same ticketed delivery so response order still holds. The frame is
+  // never decoded, and every shed answer is the same bytes.
   shed_.fetch_add(1, std::memory_order_relaxed);
   Deliver(conn_id, ticket,
           EncodeFrame(FrameKind::kError, 0,

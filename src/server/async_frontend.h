@@ -18,12 +18,11 @@
 //   dispatch  complete frames are ticketed and queued to a small pool of
 //             dispatcher threads that call the batch handler (the
 //             EmbellishServer / ShardCoordinator HandleBatch surface, whose
-//             response bytes are untouched by any of this). The queue is
-//             bounded: overflow is shed immediately with a typed kBusy
-//             error frame, not queued without bound. dispatch_threads = 0
-//             is the zero-worker fallback for 1-core boxes: the handler
-//             runs synchronously on the loop thread, one frame at a time —
-//             only for handlers that never wait on that loop;
+//             response bytes are untouched by any of this). The handler
+//             never runs on the loop thread, so it may await completions
+//             the loop delivers (a coordinator's multiplexed fan-out). The
+//             queue is bounded: overflow is shed immediately with a typed
+//             kBusy error frame, not queued without bound;
 //   write     responses post back to the loop, are re-sequenced per
 //             connection by ticket (concurrent batches must not reorder one
 //             connection's responses), and drain through the FrameWriter as
@@ -34,6 +33,12 @@
 // A disconnect mid-frame is counted and frees the connection's state
 // immediately: no fd, session buffer, or ticket map outlives its
 // connection.
+//
+// This is the one component that refuses work for load: the servers behind
+// it answer every frame they are given. The decision to shed reads the
+// queue length alone, before the frame is decoded, and every shed frame
+// gets the same bytes (session id 0), so a shed tells a client nothing
+// about any request's content.
 
 #ifndef EMBELLISH_SERVER_ASYNC_FRONTEND_H_
 #define EMBELLISH_SERVER_ASYNC_FRONTEND_H_
@@ -57,12 +62,8 @@
 namespace embellish::server {
 
 struct AsyncFrontEndOptions {
-  /// Dispatcher threads running the batch handler. 0 runs the handler
-  /// synchronously on the loop thread — the zero-worker fallback for
-  /// single-core deployments, with no overlap with socket work. It is
-  /// correct only for a handler that never waits on this loop (an
-  /// EmbellishServer): a ShardCoordinator awaits shard completions the loop
-  /// delivers, so ShardCoordinator::ServeAsync refuses 0.
+  /// Dispatcher threads running the batch handler; at least 1 (Create
+  /// refuses 0).
   size_t dispatch_threads = 1;
 
   /// Most frames one handler call receives (across connections).
@@ -96,13 +97,14 @@ struct AsyncFrontEndStats {
 class AsyncFrontEnd {
  public:
   /// \brief `responses[i]` must answer `requests[i]`; called from dispatcher
-  ///        threads (or the loop thread when dispatch_threads == 0).
+  ///        threads, never the loop thread.
   using BatchHandler = std::function<std::vector<std::vector<uint8_t>>(
       const std::vector<std::vector<uint8_t>>&)>;
 
   /// \brief Takes ownership of `listen_fd` (made non-blocking) and serves it
   ///        on `loop`, which must be started, outlive the front end, and not
-  ///        be stopped before Shutdown().
+  ///        be stopped before Shutdown(). InvalidArgument, with `listen_fd`
+  ///        closed, when options.dispatch_threads is 0.
   static Result<std::unique_ptr<AsyncFrontEnd>> Create(
       int listen_fd, EventLoop* loop, BatchHandler handler,
       const AsyncFrontEndOptions& options = {});

@@ -1,6 +1,5 @@
 #include "server/embellish_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/answer_path.h"
@@ -8,7 +7,6 @@
 #include "common/strings.h"
 #include "core/wire_format.h"
 #include "index/topk.h"
-#include "server/async_frontend.h"
 
 namespace embellish::server {
 
@@ -118,42 +116,10 @@ void EmbellishServer::MergeDelta(const ServerStats& d) {
   t.pir_queries += d.pir_queries;
   t.topk_queries += d.topk_queries;
   t.errors += d.errors;
-  t.shed += d.shed;
   t.uplink_bytes += d.uplink_bytes;
   t.downlink_bytes += d.downlink_bytes;
   t.server_cpu_ms += d.server_cpu_ms;
   t.server_io_ms += d.server_io_ms;
-}
-
-size_t EmbellishServer::AcquireInflight(size_t want) {
-  if (options_.max_inflight == 0) return want;
-  size_t current = inflight_.load(std::memory_order_relaxed);
-  for (;;) {
-    const size_t room = options_.max_inflight > current
-                            ? options_.max_inflight - current
-                            : 0;
-    const size_t grant = std::min(want, room);
-    if (grant == 0) return 0;
-    if (inflight_.compare_exchange_weak(current, current + grant,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return grant;
-    }
-  }
-}
-
-void EmbellishServer::ReleaseInflight(size_t granted) {
-  if (options_.max_inflight == 0 || granted == 0) return;
-  inflight_.fetch_sub(granted, std::memory_order_acq_rel);
-}
-
-EmbellishServer::RequestOutcome EmbellishServer::BusyOutcome() {
-  RequestOutcome outcome = ErrorOutcome(
-      0, Status::Busy("server in-flight budget exhausted; request shed"));
-  outcome.delta.shed = 1;
-  outcome.delta.frames = 1;
-  outcome.delta.downlink_bytes = outcome.response.size();
-  return outcome;
 }
 
 std::vector<uint8_t> EmbellishServer::HandleFrame(
@@ -162,13 +128,7 @@ std::vector<uint8_t> EmbellishServer::HandleFrame(
   // changes nothing we can observe.
   std::shared_ptr<const EpochEngines> engines = ResolveEngines();
   common::ScopedAnswerPath answer_path;
-  RequestOutcome outcome;
-  if (AcquireInflight(1) == 0) {
-    outcome = BusyOutcome();
-  } else {
-    outcome = ProcessOne(*engines, request);
-    ReleaseInflight(1);
-  }
+  RequestOutcome outcome = ProcessOne(*engines, request);
   MergeDelta(outcome.delta);
   return std::move(outcome.response);
 }
@@ -179,17 +139,12 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
   // immutable snapshot, whatever the catalog installs meanwhile.
   std::shared_ptr<const EpochEngines> engines = ResolveEngines();
   std::vector<std::vector<uint8_t>> responses(requests.size());
-  // Admission is reserved for the whole batch up front: the first `granted`
-  // requests are processed, the rest are shed with typed kBusy frames — a
-  // deterministic suffix, so the client knows exactly which to resend.
-  const size_t granted = AcquireInflight(requests.size());
   // Each frame takes HandleFrame's ProcessOne path, PIR frames included, so
   // its response equals HandleFrame's.
   auto handle_range = [&](size_t begin, size_t end) {
     common::ScopedAnswerPath answer_path;
     for (size_t i = begin; i < end; ++i) {
-      RequestOutcome outcome =
-          i < granted ? ProcessOne(*engines, requests[i]) : BusyOutcome();
+      RequestOutcome outcome = ProcessOne(*engines, requests[i]);
       MergeDelta(outcome.delta);
       responses[i] = std::move(outcome.response);
     }
@@ -203,25 +158,9 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
   } else {
     handle_range(0, requests.size());
   }
-  ReleaseInflight(granted);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++totals_.batches;
   return responses;
-}
-
-Result<std::unique_ptr<AsyncFrontEnd>> EmbellishServer::ServeAsync(
-    int listen_fd, EventLoop* loop) {
-  return ServeAsync(listen_fd, loop, AsyncFrontEndOptions{});
-}
-
-Result<std::unique_ptr<AsyncFrontEnd>> EmbellishServer::ServeAsync(
-    int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options) {
-  return AsyncFrontEnd::Create(
-      listen_fd, loop,
-      [this](const std::vector<std::vector<uint8_t>>& requests) {
-        return HandleBatch(requests);
-      },
-      options);
 }
 
 size_t EmbellishServer::session_count() const { return sessions_.size(); }

@@ -58,7 +58,10 @@
 //
 // Every request produces a response frame; malformed or failing requests are
 // answered with a kError frame carrying the transported Status, so one
-// hostile client cannot take the loop down.
+// hostile client cannot take the loop down. The server answers every frame
+// it is given and never refuses work for load: to serve sockets, put an
+// AsyncFrontEnd (server/async_frontend.h) over HandleBatch, the one place
+// that queues, sheds and dispatches frames.
 
 #ifndef EMBELLISH_SERVER_EMBELLISH_SERVER_H_
 #define EMBELLISH_SERVER_EMBELLISH_SERVER_H_
@@ -78,12 +81,6 @@
 #include "server/session_table.h"
 
 namespace embellish::server {
-
-// Fwd-declared so this header stays free of the event-loop stack; include
-// server/async_frontend.h to call ServeAsync.
-class AsyncFrontEnd;
-class EventLoop;
-struct AsyncFrontEndOptions;
 
 /// \brief Server construction knobs.
 struct EmbellishServerOptions {
@@ -120,13 +117,6 @@ struct EmbellishServerOptions {
 
   /// Total slices of the partition `shard_slice` addresses.
   size_t shard_slice_count = 1;
-
-  /// In-flight request budget across HandleFrame/HandleBatch; requests
-  /// beyond it are shed with a typed kBusy error frame instead of queueing
-  /// without bound — overload degrades into fast refusals the client can
-  /// retry, not latency collapse. 0 — the default — disables admission
-  /// control.
-  size_t max_inflight = 0;
 };
 
 /// \brief Aggregate counters; a consistent snapshot is returned by stats().
@@ -137,7 +127,9 @@ struct ServerStats {
   uint64_t pir_queries = 0;   ///< PIR executions answered
   uint64_t topk_queries = 0;  ///< plaintext top-k queries answered
   uint64_t errors = 0;        ///< kError responses produced
-  uint64_t shed = 0;          ///< requests refused with kBusy (admission)
+  /// Always 0: the server answers every frame it is given; only the
+  /// AsyncFrontEnd in front of it sheds. Stays because `perfbench` reads it.
+  uint64_t shed = 0;
   uint64_t batches = 0;       ///< HandleBatch calls
   uint64_t sessions_expired = 0;  ///< idle sessions swept (keys released)
   /// Always 0: the server caches no responses, since fresh uplinks leave a
@@ -183,15 +175,6 @@ class EmbellishServer {
   ///        to handling each frame alone — batching changes only the clock.
   std::vector<std::vector<uint8_t>> HandleBatch(
       const std::vector<std::vector<uint8_t>>& requests);
-
-  /// \brief Serves this server's HandleBatch behind an AsyncFrontEnd on
-  ///        `loop` (started, outliving the front end): the async request
-  ///        loop where no thread blocks on a socket and the response bytes
-  ///        are identical to HandleFrame's. Takes ownership of `listen_fd`.
-  Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(int listen_fd,
-                                                    EventLoop* loop);
-  Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(
-      int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options);
 
   /// \brief The answer to a ShardEndpoint ping, decided on one pinned
   ///        epoch: kHelloOk advertising (1, bucket_count()), or the typed
@@ -262,13 +245,6 @@ class EmbellishServer {
   RequestOutcome ProcessOne(const EpochEngines& engines,
                             const std::vector<uint8_t>& request);
 
-  // Admission control: grants up to `want` in-flight slots (all of them
-  // when max_inflight is 0); ReleaseInflight returns what was granted.
-  // BusyOutcome is the typed kBusy response for a shed request.
-  size_t AcquireInflight(size_t want);
-  void ReleaseInflight(size_t granted);
-  static RequestOutcome BusyOutcome();
-
   // Folds one request's counters into totals_ under stats_mu_.
   void MergeDelta(const ServerStats& delta);
 
@@ -293,9 +269,6 @@ class EmbellishServer {
 
   // Logical clock for session idle tracking: handled frames.
   std::atomic<uint64_t> frame_clock_{0};
-
-  // In-flight request count against options_.max_inflight.
-  std::atomic<size_t> inflight_{0};
 
   // Current epoch's engine bundle; replaced (never mutated) when a batch
   // observes a newer epoch. Readers hold their own shared_ptr for the

@@ -18,8 +18,8 @@
 // wrong submitter. A response stream that stops making sense as frames
 // (corrupt header, outer kError that cannot name a request) poisons the
 // connection: every in-flight trip fails with a typed status and the next
-// submit reconnects. The coordinator's hedging, failover, breakers and
-// kBusy shedding sit on top — they only ever see per-trip typed outcomes.
+// submit reconnects. The coordinator's hedging, failover and breakers sit
+// on top — they only ever see per-trip typed outcomes.
 //
 // Threading: SubmitRoundTrip and RoundTrip are thread-safe. All connection
 // and correlation state is confined to the loop thread (submissions hop

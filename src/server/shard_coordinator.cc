@@ -1,7 +1,5 @@
 #include "server/shard_coordinator.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -11,12 +9,15 @@
 #include "core/private_retrieval.h"
 #include "core/wire_format.h"
 #include "index/sharding.h"
-#include "server/async_frontend.h"
 #include "server/io_util.h"
 
 namespace embellish::server {
 
 namespace {
+
+// Seed of the breaker re-admission probe draw. The draw only spreads probes
+// over time, so one fixed seed serves every coordinator.
+constexpr uint64_t kProbeSeed = 0x9E3779B97F4A7C15ull;
 
 // The single-transport-per-slice constructor is sugar for one-replica
 // groups.
@@ -51,7 +52,7 @@ ShardCoordinator::ShardCoordinator(
     : options_(options),
       pool_(pool),
       slices_(std::make_shared<SliceSet>(std::move(replica_groups))),
-      probe_rng_(options.probe_seed),
+      probe_rng_(kProbeSeed),
       epoch_(options.epoch),
       sessions_(options.max_sessions, options.session_idle_frames) {}
 
@@ -102,7 +103,6 @@ CoordinatorStats ShardCoordinator::stats() const {
       counters_.hedges_fired.load(std::memory_order_relaxed);
   snapshot.hedge_wins = counters_.hedge_wins.load(std::memory_order_relaxed);
   snapshot.failovers = counters_.failovers.load(std::memory_order_relaxed);
-  snapshot.shed = counters_.shed.load(std::memory_order_relaxed);
   snapshot.degraded_answers =
       counters_.degraded_answers.load(std::memory_order_relaxed);
   snapshot.epoch_swaps =
@@ -591,10 +591,10 @@ Status ShardCoordinator::CutOver(const SliceSetPtr& set) {
   // Verify the (possibly restarted or re-sharded) slice topology under the
   // new epoch before any request traffic relies on it. A topology error
   // fails the cutover, and a new set is then never installed. A slice that
-  // refuses the ping right now (shed under overload, a dropped trip, a
-  // slice whose partition the catalog does not have yet) does not: the
-  // epoch is already bumped, and the set stays unhandshaken, so the next
-  // request's Handshake() pings again.
+  // refuses the ping right now (a dropped trip, a slice whose partition
+  // the catalog does not have yet) does not: the epoch is already bumped,
+  // and the set stays unhandshaken, so the next request's Handshake()
+  // pings again.
   Status handshake = HandshakeSet(set);
   if (handshake.IsFailedPrecondition() || handshake.IsInvalidArgument()) {
     return handshake;
@@ -620,63 +620,9 @@ Status ShardCoordinator::CutOver(const SliceSetPtr& set) {
   return Status::OK();
 }
 
-size_t ShardCoordinator::AcquireInflight(size_t want) {
-  if (options_.max_inflight == 0) return want;
-  size_t current = inflight_.load(std::memory_order_relaxed);
-  for (;;) {
-    const size_t room = options_.max_inflight > current
-                            ? options_.max_inflight - current
-                            : 0;
-    const size_t grant = std::min(want, room);
-    if (grant == 0) return 0;
-    if (inflight_.compare_exchange_weak(current, current + grant,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return grant;
-    }
-  }
-}
-
-void ShardCoordinator::ReleaseInflight(size_t granted) {
-  if (options_.max_inflight == 0 || granted == 0) return;
-  inflight_.fetch_sub(granted, std::memory_order_acq_rel);
-}
-
-std::vector<uint8_t> ShardCoordinator::BusyFrame() {
-  Count(&AtomicStats::shed);
-  Count(&AtomicStats::frames);
-  return ErrorFrame(
-      0, Status::Busy("coordinator in-flight budget exhausted; request shed"));
-}
-
-Result<std::unique_ptr<AsyncFrontEnd>> ShardCoordinator::ServeAsync(
-    int listen_fd, EventLoop* loop) {
-  return ServeAsync(listen_fd, loop, AsyncFrontEndOptions{});
-}
-
-Result<std::unique_ptr<AsyncFrontEnd>> ShardCoordinator::ServeAsync(
-    int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options) {
-  if (options.dispatch_threads == 0) {
-    // HandleBatch on the loop thread would wait for shard completions that
-    // only the loop thread can deliver: refuse instead of wedging the loop.
-    close(listen_fd);
-    return Status::InvalidArgument(
-        "a coordinator front end needs dispatch_threads >= 1: its fan-out "
-        "awaits completions delivered by the event loop");
-  }
-  return AsyncFrontEnd::Create(
-      listen_fd, loop,
-      [this](const std::vector<std::vector<uint8_t>>& requests) {
-        return HandleBatch(requests);
-      },
-      options);
-}
-
 std::vector<uint8_t> ShardCoordinator::HandleFrame(
     const std::vector<uint8_t>& request) {
-  if (AcquireInflight(1) == 0) return BusyFrame();
   std::vector<uint8_t> response = ProcessOne(request);
-  ReleaseInflight(1);
   Count(&AtomicStats::frames);
   return response;
 }
@@ -684,18 +630,10 @@ std::vector<uint8_t> ShardCoordinator::HandleFrame(
 std::vector<std::vector<uint8_t>> ShardCoordinator::HandleBatch(
     const std::vector<std::vector<uint8_t>>& requests) {
   std::vector<std::vector<uint8_t>> responses(requests.size());
-  // Admission is reserved for the whole batch up front: the first `granted`
-  // requests are processed, the rest are shed with typed kBusy frames — a
-  // deterministic suffix, so the client knows exactly which to resend.
-  const size_t granted = AcquireInflight(requests.size());
   auto handle_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (i < granted) {
-        responses[i] = ProcessOne(requests[i]);
-        Count(&AtomicStats::frames);
-      } else {
-        responses[i] = BusyFrame();
-      }
+      responses[i] = ProcessOne(requests[i]);
+      Count(&AtomicStats::frames);
     }
   };
   if (pool_ != nullptr && requests.size() > 1) {
@@ -703,7 +641,6 @@ std::vector<std::vector<uint8_t>> ShardCoordinator::HandleBatch(
   } else {
     handle_range(0, requests.size());
   }
-  ReleaseInflight(granted);
   return responses;
 }
 

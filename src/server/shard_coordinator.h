@@ -67,8 +67,13 @@
 // strict — the addressed slice either answers or the request errors.
 // Application-level errors a shard returns (inner kError frames) pass
 // through to the client unchanged. Requests that do not touch a faulted
-// shard are unaffected. An in-flight budget (options.max_inflight) sheds
-// excess load with typed kBusy errors instead of queueing without bound.
+// shard are unaffected.
+//
+// The coordinator answers every frame it is given and never refuses work
+// for load. To serve sockets, put an AsyncFrontEnd (server/async_frontend.h)
+// over HandleBatch: the front end queues, sheds and dispatches frames, and
+// its dispatcher threads are what let a fan-out await completions that the
+// event loop delivers.
 
 #ifndef EMBELLISH_SERVER_SHARD_COORDINATOR_H_
 #define EMBELLISH_SERVER_SHARD_COORDINATOR_H_
@@ -88,11 +93,6 @@
 #include "server/shard_transport.h"
 
 namespace embellish::server {
-
-// Fwd-declared; include server/async_frontend.h to call ServeAsync.
-class AsyncFrontEnd;
-class EventLoop;
-struct AsyncFrontEndOptions;
 
 /// \brief Coordinator construction knobs.
 struct ShardCoordinatorOptions {
@@ -145,20 +145,12 @@ struct ShardCoordinatorOptions {
   /// everything-open fallback).
   double probe_probability = 0.125;
 
-  /// Seed for the probe draw (deterministic tests pin it).
-  uint64_t probe_seed = 0x9E3779B97F4A7C15ull;
-
   /// Opt-in partial results: when a whole replica group is unreachable,
   /// answer PR and top-k requests from the surviving slices, wrapped in a
   /// typed kDegradedResult frame naming the missing slices. Off — the
   /// default — keeps the strict behavior: any unreachable slice fails the
   /// request with a typed error.
   bool allow_partial_results = false;
-
-  /// In-flight request budget across HandleFrame/HandleBatch; requests
-  /// beyond it are shed with a typed kBusy error frame instead of queueing
-  /// without bound. 0 — the default — disables admission control.
-  size_t max_inflight = 0;
 };
 
 /// \brief Aggregate counters; a consistent snapshot via stats().
@@ -176,7 +168,6 @@ struct CoordinatorStats {
   uint64_t hedges_fired = 0;  ///< hedged duplicates actually sent
   uint64_t hedge_wins = 0;    ///< logical trips answered by the hedge
   uint64_t failovers = 0;     ///< trips answered by a non-primary replica
-  uint64_t shed = 0;          ///< requests refused with kBusy (admission)
   uint64_t degraded_answers = 0;  ///< partial-merge responses produced
   uint64_t epoch_swaps = 0;   ///< AdvanceEpoch cutovers driven
   /// Repairs an AdvanceEpoch cutover left to the request paths: one per
@@ -271,18 +262,6 @@ class ShardCoordinator {
   ///        `requests[i]`, bit-identical to serial handling.
   std::vector<std::vector<uint8_t>> HandleBatch(
       const std::vector<std::vector<uint8_t>>& requests);
-
-  /// \brief Serves this coordinator's HandleBatch behind an AsyncFrontEnd
-  ///        on `loop` — with multiplexed shard transports on the same loop,
-  ///        the full client-to-shard path runs without any thread blocked
-  ///        on a socket. Takes ownership of `listen_fd`. InvalidArgument
-  ///        (and `listen_fd` closed) when options.dispatch_threads is 0: a
-  ///        handler on the loop thread would await shard completions that
-  ///        only that thread can deliver.
-  Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(int listen_fd,
-                                                    EventLoop* loop);
-  Result<std::unique_ptr<AsyncFrontEnd>> ServeAsync(
-      int listen_fd, EventLoop* loop, const AsyncFrontEndOptions& options);
 
   /// \brief Slices of the current set.
   size_t shard_count() const;
@@ -385,14 +364,6 @@ class ShardCoordinator {
   // re-admission probe.
   std::vector<size_t> ReplicaOrder(const SliceSet& set, size_t shard);
 
-  // Admission control: grants up to `want` in-flight slots (all of them
-  // when max_inflight is 0). ReleaseInflight returns what was granted.
-  size_t AcquireInflight(size_t want);
-  void ReleaseInflight(size_t granted);
-
-  // The typed kBusy response for a shed request.
-  std::vector<uint8_t> BusyFrame();
-
   // Self-healing registration: re-sends the session's hello (rebuilt from
   // the coordinator's own key table) to every shard. True iff every shard
   // acknowledged. Used when a shard turns out to have lost the session —
@@ -433,7 +404,6 @@ class ShardCoordinator {
     std::atomic<uint64_t> hedges_fired{0};
     std::atomic<uint64_t> hedge_wins{0};
     std::atomic<uint64_t> failovers{0};
-    std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> degraded_answers{0};
     std::atomic<uint64_t> epoch_swaps{0};
     std::atomic<uint64_t> deferred_repairs{0};
@@ -454,13 +424,10 @@ class ShardCoordinator {
   mutable std::mutex slices_mu_;
   SliceSetPtr slices_;
 
-  // Probe draws for breaker re-admission (seeded; serialized — the draw is
-  // a few ns against a round trip).
+  // Probe draws for breaker re-admission (fixed seed; serialized — the draw
+  // is a few ns against a round trip).
   std::mutex probe_mu_;
   Rng probe_rng_;
-
-  // In-flight request count against options_.max_inflight.
-  std::atomic<size_t> inflight_{0};
 
   // In-flight replica attempts (submitted, completion not yet returned).
   // The destructor waits for zero: a late hedge loser's completion still

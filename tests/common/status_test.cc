@@ -37,6 +37,13 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
 }
 
+TEST(StatusTest, PrintsCodeAndMessage) {
+  // A failed EXPECT_EQ on two statuses prints each through this.
+  EXPECT_EQ(::testing::PrintToString(Status::Corruption("bad frame")),
+            "Corruption: bad frame");
+  EXPECT_EQ(::testing::PrintToString(Status::OK()), "OK");
+}
+
 TEST(StatusTest, CodeNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kCryptoError), "CryptoError");

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/answer_path.h"
 #include "index/topk.h"
@@ -144,47 +145,40 @@ TEST_F(IndexEpochTest, DeltaShardsStayConsistentWithTheirMonolith) {
   // The successor's per-shard delta merge must agree with its own merged
   // monolith: the sharded top-k and the monolithic full evaluation are the
   // same bytes (the invariant every serving tier leans on).
-  for (ShardPartition partition :
-       {ShardPartition::kDocRange, ShardPartition::kDocHash}) {
-    IndexCatalogOptions options;
-    options.sharding.shard_count = 3;
-    options.sharding.partition = partition;
-    options.build_layouts = false;
-    auto catalog = IndexCatalog::Create(corp_, org_, options, nullptr);
-    ASSERT_TRUE(catalog.ok());
+  IndexCatalogOptions options;
+  options.sharding.shard_count = 3;
+  options.build_layouts = false;
+  auto catalog = IndexCatalog::Create(corp_, org_, options, nullptr);
+  ASSERT_TRUE(catalog.ok());
 
-    auto next = (*catalog)->ApplyDelta(SomeDeltaDocs(11, 97));
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    ASSERT_NE((*next)->sharded(), nullptr);
+  auto next = (*catalog)->ApplyDelta(SomeDeltaDocs(11, 97));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_NE((*next)->sharded(), nullptr);
 
-    for (size_t qa = 0; qa < 6; ++qa) {
-      auto query = SomeTerms(5 * qa + 1, 13 * qa + 4);
-      auto expected = EvaluateFull((*next)->index(), query);
-      if (expected.size() > 10) expected.resize(10);
-      EXPECT_EQ(EvaluateTopKEpoch(**next, query, 10), expected)
-          << "partition " << static_cast<int>(partition) << " query " << qa;
-    }
-
-    // Every document landed in exactly one shard (the per-shard counts sum
-    // to the monolith's).
-    size_t sharded_docs = 0;
-    std::set<corpus::DocId> seen;
-    for (size_t s = 0; s < (*next)->shard_count(); ++s) {
-      const InvertedIndex& shard = (*next)->sharded()->shard(s);
-      for (wordnet::TermId term : shard.IndexedTerms()) {
-        for (const Posting& p : *shard.postings(term)) seen.insert(p.doc);
-      }
-      sharded_docs += 0;  // counted via seen
-    }
-    (void)sharded_docs;
-    std::set<corpus::DocId> mono;
-    for (wordnet::TermId term : (*next)->index().IndexedTerms()) {
-      for (const Posting& p : *(*next)->index().postings(term)) {
-        mono.insert(p.doc);
-      }
-    }
-    EXPECT_EQ(seen, mono);
+  for (size_t qa = 0; qa < 6; ++qa) {
+    auto query = SomeTerms(5 * qa + 1, 13 * qa + 4);
+    auto expected = EvaluateFull((*next)->index(), query);
+    if (expected.size() > 10) expected.resize(10);
+    EXPECT_EQ(EvaluateTopKEpoch(**next, query, 10), expected)
+        << "query " << qa;
   }
+
+  // Every document landed in exactly one shard (the shards' documents are
+  // the monolith's).
+  std::set<corpus::DocId> seen;
+  for (size_t s = 0; s < (*next)->shard_count(); ++s) {
+    const InvertedIndex& shard = (*next)->sharded()->shard(s);
+    for (wordnet::TermId term : shard.IndexedTerms()) {
+      for (const Posting& p : *shard.postings(term)) seen.insert(p.doc);
+    }
+  }
+  std::set<corpus::DocId> mono;
+  for (wordnet::TermId term : (*next)->index().IndexedTerms()) {
+    for (const Posting& p : *(*next)->index().postings(term)) {
+      mono.insert(p.doc);
+    }
+  }
+  EXPECT_EQ(seen, mono);
 }
 
 TEST_F(IndexEpochTest, ApplyDeltaRefusesTokensOutsideTheBucketOrganization) {
@@ -214,10 +208,6 @@ TEST_F(IndexEpochTest, ApplyDeltaRefusesTokensOutsideTheBucketOrganization) {
     EXPECT_EQ(after->sharded()->shard(last).lists()->table_size(),
               shard_slots);
   }
-  catalog->ApplyDeltaAsync({corpus::Document{0, {wordnet::TermId{2000000}}}});
-  catalog->WaitForBuilds();
-  EXPECT_TRUE(catalog->last_async_status().IsInvalidArgument());
-  EXPECT_EQ(catalog->Acquire()->epoch(), 1u);
 
   // A dictionary term that no document uses still ingests.
   const std::vector<wordnet::TermId> used = corp_.DistinctTerms();
@@ -240,8 +230,8 @@ TEST_F(IndexEpochTest, ApplyDeltaRefusesTokensOutsideTheBucketOrganization) {
 }
 
 TEST_F(IndexEpochTest, ApplyDeltaSharesUntouchedListsCopyOnWrite) {
-  // Under the default kDocRange partition every delta document lands in the
-  // last shard, so the other shards receive no delta postings at all.
+  // Every delta document lands in the last shard, so the other shards
+  // receive no delta postings at all.
   auto catalog = MakeCatalog(4);
   auto base = catalog->Acquire();
   ASSERT_NE(base->sharded(), nullptr);
@@ -321,7 +311,7 @@ TEST_F(IndexEpochTest, ZeroKOnAShardedEpochIsEmpty) {
 }
 
 TEST_F(IndexEpochTest, RangePartitionPlacesDeltaDocsInLastShard) {
-  // kDocRange boundaries are frozen at the last (re)shard: new documents
+  // Range boundaries are frozen at the last (re)shard: new documents
   // must grow the LAST range shard, never retroactively rebalance earlier
   // ones (which would change shard-local PIR answers for old docs).
   auto catalog = MakeCatalog(2);
@@ -375,22 +365,6 @@ TEST_F(IndexEpochTest, ReshardRepartitionsWithoutChangingAnswers) {
   EXPECT_EQ((*more)->shard_count(), 4u);
 }
 
-TEST_F(IndexEpochTest, AsyncBuildsInstallAndJoin) {
-  auto catalog = MakeCatalog(2);
-  catalog->ApplyDeltaAsync(SomeDeltaDocs(4, 31));
-  ShardingOptions wider;
-  wider.shard_count = 3;
-  catalog->ReshardAsync(wider);
-  catalog->WaitForBuilds();
-  EXPECT_TRUE(catalog->last_async_status().ok());
-  auto snapshot = catalog->Acquire();
-  // Builders serialize on the build mutex, so both cutovers landed.
-  EXPECT_EQ(snapshot->epoch(), 3u);
-  EXPECT_EQ(snapshot->shard_count(), 3u);
-  EXPECT_EQ(snapshot->index().document_count(),
-            corp_.document_count() + 4);
-}
-
 TEST_F(IndexEpochTest, FrozenCatalogsRefuseMutation) {
   auto built = BuildIndex(corp_, {});
   ASSERT_TRUE(built.ok());
@@ -442,7 +416,6 @@ TEST_F(IndexEpochTest, EpochTopKSkipsBoundedShardsWithIdenticalBytes) {
 
   IndexCatalogOptions options;
   options.sharding.shard_count = 8;
-  options.sharding.partition = ShardPartition::kDocRange;
   options.build_layouts = false;
   auto catalog = IndexCatalog::Create(skewed, org_, options, nullptr);
   ASSERT_TRUE(catalog.ok());
@@ -490,17 +463,19 @@ TEST_F(IndexEpochTest, ShardImpactBoundMatchesHeadImpacts) {
 TEST_F(IndexEpochTest, BuildsNeverRunOnTheAnswerPath) {
   // The counted invariant: every index build this test triggers happens off
   // any thread marked as serving (no ScopedAnswerPath in scope here, and
-  // the catalog's background builders are never marked) — with and without
-  // a pool running the full build's chunks and the serving evaluations.
+  // the writer thread is never marked) — with and without a pool running
+  // the full build's chunks and the serving evaluations.
   ThreadPool shared(4);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &shared}) {
     SCOPED_TRACE(pool == nullptr ? "pool-less" : "pooled");
     const uint64_t before = common::AnswerPathBuilds();
     auto catalog = MakeCatalog(3, pool);
-    catalog->ApplyDeltaAsync(SomeDeltaDocs(6, 19));
-    ShardingOptions wider;
-    wider.shard_count = 2;
-    catalog->ReshardAsync(wider);
+    std::thread writer([&] {
+      EXPECT_TRUE(catalog->ApplyDelta(SomeDeltaDocs(6, 19)).ok());
+      ShardingOptions wider;
+      wider.shard_count = 2;
+      EXPECT_TRUE(catalog->Reshard(wider).ok());
+    });
     {
       // A serving thread resolving and evaluating concurrently must not be
       // charged with a build.
@@ -510,8 +485,7 @@ TEST_F(IndexEpochTest, BuildsNeverRunOnTheAnswerPath) {
         EvaluateTopKEpoch(*snapshot, SomeTerms(i, 2 * i + 1), 5, pool);
       }
     }
-    catalog->WaitForBuilds();
-    ASSERT_TRUE(catalog->last_async_status().ok());
+    writer.join();
     EXPECT_EQ(common::AnswerPathBuilds(), before);
   }
 }

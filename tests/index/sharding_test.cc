@@ -49,22 +49,18 @@ TEST(ShardingOptionsTest, ZeroShardsRejected) {
 }
 
 TEST(ShardOfDocTest, PartitionsAreTotalAndDeterministic) {
-  for (ShardPartition p : {ShardPartition::kDocRange, ShardPartition::kDocHash}) {
-    ShardingOptions o;
-    o.shard_count = 4;
-    o.partition = p;
-    for (corpus::DocId d = 0; d < 1000; ++d) {
-      size_t s = ShardOfDoc(d, 1000, o);
-      EXPECT_LT(s, 4u);
-      EXPECT_EQ(s, ShardOfDoc(d, 1000, o));  // stable
-    }
+  ShardingOptions o;
+  o.shard_count = 4;
+  for (corpus::DocId d = 0; d < 1000; ++d) {
+    size_t s = ShardOfDoc(d, 1000, o);
+    EXPECT_LT(s, 4u);
+    EXPECT_EQ(s, ShardOfDoc(d, 1000, o));  // stable
   }
 }
 
 TEST(ShardOfDocTest, RangePartitionIsContiguousAndBalanced) {
   ShardingOptions o;
   o.shard_count = 4;
-  o.partition = ShardPartition::kDocRange;
   // 100 docs over 4 shards: 25 per shard, in doc-id order.
   std::vector<size_t> counts(4, 0);
   size_t last = 0;
@@ -75,52 +71,53 @@ TEST(ShardOfDocTest, RangePartitionIsContiguousAndBalanced) {
     ++counts[s];
   }
   for (size_t c : counts) EXPECT_EQ(c, 25u);
-}
 
-TEST(ShardOfDocTest, HashPartitionSpreadsDocs) {
-  ShardingOptions o;
-  o.shard_count = 8;
-  o.partition = ShardPartition::kDocHash;
-  std::vector<size_t> counts(8, 0);
-  for (corpus::DocId d = 0; d < 8000; ++d) ++counts[ShardOfDoc(d, 8000, o)];
-  for (size_t c : counts) {
-    EXPECT_GT(c, 800u);  // no empty or starved shard at 1000 expected
-    EXPECT_LT(c, 1200u);
+  // Past the boundary every document lands in the last shard, so a live
+  // delta touches one slice. Ranges of ceil(boundary / shards) ids would
+  // not do it on small corpora: past 41 documents over 8 shards, id 41
+  // would fall in shard 6 and id 42 in shard 7.
+  for (size_t shards = 2; shards <= 8; ++shards) {
+    o.shard_count = shards;
+    for (size_t boundary = 1; boundary <= 60; ++boundary) {
+      for (size_t d = boundary; d < boundary + 64; ++d) {
+        EXPECT_EQ(ShardOfDoc(static_cast<corpus::DocId>(d), boundary, o),
+                  shards - 1)
+            << "doc " << d << " past a boundary of " << boundary << " at "
+            << shards << " shards";
+      }
+    }
   }
 }
 
 TEST_F(ShardingTest, ShardsPartitionEveryPostingExactlyOnce) {
-  for (ShardPartition p : {ShardPartition::kDocRange, ShardPartition::kDocHash}) {
-    ShardingOptions o;
-    o.shard_count = 4;
-    o.partition = p;
-    auto sharded = ShardedIndex::Build(built_.index, o);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded->shard_count(), 4u);
+  ShardingOptions o;
+  o.shard_count = 4;
+  auto sharded = ShardedIndex::Build(built_.index, o);
+  ASSERT_TRUE(sharded.ok());
+  EXPECT_EQ(sharded->shard_count(), 4u);
 
-    for (wordnet::TermId term : built_.index.IndexedTerms()) {
-      const std::vector<Posting>& mono = *built_.index.postings(term);
-      std::vector<std::vector<Posting>> fragments;
-      size_t total = 0;
-      for (size_t s = 0; s < sharded->shard_count(); ++s) {
-        const std::vector<Posting>* frag = sharded->shard(s).postings(term);
-        if (frag == nullptr) {
-          fragments.emplace_back();
-          continue;
-        }
-        // Every posting is owned by the doc's shard.
-        for (const Posting& post : *frag) {
-          EXPECT_EQ(ShardOfDoc(post.doc, built_.index.document_count(), o), s);
-        }
-        // Fragments keep the canonical (impact desc, doc asc) order.
-        EXPECT_TRUE(std::is_sorted(frag->begin(), frag->end(), PostingOrder));
-        total += frag->size();
-        fragments.push_back(*frag);
+  for (wordnet::TermId term : built_.index.IndexedTerms()) {
+    const std::vector<Posting>& mono = *built_.index.postings(term);
+    std::vector<std::vector<Posting>> fragments;
+    size_t total = 0;
+    for (size_t s = 0; s < sharded->shard_count(); ++s) {
+      const std::vector<Posting>* frag = sharded->shard(s).postings(term);
+      if (frag == nullptr) {
+        fragments.emplace_back();
+        continue;
       }
-      EXPECT_EQ(total, mono.size());
-      // Merging the fragments reproduces the monolithic list bit-for-bit.
-      EXPECT_EQ(MergeShardPostings(fragments), mono);
+      // Every posting is owned by the doc's shard.
+      for (const Posting& post : *frag) {
+        EXPECT_EQ(ShardOfDoc(post.doc, built_.index.document_count(), o), s);
+      }
+      // Fragments keep the canonical (impact desc, doc asc) order.
+      EXPECT_TRUE(std::is_sorted(frag->begin(), frag->end(), PostingOrder));
+      total += frag->size();
+      fragments.push_back(*frag);
     }
+    EXPECT_EQ(total, mono.size());
+    // Merging the fragments reproduces the monolithic list bit-for-bit.
+    EXPECT_EQ(MergeShardPostings(fragments), mono);
   }
 }
 
@@ -128,27 +125,23 @@ TEST_F(ShardingTest, ShardedTopKIsBitIdenticalToMonolithicFull) {
   Rng rng(5);
   auto terms = built_.index.IndexedTerms();
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    for (ShardPartition p :
-         {ShardPartition::kDocRange, ShardPartition::kDocHash}) {
-      ShardingOptions o;
-      o.shard_count = shards;
-      o.partition = p;
-      auto epoch = Partitioned(o);
-      ASSERT_EQ(epoch->shard_count(), shards);
-      for (int trial = 0; trial < 5; ++trial) {
-        std::vector<wordnet::TermId> query;
-        for (int i = 0; i < 4; ++i) {
-          query.push_back(terms[rng.Uniform(terms.size())]);
-        }
-        auto reference = EvaluateFull(built_.index, query);
-        for (size_t k : {1u, 10u, 50u}) {
-          auto expected = reference;
-          if (expected.size() > k) expected.resize(k);
-          auto got = EvaluateTopKEpoch(*epoch, query, k);
-          ASSERT_EQ(got.size(), expected.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i], expected[i]);
-          }
+    ShardingOptions o;
+    o.shard_count = shards;
+    auto epoch = Partitioned(o);
+    ASSERT_EQ(epoch->shard_count(), shards);
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<wordnet::TermId> query;
+      for (int i = 0; i < 4; ++i) {
+        query.push_back(terms[rng.Uniform(terms.size())]);
+      }
+      auto reference = EvaluateFull(built_.index, query);
+      for (size_t k : {1u, 10u, 50u}) {
+        auto expected = reference;
+        if (expected.size() > k) expected.resize(k);
+        auto got = EvaluateTopKEpoch(*epoch, query, k);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i], expected[i]);
         }
       }
     }

@@ -2,8 +2,8 @@
 // HandleFrame surface, per-connection response ordering under concurrent
 // dispatch, slow-client isolation (a trickler parked mid-frame must not
 // delay anyone else), mid-frame disconnect accounting, shedding with typed
-// kBusy, the zero-dispatcher synchronous fallback, and Nagle's algorithm
-// off on accepted sockets.
+// kBusy bytes that say nothing about the shed request, and Nagle's
+// algorithm off on accepted sockets.
 
 #include "server/async_frontend.h"
 
@@ -230,9 +230,12 @@ TEST_F(AsyncFrontEndTest, MidFrameDisconnectFreesTheConnection) {
 }
 
 TEST_F(AsyncFrontEndTest, QueueOverflowShedsWithTypedBusy) {
-  // One dispatcher parked in the handler + a one-slot queue: the third
-  // frame in flight must be shed with kBusy — and because responses are
-  // re-sequenced per connection, the shed answer still arrives in order.
+  // One dispatcher parked in the handler + a one-slot queue: the third and
+  // fourth frames in flight must be shed with kBusy — and because responses
+  // are re-sequenced per connection, the shed answers still arrive in
+  // order. The shed is decided from the queue length alone, before any
+  // decoding: two requests of different sessions and kinds get the same
+  // bytes, so a shed tells nothing about what was asked.
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool in_handler = false;
@@ -264,7 +267,9 @@ TEST_F(AsyncFrontEndTest, QueueOverflowShedsWithTypedBusy) {
   client.Send(TaggedRequest(1));  // fills the one queue slot
   AwaitStats([](const AsyncFrontEndStats& s) { return s.frames_in == 2; });
   client.Send(TaggedRequest(2));  // queue full: shed
-  AwaitStats([](const AsyncFrontEndStats& s) { return s.shed == 1; });
+  client.Send(EncodeFrame(FrameKind::kPirQuery, 99,
+                          std::vector<uint8_t>{1, 2, 3, 4}));  // shed too
+  AwaitStats([](const AsyncFrontEndStats& s) { return s.shed == 2; });
 
   {
     std::lock_guard<std::mutex> lock(gate_mu);
@@ -274,27 +279,14 @@ TEST_F(AsyncFrontEndTest, QueueOverflowShedsWithTypedBusy) {
 
   auto first = DecodeFrame(client.Recv());
   auto second = DecodeFrame(client.Recv());
-  auto third = DecodeFrame(client.Recv());
-  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(first->session_id, 0u);
   EXPECT_EQ(second->session_id, 1u);
-  ASSERT_EQ(third->kind, FrameKind::kError);
-  Status transported = Status::OK();
-  ASSERT_TRUE(DecodeError(third->payload, &transported).ok());
-  EXPECT_TRUE(transported.IsBusy()) << transported.ToString();
-}
-
-TEST_F(AsyncFrontEndTest, ZeroDispatcherFallbackServesOnTheLoopThread) {
-  AsyncFrontEndOptions options;
-  options.dispatch_threads = 0;
-  uint16_t port = Serve(EchoHandler, options);
-  BlockingClient client(port);
-  for (uint64_t tag = 0; tag < 8; ++tag) {
-    auto frame = DecodeFrame(client.RoundTrip(TaggedRequest(tag)));
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ(frame->session_id, tag);
-  }
-  EXPECT_EQ(front_end_->stats().shed, 0u);
+  const std::vector<uint8_t> busy = EncodeFrame(
+      FrameKind::kError, 0,
+      EncodeError(Status::Busy("server dispatch queue full; request shed")));
+  EXPECT_EQ(client.Recv(), busy) << "the shed kQuery of session 2";
+  EXPECT_EQ(client.Recv(), busy) << "the shed kPirQuery of session 99";
 }
 
 TEST_F(AsyncFrontEndTest, AcceptedSocketsDisableNagle) {
@@ -388,10 +380,10 @@ TEST_F(AsyncFrontEndTest, LargeResponseDrainsThroughBackpressure) {
   EXPECT_EQ(received, response);
 }
 
-TEST_F(AsyncFrontEndTest, EmbellishServerServeAsyncBytesMatchHandleFrame) {
+TEST_F(AsyncFrontEndTest, EmbellishServerBehindTheFrontEndMatchesHandleFrame) {
   // The full stack, minus the network: the async front end over a real
-  // EmbellishServer must hand back exactly HandleFrame's bytes for the
-  // hello + PR query flow.
+  // EmbellishServer's HandleBatch must hand back exactly HandleFrame's
+  // bytes for the hello + PR query flow.
   auto lex = testutil::SmallSyntheticLexicon(600, 311);
   auto corp = testutil::SmallCorpus(lex, 60, 312);
   auto built = std::move(index::BuildIndex(corp, {})).value();
@@ -400,12 +392,9 @@ TEST_F(AsyncFrontEndTest, EmbellishServerServeAsyncBytesMatchHandleFrame) {
   EmbellishServer server(catalog.get());
   EmbellishServer reference(catalog.get());
 
-  uint16_t port = 0;
-  auto listen_fd = ListenOnLoopback(&port);
-  ASSERT_TRUE(listen_fd.ok());
-  auto front_end = server.ServeAsync(*listen_fd, loop_.get());
-  ASSERT_TRUE(front_end.ok()) << front_end.status().ToString();
-  front_end_ = std::move(*front_end);
+  uint16_t port = Serve([&server](const auto& requests) {
+    return server.HandleBatch(requests);
+  });
 
   crypto::BenalohKeyOptions ko;
   ko.key_bits = 256;

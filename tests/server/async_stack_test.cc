@@ -203,8 +203,8 @@ class AsyncStackTest : public ::testing::Test {
 
 TEST_F(AsyncStackTest, CoordinatorFrontEndRefusesZeroDispatchers) {
   // dispatch_threads = 0 would run HandleBatch on the loop thread, where the
-  // fan-out waits for completions only that thread can deliver. ServeAsync
-  // refuses the configuration (typed) instead of wedging the loop.
+  // fan-out waits for completions only that thread can deliver. The front
+  // end refuses the configuration (typed) instead of wedging the loop.
   std::vector<std::unique_ptr<EmbellishServer>> slices;
   std::vector<std::unique_ptr<ShardEndpoint>> endpoints;
   MakeSlices(1, &slices, &endpoints);
@@ -222,7 +222,12 @@ TEST_F(AsyncStackTest, CoordinatorFrontEndRefusesZeroDispatchers) {
     ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
     AsyncFrontEndOptions options;
     options.dispatch_threads = 0;
-    auto front_end = coordinator.ServeAsync(*listen_fd, loop_.get(), options);
+    auto front_end = AsyncFrontEnd::Create(
+        *listen_fd, loop_.get(),
+        [&coordinator](const auto& requests) {
+          return coordinator.HandleBatch(requests);
+        },
+        options);
     ASSERT_FALSE(front_end.ok());
     EXPECT_TRUE(front_end.status().IsInvalidArgument())
         << front_end.status().ToString();
@@ -297,7 +302,10 @@ TEST_F(AsyncStackTest, BitIdenticalThroughMuxAndFrontEndAtAllShardCounts) {
       uint16_t front_port = 0;
       auto front_listen = ListenOnLoopback(&front_port);
       ASSERT_TRUE(front_listen.ok());
-      auto front_end = coordinator.ServeAsync(*front_listen, loop_.get());
+      auto front_end = AsyncFrontEnd::Create(
+          *front_listen, loop_.get(), [&coordinator](const auto& requests) {
+            return coordinator.HandleBatch(requests);
+          });
       ASSERT_TRUE(front_end.ok()) << front_end.status().ToString();
       {
         WireClient wire(front_port);

@@ -254,41 +254,6 @@ TEST_F(EmbellishServerTest, PirTranscriptHidesWhichColumnsRepeat) {
   }
 }
 
-TEST_F(EmbellishServerTest, ShedTranscriptHidesWhichQueriesRepeat) {
-  // Admission sheds a deterministic suffix of each batch and answers it with
-  // a kBusy frame under session id 0. Each session's two requests follow a
-  // third session's filler in one batch, so both sessions are shed alike:
-  // at a budget of 1 both requests are shed, at 2 the second one is.
-  const testutil::TwoBucketTerms t =
-      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
-  ThreadPool pool(4);
-  for (size_t max_inflight : {1u, 2u}) {
-    SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
-    EmbellishServerOptions options;
-    options.max_inflight = max_inflight;
-    EmbellishServer server(catalog_.get(), options, &pool);
-    SessionClient a = MakeClient(71, 971);
-    SessionClient b = MakeClient(72, 972);
-    SessionClient filler = MakeClient(73, 973);
-    for (SessionClient* client : {&a, &b, &filler}) {
-      auto hello = DecodeFrame(server.HandleFrame(client->HelloFrame()));
-      ASSERT_TRUE(hello.ok());
-      ASSERT_EQ(hello->kind, FrameKind::kHelloOk);
-    }
-
-    auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
-    const uint64_t shed = testutil::AnswerBehindFiller(
-        &ta, &tb, max_inflight,
-        [&] { return std::move(filler.QueryFrame(SomeTerms(11, 17))).value(); },
-        [&](const std::vector<std::vector<uint8_t>>& batch) {
-          return server.HandleBatch(batch);
-        });
-    testutil::ExpectIndistinguishable(ta, tb);
-    EXPECT_EQ(shed, 2 * (3 - max_inflight));
-    EXPECT_EQ(server.stats().shed, shed);
-  }
-}
-
 TEST_F(EmbellishServerTest, PirModulusPastTheBoundIsRefused) {
   // A modulus one byte wider than any PirClient creates would let a frame
   // size the answer (rows x value_size bytes) and the CPU spent on it. It
@@ -482,51 +447,6 @@ TEST_F(EmbellishServerTest, BatchedDispatchMatchesSerial) {
   }
   EXPECT_EQ(batched.stats().batches, 1u);
   EXPECT_EQ(batched.stats().queries, kSessions);
-}
-
-TEST_F(EmbellishServerTest, InflightBudgetShedsBatchSuffixTyped) {
-  // max_inflight bounds admitted work; HandleBatch reserves up front, so
-  // exactly the suffix beyond the budget is shed with a typed kBusy error
-  // while the admitted prefix answers byte-identically to an unthrottled
-  // server.
-  EmbellishServer reference(catalog_.get());
-  EmbellishServerOptions options;
-  options.max_inflight = 4;
-  EmbellishServer throttled(catalog_.get(), options);
-
-  constexpr size_t kRequests = 6;
-  std::vector<SessionClient> clients;
-  std::vector<std::vector<uint8_t>> requests;
-  for (size_t s = 0; s < kRequests; ++s) {
-    clients.push_back(MakeClient(700 + s, 800 + s));
-    reference.HandleFrame(clients.back().HelloFrame());
-    throttled.HandleFrame(clients.back().HelloFrame());
-    auto req = clients.back().QueryFrame(SomeTerms(2 * s, 5 * s + 3));
-    ASSERT_TRUE(req.ok());
-    requests.push_back(std::move(*req));
-  }
-
-  auto responses = throttled.HandleBatch(requests);
-  ASSERT_EQ(responses.size(), kRequests);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(responses[i], reference.HandleFrame(requests[i]))
-        << "admitted request " << i;
-  }
-  for (size_t i = 4; i < kRequests; ++i) {
-    auto frame = DecodeFrame(responses[i]);
-    ASSERT_TRUE(frame.ok());
-    ASSERT_EQ(frame->kind, FrameKind::kError) << "request " << i;
-    Status carried;
-    ASSERT_TRUE(DecodeError(frame->payload, &carried).ok());
-    EXPECT_TRUE(carried.IsBusy()) << carried.ToString();
-  }
-  EXPECT_EQ(throttled.stats().shed, 2u);
-  EXPECT_EQ(throttled.stats().queries, 4u);
-
-  // The budget is released once the batch drains: new work is admitted.
-  auto after = throttled.HandleFrame(requests[5]);
-  EXPECT_TRUE(clients[5].DecodeResultFrame(after, 10).ok());
-  EXPECT_EQ(throttled.stats().shed, 2u);
 }
 
 TEST_F(EmbellishServerTest, PirQueriesThroughTheLoop) {

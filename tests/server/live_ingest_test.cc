@@ -214,12 +214,10 @@ TEST_F(LiveIngestTest, CoordinatorStormAnswersAreBitIdenticalToSomePinnedEpoch) 
   // behind a coordinator, which follows each cutover — AdvanceEpoch() after
   // a delta, and AdvanceEpoch(groups) onto four new slices after a 2 -> 4
   // reshard. Slices pin index epochs independently, so one fan-out may
-  // straddle a delta; under kDocRange a delta changes only the last slice,
-  // and the merge is then the later epoch's answer (FanOutStraddlingADelta
-  // below).
+  // straddle a delta; a delta changes only the last slice, and the merge is
+  // then the later epoch's answer (FanOutStraddlingADelta below).
   index::IndexCatalogOptions copts;
   copts.sharding.shard_count = 2;
-  copts.sharding.partition = index::ShardPartition::kDocRange;
   ThreadPool pool(4);
   auto catalog = index::IndexCatalog::Create(corp_, org_, copts, &pool);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
@@ -289,7 +287,6 @@ TEST_F(LiveIngestTest, CoordinatorStormAnswersAreBitIdenticalToSomePinnedEpoch) 
 
   index::ShardingOptions wider;
   wider.shard_count = 4;
-  wider.partition = index::ShardPartition::kDocRange;
   auto e3 = (*catalog)->Reshard(wider);
   ASSERT_TRUE(e3.ok()) << e3.status().ToString();
   snapshots[(*e3)->epoch()] = *e3;
@@ -364,28 +361,28 @@ class BeforeForwardTransport : public ShardTransport {
 };
 
 TEST_F(LiveIngestTest, FanOutStraddlingADelta) {
-  // Slice 0 answers epoch e; the decorator on slice 1 applies a delta and
-  // slice 1 answers e+1. Under kDocRange the delta's documents all land in
-  // the last slice, so the merge is exactly e+1's answer — what the
-  // coordinator storm relies on. Under kDocHash they may land in slice 0
-  // too, which answered without them; that outcome is printed, not
-  // asserted.
+  // Slices 0..n-2 answer epoch e; the decorator on the last slice applies a
+  // delta and that slice answers e+1. The delta's documents all land in the
+  // last slice, so the merge is exactly e+1's answer — what the coordinator
+  // storm relies on. Checked on the fixture corpus at 2 slices and on 5
+  // documents at 4 slices, where ranges of ceil(5 / 4) ids alone would put
+  // the delta's first document in slice 2, which answered without it.
   const auto genuine = SomeTerms(5, 23);
-  for (index::ShardPartition partition :
-       {index::ShardPartition::kDocRange, index::ShardPartition::kDocHash}) {
-    const bool range = partition == index::ShardPartition::kDocRange;
-    SCOPED_TRACE(range ? "kDocRange" : "kDocHash");
+  const corpus::Corpus tiny = testutil::SmallCorpus(lex_, 5, 613);
+  for (const auto& [source, shards] :
+       {std::pair<const corpus::Corpus*, size_t>{&corp_, 2},
+        std::pair<const corpus::Corpus*, size_t>{&tiny, 4}}) {
+    SCOPED_TRACE(std::to_string(source->document_count()) + " documents, " +
+                 std::to_string(shards) + " slices");
     index::IndexCatalogOptions copts;
-    copts.sharding.shard_count = 2;
-    copts.sharding.partition = partition;
-    auto catalog = index::IndexCatalog::Create(corp_, org_, copts);
+    copts.sharding.shard_count = shards;
+    auto catalog = index::IndexCatalog::Create(*source, org_, copts);
     ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
-    testutil::SliceRig rig = testutil::MakeSliceRig(catalog->get(), 2);
-    std::shared_ptr<const index::IndexEpoch> before = (*catalog)->Acquire();
+    testutil::SliceRig rig = testutil::MakeSliceRig(catalog->get(), shards);
     std::shared_ptr<const index::IndexEpoch> after;
     // Delta documents dense in the query terms, so they rank in every
     // answer that sees them.
-    BeforeForwardTransport straddle(rig.transports[1].get(), [&] {
+    BeforeForwardTransport straddle(rig.transports[shards - 1].get(), [&] {
       std::vector<corpus::Document> docs(4);
       for (auto& doc : docs) {
         for (size_t i = 0; i < 20; ++i) doc.tokens.push_back(genuine[0]);
@@ -395,8 +392,12 @@ TEST_F(LiveIngestTest, FanOutStraddlingADelta) {
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       after = *next;
     });
-    ShardCoordinator coordinator(
-        std::vector<ShardTransport*>{rig.transports[0].get(), &straddle});
+    std::vector<ShardTransport*> transports;
+    for (size_t s = 0; s + 1 < shards; ++s) {
+      transports.push_back(rig.transports[s].get());
+    }
+    transports.push_back(&straddle);
+    ShardCoordinator coordinator(transports);
 
     std::vector<SessionClient> clients;
     clients.push_back(MakeClient(80, 880));
@@ -409,24 +410,12 @@ TEST_F(LiveIngestTest, FanOutStraddlingADelta) {
         *pr, EncodeFrame(FrameKind::kTopKQuery, 80,
                          EncodeTopKQuery(10, genuine))};
     for (const std::vector<uint8_t>& request : requests) {
-      const bool is_pr = &request == &requests[0];
       straddle.armed = true;
       const std::vector<uint8_t> merged = coordinator.HandleFrame(request);
       ASSERT_NE(after, nullptr);
-      Reference at_e = MakeReference(before, clients);
       Reference at_next = MakeReference(after, clients);
-      const bool is_e = at_e.server->HandleFrame(request) == merged;
-      const bool is_next = at_next.server->HandleFrame(request) == merged;
-      if (range) {
-        EXPECT_TRUE(is_next) << (is_pr ? "PR" : "top-k");
-      } else {
-        std::printf("kDocHash fan-out straddling a delta (%s): %s\n",
-                    is_pr ? "PR" : "top-k",
-                    is_next ? "the later epoch's answer"
-                    : is_e  ? "the earlier epoch's answer"
-                            : "no epoch's answer");
-      }
-      before = after;
+      EXPECT_EQ(at_next.server->HandleFrame(request), merged)
+          << (&request == &requests[0] ? "PR" : "top-k");
       after = nullptr;
     }
   }
@@ -435,8 +424,8 @@ TEST_F(LiveIngestTest, FanOutStraddlingADelta) {
 TEST_F(LiveIngestTest, AsyncBuildersRaceAcquireCleanly) {
   // Pure pin/swap contention (no server layer): readers hammering Acquire
   // and evaluating must never crash, block on a build, or see a snapshot
-  // in between epochs while async delta + reshard builders run. TSan is
-  // the real assertion here.
+  // in between epochs while delta and reshard builds race each other on
+  // writer threads. TSan is the real assertion here.
   index::IndexCatalogOptions copts;
   copts.sharding.shard_count = 2;
   copts.build_layouts = false;
@@ -462,16 +451,21 @@ TEST_F(LiveIngestTest, AsyncBuildersRaceAcquireCleanly) {
     });
   }
 
-  (*catalog)->ApplyDeltaAsync(SomeDeltaDocs(4, 11));
+  // The catalog serializes the builds, in whatever order they arrive.
   index::ShardingOptions wider;
   wider.shard_count = 3;
-  (*catalog)->ReshardAsync(wider);
-  (*catalog)->ApplyDeltaAsync(SomeDeltaDocs(3, 13));
-  (*catalog)->WaitForBuilds();
+  std::vector<std::thread> writers;
+  writers.emplace_back([&] {
+    EXPECT_TRUE((*catalog)->ApplyDelta(SomeDeltaDocs(4, 11)).ok());
+  });
+  writers.emplace_back([&] { EXPECT_TRUE((*catalog)->Reshard(wider).ok()); });
+  writers.emplace_back([&] {
+    EXPECT_TRUE((*catalog)->ApplyDelta(SomeDeltaDocs(3, 13)).ok());
+  });
+  for (auto& th : writers) th.join();
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
 
-  ASSERT_TRUE((*catalog)->last_async_status().ok());
   auto final_snapshot = (*catalog)->Acquire();
   EXPECT_EQ(final_snapshot->epoch(), 4u);
   EXPECT_EQ(final_snapshot->index().document_count(),

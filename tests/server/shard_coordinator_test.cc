@@ -2,9 +2,9 @@
 // slice servers must produce PR and plaintext top-k frames byte-identical
 // to the monolithic server's, and PIR frames equal to the addressed slice's
 // own answer whose fragments merge into the monolithic list, at 1/2/4/8
-// shards of a kDocRange and a kDocHash partition — plus endpoint protocol
-// checks (ping, misrouting, epoch fencing). Byte-identity across a real
-// socket is async_stack_test's.
+// shards of the document-range partition — plus endpoint protocol checks
+// (ping, misrouting, epoch fencing). Byte-identity across a real socket is
+// async_stack_test's.
 
 #include "server/shard_coordinator.h"
 
@@ -30,7 +30,7 @@ class ShardCoordinatorTest : public ::testing::Test {
         org_(testutil::MakeBuckets(lex_, 4, 64)),
         catalog_(testutil::FreezeCatalog(&built_.index, &org_)) {}
 
-  // N slice servers of a kDocRange partition, endpoints and in-process
+  // N slice servers of a document-range partition, endpoints and in-process
   // transports, plus the coordinator fronting them.
   using Rig = testutil::SliceRig;
   Rig MakeRig(size_t shards, const ShardCoordinatorOptions& copts = {},
@@ -238,64 +238,6 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerial) {
   }
 }
 
-TEST_F(ShardCoordinatorTest, DocHashSlicesMatchTheMonolithicServer) {
-  // The hash partition through the coordinator: PR and top-k bytes equal
-  // the monolithic server's, and each slice's PIR fragment of a term's
-  // list merges (MergeShardPostings) into the monolithic list.
-  EmbellishServer mono(catalog_.get());
-  SessionClient client = MakeClient(2, 502);
-  mono.HandleFrame(client.HelloFrame());
-  auto request = client.QueryFrame(SomeTerms(3, 71));
-  ASSERT_TRUE(request.ok());
-  const auto topk = EncodeFrame(FrameKind::kTopKQuery, 2,
-                                EncodeTopKQuery(10, SomeTerms(3, 71)));
-
-  const wordnet::TermId term = built_.index.IndexedTerms()[29];
-  auto slot = org_.Locate(term);
-  ASSERT_TRUE(slot.ok());
-  Rng rng(913);
-  crypto::PirClient pir_client =
-      std::move(crypto::PirClient::Create(256, &rng)).value();
-  auto query = pir_client.BuildQuery(slot->slot,
-                                     org_.bucket(slot->bucket).size(), &rng);
-  ASSERT_TRUE(query.ok());
-
-  for (size_t shards : {2u, 3u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    index::IndexCatalogOptions options;
-    options.sharding.shard_count = shards;
-    options.sharding.partition = index::ShardPartition::kDocHash;
-    auto catalog = index::IndexCatalog::Freeze(&built_.index, &org_, options);
-    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
-    Rig rig = testutil::MakeSliceRig(catalog->get(), shards);
-
-    ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client.HelloFrame())),
-              FrameKind::kHelloOk);
-    EXPECT_EQ(rig.coordinator->HandleFrame(*request),
-              mono.HandleFrame(*request));
-    EXPECT_EQ(rig.coordinator->HandleFrame(topk), mono.HandleFrame(topk));
-
-    std::vector<std::vector<index::Posting>> fragments;
-    for (size_t shard = 0; shard < shards; ++shard) {
-      auto frame = DecodeFrame(rig.coordinator->HandleFrame(EncodeFrame(
-          FrameKind::kPirQuery, 2,
-          EncodePirQuery(rig.coordinator->PirBucketField(shard, slot->bucket),
-                         *query))));
-      ASSERT_TRUE(frame.ok());
-      ASSERT_EQ(frame->kind, FrameKind::kPirResult) << "shard " << shard;
-      auto decoded = DecodePirResponse(frame->payload);
-      ASSERT_TRUE(decoded.ok());
-      auto bits = pir_client.DecodeResponse(*decoded);
-      ASSERT_TRUE(bits.ok());
-      auto fragment = core::PostingsFromColumnBits(*bits);
-      ASSERT_TRUE(fragment.ok());
-      fragments.push_back(std::move(*fragment));
-    }
-    EXPECT_EQ(index::MergeShardPostings(fragments),
-              *built_.index.postings(term));
-  }
-}
-
 TEST_F(ShardCoordinatorTest, TranscriptHidesWhichQueriesRepeat) {
   // The server test's transcript case through a 2-slice coordinator:
   // session A issues {a1, b1} twice, session B issues {a1, b1} and then
@@ -323,38 +265,6 @@ TEST_F(ShardCoordinatorTest, TranscriptHidesWhichQueriesRepeat) {
     EXPECT_TRUE(b.DecodeResultFrame(response, 10).ok());
   }
   testutil::ExpectIndistinguishable(ta, tb);
-}
-
-TEST_F(ShardCoordinatorTest, ShedTranscriptHidesWhichQueriesRepeat) {
-  // The server test's shedding case through a 2-slice coordinator: each
-  // session's two requests follow a third session's filler in one batch, so
-  // the coordinator's admission sheds both sessions alike.
-  const testutil::TwoBucketTerms t =
-      testutil::PickTwoBucketTerms(built_.index.IndexedTerms(), org_);
-  for (size_t max_inflight : {1u, 2u}) {
-    SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
-    ShardCoordinatorOptions copts;
-    copts.max_inflight = max_inflight;
-    Rig rig = MakeRig(2, copts);
-    SessionClient a = MakeClient(73, 973);
-    SessionClient b = MakeClient(74, 974);
-    SessionClient filler = MakeClient(75, 975);
-    for (SessionClient* client : {&a, &b, &filler}) {
-      ASSERT_EQ(KindOf(rig.coordinator->HandleFrame(client->HelloFrame())),
-                FrameKind::kHelloOk);
-    }
-
-    auto [ta, tb] = testutil::RepeatedAndDistinctQueries(a, b, t);
-    const uint64_t shed = testutil::AnswerBehindFiller(
-        &ta, &tb, max_inflight,
-        [&] { return std::move(filler.QueryFrame(SomeTerms(11, 17))).value(); },
-        [&](const std::vector<std::vector<uint8_t>>& batch) {
-          return rig.coordinator->HandleBatch(batch);
-        });
-    testutil::ExpectIndistinguishable(ta, tb);
-    EXPECT_EQ(shed, 2 * (3 - max_inflight));
-    EXPECT_EQ(rig.coordinator->stats().shed, shed);
-  }
 }
 
 TEST_F(ShardCoordinatorTest, PirModulusPastTheBoundIsRefused) {

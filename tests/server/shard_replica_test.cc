@@ -2,9 +2,8 @@
 // answers with bytes identical to the monolithic server, a dead replica
 // costs capacity (failover) rather than availability, hedged duplicates are
 // seq-fenced so a stale response can never be merged, circuit breakers with
-// probe re-admission re-discover healed replicas, opt-in degraded mode
-// answers PR/top-k from surviving slices with a typed missing-slice marker,
-// and the in-flight admission budget sheds overload with typed kBusy frames.
+// probe re-admission re-discover healed replicas, and opt-in degraded mode
+// answers PR/top-k from surviving slices with a typed missing-slice marker.
 
 #include <gtest/gtest.h>
 
@@ -170,7 +169,6 @@ TEST_F(ReplicaTest, EveryReplicaAnswersBitIdentically) {
   EXPECT_EQ(stats.failovers, 0u);
   EXPECT_EQ(stats.hedges_fired, 0u);
   EXPECT_EQ(stats.degraded_answers, 0u);
-  EXPECT_EQ(stats.shed, 0u);
 }
 
 TEST_F(ReplicaTest, DeadReplicaFailsOverWithoutChangingBytes) {
@@ -405,36 +403,6 @@ TEST_F(ReplicaTest, StrictModeFailsClosedWhenSliceDies) {
   Status error = RequireTypedError(coordinator.HandleFrame(*request));
   EXPECT_TRUE(error.IsUnavailable()) << error.ToString();
   EXPECT_EQ(coordinator.stats().degraded_answers, 0u);
-}
-
-TEST_F(ReplicaTest, CoordinatorShedsBeyondInflightBudget) {
-  ShardCoordinatorOptions options;
-  options.max_inflight = 2;
-  ShardCoordinator coordinator(MakeGroups(), options);
-  SessionClient client = MakeClient(8, 708);
-  mono_.HandleFrame(client.HelloFrame());
-  EXPECT_EQ(DecodeFrame(coordinator.HandleFrame(client.HelloFrame()))->kind,
-            FrameKind::kHelloOk);
-
-  auto request = client.QueryFrame(SomeTerms(2, 4));
-  ASSERT_TRUE(request.ok());
-  const std::vector<uint8_t> reference = mono_.HandleFrame(*request);
-
-  // A batch over budget: the first max_inflight requests are answered, the
-  // deterministic suffix is shed with typed kBusy.
-  std::vector<std::vector<uint8_t>> batch(5, *request);
-  auto responses = coordinator.HandleBatch(batch);
-  ASSERT_EQ(responses.size(), 5u);
-  EXPECT_EQ(responses[0], reference);
-  EXPECT_EQ(responses[1], reference);
-  for (size_t i = 2; i < 5; ++i) {
-    Status error = RequireTypedError(responses[i]);
-    EXPECT_TRUE(error.IsBusy()) << error.ToString();
-  }
-  EXPECT_EQ(coordinator.stats().shed, 3u);
-
-  // The budget was released: later traffic is admitted again.
-  EXPECT_EQ(coordinator.HandleFrame(*request), reference);
 }
 
 }  // namespace

@@ -73,8 +73,8 @@ inline SliceRig MakeSliceRig(index::IndexCatalog* catalog, size_t n) {
       });
 }
 
-/// \brief Slices of one n-way kDocRange partition of `index`, frozen once
-///        (FreezeCatalog) and owned by the rig; the slices and the
+/// \brief Slices of one n-way document-range partition of `index`, frozen
+///        once (FreezeCatalog) and owned by the rig; the slices and the
 ///        coordinator share `pool`.
 inline SliceRig MakeSliceRig(
     const index::InvertedIndex* index, const core::BucketOrganization* buckets,
